@@ -10,12 +10,14 @@ from .lattice_ops import (GridSpec, build_difference, build_modified_laplacian,
                           save_operator)
 from .solvers import (EtdrkCoefficients, Trajectory, etdrk_coefficients, simulate_kse1d,
                       simulate_kse2d, simulate_linear, step_forward_euler)
-from .tokenizer import (build_histories, build_reconstruction_pairs, sliding_histories,
-                        tokenize, tokenize_trajectory)
-from .observability import (LieLogDetSeries, ObservabilityReport, annihilation_witness,
-                            empirical_lie_logdet, hautus_test, kalman_observability_matrix,
-                            linear_reconstruct_initial_state, observability_gramian,
-                            rank_test)
+from .tokenizer import (amplitude, build_histories, build_reconstruction_pairs,
+                        forecast_pairs, sliding_histories, tokenize, tokenize_trajectory)
+from .observability import (GramianReport, LieLogDetReport, LieLogDetSeries,
+                            ObservabilityReport, WitnessReport, annihilation_witness,
+                            empirical_lie_logdet, gramian_reconstruction, hautus_test,
+                            kalman_observability_matrix, kalman_rank_test,
+                            lie_logdet_report, linear_reconstruct_initial_state,
+                            observability_gramian, rank_test, witness_orbit)
 from .learners import (LinearMap, TrainConfig, fit_least_squares, fit_sgd, fit_superres,
                        history_sweep, mse_loss_and_grad)
 from .rollout_metrics import (CorrelationSeries, RolloutResult, autoregressive_rollout,
@@ -26,6 +28,5 @@ from .dataset import (DatasetManifest, apply_normalization, compute_normalizatio
                       export_frame_image, generate_dataset, generate_trajectory,
                       invert_normalization, load_all, load_manifest, load_trajectory,
                       read_csv, tokenize_dataset, write_csv, write_dataset)
-from . import cli
 
 __version__ = "0.1.0"

@@ -33,7 +33,8 @@ from .learners import LinearMap, TrainConfig, fit_least_squares, fit_sgd, fit_su
 from .random_fields import GrfParams, build_conductivity
 from .rollout_metrics import (autoregressive_rollout, correlation_ensemble_stats,
                               full_pipeline_rollout, nearest_subvideo_distance, residue_norms)
-from .tokenizer import build_histories, build_reconstruction_pairs, tokenize_trajectory
+from .solvers import Trajectory
+from .tokenizer import amplitude, build_histories, build_reconstruction_pairs, tokenize_trajectory
 
 
 def _load_config(args) -> dict:
@@ -48,8 +49,8 @@ def _load_config(args) -> dict:
         with open(args.config) as fh:
             config = json.load(fh)
     else:
-        manifest = ds.DatasetManifest.from_json(open(args.from_manifest).read())
-        config = dict(manifest.config)
+        with open(args.from_manifest) as fh:
+            config = dict(ds.DatasetManifest.from_json(fh.read()).config)
     for key in ("trajectories", "frames", "grid_size", "init_seed"):
         value = getattr(args, key, None)
         if value is not None:
@@ -98,9 +99,8 @@ def cmd_fit(args) -> int:
     histories = np.concatenate(hists)
     target = np.concatenate(targets)
     if args.learner == "lstsq":
-        fitted = (fit_least_squares(histories, target, ridge=args.ridge, bias=not args.no_bias)
-                  if args.role == "g" else
-                  fit_superres(histories, target, ridge=args.ridge, bias=not args.no_bias))
+        fit = fit_least_squares if args.role == "g" else fit_superres
+        fitted = fit(histories, target, ridge=args.ridge, bias=not args.no_bias)
     else:
         config = TrainConfig(learning_rate=args.lr, steps=args.steps, batch_size=args.batch,
                              ridge=args.ridge, seed=args.sgd_seed, lr_decay=args.lr_decay)
@@ -180,28 +180,16 @@ def cmd_rollout(args) -> int:
     meta = {"seed_len": k, "steps": args.steps, "token_dim": g_map.token_dim,
             "traj_index": args.traj_index, "start": args.start, "space": "normalized",
             "normalization": stats, "fields_shape": None}
-    truth_tokens = tokens[args.start + k:args.start + k + args.steps]
-    rows = []
-    pred_tokens = result.tokens[k:]
-    token_res = {norm: residue_norms(pred_tokens, truth_tokens, norm)
-                 for norm in ("l1", "l2", "linf")}
+    generated = slice(args.start + k, args.start + k + args.steps)
+    pairs = {"token": (result.tokens[k:], tokens[generated])}
     if result.fields is not None:
         ds._atomic_write(prefix + "_fields.bin", result.fields.astype("<f8").tobytes())
         meta["fields_shape"] = list(result.fields.shape)
-        truth_fields = traj[args.start + k:args.start + k + args.steps]
-        if truth_fields.ndim == 4:
-            truth_fields = truth_fields[:, 0]
-        field_res = {norm: residue_norms(result.fields, truth_fields, norm)
-                     for norm in ("l1", "l2", "linf")}
-        header = ["frame", "token_l1", "token_l2", "token_linf",
-                  "field_l1", "field_l2", "field_linf"]
-        for i in range(args.steps):
-            rows.append([i, token_res["l1"][i], token_res["l2"][i], token_res["linf"][i],
-                         field_res["l1"][i], field_res["l2"][i], field_res["linf"][i]])
-    else:
-        header = ["frame", "token_l1", "token_l2", "token_linf"]
-        for i in range(args.steps):
-            rows.append([i, token_res["l1"][i], token_res["l2"][i], token_res["linf"][i]])
+        pairs["field"] = (result.fields, amplitude(traj)[generated])
+    columns = {f"{space}_{norm}": residue_norms(pred, truth, norm)
+               for space, (pred, truth) in pairs.items() for norm in ("l1", "l2", "linf")}
+    header = ["frame", *columns]
+    rows = [[i, *(col[i] for col in columns.values())] for i in range(args.steps)]
     with open(prefix + "_meta.json", "w") as fh:
         json.dump(meta, fh, indent=2)
     ds.write_csv(prefix + "_residues.csv", header, rows,
@@ -223,10 +211,7 @@ def cmd_metrics(args) -> int:
         frames, manifest = ds.load_all(args.data)
         picks = _parse_range(args.trajectories, len(frames))
         i, j = (int(v) for v in args.pixel.split(","))
-        videos = []
-        for idx in picks:
-            fr = frames[idx]
-            videos.append(fr[:, 0] if fr.ndim == 4 else fr)
+        videos = [amplitude(frames[idx]) for idx in picks]
         series = correlation_ensemble_stats(videos, (i, j), args.dt_max)
         ds.write_csv(args.out, ["lag", "rho_mean", "rho_std"],
                      [[int(l), series.mean[d], series.std[d]]
@@ -236,6 +221,8 @@ def cmd_metrics(args) -> int:
         print(f"correlation over {series.count} videos -> {args.out}")
         return 0
     if args.kind == "subvideo":
+        if args.clip_prefix is None:
+            raise ParameterError("metrics subvideo needs --clip-prefix")
         with open(args.clip_prefix + "_meta.json") as fh:
             meta = json.load(fh)
         if not meta.get("fields_shape"):
@@ -247,7 +234,7 @@ def cmd_metrics(args) -> int:
         rows = []
         best = np.inf
         for idx, fr in enumerate(frames):
-            video = fr[:, 0] if fr.ndim == 4 else fr
+            video = amplitude(fr)
             if stats is not None:
                 # the clip lives in the model's normalized units
                 video = ds.apply_normalization(video, stats)
@@ -262,127 +249,49 @@ def cmd_metrics(args) -> int:
     raise ParameterError(f"unknown metrics kind {args.kind!r}")
 
 
-def _observability_system(args):
-    grid = GridSpec(n=args.grid, dx=1.0)
-    if args.constant is not None:
-        a = np.full((args.grid, args.grid), args.constant)
-    else:
-        a = args.scale * build_conductivity(GrfParams(
-            grid_size=args.grid, sigma=args.grf_sigma, m=args.grf_m,
-            nu=args.grf_nu, seed=args.grf_seed))
-    wave = args.equation == "wave"
-    op = build_wave_generator(a, grid) if wave else build_modified_laplacian(a, grid)
-    h = build_tokenizer_matrix(grid, args.patch, wave=wave)
-    return grid, op, h, wave
-
-
 def cmd_observability(args) -> int:
-    out_lines = []
-    if args.check in ("kalman", "hautus"):
-        grid, op, h, wave = _observability_system(args)
-        if args.check == "kalman":
-            # rescaling the generator leaves the Krylov span (and hence the
-            # rank) unchanged but keeps high powers from overflowing the
-            # singular-value cutoff
-            radius = max(1.0, float((abs(op) @ np.ones(op.shape[1])).max()))
-            kal = obs.kalman_observability_matrix(op / radius, h, max_powers=args.max_powers)
-            report = obs.rank_test(kal, rel_tol=args.rel_tol)
-            out_lines.append(f"generator_rescaled_by = {1.0 / radius:.6e}")
-        else:
-            report = obs.hautus_test(op, h, tol=args.tol, eig_budget=args.eig_budget)
-        out_lines.append(report.to_text())
-    elif args.check == "witness":
-        grid = GridSpec(n=args.grid, dx=1.0)
-        wave = args.equation == "wave"
-        state, lam = obs.annihilation_witness(grid, args.patch, wave=wave)
-        a = np.ones((args.grid, args.grid))
-        op = build_wave_generator(a, grid) if wave else build_modified_laplacian(a, grid)
-        h = build_tokenizer_matrix(grid, args.patch, wave=wave)
-        token_norm = float(np.abs(h @ state.ravel()).max())
-        # a few normalized powers; deeper orbits are covered by the
-        # eigenvector identity h A^j v = lambda^j h v, not by arithmetic
-        orbit = state.ravel().copy()
-        orbit_norm = token_norm
-        for _ in range(4):
-            orbit = op @ orbit
-            orbit = orbit / np.linalg.norm(orbit)
-            orbit_norm = max(orbit_norm, float(np.abs(h @ orbit).max()))
-        out_lines += [
-            "method = annihilation-witness",
-            f"equation = {args.equation}",
-            f"grid = {args.grid}",
-            f"patch = {args.patch}",
-            f"eigenvalue = {lam:.12e}",
-            f"token_sup_norm = {token_norm:.6e}",
-            f"orbit_token_sup_norm = {orbit_norm:.6e}",
-        ]
-        if not wave:
-            resid = float(np.abs((op @ state.ravel()) - lam * state.ravel()).max())
-            out_lines.append(f"eigen_residual_sup_norm = {resid:.6e}")
-        out_lines.append("")
-    elif args.check == "gramian":
-        grid, op, h, wave = _observability_system(args)
-        x0 = ds.sample_matern_field(GrfParams(grid_size=args.grid, sigma=1.0, m=0.5,
-                                              nu=1.0, seed=args.grf_seed + 1)).ravel()
-        if wave:
-            x0 = np.concatenate([x0, np.zeros_like(x0)])
-        from scipy.linalg import expm
-
-        steps = args.quadrature_steps + (args.quadrature_steps % 2)
-        estep = expm(op.toarray() * (args.horizon / steps))
-        outputs = np.empty((steps + 1, h.shape[0]))
-        state = x0.copy()
-        for i in range(steps + 1):
-            outputs[i] = h @ state
-            if i < steps:
-                state = estep @ state
-        recon = obs.linear_reconstruct_initial_state(op, h, outputs, args.horizon,
-                                                     cond_limit=args.cond_limit)
-        rel = float(np.linalg.norm(recon - x0) / np.linalg.norm(x0))
-        gram = obs.observability_gramian(op, h, args.horizon, steps)
-        out_lines += [
-            "method = gramian-reconstruction",
-            f"grid = {args.grid}",
-            f"patch = {args.patch}",
-            f"horizon = {args.horizon}",
-            f"quadrature_steps = {steps}",
-            f"gramian_condition = {np.linalg.cond(gram):.6e}",
-            f"relative_reconstruction_error = {rel:.6e}",
-            "",
-        ]
+    wave = args.equation == "wave"
+    if args.check == "witness":
+        report = obs.witness_orbit(GridSpec(n=args.grid), args.patch, wave=wave)
     elif args.check == "lie":
+        if args.data is None:
+            raise ParameterError("--check lie needs --data")
         frames, manifest = ds.load_all(args.data)
-        traj = frames[0]
-        from .solvers import Trajectory
-
-        series = obs.empirical_lie_logdet(
-            Trajectory(traj, dt=manifest.dt), args.patch,
+        report = obs.lie_logdet_report(
+            Trajectory(frames[0], dt=manifest.dt), args.patch,
             derivative_order=args.derivative_order, window=args.window,
-            with_singular_values=True)
-        start = int(args.burn_frac * len(series.times))
-        post = slice(start, None)
-        finite = np.isfinite(series.log_abs_det[post])
-        full_rank = series.min_sv[post] > args.rel_tol * series.max_sv[post]
-        out_lines += [
-            "method = empirical-lie-logdet",
-            f"matrix_dim = {series.dim}",
-            f"derivative_order = {series.derivative_order}",
-            f"window = {series.window}",
-            f"examined = {int(finite.size)}",
-            f"finite_fraction = {finite.mean():.6f}",
-            f"full_rank_fraction = {full_rank.mean():.6f}",
-            f"median_log_abs_det = {np.median(series.log_abs_det[post][finite]):.6e}",
-            "",
-        ]
+            burn_frac=args.burn_frac, rel_tol=args.rel_tol)
         if args.csv:
+            series = report.series
             ds.write_csv(args.csv, ["t", "sign", "log_abs_det", "rolling", "min_sv", "max_sv"],
                          [[int(t), series.sign[i], series.log_abs_det[i], series.rolling[i],
                            series.min_sv[i], series.max_sv[i]]
                           for i, t in enumerate(series.times)],
                          comment=f"local rank diagnostic, dt={series.dt}")
     else:
-        raise ParameterError(f"unknown check {args.check!r}")
-    text = "\n".join(out_lines)
+        grid = GridSpec(n=args.grid)
+        if args.constant is not None:
+            a = np.full((args.grid, args.grid), args.constant)
+        else:
+            a = args.scale * build_conductivity(GrfParams(
+                grid_size=args.grid, sigma=args.grf_sigma, m=args.grf_m,
+                nu=args.grf_nu, seed=args.grf_seed))
+        op = build_wave_generator(a, grid) if wave else build_modified_laplacian(a, grid)
+        if args.check == "gramian":
+            x0 = ds.sample_matern_field(GrfParams(grid_size=args.grid, sigma=1.0, m=0.5,
+                                                  nu=1.0, seed=args.grf_seed + 1)).ravel()
+            if wave:
+                x0 = np.concatenate([x0, np.zeros_like(x0)])
+            report = obs.gramian_reconstruction(grid, args.patch, op, x0, args.horizon,
+                                                args.quadrature_steps,
+                                                cond_limit=args.cond_limit)
+        else:
+            h = build_tokenizer_matrix(grid, args.patch, wave=wave)
+            report = (obs.kalman_rank_test(op, h, max_powers=args.max_powers,
+                                           rel_tol=args.rel_tol)
+                      if args.check == "kalman" else
+                      obs.hautus_test(op, h, tol=args.tol, eig_budget=args.eig_budget))
+    text = report.to_text()
     ds._atomic_write(args.out, text.encode())
     sys.stdout.write(text)
     return 0
@@ -393,9 +302,7 @@ def cmd_export(args) -> int:
     fr = frames[args.traj_index]
     if not 0 <= args.frame < fr.shape[0]:
         raise ParameterError(f"frame {args.frame} outside 0..{fr.shape[0] - 1}")
-    field = fr[args.frame]
-    if field.ndim == 3:
-        field = field[0]
+    field = amplitude(fr)[args.frame]
     if args.vmin is None or args.vmax is None:
         stats = ds.compute_normalization([fr])
         field = ds.apply_normalization(field, stats)
@@ -524,9 +431,10 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except LatentPdeError as exc:
+    except (LatentPdeError, OSError) as exc:
+        # an unreadable or missing file is a data/IO problem like any other
         print(f"error: {exc}", file=sys.stderr)
-        return exc.exit_code
+        return getattr(exc, "exit_code", DataFormatError.exit_code)
 
 
 if __name__ == "__main__":

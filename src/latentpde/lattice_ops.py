@@ -107,21 +107,13 @@ def build_tokenizer_matrix(grid: GridSpec, patch: int, wave: bool = False) -> sp
     if patch < 1 or n % patch != 0:
         raise ParameterError(f"patch {patch} must divide grid size {n}")
     blocks = n // patch
-    m = blocks * blocks
-    rows = np.empty(m * patch * patch, dtype=np.int64)
-    cols = np.empty(m * patch * patch, dtype=np.int64)
-    idx = 0
-    for bi in range(blocks):
-        for bj in range(blocks):
-            row = bi * blocks + bj
-            for di in range(patch):
-                for dj in range(patch):
-                    rows[idx] = row
-                    cols[idx] = n * (bi * patch + di) + (bj * patch + dj)
-                    idx += 1
-    vals = np.full(m * patch * patch, 1.0 / (patch * patch))
+    # pixel index n*i + j laid out as (block row, row in block, block col, col in block)
+    pixels = np.arange(n * n).reshape(blocks, patch, blocks, patch)
+    rows = np.repeat(np.arange(blocks * blocks), patch * patch)
+    cols = pixels.transpose(0, 2, 1, 3).ravel()
+    vals = np.full(cols.size, 1.0 / (patch * patch))
     ncols = 2 * n * n if wave else n * n
-    op = sp.csr_array(sp.coo_array((vals, (rows, cols)), shape=(m, ncols)))
+    op = sp.csr_array(sp.coo_array((vals, (rows, cols)), shape=(blocks * blocks, ncols)))
     op.sum_duplicates()
     op.sort_indices()
     return op

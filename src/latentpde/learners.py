@@ -298,7 +298,7 @@ def history_sweep(train_tokens, eval_tokens, k_values, learner: str = "lstsq",
     list of row dicts with per-k means and standard deviations over the
     evaluation trajectories.
     """
-    from .tokenizer import sliding_histories
+    from .tokenizer import forecast_pairs
 
     if learner not in ("lstsq", "sgd"):
         raise ParameterError(f"learner must be 'lstsq' or 'sgd', got {learner!r}")
@@ -306,12 +306,7 @@ def history_sweep(train_tokens, eval_tokens, k_values, learner: str = "lstsq",
     for k in k_values:
         if k < 1:
             raise ParameterError(f"history length must be >= 1, got {k}")
-        hists = []
-        targs = []
-        for tokens in train_tokens:
-            tokens = np.asarray(tokens, dtype=float)
-            hists.append(sliding_histories(tokens[:-1], k))
-            targs.append(tokens[k:])
+        hists, targs = zip(*(forecast_pairs(tokens, k) for tokens in train_tokens))
         histories = np.concatenate(hists)
         targets = np.concatenate(targs)
         if learner == "lstsq":
@@ -321,9 +316,8 @@ def history_sweep(train_tokens, eval_tokens, k_values, learner: str = "lstsq",
         l1 = []
         linf = []
         for tokens in eval_tokens:
-            tokens = np.asarray(tokens, dtype=float)
-            pred = fitted.apply(sliding_histories(tokens[:-1], k))
-            err = np.abs(pred - tokens[k:])
+            hist, target = forecast_pairs(tokens, k)
+            err = np.abs(fitted.apply(hist) - target)
             l1.append(err.mean())
             linf.append(err.max())
         rows.append({

@@ -15,16 +15,20 @@ a lattice harmonic that completes a full period inside every patch is
 annihilated by the tokenizer yet is an eigenvector of the generator, so
 its entire orbit is invisible.  :func:`annihilation_witness` constructs
 that state explicitly.
+
+Each check returns a report whose ``to_text`` the command line prints.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 import scipy.sparse as sp
 from scipy.linalg import expm
 
 from .errors import NonObservableError, ParameterError
-from .lattice_ops import GridSpec
+from .lattice_ops import (GridSpec, build_modified_laplacian, build_tokenizer_matrix,
+                          build_wave_generator)
+from .solvers import _gershgorin_radius
 
 
 @dataclass
@@ -35,7 +39,8 @@ class ObservabilityReport:
     fields by the Hautus test.  ``eigen_tests`` rows are tuples
     (eigenvalue, multiplicity, min |h v| over unit eigenvectors v) and
     ``failing`` is the subset below tolerance.  When ``rank`` is set,
-    ``observable`` equals ``rank == state_dim``.
+    ``observable`` equals ``rank == state_dim``.  ``generator_rescaled_by``
+    is the factor the Kalman test scaled the generator by, when it did.
     """
 
     method: str
@@ -47,9 +52,12 @@ class ObservabilityReport:
     eigen_tests: list = field(default_factory=list)
     failing: list = field(default_factory=list)
     tested_eigenvalues: int | None = None
+    generator_rescaled_by: float | None = None
 
     def to_text(self) -> str:
-        lines = [
+        lines = [] if self.generator_rescaled_by is None else [
+            f"generator_rescaled_by = {self.generator_rescaled_by:.6e}"]
+        lines += [
             f"method = {self.method}",
             f"state_dim = {self.state_dim}",
             f"observable = {self.observable}",
@@ -69,12 +77,31 @@ class ObservabilityReport:
         return "\n".join(lines) + "\n"
 
 
+class _KeyValueReport:
+    """``to_text`` for report dataclasses: ``method = METHOD``, then one
+    ``name = value`` line per field, formatted by the field's ``fmt``
+    metadata.  Fields set to None or declared ``repr=False`` are left out.
+    """
+
+    def to_text(self) -> str:
+        lines = [f"method = {self.METHOD}"]
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if f.repr and value is not None:
+                lines.append(f"{f.name} = {value:{f.metadata.get('fmt', '')}}")
+        return "\n".join(lines) + "\n"
+
+
+def _fmt(spec: str):
+    return field(metadata={"fmt": spec})
+
+
 def _as_dense(mat) -> np.ndarray:
     return mat.toarray() if sp.issparse(mat) else np.asarray(mat, dtype=float)
 
 
-def kalman_observability_matrix(A, h, max_powers: int | None = None) -> np.ndarray:
-    """Stack (h; hA; ...; hA^{p-1}); p defaults to the state dimension."""
+def _output_map(A, h) -> np.ndarray:
+    """Dense 2-d output map, checked against the square generator A."""
     n = A.shape[0]
     if A.shape[0] != A.shape[1]:
         raise ParameterError(f"generator must be square, got {A.shape}")
@@ -83,6 +110,13 @@ def kalman_observability_matrix(A, h, max_powers: int | None = None) -> np.ndarr
         hd = hd[None, :]
     if hd.shape[1] != n:
         raise ParameterError(f"output map columns {hd.shape[1]} != state dim {n}")
+    return hd
+
+
+def kalman_observability_matrix(A, h, max_powers: int | None = None) -> np.ndarray:
+    """Stack (h; hA; ...; hA^{p-1}); p defaults to the state dimension."""
+    n = A.shape[0]
+    hd = _output_map(A, h)
     p = n if max_powers is None else max_powers
     if p < 1:
         raise ParameterError(f"max_powers must be >= 1, got {p}")
@@ -115,6 +149,21 @@ def rank_test(matrix: np.ndarray, rel_tol: float = 1e-10) -> ObservabilityReport
     )
 
 
+def kalman_rank_test(A, h, max_powers: int | None = None,
+                     rel_tol: float = 1e-10) -> ObservabilityReport:
+    """Kalman rank test on A divided by its Gershgorin bound (at least 1).
+
+    Rescaling the generator leaves the Krylov span (and hence the rank)
+    unchanged but keeps high powers from overflowing the singular-value
+    cutoff.
+    """
+    radius = max(1.0, _gershgorin_radius(A))
+    report = rank_test(kalman_observability_matrix(A / radius, h, max_powers=max_powers),
+                       rel_tol=rel_tol)
+    report.generator_rescaled_by = 1.0 / radius
+    return report
+
+
 def hautus_test(A, h, tol: float = 1e-8, eig_budget: int | None = None) -> ObservabilityReport:
     """Check min |h v| over unit eigenvectors v for every eigenvalue of A.
 
@@ -125,13 +174,7 @@ def hautus_test(A, h, tol: float = 1e-8, eig_budget: int | None = None) -> Obser
     examined (iteratively), recorded in ``tested_eigenvalues``.
     """
     n = A.shape[0]
-    if A.shape[0] != A.shape[1]:
-        raise ParameterError(f"generator must be square, got {A.shape}")
-    hd = _as_dense(h)
-    if hd.ndim == 1:
-        hd = hd[None, :]
-    if hd.shape[1] != n:
-        raise ParameterError(f"output map columns {hd.shape[1]} != state dim {n}")
+    hd = _output_map(A, h)
     if eig_budget is not None and 1 <= eig_budget < n - 1:
         from scipy.sparse.linalg import eigs
 
@@ -198,7 +241,97 @@ def annihilation_witness(grid: GridSpec, patch: int, wave: bool = False):
     return np.stack([w, np.sqrt(-lam) * w]), lam
 
 
+@dataclass
+class WitnessReport(_KeyValueReport):
+    """Token sup norms of :func:`annihilation_witness` v, and the largest
+    over v and four normalized powers A^j v (deeper ones follow from
+    h A^j v = lambda^j h v); heat also gets sup |A v - lambda v|."""
+
+    METHOD = "annihilation-witness"
+    equation: str
+    grid: int
+    patch: int
+    eigenvalue: float = _fmt(".12e")
+    token_sup_norm: float = _fmt(".6e")
+    orbit_token_sup_norm: float = _fmt(".6e")
+    eigen_residual_sup_norm: float | None = _fmt(".6e")
+
+
+def witness_orbit(grid: GridSpec, patch: int, wave: bool = False) -> WitnessReport:
+    """Tokenize the annihilation witness and its orbit under the
+    unit-coefficient heat (or wave) generator."""
+    state, lam = annihilation_witness(grid, patch, wave=wave)
+    a = np.ones((grid.n, grid.n))
+    op = build_wave_generator(a, grid) if wave else build_modified_laplacian(a, grid)
+    h = build_tokenizer_matrix(grid, patch, wave=wave)
+    v = state.ravel()
+    token_norm = float(np.abs(h @ v).max())
+    orbit = v.copy()
+    orbit_norm = token_norm
+    for _ in range(4):
+        orbit = op @ orbit
+        orbit = orbit / np.linalg.norm(orbit)
+        orbit_norm = max(orbit_norm, float(np.abs(h @ orbit).max()))
+    resid = None if wave else float(np.abs((op @ v) - lam * v).max())
+    return WitnessReport("wave" if wave else "heat", grid.n, patch, lam, token_norm,
+                         orbit_norm, resid)
+
+
 _GRAMIAN_DENSE_LIMIT = 256
+
+
+def _step_propagator(A, horizon: float, quadrature_steps: int):
+    """``(steps, expm(A * horizon/steps))`` with ``quadrature_steps``
+    rounded up to even; dense, guarded to state dims <= 256."""
+    n = A.shape[0]
+    if n > _GRAMIAN_DENSE_LIMIT:
+        raise ParameterError(f"dense Gramian limited to state dim {_GRAMIAN_DENSE_LIMIT}, got {n}")
+    if horizon <= 0:
+        raise ParameterError(f"horizon must be > 0, got {horizon}")
+    if quadrature_steps < 2:
+        raise ParameterError(f"quadrature_steps must be >= 2, got {quadrature_steps}")
+    steps = quadrature_steps + (quadrature_steps % 2)
+    return steps, expm(_as_dense(A) * (horizon / steps))
+
+
+def _simpson_pass(estep: np.ndarray, hd: np.ndarray, horizon: float, steps: int,
+                  outputs: np.ndarray | None = None):
+    """Composite Simpson quadrature on the nodes s_i = i * horizon/steps.
+
+    The propagator e^{A s_i} advances by one multiplication with ``estep``
+    per node.  Returns ``(gram, moment)``: the symmetrized Gramian
+    integral e^{A's} h' h e^{As} ds and, when output samples y(s_i) are
+    given, the moment vector  integral e^{A's} h' y(s) ds  (else None).
+    """
+    n = estep.shape[0]
+    weights = np.full(steps + 1, 2.0)
+    weights[1::2] = 4.0
+    weights[0] = weights[-1] = 1.0
+    gram = np.zeros((n, n))
+    moment = None if outputs is None else np.zeros(n)
+    prop = np.eye(n)
+    for i in range(steps + 1):
+        hm = hd @ prop
+        gram += weights[i] * (hm.T @ hm)
+        if moment is not None:
+            moment += weights[i] * (prop.T @ (hd.T @ outputs[i]))
+        if i < steps:
+            prop = prop @ estep
+    delta = horizon / steps
+    gram *= delta / 3.0
+    if moment is not None:
+        moment *= delta / 3.0
+    return (gram + gram.T) / 2.0, moment
+
+
+def _solve_moments(gram: np.ndarray, moment: np.ndarray, cond_limit: float):
+    """``(x, cond(gram))`` with gram x = moment; refuses an ill-conditioned gram."""
+    cond = np.linalg.cond(gram)
+    if not np.isfinite(cond) or cond > cond_limit:
+        raise NonObservableError(
+            f"observability Gramian condition number {cond:.3e} exceeds {cond_limit:.1e}"
+        )
+    return np.linalg.solve(gram, moment), float(cond)
 
 
 def observability_gramian(A, h, horizon: float, quadrature_steps: int = 256) -> np.ndarray:
@@ -208,32 +341,9 @@ def observability_gramian(A, h, horizon: float, quadrature_steps: int = 256) -> 
     even); matrix exponentials advance by repeated multiplication with
     expm(A * T/steps).  Dense evaluation, guarded to state dims <= 256.
     """
-    n = A.shape[0]
-    if n > _GRAMIAN_DENSE_LIMIT:
-        raise ParameterError(f"dense Gramian limited to state dim {_GRAMIAN_DENSE_LIMIT}, got {n}")
-    if horizon <= 0:
-        raise ParameterError(f"horizon must be > 0, got {horizon}")
-    if quadrature_steps < 2:
-        raise ParameterError(f"quadrature_steps must be >= 2, got {quadrature_steps}")
-    steps = quadrature_steps + (quadrature_steps % 2)
-    hd = _as_dense(h)
-    if hd.ndim == 1:
-        hd = hd[None, :]
-    ad = _as_dense(A)
-    delta = horizon / steps
-    estep = expm(ad * delta)
-    weights = np.full(steps + 1, 2.0)
-    weights[1::2] = 4.0
-    weights[0] = weights[-1] = 1.0
-    gram = np.zeros((n, n))
-    prop = np.eye(n)
-    for i in range(steps + 1):
-        hm = hd @ prop
-        gram += weights[i] * (hm.T @ hm)
-        if i < steps:
-            prop = prop @ estep
-    gram *= delta / 3.0
-    return (gram + gram.T) / 2.0
+    hd = _output_map(A, h)
+    steps, estep = _step_propagator(A, horizon, quadrature_steps)
+    return _simpson_pass(estep, hd, horizon, steps)[0]
 
 
 def linear_reconstruct_initial_state(A, h, outputs: np.ndarray, horizon: float,
@@ -250,33 +360,46 @@ def linear_reconstruct_initial_state(A, h, outputs: np.ndarray, horizon: float,
     n_nodes = outputs.shape[0]
     if n_nodes < 3 or n_nodes % 2 == 0:
         raise ParameterError(f"need an odd number >= 3 of output samples, got {n_nodes}")
-    steps = n_nodes - 1
-    n = A.shape[0]
-    hd = _as_dense(h)
-    if hd.ndim == 1:
-        hd = hd[None, :]
+    hd = _output_map(A, h)
     if outputs.shape[1] != hd.shape[0]:
         raise ParameterError(f"output rows have {outputs.shape[1]} entries, map has {hd.shape[0]}")
-    gram = observability_gramian(A, h, horizon, steps)
-    cond = np.linalg.cond(gram)
-    if not np.isfinite(cond) or cond > cond_limit:
-        raise NonObservableError(
-            f"observability Gramian condition number {cond:.3e} exceeds {cond_limit:.1e}"
-        )
-    ad = _as_dense(A)
-    delta = horizon / steps
-    estep = expm(ad * delta)
-    weights = np.full(steps + 1, 2.0)
-    weights[1::2] = 4.0
-    weights[0] = weights[-1] = 1.0
-    rhs = np.zeros(n)
-    prop = np.eye(n)
+    steps, estep = _step_propagator(A, horizon, n_nodes - 1)
+    return _solve_moments(*_simpson_pass(estep, hd, horizon, steps, outputs), cond_limit)[0]
+
+
+@dataclass
+class GramianReport(_KeyValueReport):
+    """Recovery of a known x(0) from its own patch-token outputs."""
+
+    METHOD = "gramian-reconstruction"
+    grid: int
+    patch: int
+    horizon: float
+    quadrature_steps: int
+    gramian_condition: float = _fmt(".6e")
+    relative_reconstruction_error: float = _fmt(".6e")
+
+
+def gramian_reconstruction(grid: GridSpec, patch: int, A, x0: np.ndarray, horizon: float,
+                           quadrature_steps: int = 256,
+                           cond_limit: float = 1e12) -> GramianReport:
+    """Recover x0 from its own patch-token outputs on the Simpson nodes,
+    as :func:`linear_reconstruct_initial_state` does; one step propagator
+    serves both the output synthesis and the quadrature."""
+    h = build_tokenizer_matrix(grid, patch, wave=A.shape[0] == 2 * grid.n**2)
+    hd = _output_map(A, h)
+    # round up before the >= 2 check: one requested step means two
+    steps, estep = _step_propagator(A, horizon, quadrature_steps + quadrature_steps % 2)
+    x0 = np.asarray(x0, dtype=float)
+    outputs = np.empty((steps + 1, h.shape[0]))
+    state = x0.copy()
     for i in range(steps + 1):
-        rhs += weights[i] * (prop.T @ (hd.T @ outputs[i]))
+        outputs[i] = h @ state
         if i < steps:
-            prop = prop @ estep
-    rhs *= delta / 3.0
-    return np.linalg.solve(gram, rhs)
+            state = estep @ state
+    recon, cond = _solve_moments(*_simpson_pass(estep, hd, horizon, steps, outputs), cond_limit)
+    rel = float(np.linalg.norm(recon - x0) / np.linalg.norm(x0))
+    return GramianReport(grid.n, patch, horizon, steps, cond, rel)
 
 
 @dataclass
@@ -306,9 +429,12 @@ class LieLogDetSeries:
     max_sv: np.ndarray | None = None
 
 
+_LIE_CHUNK = 256  # windows per batched slogdet / SVD call
+
+
 def empirical_lie_logdet(traj, patch: int, derivative_order: int = 5,
-                         window: int = 50, with_singular_values: bool = False,
-                         chunk: int = 256) -> LieLogDetSeries:
+                         window: int = 50,
+                         with_singular_values: bool = False) -> LieLogDetSeries:
     """Sign-preserving log-determinant of the empirical observability
     matrix along a tokenized line trajectory.
 
@@ -343,8 +469,8 @@ def empirical_lie_logdet(traj, patch: int, derivative_order: int = 5,
     logabs = np.empty(nt)
     min_sv = np.empty(nt) if with_singular_values else None
     max_sv = np.empty(nt) if with_singular_values else None
-    for lo in range(0, nt, chunk):
-        hi = min(lo + chunk, nt)
+    for lo in range(0, nt, _LIE_CHUNK):
+        hi = min(lo + _LIE_CHUNK, nt)
         block = np.ascontiguousarray(windows[lo:hi])
         s, l = np.linalg.slogdet(block)
         sign[lo:hi], logabs[lo:hi] = s, l
@@ -370,3 +496,37 @@ def empirical_lie_logdet(traj, patch: int, derivative_order: int = 5,
         min_sv=min_sv,
         max_sv=max_sv,
     )
+
+
+@dataclass
+class LieLogDetReport(_KeyValueReport):
+    """Post-burn-in summary of a :class:`LieLogDetSeries` with singular
+    values: the share of windows with finite log |det|, the share that
+    are numerically full rank (min_sv > rel_tol * max_sv), and the median
+    finite log |det|."""
+
+    METHOD = "empirical-lie-logdet"
+    matrix_dim: int
+    derivative_order: int
+    window: int
+    examined: int
+    finite_fraction: float = _fmt(".6f")
+    full_rank_fraction: float = _fmt(".6f")
+    median_log_abs_det: float = _fmt(".6e")
+    series: LieLogDetSeries = field(repr=False)
+
+
+def lie_logdet_report(traj, patch: int, derivative_order: int = 5, window: int = 50,
+                      burn_frac: float = 0.5, rel_tol: float = 1e-10) -> LieLogDetReport:
+    """:func:`empirical_lie_logdet` with singular values, summarized over
+    the windows after the first ``burn_frac`` share."""
+    if not 0 <= burn_frac < 1:
+        raise ParameterError(f"burn_frac must be in [0, 1), got {burn_frac}")
+    series = empirical_lie_logdet(traj, patch, derivative_order=derivative_order,
+                                  window=window, with_singular_values=True)
+    post = slice(int(burn_frac * len(series.times)), None)
+    finite = np.isfinite(series.log_abs_det[post])
+    full_rank = series.min_sv[post] > rel_tol * series.max_sv[post]
+    return LieLogDetReport(series.dim, series.derivative_order, series.window,
+                           int(finite.size), float(finite.mean()), float(full_rank.mean()),
+                           float(np.median(series.log_abs_det[post][finite])), series)

@@ -12,27 +12,25 @@ import numpy as np
 from .errors import ParameterError
 
 
+def amplitude(frames: np.ndarray) -> np.ndarray:
+    """Amplitude block u of stacked (T, 2, n, n) wave states (u, v); other
+    frame stacks are returned as they are."""
+    frames = np.asarray(frames, dtype=float)
+    if frames.ndim != 4:
+        return frames
+    if frames.shape[1] != 2:
+        raise ParameterError(f"stacked states must have 2 components, got {frames.shape}")
+    return frames[:, 0]
+
+
 def tokenize(state: np.ndarray, patch: int) -> np.ndarray:
     """Token frame of shape ((n/patch)^2,) from one (n, n) or (2, n, n) state."""
-    state = np.asarray(state, dtype=float)
-    if state.ndim == 3:
-        if state.shape[0] != 2:
-            raise ParameterError(f"stacked state must have 2 components, got {state.shape}")
-        state = state[0]
-    if state.ndim != 2 or state.shape[0] != state.shape[1]:
-        raise ParameterError(f"expected a square field, got shape {state.shape}")
-    n = state.shape[0]
-    if patch < 1 or n % patch != 0:
-        raise ParameterError(f"patch {patch} must divide grid size {n}")
-    blocks = n // patch
-    return state.reshape(blocks, patch, blocks, patch).mean(axis=(1, 3)).ravel()
+    return tokenize_trajectory(np.asarray(state, dtype=float)[None], patch)[0]
 
 
 def tokenize_trajectory(frames: np.ndarray, patch: int) -> np.ndarray:
     """Tokenize every frame: (T, n, n) or (T, 2, n, n) -> (T, m)."""
-    frames = np.asarray(frames, dtype=float)
-    if frames.ndim == 4:
-        frames = frames[:, 0]
+    frames = amplitude(frames)
     if frames.ndim != 3 or frames.shape[1] != frames.shape[2]:
         raise ParameterError(f"expected stacked square frames, got shape {frames.shape}")
     n = frames.shape[1]
@@ -54,6 +52,18 @@ def sliding_histories(tokens: np.ndarray, k: int) -> np.ndarray:
     return view[:, 0].copy()
 
 
+def forecast_pairs(tokens: np.ndarray, k: int):
+    """Forecasting samples from one (T, m) token trajectory.
+
+    History r covers token frames ``r .. r+k-1`` and its target is frame
+    ``r+k``: shapes (T-k, k, m) and (T-k, m).  T <= k raises.
+    """
+    tokens = np.asarray(tokens, dtype=float)
+    if tokens.shape[0] <= k:
+        raise ParameterError(f"need more than k={k} frames, got {tokens.shape[0]}")
+    return sliding_histories(tokens[:-1], k), tokens[k:]
+
+
 def build_histories(frames: np.ndarray, k: int, patch: int):
     """Forecasting samples from one trajectory.
 
@@ -64,11 +74,8 @@ def build_histories(frames: np.ndarray, k: int, patch: int):
     (S, n, n) or (S, 2, n, n).
     """
     frames = np.asarray(frames, dtype=float)
-    if frames.shape[0] <= k:
-        raise ParameterError(f"need more than k={k} frames, got {frames.shape[0]}")
-    tokens = tokenize_trajectory(frames, patch)
-    histories = sliding_histories(tokens[:-1], k)
-    return histories, tokens[k:], frames[k:]
+    histories, token_targets = forecast_pairs(tokenize_trajectory(frames, patch), k)
+    return histories, token_targets, frames[k:]
 
 
 def build_reconstruction_pairs(frames: np.ndarray, k: int, patch: int):
@@ -84,5 +91,4 @@ def build_reconstruction_pairs(frames: np.ndarray, k: int, patch: int):
         raise ParameterError(f"need at least k={k} frames, got {frames.shape[0]}")
     tokens = tokenize_trajectory(frames, patch)
     histories = sliding_histories(tokens, k)
-    targets = frames[k - 1:, 0] if frames.ndim == 4 else frames[k - 1:]
-    return histories, targets
+    return histories, amplitude(frames)[k - 1:]

@@ -1,8 +1,12 @@
 import json
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import latentpde
 from latentpde import (DataFormatError, DatasetManifest, apply_normalization, cli,
                        compute_normalization, export_frame_image, generate_dataset,
                        invert_normalization, load_all, load_manifest, load_trajectory,
@@ -234,6 +238,70 @@ def test_cli_error_exit_codes(tmp_path, capsys):
     run_cli(["generate", "--config", str(config_path), "--out", str(data)])
     assert cli.main(["rollout", "--data", str(data), "--model", str(bad),
                      "--out-prefix", str(tmp_path / "r")]) == 3
+    # a flag the check needs is missing -> parameter error
+    assert cli.main(["observability", "--check", "lie", "--out", str(tmp_path / "l")]) == 2
+    assert cli.main(["metrics", "subvideo", "--data", str(data),
+                     "--out", str(tmp_path / "s.csv")]) == 2
+    assert cli.main(["observability", "--check", "gramian", "--grid", "8",
+                     "--quadrature-steps", "0", "--out", str(tmp_path / "q")]) == 2
+    # unreadable config file -> I/O error
+    assert cli.main(["generate", "--config", str(tmp_path / "missing.json"),
+                     "--out", str(tmp_path / "g")]) == 3
+    capsys.readouterr()
+
+
+def test_module_entry_point_stderr_is_only_the_error_line(tmp_path):
+    env = dict(os.environ)
+    src = os.path.dirname(os.path.dirname(latentpde.__file__))
+    env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
+    proc = subprocess.run([sys.executable, "-m", "latentpde.cli", "export",
+                           "--data", str(tmp_path / "missing"), "--out", str(tmp_path / "x.pgm")],
+                          capture_output=True, text=True, env=env, cwd=tmp_path)
+    assert proc.returncode == 3
+    assert len(proc.stderr.splitlines()) == 1
+    assert proc.stderr.startswith("error: ")
+
+
+def parse_report(text):
+    return dict(line.split(" = ", 1) for line in text.splitlines())
+
+
+def test_cli_observability_gramian(tmp_path, capsys):
+    out = tmp_path / "gramian.txt"
+    run_cli(["observability", "--check", "gramian", "--grid", "8", "--patch", "2",
+             "--horizon", "4", "--out", str(out)])
+    report = parse_report(out.read_text())
+    assert set(report) == {"method", "grid", "patch", "horizon", "quadrature_steps",
+                           "gramian_condition", "relative_reconstruction_error"}
+    assert float(report["relative_reconstruction_error"]) < 1e-6
+    # patch 4 at horizon 1 leaves the Gramian numerically singular
+    assert cli.main(["observability", "--check", "gramian", "--grid", "8",
+                     "--out", str(tmp_path / "refused.txt")]) == 5
+    capsys.readouterr()
+
+
+def test_cli_observability_lie(tmp_path, capsys):
+    config_path = tmp_path / "kse.json"
+    config_path.write_text(json.dumps({
+        "equation": "kse1d", "sites": 40, "domain_length": 22.0, "dt": 0.05,
+        "steps": 300, "trajectories": 1, "init": {"kind": "sine", "waves": 2},
+        "init_seed": 0, "patch": 4}))
+    data = tmp_path / "kse"
+    run_cli(["generate", "--config", str(config_path), "--out", str(data)])
+    out = tmp_path / "lie.txt"
+    csv_path = tmp_path / "lie.csv"
+    run_cli(["observability", "--check", "lie", "--data", str(data), "--out", str(out),
+             "--csv", str(csv_path)])
+    report = parse_report(out.read_text())
+    assert set(report) == {"method", "matrix_dim", "derivative_order", "window", "examined",
+                           "finite_fraction", "full_rank_fraction", "median_log_abs_det"}
+    assert report["finite_fraction"] == "1.000000"
+    header, rows = read_csv(str(csv_path))
+    assert header == ["t", "sign", "log_abs_det", "rolling", "min_sv", "max_sv"]
+    assert len(rows) - int(0.5 * len(rows)) == int(report["examined"])  # default burn-in
+    # a burn-in that leaves no window to summarize is a parameter error
+    assert cli.main(["observability", "--check", "lie", "--data", str(data), "--burn-frac", "1",
+                     "--out", str(tmp_path / "none.txt")]) == 2
     capsys.readouterr()
 
 

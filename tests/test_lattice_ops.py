@@ -112,6 +112,20 @@ def test_tokenizer_matrix_agrees_with_patch_means():
     np.testing.assert_allclose(h @ np.ones(64), 1.0, atol=1e-14)  # rows are means
 
 
+@pytest.mark.parametrize("n, patch, wave", [(8, 2, False), (12, 3, False), (8, 4, True),
+                                             (6, 1, True), (4, 4, False)])
+def test_tokenizer_matrix_equals_definition(n, patch, wave):
+    # entry (r, n*i + j) is 1/patch^2 iff pixel (i, j) lies in patch r
+    i, j = np.meshgrid(np.arange(n), np.arange(n), indexing="ij")
+    patch_of = ((i // patch) * (n // patch) + j // patch).ravel()
+    expected = np.where(np.arange((n // patch) ** 2)[:, None] == patch_of[None, :],
+                        1.0 / patch**2, 0.0)
+    if wave:
+        expected = np.hstack([expected, np.zeros_like(expected)])
+    np.testing.assert_array_equal(build_tokenizer_matrix(GridSpec(n=n), patch, wave).toarray(),
+                                  expected)
+
+
 def test_tokenizer_wave_ignores_velocity_block():
     rng = np.random.default_rng(3)
     grid = GridSpec(n=8)

@@ -1,11 +1,14 @@
 import numpy as np
 import pytest
+from scipy.linalg import expm as real_expm
 
-from latentpde import (DegenerateStatisticError, GridSpec, NonObservableError,
-                       ParameterError, annihilation_witness, build_modified_laplacian,
-                       build_tokenizer_matrix, build_wave_generator, empirical_lie_logdet,
-                       hautus_test, kalman_observability_matrix,
-                       linear_reconstruct_initial_state, observability_gramian, rank_test)
+import latentpde.observability as obs
+from latentpde import (DegenerateStatisticError, GridSpec, GrfParams, NonObservableError,
+                       ParameterError, annihilation_witness, build_conductivity,
+                       build_modified_laplacian, build_tokenizer_matrix, build_wave_generator,
+                       empirical_lie_logdet, gramian_reconstruction, hautus_test,
+                       kalman_observability_matrix, linear_reconstruct_initial_state,
+                       observability_gramian, rank_test)
 
 
 def naive_kalman(A, h, p):
@@ -192,6 +195,41 @@ def test_reconstruction_input_validation():
         linear_reconstruct_initial_state(A, h, np.ones((4, 2)), 1.0)  # even count
     with pytest.raises(ParameterError):
         linear_reconstruct_initial_state(A, h, np.ones((5, 3)), 1.0)  # wrong width
+
+
+def test_gramian_reconstruction_is_one_pass_and_matches_public_functions(monkeypatch):
+    grid, patch, horizon, steps = GridSpec(n=8), 2, 4.0, 200
+    a = 0.2 * build_conductivity(GrfParams(grid_size=8, sigma=0.5, m=0.1, nu=1.0, seed=77))
+    op = build_modified_laplacian(a, grid)
+    h = build_tokenizer_matrix(grid, patch)
+    x0 = np.random.default_rng(0).standard_normal(64)
+    # reference: synthesize the outputs by hand, then the two public functions
+    estep = real_expm(op.toarray() * (horizon / steps))
+    outputs, state = [], x0
+    for _ in range(steps + 1):
+        outputs.append(h @ state)
+        state = estep @ state
+    recon = linear_reconstruct_initial_state(op, h, np.array(outputs), horizon)
+    cond = np.linalg.cond(observability_gramian(op, h, horizon, steps))
+
+    counts = {"expm": 0, "pass": 0}
+    real_pass = obs._simpson_pass
+
+    def counting_expm(mat):
+        counts["expm"] += 1
+        return real_expm(mat)
+
+    def counting_pass(*args, **kwargs):
+        counts["pass"] += 1
+        return real_pass(*args, **kwargs)
+
+    monkeypatch.setattr(obs, "expm", counting_expm)
+    monkeypatch.setattr(obs, "_simpson_pass", counting_pass)
+    report = gramian_reconstruction(grid, patch, op, x0, horizon, steps)
+    assert counts == {"expm": 1, "pass": 1}
+    assert report.gramian_condition == cond
+    assert report.relative_reconstruction_error == (np.linalg.norm(recon - x0)
+                                                    / np.linalg.norm(x0))
 
 
 def make_generic_trajectory(sites=40, frames=300, seed=0):

@@ -56,6 +56,10 @@ def test_validation():
         tokenize(np.ones((8, 8)), 0)
     with pytest.raises(ParameterError):
         tokenize(np.ones((8, 7)), 2)
+    with pytest.raises(ParameterError):
+        tokenize(np.ones((3, 8, 8)), 2)
+    with pytest.raises(ParameterError):
+        tokenize_trajectory(np.ones((5, 3, 8, 8)), 2)
 
 
 def test_trajectory_tokenization_shapes():
