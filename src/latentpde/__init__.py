@@ -9,7 +9,8 @@ from .lattice_ops import (GridSpec, build_difference, build_modified_laplacian,
                           build_tokenizer_matrix, build_wave_generator, load_operator,
                           save_operator)
 from .solvers import (EtdrkCoefficients, Trajectory, etdrk_coefficients, simulate_kse1d,
-                      simulate_kse2d, simulate_linear, step_forward_euler)
+                      simulate_kse2d, simulate_linear, simulate_linear_batch,
+                      step_forward_euler)
 from .tokenizer import (amplitude, build_histories, build_reconstruction_pairs,
                         forecast_pairs, sliding_histories, tokenize, tokenize_trajectory)
 from .observability import (GramianReport, LieLogDetReport, LieLogDetSeries,

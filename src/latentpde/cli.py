@@ -14,13 +14,15 @@ Verbs:
   export         render one frame as a PGM or PPM image
 
 Exit codes: 0 success, 2 bad parameters, 3 data-format problems,
-4 numerical divergence, 5 diagnostic failures.
+4 numerical divergence, 5 diagnostic failures.  A failed run writes one
+``error:`` line to stderr and nothing else.
 """
 
 import argparse
 import json
 import os
 import sys
+import warnings
 
 import numpy as np
 
@@ -60,7 +62,7 @@ def _load_config(args) -> dict:
 
 def cmd_generate(args) -> int:
     config = _load_config(args)
-    frames, manifest = ds.generate_dataset(config, workers=args.workers)
+    frames, manifest = ds.generate_dataset(config)
     ds.write_dataset(frames, manifest, args.out)
     print(f"wrote {manifest.trajectories} trajectories of {manifest.frames} frames "
           f"({manifest.equation}) to {args.out}")
@@ -327,7 +329,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--frames", type=int, default=None)
     p.add_argument("--grid-size", dest="grid_size", type=int, default=None)
     p.add_argument("--init-seed", dest="init_seed", type=int, default=None)
-    p.add_argument("--workers", type=int, default=1)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_generate)
 
@@ -429,12 +430,18 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    try:
-        return args.func(args)
-    except (LatentPdeError, OSError) as exc:
-        # an unreadable or missing file is a data/IO problem like any other
-        print(f"error: {exc}", file=sys.stderr)
-        return getattr(exc, "exit_code", DataFormatError.exit_code)
+    with warnings.catch_warnings(record=True) as caught:
+        try:
+            code = args.func(args)
+        except (LatentPdeError, OSError) as exc:
+            # an unreadable or missing file is a data/IO problem like any
+            # other; the error line alone reports a failed run, so warnings
+            # raised on the way there are dropped
+            print(f"error: {exc}", file=sys.stderr)
+            return getattr(exc, "exit_code", DataFormatError.exit_code)
+    for w in caught:
+        warnings.showwarning(w.message, w.category, w.filename, w.lineno)
+    return code
 
 
 if __name__ == "__main__":

@@ -18,7 +18,7 @@ import numpy as np
 from .errors import DataFormatError, ParameterError
 from .lattice_ops import GridSpec, build_modified_laplacian, build_wave_generator
 from .random_fields import GrfParams, build_conductivity, sample_matern_field
-from .solvers import Trajectory, simulate_kse1d, simulate_kse2d, simulate_linear
+from .solvers import Trajectory, simulate_kse1d, simulate_kse2d, simulate_linear_batch
 from .tokenizer import tokenize_trajectory
 
 FORMAT_VERSION = 1
@@ -237,73 +237,109 @@ def _conductivity_field(config: dict) -> np.ndarray:
     return cond.get("scale", 1.0) * build_conductivity(params)
 
 
-def generate_trajectory(config: dict, index: int) -> Trajectory:
-    """Simulate trajectory ``index`` of a dataset config (self-seeded)."""
+_GRF_KEYS = ("sigma", "m", "nu")
+_LATTICE_KEYS = ("grid_size", "dt", "trajectories", "frames", "init_seed", "init", "conductivity")
+_REQUIRED_KEYS = {
+    "heat": _LATTICE_KEYS,
+    "wave": _LATTICE_KEYS,
+    "kse2d": ("grid_size", "domain_length", "dt", "trajectories", "frames", "init_seed", "init"),
+    "kse1d": ("sites", "domain_length", "dt", "steps", "trajectories", "init_seed", "init"),
+}
+
+
+def _check_config(config) -> None:
+    """Raise ParameterError unless the config has every key its equation reads."""
+    if not isinstance(config, dict):
+        raise ParameterError(f"a generation config is a JSON object, got {type(config).__name__}")
+    equation = config.get("equation")
+    if equation not in _REQUIRED_KEYS:
+        raise ParameterError(f"unknown equation {equation!r}; have {sorted(_REQUIRED_KEYS)}")
+    missing = [key for key in _REQUIRED_KEYS[equation] if key not in config]
+    if not missing:
+        init_keys = ("waves",) if equation == "kse1d" else _GRF_KEYS
+        missing = [f"init.{key}" for key in init_keys if key not in config["init"]]
+        cond = config.get("conductivity")
+        if cond is not None and "constant" not in cond:
+            missing += [f"conductivity.{key}" for key in _GRF_KEYS + ("seed",) if key not in cond]
+    if missing:
+        raise ParameterError(f"{equation} config lacks {', '.join(missing)}")
+    if config["trajectories"] < 1:
+        raise ParameterError(f"trajectories must be >= 1, got {config['trajectories']}")
+
+
+def _grf_init(config: dict, seed: int) -> np.ndarray:
+    init = config["init"]
+    return sample_matern_field(GrfParams(grid_size=config["grid_size"], sigma=init["sigma"],
+                                         m=init["m"], nu=init["nu"], seed=seed))
+
+
+def _simulate_lattice(config: dict, seeds: list) -> list:
+    """Heat or wave trajectories for ``seeds``: one conductivity, one
+    operator, all initial states stepped together."""
+    grid = GridSpec(n=config["grid_size"], dx=config.get("dx", 1.0))
+    cond = _conductivity_field(config)
+    u0s = np.stack([_grf_init(config, seed) for seed in seeds])
+    frames, skip = config["frames"], config.get("skip", 1)
+    steps = (frames - 1) * skip + 1
+    if config["equation"] == "heat":
+        op = build_modified_laplacian(cond, grid)
+        x0s = u0s
+    else:
+        op = build_wave_generator(cond, grid)
+        x0s = np.stack([u0s, np.zeros_like(u0s)], axis=1)  # released from rest
+    return simulate_linear_batch(op, x0s, config["dt"], steps, skip=skip,
+                                 equation=config["equation"], seeds=seeds)
+
+
+def _simulate(config: dict, indices) -> list:
+    """Trajectories ``indices`` of a checked config, each self-seeded."""
     equation = config["equation"]
-    seed = config["init_seed"] + index
+    seeds = [config["init_seed"] + i for i in indices]
     if equation in ("heat", "wave"):
-        n = config["grid_size"]
-        grid = GridSpec(n=n, dx=config.get("dx", 1.0))
-        cond = _conductivity_field(config)
-        init = config["init"]
-        u0 = sample_matern_field(GrfParams(grid_size=n, sigma=init["sigma"],
-                                           m=init["m"], nu=init["nu"], seed=seed))
-        frames, skip = config["frames"], config.get("skip", 1)
-        steps = (frames - 1) * skip + 1
-        if equation == "heat":
-            op = build_modified_laplacian(cond, grid)
-            x0 = u0
-        else:
-            op = build_wave_generator(cond, grid)
-            x0 = np.stack([u0, np.zeros_like(u0)])  # released from rest
-        return simulate_linear(op, x0, config["dt"], steps, skip=skip,
-                               equation=equation, seed=seed)
+        return _simulate_lattice(config, seeds)
     if equation == "kse2d":
-        n = config["grid_size"]
-        init = config["init"]
-        u0 = sample_matern_field(GrfParams(grid_size=n, sigma=init["sigma"],
-                                           m=init["m"], nu=init["nu"], seed=seed))
         skip, burn = config.get("skip", 1), config.get("burn_in", 0)
         steps = (config["frames"] + burn) * skip
-        return simulate_kse2d(u0, config["domain_length"], config["dt"], steps,
-                              skip=skip, burn_in=burn, seed=seed)
-    if equation == "kse1d":
-        sites = config["sites"]
-        length = config["domain_length"]
-        init = config["init"]
-        if init.get("kind", "sine") != "sine":
-            raise ParameterError(f"unsupported line init {init!r}")
-        x = np.arange(sites) * length / sites
-        u0 = np.sin(init["waves"] * np.pi * x / length)
-        return simulate_kse1d(u0, length, config["dt"], config["steps"], seed=seed)
-    raise ParameterError(f"unknown equation {equation!r}")
+        return [simulate_kse2d(_grf_init(config, seed), config["domain_length"], config["dt"],
+                               steps, skip=skip, burn_in=burn, seed=seed)
+                for seed in seeds]
+    sites = config["sites"]
+    length = config["domain_length"]
+    init = config["init"]
+    if init.get("kind", "sine") != "sine":
+        raise ParameterError(f"unsupported line init {init!r}")
+    x = np.arange(sites) * length / sites
+    u0 = np.sin(init["waves"] * np.pi * x / length)
+    return [simulate_kse1d(u0, length, config["dt"], config["steps"], seed=seed)
+            for seed in seeds]
 
 
-def generate_dataset(config: dict, workers: int = 1):
-    """All trajectories of a config; returns (frame arrays, manifest)."""
-    count = config["trajectories"]
-    if count < 1:
-        raise ParameterError(f"trajectories must be >= 1, got {count}")
-    indices = list(range(count))
-    if workers > 1:
-        import multiprocessing
+def generate_trajectory(config: dict, index: int) -> Trajectory:
+    """Simulate trajectory ``index`` of a dataset config (self-seeded)."""
+    _check_config(config)
+    return _simulate(config, [index])[0]
 
-        with multiprocessing.Pool(workers) as pool:
-            trajs = pool.starmap(generate_trajectory, [(config, i) for i in indices])
-    else:
-        trajs = [generate_trajectory(config, i) for i in indices]
+
+def generate_dataset(config: dict):
+    """All trajectories of a config; returns (frame arrays, manifest).
+
+    Heat and wave trajectories share one conductivity and one operator
+    and are stepped together (see :func:`simulate_linear_batch`).
+    """
+    _check_config(config)
+    trajs = _simulate(config, range(config["trajectories"]))
     first = trajs[0]
     manifest = DatasetManifest(
         equation=config["equation"],
         kind="fields",
         grid_size=config.get("grid_size", config.get("sites")),
-        trajectories=count,
+        trajectories=len(trajs),
         frames=first.n_frames,
         dt=first.dt,
         skip=first.skip,
         burn_in=first.burn_in,
         frame_shape=list(first.frames.shape[1:]),
-        init_seeds=[config["init_seed"] + i for i in indices],
+        init_seeds=[t.seed for t in trajs],
         config=dict(config),
         patch=None,
         created=datetime.datetime.now(datetime.timezone.utc).isoformat(),

@@ -31,14 +31,16 @@ class DataFormatError(LatentPdeError):
 class DivergenceError(LatentPdeError):
     """A simulation or optimisation produced NaN/Inf.
 
-    ``step`` records the first step at which the blow-up was detected.
+    ``step`` records the first step at which the blow-up was detected;
+    ``trajectory`` the first non-finite trajectory of a batch, if any.
     """
 
     exit_code = 4
 
-    def __init__(self, message, step=None):
+    def __init__(self, message, step=None, trajectory=None):
         super().__init__(message)
         self.step = step
+        self.trajectory = trajectory
 
 
 class NonObservableError(LatentPdeError):

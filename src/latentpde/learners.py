@@ -203,18 +203,44 @@ def fit_superres(histories: np.ndarray, fields: np.ndarray,
     return fit_least_squares(histories, fields, ridge=ridge, bias=bias)
 
 
+def _mse_loss(weights, bias, x, y, ridge: float):
+    """The loss of :func:`mse_loss_and_grad` and the residual it came from."""
+    resid = x @ weights.T - y
+    if bias is not None:
+        resid += bias
+    loss = float((resid**2).sum() / x.shape[0]) + ridge * float((weights**2).sum())
+    return loss, resid
+
+
 def mse_loss_and_grad(weights, bias, x, y, ridge: float = 0.0):
     """Mean-over-samples squared L2 residual, its gradients, all exact.
 
     loss = mean_i ||x_i W' + b - y_i||^2 + ridge ||W||_F^2
     """
-    resid = x @ weights.T - y
-    if bias is not None:
-        resid = resid + bias
-    loss = float((resid**2).sum() / x.shape[0]) + ridge * float((weights**2).sum())
+    loss, resid = _mse_loss(weights, bias, x, y, ridge)
     gw = 2.0 * resid.T @ x / x.shape[0] + 2.0 * ridge * weights
     gb = 2.0 * resid.sum(axis=0) / x.shape[0] if bias is not None else None
     return loss, gw, gb
+
+
+def _adam_update(param, grad, m, v, s1, s2, step_size, config: TrainConfig, step: int):
+    """One in-place Adam update of ``param`` and its moments ``m``, ``v``.
+
+    ``s1`` and ``s2`` are scratch arrays shaped like ``param``.  The
+    operations and their order are those of the out-of-place form
+    ``param - step_size * mhat / (sqrt(vhat) + eps)``, so the bits agree.
+    """
+    m *= config.beta1
+    m += np.multiply(1 - config.beta1, grad, out=s1)
+    v *= config.beta2
+    v += np.multiply(1 - config.beta2, np.square(grad, out=s1), out=s1)
+    np.divide(m, 1 - config.beta1**step, out=s1)
+    np.divide(v, 1 - config.beta2**step, out=s2)
+    np.sqrt(s2, out=s2)
+    s2 += config.eps
+    s1 *= step_size
+    s1 /= s2
+    param -= s1
 
 
 def fit_sgd(histories: np.ndarray, targets: np.ndarray, config: TrainConfig,
@@ -242,10 +268,9 @@ def fit_sgd(histories: np.ndarray, targets: np.ndarray, config: TrainConfig,
     out_dim = y.shape[1]
     weights = np.zeros((out_dim, x.shape[1]))
     bias_vec = np.zeros(out_dim) if bias else None
-    mw = np.zeros_like(weights)
-    vw = np.zeros_like(weights)
-    mb = np.zeros(out_dim) if bias else None
-    vb = np.zeros(out_dim) if bias else None
+    params = [weights] + ([bias_vec] if bias else [])
+    # per parameter: the Adam moments m and v, then two scratch arrays
+    buffers = [[np.zeros_like(p) for _ in range(4)] for p in params]
     batch = min(config.batch_size, xt.shape[0])
     steps_per_epoch = max(1, -(-xt.shape[0] // batch))
     order = rng.permutation(xt.shape[0])
@@ -253,9 +278,9 @@ def fit_sgd(histories: np.ndarray, targets: np.ndarray, config: TrainConfig,
     curves = {"train": [], "eval": []}
 
     def record():
-        curves["train"].append(mse_loss_and_grad(weights, bias_vec, xt, yt, config.ridge)[0])
+        curves["train"].append(_mse_loss(weights, bias_vec, xt, yt, config.ridge)[0])
         if xe.shape[0]:
-            curves["eval"].append(mse_loss_and_grad(weights, bias_vec, xe, ye, config.ridge)[0])
+            curves["eval"].append(_mse_loss(weights, bias_vec, xe, ye, config.ridge)[0])
 
     lr = config.learning_rate
     for step in range(1, config.steps + 1):
@@ -267,16 +292,8 @@ def fit_sgd(histories: np.ndarray, targets: np.ndarray, config: TrainConfig,
         loss, gw, gb = mse_loss_and_grad(weights, bias_vec, xt[sel], yt[sel], config.ridge)
         if not np.isfinite(loss):
             raise DivergenceError(f"training loss diverged at step {step}", step=step)
-        mw = config.beta1 * mw + (1 - config.beta1) * gw
-        vw = config.beta2 * vw + (1 - config.beta2) * gw**2
-        mhat = mw / (1 - config.beta1**step)
-        vhat = vw / (1 - config.beta2**step)
-        weights = weights - lr * mhat / (np.sqrt(vhat) + config.eps)
-        if bias_vec is not None:
-            mb = config.beta1 * mb + (1 - config.beta1) * gb
-            vb = config.beta2 * vb + (1 - config.beta2) * gb**2
-            bias_vec = bias_vec - lr * (mb / (1 - config.beta1**step)) / (
-                np.sqrt(vb / (1 - config.beta2**step)) + config.eps)
+        for param, grad, buf in zip(params, (gw, gb), buffers):
+            _adam_update(param, grad, *buf, lr, config, step)
         lr *= config.lr_decay
         if step % steps_per_epoch == 0 or step == config.steps:
             record()

@@ -71,19 +71,40 @@ def _gershgorin_radius(op) -> float:
 
 def simulate_linear(op, x0: np.ndarray, dt: float, steps: int, skip: int = 1,
                     equation: str = "", seed=None) -> Trajectory:
-    """Forward-Euler trajectory of ceil(steps/skip) stored frames.
-
-    Stored frame r is the state after r*skip Euler steps; the first stored
-    frame is the initial state itself.  Emits a RuntimeWarning (but keeps
-    going) when dt times the Gershgorin spectral-radius bound reaches the
-    explicit-Euler stability limit of 2.  Raises DivergenceError naming the
-    first bad step if a stored frame stops being finite.
-    """
+    """Forward-Euler trajectory of one initial state: the B = 1 case of
+    :func:`simulate_linear_batch`."""
     x0 = np.asarray(x0, dtype=float)
+    return simulate_linear_batch(op, x0[None], dt, steps, skip=skip,
+                                 equation=equation, seeds=[seed])[0]
+
+
+def simulate_linear_batch(op, x0s: np.ndarray, dt: float, steps: int, skip: int = 1,
+                          equation: str = "", seeds=None) -> list[Trajectory]:
+    """Forward-Euler trajectories of ceil(steps/skip) stored frames each,
+    for a stack ``x0s`` of B initial states stepped together.
+
+    Every Euler step is one sparse product on the (N, B) C-contiguous state,
+    which gives each trajectory the same bits as stepping it alone.  Stored
+    frame r is the state after r*skip Euler steps; the first stored frame is
+    the initial state itself.  The frames of all trajectories live in one
+    (B, T, ...) array, and each returned trajectory holds a view of it.
+    Emits a RuntimeWarning (but keeps going) when dt times the Gershgorin
+    spectral-radius bound reaches the explicit-Euler stability limit of 2.
+    Raises DivergenceError naming the first bad step, and for B > 1 the
+    first trajectory that is not finite there, if a stored frame stops
+    being finite.
+    """
+    x0s = np.asarray(x0s, dtype=float)
     if steps < 1 or skip < 1:
         raise ParameterError(f"steps and skip must be >= 1, got {steps}, {skip}")
-    if op.shape[0] != op.shape[1] or op.shape[1] != x0.size:
-        raise ParameterError(f"operator shape {op.shape} does not match state size {x0.size}")
+    if x0s.ndim < 2 or x0s.shape[0] < 1:
+        raise ParameterError(f"expected a stack of initial states, got shape {x0s.shape}")
+    batch, shape = x0s.shape[0], x0s.shape[1:]
+    if op.shape[0] != op.shape[1] or op.shape[1] != x0s[0].size:
+        raise ParameterError(f"operator shape {op.shape} does not match state size {x0s[0].size}")
+    seeds = [None] * batch if seeds is None else list(seeds)
+    if len(seeds) != batch:
+        raise ParameterError(f"{len(seeds)} seeds for {batch} initial states")
     radius = _gershgorin_radius(op)
     if dt * radius >= 2.0:
         warnings.warn(
@@ -91,16 +112,23 @@ def simulate_linear(op, x0: np.ndarray, dt: float, steps: int, skip: int = 1,
             RuntimeWarning,
         )
     n_stored = -(-steps // skip)
-    frames = np.empty((n_stored,) + x0.shape)
-    frames[0] = x0
-    state = x0.ravel().copy()
+    frames = np.empty((batch, n_stored) + shape)
+    frames[:, 0] = x0s
+    flat = frames.reshape(batch, n_stored, -1)
+    state = np.ascontiguousarray(flat[:, 0].T)
     for r in range(1, n_stored):
         for _ in range(skip):
             state = state + dt * (op @ state)
-        if not np.all(np.isfinite(state)):
-            raise DivergenceError(f"state diverged by step {r * skip}", step=r * skip)
-        frames[r] = state.reshape(x0.shape)
-    return Trajectory(frames, dt=dt * skip, skip=skip, equation=equation, seed=seed)
+        finite = np.isfinite(state).all(axis=0)
+        if not finite.all():
+            bad = int(np.argmin(finite))
+            where = f" in trajectory {bad}" if batch > 1 else ""
+            raise DivergenceError(
+                f"state diverged by step {r * skip}{where} "
+                f"(dt*spectral-radius bound = {dt * radius:.3g})", step=r * skip, trajectory=bad)
+        flat[:, r] = state.T
+    return [Trajectory(frames[i], dt=dt * skip, skip=skip, equation=equation, seed=seeds[i])
+            for i in range(batch)]
 
 
 @dataclass

@@ -1,3 +1,4 @@
+from collections import Counter
 import json
 import os
 import subprocess
@@ -7,10 +8,11 @@ import numpy as np
 import pytest
 
 import latentpde
-from latentpde import (DataFormatError, DatasetManifest, apply_normalization, cli,
-                       compute_normalization, export_frame_image, generate_dataset,
-                       invert_normalization, load_all, load_manifest, load_trajectory,
-                       read_csv, write_csv, write_dataset)
+from latentpde import (DataFormatError, DatasetManifest, DivergenceError, apply_normalization,
+                       cli, compute_normalization, export_frame_image, generate_dataset,
+                       generate_trajectory, invert_normalization, load_all, load_manifest,
+                       load_trajectory, read_csv, write_csv, write_dataset)
+from latentpde import dataset as dataset_module
 
 TINY_HEAT = {
     "equation": "heat", "grid_size": 8, "dx": 1.0, "dt": 0.4,
@@ -247,6 +249,14 @@ def test_cli_error_exit_codes(tmp_path, capsys):
     # unreadable config file -> I/O error
     assert cli.main(["generate", "--config", str(tmp_path / "missing.json"),
                      "--out", str(tmp_path / "g")]) == 3
+    # a config without a key its equation reads -> parameter error
+    for drop in ("trajectories", "init_seed"):
+        config_path.write_text(json.dumps({k: v for k, v in TINY_HEAT.items() if k != drop}))
+        assert cli.main(["generate", "--config", str(config_path),
+                         "--out", str(tmp_path / "incomplete")]) == 2
+    config_path.write_text(json.dumps(dict(TINY_WAVE, init={"sigma": 5.0})))
+    assert cli.main(["generate", "--config", str(config_path),
+                     "--out", str(tmp_path / "incomplete")]) == 2
     capsys.readouterr()
 
 
@@ -260,6 +270,60 @@ def test_module_entry_point_stderr_is_only_the_error_line(tmp_path):
     assert proc.returncode == 3
     assert len(proc.stderr.splitlines()) == 1
     assert proc.stderr.startswith("error: ")
+
+
+# dt * 8 * conductivity = 16 >> 2; at this seed trajectory 2 is the first
+# to leave the finite range, one Euler step before trajectories 0 and 1
+UNSTABLE_HEAT = dict(TINY_HEAT, dt=2.0, frames=400, trajectories=4, init_seed=510,
+                     conductivity={"constant": 1.0})
+
+
+@pytest.mark.filterwarnings("ignore:forward Euler may be unstable:RuntimeWarning")
+@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
+def test_batched_divergence_names_step_and_trajectory(tmp_path):
+    with pytest.raises(DivergenceError) as err:
+        generate_dataset(UNSTABLE_HEAT)
+    step, bad = err.value.step, err.value.trajectory
+    assert 0 < bad < UNSTABLE_HEAT["trajectories"]
+    assert f"by step {step} in trajectory {bad} " in str(err.value)
+    # alone, the named trajectory diverges at that step and none before it
+    # diverges any earlier
+    for index in range(bad + 1):
+        with pytest.raises(DivergenceError) as alone:
+            generate_trajectory(UNSTABLE_HEAT, index)
+        assert alone.value.step == step if index == bad else alone.value.step > step
+
+    config_path = tmp_path / "unstable.json"
+    config_path.write_text(json.dumps(UNSTABLE_HEAT))
+    env = dict(os.environ)
+    src = os.path.dirname(os.path.dirname(latentpde.__file__))
+    env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
+    proc = subprocess.run([sys.executable, "-m", "latentpde.cli", "generate", "--config",
+                           str(config_path), "--out", str(tmp_path / "d")],
+                          capture_output=True, text=True, env=env, cwd=tmp_path)
+    assert proc.returncode == 4
+    assert proc.stderr.splitlines() == [f"error: {err.value}"]
+
+
+def test_generation_builds_conductivity_and_operator_once(monkeypatch):
+    calls = Counter()
+
+    def counted(name):
+        original = getattr(dataset_module, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return original(*args, **kwargs)
+        monkeypatch.setattr(dataset_module, name, wrapper)
+
+    for name in ("build_conductivity", "build_modified_laplacian", "build_wave_generator"):
+        counted(name)
+    grf = {"sigma": 0.4, "m": 0.1, "nu": 1.0, "seed": 7, "scale": 0.2}
+    generate_dataset(TINY_HEAT)
+    assert calls == {"build_conductivity": 1, "build_modified_laplacian": 1}
+    calls.clear()
+    generate_dataset(dict(TINY_WAVE, trajectories=3, skip=3, conductivity=grf))
+    assert calls == {"build_conductivity": 1, "build_wave_generator": 1}
 
 
 def parse_report(text):

@@ -3,7 +3,8 @@ import pytest
 
 from latentpde import (DivergenceError, GridSpec, ParameterError, Trajectory,
                        build_modified_laplacian, build_wave_generator, etdrk_coefficients,
-                       simulate_kse1d, simulate_kse2d, simulate_linear, step_forward_euler)
+                       simulate_kse1d, simulate_kse2d, simulate_linear, simulate_linear_batch,
+                       step_forward_euler)
 from latentpde.random_fields import GrfParams, sample_matern_field
 
 
@@ -74,6 +75,31 @@ def test_simulate_linear_frame_conventions():
     np.testing.assert_allclose(traj.frames[1], state, atol=1e-14)
     zero = simulate_linear(op, np.zeros((4, 4)), 0.01, steps=5)
     assert np.all(zero.frames == 0.0)
+
+
+def test_batch_stepping_matches_one_state_matvecs():
+    # every column of the batched sparse product carries the bits of the
+    # plain one-state matvec loop
+    grid = GridSpec(n=6)
+    rng = np.random.default_rng(9)
+    cond = 0.2 + 0.1 * rng.random((6, 6))
+    for op, shape in ((build_modified_laplacian(cond, grid), (6, 6)),
+                      (build_wave_generator(cond, grid), (2, 6, 6))):
+        x0s = rng.standard_normal((5,) + shape)
+        trajs = simulate_linear_batch(op, x0s, 0.05, steps=10, skip=3, seeds=range(5))
+        for i, traj in enumerate(trajs):
+            state = x0s[i].ravel()
+            expected = [state]
+            for _ in range(3):
+                for _ in range(3):
+                    state = state + 0.05 * (op @ state)
+                expected.append(state)
+            assert traj.frames.shape == (4,) + shape and traj.seed == i
+            np.testing.assert_array_equal(traj.frames.reshape(4, -1), expected)
+    with pytest.raises(ParameterError):
+        simulate_linear_batch(op, x0s, 0.05, steps=10, seeds=range(4))
+    with pytest.raises(ParameterError):
+        simulate_linear_batch(op, x0s[0, 0, 0], 0.05, steps=10)
 
 
 def test_stability_warning_and_divergence():
