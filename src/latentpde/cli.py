@@ -40,24 +40,18 @@ from .tokenizer import amplitude, build_histories, build_reconstruction_pairs, t
 
 
 def _load_config(args) -> dict:
-    sources = [bool(args.preset), bool(args.config), bool(getattr(args, "from_manifest", None))]
+    sources = [bool(args.preset), bool(args.config), bool(args.from_manifest)]
     if sum(sources) != 1:
         raise ParameterError("give exactly one of --preset, --config, --from-manifest")
     if args.preset:
         if args.preset not in ds.PRESETS:
             raise ParameterError(f"unknown preset {args.preset!r}; have {sorted(ds.PRESETS)}")
-        config = dict(ds.PRESETS[args.preset])
-    elif args.config:
+        return dict(ds.PRESETS[args.preset])
+    if args.config:
         with open(args.config) as fh:
-            config = json.load(fh)
-    else:
-        with open(args.from_manifest) as fh:
-            config = dict(ds.DatasetManifest.from_json(fh.read()).config)
-    for key in ("trajectories", "frames", "grid_size", "init_seed"):
-        value = getattr(args, key, None)
-        if value is not None:
-            config[key] = value
-    return config
+            return json.load(fh)
+    with open(args.from_manifest) as fh:
+        return dict(ds.DatasetManifest.from_json(fh.read()).config)
 
 
 def cmd_generate(args) -> int:
@@ -87,8 +81,7 @@ def cmd_fit(args) -> int:
     frames, manifest = ds.load_all(args.data)
     n_train = _train_split(len(frames), args.train_frac)
     train = frames[:n_train]
-    stats = ({"lo": -1.0, "hi": 1.0, "constant": False} if args.no_normalize
-             else ds.compute_normalization(train))
+    stats = ds.compute_normalization(train)
     train = [ds.apply_normalization(fr, stats) for fr in train]
     hists, targets = [], []
     for fr in train:
@@ -126,25 +119,19 @@ def cmd_fit(args) -> int:
 def cmd_sweep(args) -> int:
     frames, manifest = ds.load_all(args.data)
     k_values = [int(v) for v in args.k_list.split(",")]
-    if args.eval_data:
-        eval_frames, _ = ds.load_all(args.eval_data)
-        train = frames
-    else:
-        if args.trials >= len(frames):
-            raise ParameterError(f"--trials {args.trials} must leave training trajectories")
-        train, eval_frames = frames[:-args.trials], frames[-args.trials:]
-    eval_frames = eval_frames[:args.trials]
+    if args.trials >= len(frames):
+        raise ParameterError(f"--trials {args.trials} must leave training trajectories")
+    train, eval_frames = frames[:-args.trials], frames[-args.trials:]
     stats = ds.compute_normalization(train)
     train_tokens = [tokenize_trajectory(ds.apply_normalization(fr, stats), args.patch)
                     for fr in train]
     eval_tokens = [tokenize_trajectory(ds.apply_normalization(fr, stats), args.patch)
                    for fr in eval_frames]
-    rows = history_sweep(train_tokens, eval_tokens, k_values, learner=args.learner,
-                         ridge=args.ridge)
+    rows = history_sweep(train_tokens, eval_tokens, k_values, ridge=args.ridge)
     ds.write_csv(args.out, ["k", "l1_mean", "l1_std", "linf_mean", "linf_std", "trials"],
                  [[r["k"], r["l1_mean"], r["l1_std"], r["linf_mean"], r["linf_std"], r["trials"]]
                   for r in rows],
-                 comment=f"one-step forecast error vs history length, learner={args.learner}")
+                 comment="one-step forecast error vs history length, learner=lstsq")
     for r in rows:
         print(f"k={r['k']:3d}  l1={r['l1_mean']:.6e}  linf={r['linf_mean']:.6e}")
     return 0
@@ -275,9 +262,9 @@ def cmd_observability(args) -> int:
         if args.constant is not None:
             a = np.full((args.grid, args.grid), args.constant)
         else:
-            a = args.scale * build_conductivity(GrfParams(
-                grid_size=args.grid, sigma=args.grf_sigma, m=args.grf_m,
-                nu=args.grf_nu, seed=args.grf_seed))
+            # the preset conductivity (heat32, wave32) with its seed replaced
+            a = 0.2 * build_conductivity(GrfParams(grid_size=args.grid, sigma=0.5, m=0.1,
+                                                   nu=1.0, seed=args.grf_seed))
         op = build_wave_generator(a, grid) if wave else build_modified_laplacian(a, grid)
         if args.check == "gramian":
             x0 = ds.sample_matern_field(GrfParams(grid_size=args.grid, sigma=1.0, m=0.5,
@@ -289,10 +276,8 @@ def cmd_observability(args) -> int:
                                                 cond_limit=args.cond_limit)
         else:
             h = build_tokenizer_matrix(grid, args.patch, wave=wave)
-            report = (obs.kalman_rank_test(op, h, max_powers=args.max_powers,
-                                           rel_tol=args.rel_tol)
-                      if args.check == "kalman" else
-                      obs.hautus_test(op, h, tol=args.tol, eig_budget=args.eig_budget))
+            report = (obs.kalman_rank_test(op, h, rel_tol=args.rel_tol)
+                      if args.check == "kalman" else obs.hautus_test(op, h, tol=args.tol))
     text = report.to_text()
     ds._atomic_write(args.out, text.encode())
     sys.stdout.write(text)
@@ -304,31 +289,28 @@ def cmd_export(args) -> int:
     fr = frames[args.traj_index]
     if not 0 <= args.frame < fr.shape[0]:
         raise ParameterError(f"frame {args.frame} outside 0..{fr.shape[0] - 1}")
-    field = amplitude(fr)[args.frame]
-    if args.vmin is None or args.vmax is None:
-        stats = ds.compute_normalization([fr])
-        field = ds.apply_normalization(field, stats)
-        vmin, vmax = -1.0, 1.0
-    else:
-        vmin, vmax = args.vmin, args.vmax
-    ds.export_frame_image(field, args.out, vmin=vmin, vmax=vmax, colormap=args.colormap)
+    field = ds.apply_normalization(amplitude(fr)[args.frame], ds.compute_normalization([fr]))
+    ds.export_frame_image(field, args.out, colormap=args.colormap)
     print(f"wrote {args.out}")
     return 0
 
 
+class _Parser(argparse.ArgumentParser):
+    """A bad command line is a ParameterError, reported like any other."""
+
+    def error(self, message):
+        raise ParameterError(message)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(prog="latentpde", description=__doc__,
-                                     formatter_class=argparse.RawDescriptionHelpFormatter)
+    parser = _Parser(prog="latentpde", description=__doc__,
+                     formatter_class=argparse.RawDescriptionHelpFormatter)
     sub = parser.add_subparsers(dest="verb", required=True)
 
     p = sub.add_parser("generate", help="simulate a dataset")
     p.add_argument("--preset", default=None)
     p.add_argument("--config", default=None)
     p.add_argument("--from-manifest", default=None)
-    p.add_argument("--trajectories", type=int, default=None)
-    p.add_argument("--frames", type=int, default=None)
-    p.add_argument("--grid-size", dest="grid_size", type=int, default=None)
-    p.add_argument("--init-seed", dest="init_seed", type=int, default=None)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_generate)
 
@@ -347,7 +329,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--ridge", type=float, default=0.0)
     p.add_argument("--train-frac", type=float, default=0.9)
     p.add_argument("--no-bias", action="store_true")
-    p.add_argument("--no-normalize", action="store_true")
     p.add_argument("--lr", type=float, default=1e-5)
     p.add_argument("--steps", type=int, default=10000)
     p.add_argument("--batch", type=int, default=32)
@@ -362,8 +343,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--patch", type=int, required=True)
     p.add_argument("--k-list", required=True)
     p.add_argument("--trials", type=int, default=10)
-    p.add_argument("--eval-data", default=None)
-    p.add_argument("--learner", choices=("lstsq", "sgd"), default="lstsq")
     p.add_argument("--ridge", type=float, default=0.0)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_sweep)
@@ -395,15 +374,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--grid", type=int, default=16)
     p.add_argument("--patch", type=int, default=4)
     p.add_argument("--constant", type=float, default=None)
-    p.add_argument("--grf-sigma", type=float, default=0.5)
-    p.add_argument("--grf-m", type=float, default=0.1)
-    p.add_argument("--grf-nu", type=float, default=1.0)
     p.add_argument("--grf-seed", type=int, default=77)
-    p.add_argument("--scale", type=float, default=0.2)
-    p.add_argument("--max-powers", type=int, default=None)
     p.add_argument("--rel-tol", type=float, default=1e-10)
     p.add_argument("--tol", type=float, default=1e-8)
-    p.add_argument("--eig-budget", type=int, default=None)
     p.add_argument("--horizon", type=float, default=1.0)
     p.add_argument("--quadrature-steps", type=int, default=200)
     p.add_argument("--cond-limit", type=float, default=1e12)
@@ -420,18 +393,15 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--traj-index", type=int, default=0)
     p.add_argument("--frame", type=int, default=0)
     p.add_argument("--colormap", choices=("gray", "diverging"), default="gray")
-    p.add_argument("--vmin", type=float, default=None)
-    p.add_argument("--vmax", type=float, default=None)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_export)
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
     with warnings.catch_warnings(record=True) as caught:
         try:
+            args = build_parser().parse_args(argv)
             code = args.func(args)
         except (LatentPdeError, OSError) as exc:
             # an unreadable or missing file is a data/IO problem like any

@@ -8,9 +8,10 @@ config needed to regenerate them bit for bit.  All writes go through a
 temp file and an atomic rename so readers never see partial data.
 """
 
-from dataclasses import dataclass, field, asdict
+from dataclasses import dataclass, field, asdict, replace
 import datetime
 import json
+import numbers
 import os
 
 import numpy as np
@@ -245,10 +246,16 @@ _REQUIRED_KEYS = {
     "kse2d": ("grid_size", "domain_length", "dt", "trajectories", "frames", "init_seed", "init"),
     "kse1d": ("sites", "domain_length", "dt", "steps", "trajectories", "init_seed", "init"),
 }
+_TYPED_KEYS = (
+    (("trajectories", "frames", "grid_size", "sites", "steps", "init_seed", "skip", "burn_in"),
+     numbers.Integral, "an integer"),
+    (("dt", "domain_length", "dx"), numbers.Real, "a real number"),
+)
 
 
 def _check_config(config) -> None:
-    """Raise ParameterError unless the config has every key its equation reads."""
+    """Raise ParameterError unless the config has every key its equation
+    reads and its counts and lengths have the right type."""
     if not isinstance(config, dict):
         raise ParameterError(f"a generation config is a JSON object, got {type(config).__name__}")
     equation = config.get("equation")
@@ -263,6 +270,11 @@ def _check_config(config) -> None:
             missing += [f"conductivity.{key}" for key in _GRF_KEYS + ("seed",) if key not in cond]
     if missing:
         raise ParameterError(f"{equation} config lacks {', '.join(missing)}")
+    for keys, kind, noun in _TYPED_KEYS:
+        for key in keys:
+            value = config.get(key)
+            if key in config and (isinstance(value, bool) or not isinstance(value, kind)):
+                raise ParameterError(f"{key} must be {noun}, got {value!r}")
     if config["trajectories"] < 1:
         raise ParameterError(f"trajectories must be >= 1, got {config['trajectories']}")
 
@@ -351,22 +363,10 @@ def tokenize_dataset(data_dir: str, patch: int, out_dir: str) -> DatasetManifest
     """Patch-average every trajectory of a field dataset into a token one."""
     frames, manifest = load_all(data_dir)
     tokens = [tokenize_trajectory(fr, patch) for fr in frames]
-    token_manifest = DatasetManifest(
-        equation=manifest.equation,
-        kind="tokens",
-        grid_size=manifest.grid_size,
-        trajectories=manifest.trajectories,
-        frames=manifest.frames,
-        dt=manifest.dt,
-        skip=manifest.skip,
-        burn_in=manifest.burn_in,
-        frame_shape=[tokens[0].shape[1]],
-        init_seeds=manifest.init_seeds,
-        config=manifest.config,
-        patch=patch,
+    token_manifest = replace(
+        manifest, kind="tokens", frame_shape=[tokens[0].shape[1]], patch=patch,
         created=datetime.datetime.now(datetime.timezone.utc).isoformat(),
-        extra={"source": os.path.abspath(data_dir)},
-    )
+        extra={"source": os.path.abspath(data_dir)})
     write_dataset(tokens, token_manifest, out_dir)
     return token_manifest
 

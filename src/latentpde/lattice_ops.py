@@ -37,7 +37,7 @@ class GridSpec:
 
 
 def _flat_index(i, j, n):
-    return (n * (i % n) + (j % n)).ravel() if isinstance(i, np.ndarray) else n * (i % n) + (j % n)
+    return (n * (i % n) + (j % n)).ravel()
 
 
 def build_difference(grid: GridSpec, axis: str, direction: str) -> sp.csr_array:

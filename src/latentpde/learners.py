@@ -303,22 +303,19 @@ def fit_sgd(histories: np.ndarray, targets: np.ndarray, config: TrainConfig,
     return linear_map, {key: np.asarray(val) for key, val in curves.items()}
 
 
-def history_sweep(train_tokens, eval_tokens, k_values, learner: str = "lstsq",
-                  ridge: float = 0.0, config: TrainConfig | None = None):
+def history_sweep(train_tokens, eval_tokens, k_values, ridge: float = 0.0):
     """One-step forecast error as a function of history length.
 
     ``train_tokens`` and ``eval_tokens`` are sequences of (T, m) token
     trajectories; every evaluation trajectory is a fresh initial
-    condition.  For each k the forecaster is fitted on all training
-    windows, then scored on each evaluation trajectory by its one-step
-    mean absolute error (l1) and max absolute error (linf).  Returns a
-    list of row dicts with per-k means and standard deviations over the
-    evaluation trajectories.
+    condition.  For each k the forecaster is fitted by least squares on
+    all training windows, then scored on each evaluation trajectory by
+    its one-step mean absolute error (l1) and max absolute error (linf).
+    Returns a list of row dicts with per-k means and standard deviations
+    over the evaluation trajectories.
     """
     from .tokenizer import forecast_pairs
 
-    if learner not in ("lstsq", "sgd"):
-        raise ParameterError(f"learner must be 'lstsq' or 'sgd', got {learner!r}")
     rows = []
     for k in k_values:
         if k < 1:
@@ -326,10 +323,7 @@ def history_sweep(train_tokens, eval_tokens, k_values, learner: str = "lstsq",
         hists, targs = zip(*(forecast_pairs(tokens, k) for tokens in train_tokens))
         histories = np.concatenate(hists)
         targets = np.concatenate(targs)
-        if learner == "lstsq":
-            fitted = fit_least_squares(histories, targets, ridge=ridge)
-        else:
-            fitted, _ = fit_sgd(histories, targets, config or TrainConfig(), eval_split=0.0)
+        fitted = fit_least_squares(histories, targets, ridge=ridge)
         l1 = []
         linf = []
         for tokens in eval_tokens:

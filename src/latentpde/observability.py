@@ -164,30 +164,22 @@ def kalman_rank_test(A, h, max_powers: int | None = None,
     return report
 
 
-def hautus_test(A, h, tol: float = 1e-8, eig_budget: int | None = None) -> ObservabilityReport:
+def hautus_test(A, h, tol: float = 1e-8) -> ObservabilityReport:
     """Check min |h v| over unit eigenvectors v for every eigenvalue of A.
 
-    Eigenvalues within 1e-8 * max|eig| of each other are treated as one
-    cluster and the minimum is taken over the whole (orthonormalised)
-    eigenspace, so degenerate spectra are handled correctly.  With
-    ``eig_budget`` set, only that many largest-magnitude eigenpairs are
-    examined (iteratively), recorded in ``tested_eigenvalues``.
+    The whole spectrum is computed densely.  Eigenvalues within
+    1e-8 * max|eig| of each other are treated as one cluster and the
+    minimum is taken over the whole (orthonormalised) eigenspace, so
+    degenerate spectra are handled correctly.
     """
     n = A.shape[0]
     hd = _output_map(A, h)
-    if eig_budget is not None and 1 <= eig_budget < n - 1:
-        from scipy.sparse.linalg import eigs
-
-        vals, vecs = eigs(A if sp.issparse(A) else np.asarray(A, float), k=eig_budget, which="LM")
-        tested = eig_budget
+    ad = _as_dense(A)
+    if np.allclose(ad, ad.T, rtol=0, atol=1e-12 * max(1.0, np.abs(ad).max())):
+        vals, vecs = np.linalg.eigh(ad)
+        vals = vals.astype(complex)
     else:
-        ad = _as_dense(A)
-        if np.allclose(ad, ad.T, rtol=0, atol=1e-12 * max(1.0, np.abs(ad).max())):
-            vals, vecs = np.linalg.eigh(ad)
-            vals = vals.astype(complex)
-        else:
-            vals, vecs = np.linalg.eig(ad)
-        tested = n
+        vals, vecs = np.linalg.eig(ad)
     scale = max(1.0, float(np.abs(vals).max()))
     cluster_tol = 1e-8 * scale
     order = np.lexsort((vals.imag, vals.real))
@@ -213,7 +205,7 @@ def hautus_test(A, h, tol: float = 1e-8, eig_budget: int | None = None) -> Obser
         tolerance=tol,
         eigen_tests=eigen_tests,
         failing=failing,
-        tested_eigenvalues=tested,
+        tested_eigenvalues=n,
     )
 
 

@@ -47,10 +47,6 @@ class Trajectory:
     def n_frames(self) -> int:
         return self.frames.shape[0]
 
-    @property
-    def is_wave(self) -> bool:
-        return self.frames.ndim == 4
-
 
 def step_forward_euler(op, state: np.ndarray, dt: float) -> np.ndarray:
     """One explicit Euler step x + dt*A x; dt = 0 returns a copy."""

@@ -257,6 +257,10 @@ def test_cli_error_exit_codes(tmp_path, capsys):
     config_path.write_text(json.dumps(dict(TINY_WAVE, init={"sigma": 5.0})))
     assert cli.main(["generate", "--config", str(config_path),
                      "--out", str(tmp_path / "incomplete")]) == 2
+    # a count given as a string -> parameter error, not a TypeError traceback
+    config_path.write_text(json.dumps(dict(TINY_HEAT, trajectories="3")))
+    assert cli.main(["generate", "--config", str(config_path),
+                     "--out", str(tmp_path / "mistyped")]) == 2
     capsys.readouterr()
 
 
@@ -264,12 +268,21 @@ def test_module_entry_point_stderr_is_only_the_error_line(tmp_path):
     env = dict(os.environ)
     src = os.path.dirname(os.path.dirname(latentpde.__file__))
     env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
-    proc = subprocess.run([sys.executable, "-m", "latentpde.cli", "export",
-                           "--data", str(tmp_path / "missing"), "--out", str(tmp_path / "x.pgm")],
-                          capture_output=True, text=True, env=env, cwd=tmp_path)
-    assert proc.returncode == 3
-    assert len(proc.stderr.splitlines()) == 1
-    assert proc.stderr.startswith("error: ")
+    missing, out = str(tmp_path / "missing"), str(tmp_path / "out")
+    cases = [
+        (["export", "--data", missing, "--out", out], 3),
+        # argument errors: a missing required flag and flags the verb lacks
+        (["export", "--data", missing], 2),
+        (["sweep", "--data", missing, "--patch", "4", "--k-list", "1", "--learner", "sgd",
+          "--out", out], 2),
+        (["observability", "--check", "hautus", "--eig-budget", "5", "--out", out], 2),
+    ]
+    for argv, code in cases:
+        proc = subprocess.run([sys.executable, "-m", "latentpde.cli", *argv],
+                              capture_output=True, text=True, env=env, cwd=tmp_path)
+        assert proc.returncode == code, argv
+        assert len(proc.stderr.splitlines()) == 1, proc.stderr
+        assert proc.stderr.startswith("error: ")
 
 
 # dt * 8 * conductivity = 16 >> 2; at this seed trajectory 2 is the first

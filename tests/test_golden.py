@@ -1,9 +1,10 @@
-"""Pinned output bytes of seeded generation and Adam training.
+"""Pinned output bytes of seeded generation, Adam training and CLI files.
 
-Each digest is a sha256 over the float64 little-endian bytes of every
-array a call returns (plus the manifest without its timestamp).  A change
-that moves any of these bytes changes seeded outputs and must be argued
-as a behaviour change.
+Each library digest is a sha256 over the float64 little-endian bytes of
+every array a call returns (plus the manifest without its timestamp); each
+CLI digest is a sha256 of the file the verb writes.  A change that moves
+any of these bytes changes seeded outputs and must be argued as a
+behaviour change.
 """
 
 import hashlib
@@ -12,7 +13,7 @@ import json
 import numpy as np
 import pytest
 
-from latentpde import TrainConfig, fit_sgd, generate_dataset, generate_trajectory
+from latentpde import TrainConfig, cli, fit_sgd, generate_dataset, generate_trajectory, write_dataset
 
 from test_dataset_cli import TINY_HEAT, TINY_WAVE
 
@@ -79,3 +80,30 @@ def test_fit_sgd_bytes(bias):
     arrays = [fitted.weights] + ([fitted.bias] if bias else [])
     assert len(curves["eval"]) == len(curves["train"]) > 1
     assert _digest(arrays + [curves["train"], curves["eval"]]) == SGD_DIGESTS[bias]
+
+
+CLI_DIGESTS = {
+    "hautus": (["observability", "--check", "hautus", "--grid", "8", "--patch", "2",
+                "--grf-seed", "7"],
+               "b53c7a4cd53276e39dec553ee48ab81c017600a46fde6272957981bae5e1719d"),
+    "gramian": (["observability", "--check", "gramian", "--grid", "8", "--patch", "2",
+                 "--horizon", "4"],
+                "8911d97860a99b1363fa8af27e90a0fbc6eb0b2316f2f0918a317dde2bed3efe"),
+    "sweep": (["sweep", "--data", "{data}", "--patch", "4", "--k-list", "1,2,4",
+               "--trials", "1"],
+              "49991fb06375e353edeef33e95d680f9cffe1498ae5778c4533cf3530166851f"),
+    "export": (["export", "--data", "{data}", "--traj-index", "1", "--frame", "5"],
+               "52c804c2a6579e0b126bdfd561dd61482247a0d7d25693d099b09de907dd3f10"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(CLI_DIGESTS))
+@pytest.mark.filterwarnings("ignore:rank-deficient design:RuntimeWarning")
+def test_cli_output_bytes(name, tmp_path, capsys):
+    argv, expected = CLI_DIGESTS[name]
+    data = tmp_path / "data"
+    write_dataset(*generate_dataset(TINY_HEAT), str(data))
+    out = tmp_path / "out"
+    assert cli.main([a.format(data=data) for a in argv] + ["--out", str(out)]) == 0
+    capsys.readouterr()
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == expected

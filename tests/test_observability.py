@@ -61,6 +61,15 @@ def test_hautus_agrees_on_observable_symmetric_system():
     assert report.tested_eigenvalues == report.state_dim
 
 
+def test_hautus_finds_the_smallest_unobserved_mode():
+    # the only eigenvector outside every output row belongs to the
+    # smallest-magnitude eigenvalue, which a partial spectrum would skip
+    report = hautus_test(np.diag(np.arange(1.0, 21.0)), np.eye(20)[1:])
+    assert not report.observable
+    assert [(lam.real, mult) for lam, mult, _ in report.failing] == [(1.0, 1)]
+    assert report.tested_eigenvalues == 20
+
+
 def engineered_unobservable(n, m, seed):
     """Random system with one eigenvector placed exactly in ker h."""
     rng = np.random.default_rng(seed)
