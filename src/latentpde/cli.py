@@ -118,7 +118,6 @@ def cmd_fit(args) -> int:
 
 def cmd_sweep(args) -> int:
     frames, manifest = ds.load_all(args.data)
-    k_values = [int(v) for v in args.k_list.split(",")]
     if args.trials >= len(frames):
         raise ParameterError(f"--trials {args.trials} must leave training trajectories")
     train, eval_frames = frames[:-args.trials], frames[-args.trials:]
@@ -127,7 +126,7 @@ def cmd_sweep(args) -> int:
                     for fr in train]
     eval_tokens = [tokenize_trajectory(ds.apply_normalization(fr, stats), args.patch)
                    for fr in eval_frames]
-    rows = history_sweep(train_tokens, eval_tokens, k_values, ridge=args.ridge)
+    rows = history_sweep(train_tokens, eval_tokens, args.k_list, ridge=args.ridge)
     ds.write_csv(args.out, ["k", "l1_mean", "l1_std", "linf_mean", "linf_std", "trials"],
                  [[r["k"], r["l1_mean"], r["l1_std"], r["linf_mean"], r["linf_std"], r["trials"]]
                   for r in rows],
@@ -188,18 +187,12 @@ def cmd_rollout(args) -> int:
     return 0
 
 
-def _parse_range(text: str, limit: int):
-    if ":" in text:
-        lo, hi = text.split(":")
-        return range(int(lo), min(int(hi), limit))
-    return [int(text)]
-
-
 def cmd_metrics(args) -> int:
     if args.kind == "correlation":
         frames, manifest = ds.load_all(args.data)
-        picks = _parse_range(args.trajectories, len(frames))
-        i, j = (int(v) for v in args.pixel.split(","))
+        lo, hi = args.trajectories
+        picks = range(lo, min(hi, len(frames)))
+        i, j = args.pixel
         videos = [amplitude(frames[idx]) for idx in picks]
         series = correlation_ensemble_stats(videos, (i, j), args.dt_max)
         ds.write_csv(args.out, ["lag", "rho_mean", "rho_std"],
@@ -295,6 +288,35 @@ def cmd_export(args) -> int:
     return 0
 
 
+def _int_list(text: str) -> list:
+    """``"1,2,4"`` -> [1, 2, 4]."""
+    try:
+        return [int(v) for v in text.split(",")]
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"expected comma-separated integers, got {text!r}") from None
+
+
+def _pixel(text: str) -> tuple:
+    """``"I,J"`` -> (I, J)."""
+    values = _int_list(text)
+    if len(values) != 2:
+        raise argparse.ArgumentTypeError(f"expected I,J, got {text!r}")
+    return tuple(values)
+
+
+def _index_range(text: str) -> tuple:
+    """``"LO:HI"`` with 0 <= LO < HI -> (LO, HI)."""
+    lo, _, hi = text.partition(":")
+    try:
+        lo, hi = int(lo), int(hi)
+        if 0 <= lo < hi:
+            return lo, hi
+    except ValueError:
+        pass
+    raise argparse.ArgumentTypeError(f"expected LO:HI with 0 <= LO < HI, got {text!r}")
+
+
 class _Parser(argparse.ArgumentParser):
     """A bad command line is a ParameterError, reported like any other."""
 
@@ -341,7 +363,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("sweep", help="error vs history length")
     p.add_argument("--data", required=True)
     p.add_argument("--patch", type=int, required=True)
-    p.add_argument("--k-list", required=True)
+    p.add_argument("--k-list", type=_int_list, required=True)
     p.add_argument("--trials", type=int, default=10)
     p.add_argument("--ridge", type=float, default=0.0)
     p.add_argument("--out", required=True)
@@ -360,9 +382,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("metrics", help="correlation / subvideo statistics")
     p.add_argument("kind", choices=("correlation", "subvideo"))
     p.add_argument("--data", required=True)
-    p.add_argument("--pixel", default="0,0")
+    p.add_argument("--pixel", type=_pixel, default="0,0")
     p.add_argument("--dt-max", type=int, default=50)
-    p.add_argument("--trajectories", default="0:1000000")
+    p.add_argument("--trajectories", type=_index_range, default="0:1000000")
     p.add_argument("--clip-prefix", default=None)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_metrics)

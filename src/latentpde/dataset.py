@@ -277,6 +277,11 @@ def _check_config(config) -> None:
                 raise ParameterError(f"{key} must be {noun}, got {value!r}")
     if config["trajectories"] < 1:
         raise ParameterError(f"trajectories must be >= 1, got {config['trajectories']}")
+    if equation == "kse1d" and config["trajectories"] != 1:
+        # the sine initial state does not depend on init_seed, so every
+        # further trajectory would repeat the first
+        raise ParameterError(f"kse1d makes one trajectory, got trajectories = "
+                             f"{config['trajectories']}")
 
 
 def _grf_init(config: dict, seed: int) -> np.ndarray:

@@ -35,12 +35,15 @@ from .solvers import _gershgorin_radius
 class ObservabilityReport:
     """Outcome of one certificate run.
 
-    ``rank``/``singular_values`` are filled by the rank test, the eigen
-    fields by the Hautus test.  ``eigen_tests`` rows are tuples
-    (eigenvalue, multiplicity, min |h v| over unit eigenvectors v) and
-    ``failing`` is the subset below tolerance.  When ``rank`` is set,
-    ``observable`` equals ``rank == state_dim``.  ``generator_rescaled_by``
-    is the factor the Kalman test scaled the generator by, when it did.
+    ``rank``/``singular_values`` are filled by the rank tests, the eigen
+    fields by the Hautus test.  :func:`rank_test` stores every singular
+    value; :func:`kalman_rank_test` stores the rank gap (smallest kept,
+    largest rejected) and ``block_ranks``, the directions each staircase
+    block added.  ``eigen_tests`` rows are tuples (eigenvalue,
+    multiplicity, min |h v| over unit eigenvectors v) and ``failing`` is
+    the subset below tolerance.  When ``rank`` is set, ``observable``
+    equals ``rank == state_dim``.  ``generator_rescaled_by`` is the factor
+    the Kalman test scaled the generator by, when it did.
     """
 
     method: str
@@ -53,6 +56,12 @@ class ObservabilityReport:
     failing: list = field(default_factory=list)
     tested_eigenvalues: int | None = None
     generator_rescaled_by: float | None = None
+    block_ranks: list | None = None
+
+    @property
+    def observability_index(self) -> int | None:
+        """Number of staircase blocks that added a direction."""
+        return None if self.block_ranks is None else len(self.block_ranks)
 
     def to_text(self) -> str:
         lines = [] if self.generator_rescaled_by is None else [
@@ -65,6 +74,9 @@ class ObservabilityReport:
         ]
         if self.rank is not None:
             lines.append(f"rank = {self.rank}")
+        if self.block_ranks is not None:
+            lines.append(f"observability_index = {self.observability_index}")
+            lines.append(f"block_ranks = {','.join(map(str, self.block_ranks))}")
         if self.singular_values is not None:
             sv = self.singular_values
             lines.append(f"singular_value_max = {sv[0]:.6e}")
@@ -149,19 +161,68 @@ def rank_test(matrix: np.ndarray, rel_tol: float = 1e-10) -> ObservabilityReport
     )
 
 
-def kalman_rank_test(A, h, max_powers: int | None = None,
-                     rel_tol: float = 1e-10) -> ObservabilityReport:
-    """Kalman rank test on A divided by its Gershgorin bound (at least 1).
+def kalman_rank_test(A, h, rel_tol: float = 1e-10) -> ObservabilityReport:
+    """Kalman rank by an orthogonal staircase (block Arnoldi on A').
 
-    Rescaling the generator leaves the Krylov span (and hence the rank)
-    unchanged but keeps high powers from overflowing the singular-value
-    cutoff.
+    The generator is first divided by its Gershgorin bound (at least 1),
+    which leaves the Krylov span unchanged.  The first block is an
+    orthonormal basis of the row space of h; each next block is A' times
+    the last one, orthogonalized against the basis so far by classical
+    Gram-Schmidt run twice, then reduced by an SVD to the directions above
+    ``rel_tol``.  Singular values are measured relative to sigma_max(h) in
+    the first block and to the rescaled generator's row-sum bound after
+    it.  The loop stops at the first block that keeps nothing or when the
+    basis spans the state space.  Unlike the stacked powers of
+    :func:`kalman_observability_matrix`, whose monomial basis loses
+    directions to rounding, every step is orthogonal (Paige 1981, IEEE
+    TAC 26(1); Van Dooren 1981, the staircase form, same issue).
+
+    ``rank`` is the basis size, ``block_ranks`` the directions each block
+    kept and ``observability_index`` the number of nonempty blocks: the
+    shortest output history whose Kalman matrix has that rank.
+    ``singular_values`` holds the rank gap as two relative values: the
+    smallest kept and the largest rejected (0 if none was rejected).
     """
-    radius = max(1.0, _gershgorin_radius(A))
-    report = rank_test(kalman_observability_matrix(A / radius, h, max_powers=max_powers),
-                       rel_tol=rel_tol)
-    report.generator_rescaled_by = 1.0 / radius
-    return report
+    if not 0 < rel_tol < 1:
+        raise ParameterError(f"rel_tol must be in (0, 1), got {rel_tol}")
+    n = A.shape[0]
+    hd = _output_map(A, h)
+    bound = _gershgorin_radius(A)
+    radius = max(1.0, bound)
+    at = (sp.csr_matrix(A.T) if sp.issparse(A) else np.asarray(A, dtype=float).T) / radius
+    basis = np.empty((n, n), order="F")
+    rank, block_ranks, kept_min, rejected_max = 0, [], np.inf, 0.0
+    _, svals, vt = np.linalg.svd(hd, full_matrices=False)
+    block, scale = vt.T, svals[0] if svals.size else 0.0
+    while scale > 0:
+        rel = svals / scale
+        keep = min(int((rel > rel_tol).sum()), n - rank)
+        if keep < rel.size:
+            rejected_max = max(rejected_max, float(rel[keep]))
+        if keep == 0:
+            break
+        kept_min = min(kept_min, float(rel[keep - 1]))
+        block = block[:, :keep]
+        basis[:, rank:rank + keep] = block
+        rank += keep
+        block_ranks.append(keep)
+        if rank == n:
+            break
+        w = at @ block
+        for _ in range(2):
+            w -= basis[:, :rank] @ (basis[:, :rank].T @ w)
+        block, svals, _ = np.linalg.svd(w, full_matrices=False)
+        scale = bound / radius
+    return ObservabilityReport(
+        method="kalman-rank",
+        state_dim=n,
+        observable=rank == n,
+        tolerance=rel_tol,
+        rank=rank,
+        singular_values=np.array([kept_min if rank else np.nan, rejected_max]),
+        generator_rescaled_by=1.0 / radius,
+        block_ranks=block_ranks,
+    )
 
 
 def hautus_test(A, h, tol: float = 1e-8) -> ObservabilityReport:

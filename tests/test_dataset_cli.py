@@ -261,6 +261,20 @@ def test_cli_error_exit_codes(tmp_path, capsys):
     config_path.write_text(json.dumps(dict(TINY_HEAT, trajectories="3")))
     assert cli.main(["generate", "--config", str(config_path),
                      "--out", str(tmp_path / "mistyped")]) == 2
+    # kse1d ignores init_seed, so a second trajectory would repeat the first
+    config_path.write_text(json.dumps({
+        "equation": "kse1d", "sites": 16, "domain_length": 22.0, "dt": 0.05, "steps": 10,
+        "trajectories": 2, "init_seed": 0, "init": {"kind": "sine", "waves": 2}}))
+    assert cli.main(["generate", "--config", str(config_path),
+                     "--out", str(tmp_path / "kse")]) == 2
+    # a malformed list-valued flag -> parameter error, not a ValueError traceback
+    for argv in (["metrics", "correlation", "--pixel", "1"],
+                 ["metrics", "correlation", "--trajectories", "a:b"],
+                 # one video is no ensemble, and an empty range is none either
+                 ["metrics", "correlation", "--trajectories", "3"],
+                 ["metrics", "correlation", "--trajectories", "4:2"],
+                 ["sweep", "--patch", "2", "--k-list", "1,x"]):
+        assert cli.main([*argv, "--data", str(data), "--out", str(tmp_path / "list.csv")]) == 2
     capsys.readouterr()
 
 
@@ -276,6 +290,11 @@ def test_module_entry_point_stderr_is_only_the_error_line(tmp_path):
         (["sweep", "--data", missing, "--patch", "4", "--k-list", "1", "--learner", "sgd",
           "--out", out], 2),
         (["observability", "--check", "hautus", "--eig-budget", "5", "--out", out], 2),
+        # malformed list-valued flags
+        (["metrics", "correlation", "--data", missing, "--pixel", "1", "--out", out], 2),
+        (["metrics", "correlation", "--data", missing, "--trajectories", "a:b",
+          "--out", out], 2),
+        (["sweep", "--data", missing, "--patch", "4", "--k-list", "1,x", "--out", out], 2),
     ]
     for argv, code in cases:
         proc = subprocess.run([sys.executable, "-m", "latentpde.cli", *argv],

@@ -1,5 +1,8 @@
+import mpmath
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.linalg import expm as real_expm
 
 import latentpde.observability as obs
@@ -7,8 +10,9 @@ from latentpde import (DegenerateStatisticError, GridSpec, GrfParams, NonObserva
                        ParameterError, annihilation_witness, build_conductivity,
                        build_modified_laplacian, build_tokenizer_matrix, build_wave_generator,
                        empirical_lie_logdet, gramian_reconstruction, hautus_test,
-                       kalman_observability_matrix, linear_reconstruct_initial_state,
-                       observability_gramian, rank_test)
+                       kalman_observability_matrix, kalman_rank_test,
+                       linear_reconstruct_initial_state, observability_gramian, rank_test)
+from latentpde.cli import main as cli_main
 
 
 def naive_kalman(A, h, p):
@@ -47,6 +51,155 @@ def test_rank_test_relative_tolerance():
     mat = np.diag([1.0, 1e-14])
     assert rank_test(mat).rank == 1
     assert rank_test(mat, rel_tol=1e-16).rank == 2
+
+
+def lattice(grid, patch, grf_seed, constant, wave=False):
+    """Heat (or wave) generator on a grid x grid lattice, with a constant
+    or the preset GRF conductivity, and its patch tokenizer."""
+    spec = GridSpec(n=grid)
+    if constant is None:
+        a = 0.2 * build_conductivity(GrfParams(grid_size=grid, sigma=0.5, m=0.1, nu=1.0,
+                                               seed=grf_seed))
+    else:
+        a = np.full((grid, grid), constant)
+    op = build_wave_generator(a, spec) if wave else build_modified_laplacian(a, spec)
+    return op, build_tokenizer_matrix(spec, patch, wave=wave)
+
+
+def hidden_dimension(A, h):
+    """Sum over the eigenspaces E of a symmetric A of dim(E and ker h):
+    the dimension of the unobservable subspace."""
+    vals, vecs = np.linalg.eigh(A)
+    cluster_tol = 1e-8 * max(1.0, np.abs(vals).max())
+    h_tol = 1e-8 * np.linalg.norm(h, 2)
+    total = start = 0
+    while start < len(vals):
+        stop = start + 1
+        while stop < len(vals) and vals[stop] - vals[start] <= cluster_tol:
+            stop += 1
+        svals = np.linalg.svd(h @ vecs[:, start:stop], compute_uv=False)
+        total += (stop - start) - int((svals > h_tol).sum())
+        start = stop
+    return total
+
+
+@st.composite
+def heat_lattices(draw):
+    grid = draw(st.sampled_from([4, 6, 8]))
+    patch = draw(st.sampled_from([p for p in range(2, grid + 1) if grid % p == 0]))
+    constant = draw(st.one_of(st.none(), st.floats(0.05, 5.0)))
+    return grid, patch, draw(st.integers(0, 10**4)), constant
+
+
+@settings(max_examples=60)
+@given(heat_lattices())
+def test_staircase_rank_is_the_eigenspace_kernel_count(case):
+    A, h = lattice(*case)
+    report = kalman_rank_test(A, h)
+    assert report.rank == A.shape[0] - hidden_dimension(A.toarray(), h.toarray())
+    assert report.observable == hautus_test(A, h).observable
+    assert sum(report.block_ranks) == report.rank
+    smallest_kept, largest_rejected = report.singular_values
+    assert largest_rejected <= report.tolerance < smallest_kept
+
+
+@pytest.mark.parametrize("wave", [False, True])
+@pytest.mark.parametrize("constant", [None, 1.0])
+def test_staircase_rank_is_scale_invariant(wave, constant):
+    A, h = lattice(8, 4, 3, constant, wave=wave)
+    base = kalman_rank_test(A, h)
+    assert base.observable == (constant is None)
+    for c, c_out in [(1e-3, 1.0), (0.25, 1e3), (40.0, 1e-4), (1e4, 7.0)]:
+        scaled = kalman_rank_test(c * A, c_out * h)
+        assert (scaled.rank, scaled.block_ranks) == (base.rank, base.block_ranks)
+
+
+def acceptance_2_systems(seed=44, count=200):
+    """The random systems of ACCEPTANCE 2: odd trials hide an eigenvector
+    in the kernel of h."""
+    rng = np.random.default_rng(seed)
+    for trial in range(count):
+        n = int(rng.integers(2, 13))
+        m = int(rng.integers(1, 4))
+        if trial % 2:
+            v_mat = rng.standard_normal((n, n)) + n * np.eye(n)
+            lam = np.sort(rng.standard_normal(n) * 2)
+            a_mat = v_mat @ np.diag(lam) @ np.linalg.inv(v_mat)
+            h0 = rng.standard_normal((m, n))
+            h = h0 - np.outer(h0 @ v_mat[:, 0], np.linalg.inv(v_mat)[0])
+        else:
+            a_mat = rng.standard_normal((n, n))
+            h = rng.standard_normal((m, n))
+        yield a_mat, h
+
+
+def exact_block_ranks(A, h, rel_tol=1e-10, dps=50):
+    """The staircase of kalman_rank_test on the same float64 system, run in
+    ``dps``-digit arithmetic."""
+    n = A.shape[0]
+    with mpmath.workdps(dps):
+        bound = max(mpmath.fsum(abs(mpmath.mpf(x)) for x in row) for row in A)
+        radius = max(mpmath.mpf(1), bound)
+        at = mpmath.matrix(A.T.tolist()) / radius
+        _, svals, vt = mpmath.svd_r(mpmath.matrix(h.tolist()), full_matrices=False)
+        cols = [vt[i, :].T for i in range(vt.rows)]
+        basis, ranks, scale = [], [], svals[0]
+        while True:
+            keep = [c for c, s in zip(cols, svals) if s > rel_tol * scale][:n - len(basis)]
+            if not keep:
+                return ranks
+            basis += keep
+            ranks.append(len(keep))
+            if len(basis) == n:
+                return ranks
+            block = mpmath.matrix(n, len(keep))
+            for j, c in enumerate(keep):
+                w = at * c
+                for _ in range(2):
+                    w -= sum((b * (b.T * w)[0] for b in basis), mpmath.matrix(n, 1))
+                for i in range(n):
+                    block[i, j] = w[i]
+            u, svals, _ = mpmath.svd_r(block, full_matrices=False)
+            cols = [u[:, j] for j in range(u.cols)]
+            scale = bound / radius
+
+
+def test_staircase_agrees_with_stacked_powers_or_with_exact_arithmetic():
+    # Stacked powers lose directions to rounding and never invent one, so
+    # they can only count lower.  Where the counts differ, the staircase run
+    # in 50-digit arithmetic on the same float64 system gives the float64
+    # block ranks, unless the rank gap is narrow: a kept direction below
+    # 1e-6 can sit within its own rounding error of rel_tol.  Seed 44 is
+    # ACCEPTANCE 2's; seed 7 adds systems where stacking loses a direction
+    # the staircase keeps at 1e-2.
+    systems = differ = exact_checked = 0
+    for seed in (44, 7):
+        for a_mat, h in acceptance_2_systems(seed):
+            systems += 1
+            stacked = rank_test(kalman_observability_matrix(a_mat, h)).rank
+            report = kalman_rank_test(a_mat, h)
+            assert stacked <= report.rank
+            if stacked != report.rank:
+                differ += 1
+                if report.singular_values[0] >= 1e-6:
+                    exact_checked += 1
+                    assert exact_block_ranks(a_mat, h) == report.block_ranks
+    assert exact_checked >= 1
+    assert differ < 0.05 * systems
+
+
+def test_cli_kalman_on_a_varying_conductivity_is_full_rank(tmp_path, capsys):
+    out = tmp_path / "kalman.txt"
+    assert cli_main(["observability", "--check", "kalman", "--grid", "16", "--patch", "4",
+                     "--grf-seed", "7", "--out", str(out)]) == 0
+    capsys.readouterr()
+    report = dict(line.split(" = ") for line in out.read_text().splitlines())
+    assert report["rank"] == "256" and report["state_dim"] == "256"
+    assert report["observable"] == "True"
+    block_ranks = [int(v) for v in report["block_ranks"].split(",")]
+    assert sum(block_ranks) == 256
+    assert int(report["observability_index"]) == len(block_ranks)
+    assert float(report["singular_value_min"]) <= 1e-10 < float(report["singular_value_max"])
 
 
 def test_hautus_agrees_on_observable_symmetric_system():
