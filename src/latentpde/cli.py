@@ -190,10 +190,8 @@ def cmd_rollout(args) -> int:
 def cmd_metrics(args) -> int:
     if args.kind == "correlation":
         frames, manifest = ds.load_all(args.data)
-        lo, hi = args.trajectories
-        picks = range(lo, min(hi, len(frames)))
         i, j = args.pixel
-        videos = [amplitude(frames[idx]) for idx in picks]
+        videos = [amplitude(fr) for fr in frames]
         series = correlation_ensemble_stats(videos, (i, j), args.dt_max)
         ds.write_csv(args.out, ["lag", "rho_mean", "rho_std"],
                      [[int(l), series.mean[d], series.std[d]]
@@ -305,18 +303,6 @@ def _pixel(text: str) -> tuple:
     return tuple(values)
 
 
-def _index_range(text: str) -> tuple:
-    """``"LO:HI"`` with 0 <= LO < HI -> (LO, HI)."""
-    lo, _, hi = text.partition(":")
-    try:
-        lo, hi = int(lo), int(hi)
-        if 0 <= lo < hi:
-            return lo, hi
-    except ValueError:
-        pass
-    raise argparse.ArgumentTypeError(f"expected LO:HI with 0 <= LO < HI, got {text!r}")
-
-
 class _Parser(argparse.ArgumentParser):
     """A bad command line is a ParameterError, reported like any other."""
 
@@ -384,7 +370,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--data", required=True)
     p.add_argument("--pixel", type=_pixel, default="0,0")
     p.add_argument("--dt-max", type=int, default=50)
-    p.add_argument("--trajectories", type=_index_range, default="0:1000000")
     p.add_argument("--clip-prefix", default=None)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_metrics)

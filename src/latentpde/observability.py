@@ -38,8 +38,9 @@ class ObservabilityReport:
     ``rank``/``singular_values`` are filled by the rank tests, the eigen
     fields by the Hautus test.  :func:`rank_test` stores every singular
     value; :func:`kalman_rank_test` stores the rank gap (smallest kept,
-    largest rejected) and ``block_ranks``, the directions each staircase
-    block added.  ``eigen_tests`` rows are tuples (eigenvalue,
+    largest rejected), ``block_ranks``, the directions each staircase
+    block added, and ``hidden_in_span``, the directions of that basis an
+    eigenvector check finds hidden.  ``eigen_tests`` rows are tuples (eigenvalue,
     multiplicity, min |h v| over unit eigenvectors v) and ``failing`` is
     the subset below tolerance.  When ``rank`` is set, ``observable``
     equals ``rank == state_dim``.  ``generator_rescaled_by`` is the factor
@@ -57,6 +58,7 @@ class ObservabilityReport:
     tested_eigenvalues: int | None = None
     generator_rescaled_by: float | None = None
     block_ranks: list | None = None
+    hidden_in_span: int | None = None
 
     @property
     def observability_index(self) -> int | None:
@@ -77,6 +79,7 @@ class ObservabilityReport:
         if self.block_ranks is not None:
             lines.append(f"observability_index = {self.observability_index}")
             lines.append(f"block_ranks = {','.join(map(str, self.block_ranks))}")
+            lines.append(f"hidden_in_span = {self.hidden_in_span}")
         if self.singular_values is not None:
             sv = self.singular_values
             lines.append(f"singular_value_max = {sv[0]:.6e}")
@@ -162,7 +165,8 @@ def rank_test(matrix: np.ndarray, rel_tol: float = 1e-10) -> ObservabilityReport
 
 
 def kalman_rank_test(A, h, rel_tol: float = 1e-10) -> ObservabilityReport:
-    """Kalman rank by an orthogonal staircase (block Arnoldi on A').
+    """Kalman rank by an orthogonal staircase (block Arnoldi on A'),
+    checked against the eigenvectors of the span it finds.
 
     The generator is first divided by its Gershgorin bound (at least 1),
     which leaves the Krylov span unchanged.  The first block is an
@@ -177,11 +181,21 @@ def kalman_rank_test(A, h, rel_tol: float = 1e-10) -> ObservabilityReport:
     directions to rounding, every step is orthogonal (Paige 1981, IEEE
     TAC 26(1); Van Dooren 1981, the staircase form, same issue).
 
-    ``rank`` is the basis size, ``block_ranks`` the directions each block
-    kept and ``observability_index`` the number of nonempty blocks: the
-    shortest output history whose Kalman matrix has that rank.
-    ``singular_values`` holds the rank gap as two relative values: the
-    smallest kept and the largest rejected (0 if none was rejected).
+    A rejected direction puts the pair within ``rel_tol`` of an
+    unobservable one, but a kept direction proves nothing: a staircase
+    residual bounds the distance to unobservability from above only.  A
+    pair whose eigenvector v has |h v| ~ 1e-16 can keep that direction
+    with a residual of 1e-5 or more.  So the basis Q is checked like the
+    Hautus test: on the generator restricted to the span, Q'AQ, every
+    cluster of eigenvectors is tested against hQ, and the directions on
+    which hQ is at most ``rel_tol * sigma_max(h)`` are ``hidden_in_span``.
+
+    ``rank`` is the basis size minus ``hidden_in_span``, ``block_ranks``
+    the directions each block kept and ``observability_index`` the number
+    of nonempty blocks: the shortest output history whose Kalman matrix
+    spans the basis.  ``singular_values`` holds the rank gap as two
+    relative values: the smallest kept and the largest rejected (0 if none
+    was rejected).
     """
     if not 0 < rel_tol < 1:
         raise ParameterError(f"rel_tol must be in (0, 1), got {rel_tol}")
@@ -193,7 +207,8 @@ def kalman_rank_test(A, h, rel_tol: float = 1e-10) -> ObservabilityReport:
     basis = np.empty((n, n), order="F")
     rank, block_ranks, kept_min, rejected_max = 0, [], np.inf, 0.0
     _, svals, vt = np.linalg.svd(hd, full_matrices=False)
-    block, scale = vt.T, svals[0] if svals.size else 0.0
+    h_norm = svals[0] if svals.size else 0.0
+    block, scale = vt.T, h_norm
     while scale > 0:
         rel = svals / scale
         keep = min(int((rel > rel_tol).sum()), n - rank)
@@ -213,16 +228,66 @@ def kalman_rank_test(A, h, rel_tol: float = 1e-10) -> ObservabilityReport:
             w -= basis[:, :rank] @ (basis[:, :rank].T @ w)
         block, svals, _ = np.linalg.svd(w, full_matrices=False)
         scale = bound / radius
+    hidden = 0
+    if rank:
+        q = basis[:, :rank]
+        compressed = (q.T @ (at @ q)).T
+        hidden = sum(int((norms <= rel_tol * h_norm).sum())
+                     for _, _, norms in _eigenspace_outputs(compressed, hd @ q))
     return ObservabilityReport(
         method="kalman-rank",
         state_dim=n,
-        observable=rank == n,
+        observable=rank - hidden == n,
         tolerance=rel_tol,
-        rank=rank,
+        rank=rank - hidden,
         singular_values=np.array([kept_min if rank else np.nan, rejected_max]),
         generator_rescaled_by=1.0 / radius,
         block_ranks=block_ranks,
+        hidden_in_span=hidden,
     )
+
+
+def _eigenspace_outputs(A, hd: np.ndarray) -> list:
+    """Rows (mean eigenvalue, cluster size, |h| on the eigenspace) per
+    cluster of eigenvalues of the dense matrix A.
+
+    Eigenvalues within 1e-8 * max|eig| of each other form one cluster.
+    The last entry is the singular values of ``hd`` on an orthonormal basis
+    of the cluster's eigenspace, padded with zeros where the eigenspace is
+    wider than the output.  For a symmetric A that basis is the cluster's
+    eigenvectors.  Otherwise the computed eigenvectors of a Jordan chain
+    span the whole chain, so the basis is cut to the directions v of their
+    span with |(A - mean) v| <= 1e-4 * max|eig|: on an eigenvector that
+    residual is at most the cluster width, on the next vector of a chain
+    it is the chain's coupling.
+    """
+    if np.allclose(A, A.T, rtol=0, atol=1e-12 * max(1.0, np.abs(A).max())):
+        vals, vecs = np.linalg.eigh(A)
+        vals, symmetric = vals.astype(complex), True
+    else:
+        vals, vecs = np.linalg.eig(A)
+        symmetric = False
+    scale = max(1.0, float(np.abs(vals).max()))
+    cluster_tol = 1e-8 * scale
+    order = np.lexsort((vals.imag, vals.real))
+    vals, vecs = vals[order], vecs[:, order]
+    rows = []
+    start = 0
+    while start < len(vals):
+        stop = start + 1
+        while stop < len(vals) and abs(vals[stop] - vals[start]) <= cluster_tol:
+            stop += 1
+        mean = complex(vals[start:stop].mean())
+        q, _ = np.linalg.qr(vecs[:, start:stop])
+        if not symmetric and stop - start > 1:
+            shifted = q.conj().T @ (A @ q) - mean * np.eye(stop - start)
+            _, sv, wh = np.linalg.svd(shifted)
+            dim = max(1, int((sv <= 1e-4 * scale).sum()))
+            q = q @ wh[-dim:].conj().T
+        norms = np.linalg.svd(hd @ q, compute_uv=False)
+        rows.append((mean, stop - start, np.pad(norms, (0, q.shape[1] - norms.size))))
+        start = stop
+    return rows
 
 
 def hautus_test(A, h, tol: float = 1e-8) -> ObservabilityReport:
@@ -231,33 +296,13 @@ def hautus_test(A, h, tol: float = 1e-8) -> ObservabilityReport:
     The whole spectrum is computed densely.  Eigenvalues within
     1e-8 * max|eig| of each other are treated as one cluster and the
     minimum is taken over the whole (orthonormalised) eigenspace, so
-    degenerate spectra are handled correctly.
+    degenerate spectra are handled correctly; a Jordan chain counts only
+    its eigenvectors (see :func:`_eigenspace_outputs`).
     """
     n = A.shape[0]
     hd = _output_map(A, h)
-    ad = _as_dense(A)
-    if np.allclose(ad, ad.T, rtol=0, atol=1e-12 * max(1.0, np.abs(ad).max())):
-        vals, vecs = np.linalg.eigh(ad)
-        vals = vals.astype(complex)
-    else:
-        vals, vecs = np.linalg.eig(ad)
-    scale = max(1.0, float(np.abs(vals).max()))
-    cluster_tol = 1e-8 * scale
-    order = np.lexsort((vals.imag, vals.real))
-    vals, vecs = vals[order], vecs[:, order]
-    eigen_tests = []
-    start = 0
-    while start < len(vals):
-        stop = start + 1
-        while stop < len(vals) and abs(vals[stop] - vals[start]) <= cluster_tol:
-            stop += 1
-        q, _ = np.linalg.qr(vecs[:, start:stop])
-        svals = np.linalg.svd(hd @ q, compute_uv=False)
-        min_norm = float(svals[-1]) if len(svals) else 0.0
-        if q.shape[1] > hd.shape[0]:
-            min_norm = 0.0  # eigenspace wider than the output, kernel guaranteed
-        eigen_tests.append((complex(vals[start:stop].mean()), stop - start, min_norm))
-        start = stop
+    eigen_tests = [(lam, mult, float(norms.min()))
+                   for lam, mult, norms in _eigenspace_outputs(_as_dense(A), hd)]
     failing = [row for row in eigen_tests if row[2] < tol]
     return ObservabilityReport(
         method="hautus",

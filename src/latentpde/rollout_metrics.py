@@ -120,12 +120,13 @@ class CorrelationSeries:
 
 def _pixel_series(video: np.ndarray, pixel) -> np.ndarray:
     video = np.asarray(video, dtype=float)
-    if video.ndim == 2:
-        return video[:, int(pixel)]
-    if video.ndim == 3:
-        i, j = pixel
-        return video[:, int(i), int(j)]
-    raise ParameterError(f"video must be (T, m) or (T, n, n), got shape {video.shape}")
+    if video.ndim not in (2, 3):
+        raise ParameterError(f"video must be (T, m) or (T, n, n), got shape {video.shape}")
+    index = tuple(int(k) for k in np.atleast_1d(pixel))
+    inside = all(0 <= k < n for k, n in zip(index, video.shape[1:]))
+    if len(index) != video.ndim - 1 or not inside:
+        raise ParameterError(f"pixel {pixel} outside the frame of shape {video.shape[1:]}")
+    return video[(slice(None), *index)]
 
 
 def temporal_correlation(video: np.ndarray, pixel, dt_max: int) -> CorrelationSeries:

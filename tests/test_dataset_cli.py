@@ -208,7 +208,7 @@ def test_cli_end_to_end_pipeline(tmp_path, capsys):
 
     corr_path = str(tmp_path / "corr.csv")
     run_cli(["metrics", "correlation", "--data", str(data), "--pixel", "1,1",
-             "--dt-max", "5", "--trajectories", "0:6", "--out", corr_path])
+             "--dt-max", "5", "--out", corr_path])
     header, rows = read_csv(corr_path)
     assert header == ["lag", "rho_mean", "rho_std"]
     assert float(rows[0][1]) == pytest.approx(1.0, abs=1e-12)
@@ -269,11 +269,10 @@ def test_cli_error_exit_codes(tmp_path, capsys):
                      "--out", str(tmp_path / "kse")]) == 2
     # a malformed list-valued flag -> parameter error, not a ValueError traceback
     for argv in (["metrics", "correlation", "--pixel", "1"],
-                 ["metrics", "correlation", "--trajectories", "a:b"],
-                 # one video is no ensemble, and an empty range is none either
-                 ["metrics", "correlation", "--trajectories", "3"],
-                 ["metrics", "correlation", "--trajectories", "4:2"],
-                 ["sweep", "--patch", "2", "--k-list", "1,x"]):
+                 ["metrics", "correlation", "--pixel", "100,100"],
+                 ["sweep", "--patch", "2", "--k-list", "1,x"],
+                 # removed: correlation always uses every trajectory
+                 ["metrics", "correlation", "--trajectories", "a:b"]):
         assert cli.main([*argv, "--data", str(data), "--out", str(tmp_path / "list.csv")]) == 2
     capsys.readouterr()
 
@@ -290,10 +289,10 @@ def test_module_entry_point_stderr_is_only_the_error_line(tmp_path):
         (["sweep", "--data", missing, "--patch", "4", "--k-list", "1", "--learner", "sgd",
           "--out", out], 2),
         (["observability", "--check", "hautus", "--eig-budget", "5", "--out", out], 2),
-        # malformed list-valued flags
-        (["metrics", "correlation", "--data", missing, "--pixel", "1", "--out", out], 2),
         (["metrics", "correlation", "--data", missing, "--trajectories", "a:b",
           "--out", out], 2),
+        # malformed list-valued flags
+        (["metrics", "correlation", "--data", missing, "--pixel", "1", "--out", out], 2),
         (["sweep", "--data", missing, "--patch", "4", "--k-list", "1,x", "--out", out], 2),
     ]
     for argv, code in cases:

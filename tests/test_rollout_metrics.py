@@ -132,6 +132,15 @@ def test_correlation_white_noise_decorrelates():
     assert np.abs(series.mean[1:]).max() < 0.05
 
 
+def test_correlation_pixel_outside_the_frame():
+    video = np.random.default_rng(0).standard_normal((20, 5, 5))
+    for pixel in ((5, 0), (0, -1), (1,), (1, 2, 3)):
+        with pytest.raises(ParameterError):
+            temporal_correlation(video, pixel=pixel, dt_max=3)
+    with pytest.raises(ParameterError):
+        temporal_correlation(video.reshape(20, 25), pixel=25, dt_max=3)
+
+
 def test_correlation_degenerate_pixel():
     video = np.ones((30, 4))
     with pytest.raises(DegenerateStatisticError):
