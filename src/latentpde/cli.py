@@ -71,7 +71,7 @@ def cmd_tokenize(args) -> int:
 
 
 def _train_split(n_traj: int, train_frac: float) -> int:
-    n_train = int(round(train_frac * n_traj))
+    n_train = int(round(train_frac * n_traj)) if 0 < train_frac <= 1 else 0
     if not 1 <= n_train <= n_traj:
         raise ParameterError(f"train fraction {train_frac} leaves no usable split of {n_traj}")
     return n_train
@@ -118,8 +118,9 @@ def cmd_fit(args) -> int:
 
 def cmd_sweep(args) -> int:
     frames, manifest = ds.load_all(args.data)
-    if args.trials >= len(frames):
-        raise ParameterError(f"--trials {args.trials} must leave training trajectories")
+    if not 0 < args.trials < len(frames):
+        raise ParameterError(f"--trials {args.trials} must be >= 1 and leave training "
+                             f"trajectories of {len(frames)}")
     train, eval_frames = frames[:-args.trials], frames[-args.trials:]
     stats = ds.compute_normalization(train)
     train_tokens = [tokenize_trajectory(ds.apply_normalization(fr, stats), args.patch)
@@ -147,11 +148,11 @@ def _load_model(path: str):
 
 
 def cmd_rollout(args) -> int:
-    frames, manifest = ds.load_all(args.data)
+    fr = ds.load_trajectory(args.data, ds.load_manifest(args.data), args.traj_index)
     g_map, g_side = _load_model(args.model)
     stats = g_side["normalization"]
     patch = g_side["patch"]
-    traj = ds.apply_normalization(frames[args.traj_index], stats)
+    traj = ds.apply_normalization(fr, stats)
     tokens = tokenize_trajectory(traj, patch)
     k = g_map.history_len
     if args.start + k + args.steps > tokens.shape[0]:
@@ -276,8 +277,7 @@ def cmd_observability(args) -> int:
 
 
 def cmd_export(args) -> int:
-    frames, manifest = ds.load_all(args.data)
-    fr = frames[args.traj_index]
+    fr = ds.load_trajectory(args.data, ds.load_manifest(args.data), args.traj_index)
     if not 0 <= args.frame < fr.shape[0]:
         raise ParameterError(f"frame {args.frame} outside 0..{fr.shape[0] - 1}")
     field = ds.apply_normalization(amplitude(fr)[args.frame], ds.compute_normalization([fr]))
@@ -410,10 +410,10 @@ def main(argv=None) -> int:
         try:
             args = build_parser().parse_args(argv)
             code = args.func(args)
-        except (LatentPdeError, OSError) as exc:
-            # an unreadable or missing file is a data/IO problem like any
-            # other; the error line alone reports a failed run, so warnings
-            # raised on the way there are dropped
+        except (LatentPdeError, OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
+            # an unreadable, missing or malformed file is a data/IO problem
+            # like any other; the error line alone reports a failed run, so
+            # warnings raised on the way there are dropped
             print(f"error: {exc}", file=sys.stderr)
             return getattr(exc, "exit_code", DataFormatError.exit_code)
     for w in caught:

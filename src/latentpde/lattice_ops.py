@@ -71,8 +71,8 @@ def build_modified_laplacian(a: np.ndarray, grid: GridSpec) -> sp.csr_array:
     a = np.asarray(a, dtype=float)
     if a.shape != (grid.n, grid.n):
         raise ParameterError(f"coefficient field shape {a.shape} != {(grid.n, grid.n)}")
-    if not np.all(a > 0):
-        raise ParameterError("coefficient field must be strictly positive")
+    if not np.all((a > 0) & (a < np.inf)):
+        raise ParameterError("coefficient field must be finite and strictly positive")
     diag = sp.dia_array((a.ravel()[None, :], [0]), shape=(grid.n**2, grid.n**2))
     out = None
     for axis in ("x", "y"):

@@ -131,22 +131,25 @@ class TrainConfig:
     lr_decay: float = 1.0
 
     def __post_init__(self):
-        if self.learning_rate <= 0:
-            raise ParameterError(f"learning_rate must be > 0, got {self.learning_rate}")
+        if not 0 < self.learning_rate < np.inf:
+            raise ParameterError(f"learning_rate must be finite and > 0, "
+                                 f"got {self.learning_rate}")
         if self.steps < 0:
             raise ParameterError(f"steps must be >= 0, got {self.steps}")
         if self.batch_size < 1:
             raise ParameterError(f"batch_size must be >= 1, got {self.batch_size}")
         if not 0 < self.lr_decay <= 1:
             raise ParameterError(f"lr_decay must be in (0, 1], got {self.lr_decay}")
-        if self.ridge < 0:
-            raise ParameterError(f"ridge must be >= 0, got {self.ridge}")
+        if not 0 <= self.ridge < np.inf:
+            raise ParameterError(f"ridge must be finite and >= 0, got {self.ridge}")
         for name in ("beta1", "beta2"):
             value = getattr(self, name)
             if not 0 <= value < 1:
                 raise ParameterError(f"{name} must be in [0, 1), got {value}")
         if self.eps <= 0:
             raise ParameterError(f"eps must be > 0, got {self.eps}")
+        if self.seed < 0:
+            raise ParameterError(f"seed must be >= 0, got {self.seed}")
 
 
 def _design(histories: np.ndarray, targets: np.ndarray):
@@ -172,8 +175,8 @@ def fit_least_squares(histories: np.ndarray, targets: np.ndarray,
     warned about.  The ridge penalty never touches the bias column.
     """
     x, y, k, m, out_shape = _design(histories, targets)
-    if ridge < 0:
-        raise ParameterError(f"ridge must be >= 0, got {ridge}")
+    if not 0 <= ridge < np.inf:
+        raise ParameterError(f"ridge must be finite and >= 0, got {ridge}")
     n_feat = x.shape[1]
     cols = n_feat + (1 if bias else 0)
     design = np.hstack([x, np.ones((x.shape[0], 1))]) if bias else x

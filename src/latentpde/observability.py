@@ -299,6 +299,8 @@ def hautus_test(A, h, tol: float = 1e-8) -> ObservabilityReport:
     degenerate spectra are handled correctly; a Jordan chain counts only
     its eigenvectors (see :func:`_eigenspace_outputs`).
     """
+    if not tol > 0:
+        raise ParameterError(f"tol must be > 0, got {tol}")
     n = A.shape[0]
     hd = _output_map(A, h)
     eigen_tests = [(lam, mult, float(norms.min()))
@@ -384,8 +386,8 @@ def _step_propagator(A, horizon: float, quadrature_steps: int):
     n = A.shape[0]
     if n > _GRAMIAN_DENSE_LIMIT:
         raise ParameterError(f"dense Gramian limited to state dim {_GRAMIAN_DENSE_LIMIT}, got {n}")
-    if horizon <= 0:
-        raise ParameterError(f"horizon must be > 0, got {horizon}")
+    if not 0 < horizon < np.inf:
+        raise ParameterError(f"horizon must be finite and > 0, got {horizon}")
     if quadrature_steps < 2:
         raise ParameterError(f"quadrature_steps must be >= 2, got {quadrature_steps}")
     steps = quadrature_steps + (quadrature_steps % 2)
@@ -424,6 +426,8 @@ def _simpson_pass(estep: np.ndarray, hd: np.ndarray, horizon: float, steps: int,
 
 def _solve_moments(gram: np.ndarray, moment: np.ndarray, cond_limit: float):
     """``(x, cond(gram))`` with gram x = moment; refuses an ill-conditioned gram."""
+    if not cond_limit > 0:
+        raise ParameterError(f"cond_limit must be > 0, got {cond_limit}")
     cond = np.linalg.cond(gram)
     if not np.isfinite(cond) or cond > cond_limit:
         raise NonObservableError(
@@ -512,7 +516,8 @@ class LieLogDetSeries:
     exception.  ``rolling`` is the centred ``window``-sample mean of
     ``log_abs_det`` (NaN where the window does not fit).  When singular
     values were requested, ``min_sv``/``max_sv`` hold the extreme
-    singular values of each M(t).
+    singular values of each M(t) from index ``int(burn_frac * nt)`` on,
+    the windows a report examines, and NaN before it.
     """
 
     times: np.ndarray
@@ -527,12 +532,9 @@ class LieLogDetSeries:
     max_sv: np.ndarray | None = None
 
 
-_LIE_CHUNK = 256  # windows per batched slogdet / SVD call
-
-
 def empirical_lie_logdet(traj, patch: int, derivative_order: int = 5,
-                         window: int = 50,
-                         with_singular_values: bool = False) -> LieLogDetSeries:
+                         window: int = 50, with_singular_values: bool = False,
+                         burn_frac: float = 0.0) -> LieLogDetSeries:
     """Sign-preserving log-determinant of the empirical observability
     matrix along a tokenized line trajectory.
 
@@ -540,6 +542,8 @@ def empirical_lie_logdet(traj, patch: int, derivative_order: int = 5,
     tokens are means over non-overlapping windows of ``patch`` sites.
     Derivatives use forward-difference tables divided by dt**order, so
     scaling the trajectory by c shifts every log |det| by dim * log(c).
+    Singular values, when requested, skip the first ``burn_frac`` share
+    of the windows.
     """
     frames = np.asarray(getattr(traj, "frames", traj), dtype=float)
     dt = float(getattr(traj, "dt", 1.0))
@@ -551,6 +555,10 @@ def empirical_lie_logdet(traj, patch: int, derivative_order: int = 5,
     p = derivative_order
     if p < 1:
         raise ParameterError(f"derivative_order must be >= 1, got {p}")
+    if window < 1:
+        raise ParameterError(f"window must be >= 1, got {window}")
+    if not 0 <= burn_frac < 1:
+        raise ParameterError(f"burn_frac must be in [0, 1), got {burn_frac}")
     tokens = frames.reshape(t_total, n_sites // patch, patch).mean(axis=2)
     m = tokens.shape[1]
     dim = m * p
@@ -561,21 +569,16 @@ def empirical_lie_logdet(traj, patch: int, derivative_order: int = 5,
     for order in range(p):
         deriv = np.diff(tokens, n=order, axis=0) / dt**order if order else tokens
         z[:, order * m:(order + 1) * m] = deriv[:n_z]
-    windows = np.lib.stride_tricks.sliding_window_view(z, dim, axis=0)  # (nt, dim, dim)
+    # (nt, dim, dim) strided view; the LAPACK gufuncs copy one matrix at a time
+    windows = np.lib.stride_tricks.sliding_window_view(z, dim, axis=0)
     nt = windows.shape[0]
-    sign = np.empty(nt)
-    logabs = np.empty(nt)
-    min_sv = np.empty(nt) if with_singular_values else None
-    max_sv = np.empty(nt) if with_singular_values else None
-    for lo in range(0, nt, _LIE_CHUNK):
-        hi = min(lo + _LIE_CHUNK, nt)
-        block = np.ascontiguousarray(windows[lo:hi])
-        s, l = np.linalg.slogdet(block)
-        sign[lo:hi], logabs[lo:hi] = s, l
-        if with_singular_values:
-            svals = np.linalg.svd(block, compute_uv=False)
-            min_sv[lo:hi] = svals[:, -1]
-            max_sv[lo:hi] = svals[:, 0]
+    sign, logabs = np.linalg.slogdet(windows)
+    min_sv = max_sv = None
+    if with_singular_values:
+        first = int(burn_frac * nt)
+        min_sv, max_sv = np.full(nt, np.nan), np.full(nt, np.nan)
+        svals = np.linalg.svd(windows[first:], compute_uv=False)
+        min_sv[first:], max_sv[first:] = svals[:, -1], svals[:, 0]
     rolling = np.full(nt, np.nan)
     if nt >= window:
         kernel = np.ones(window) / window
@@ -617,14 +620,15 @@ class LieLogDetReport(_KeyValueReport):
 def lie_logdet_report(traj, patch: int, derivative_order: int = 5, window: int = 50,
                       burn_frac: float = 0.5, rel_tol: float = 1e-10) -> LieLogDetReport:
     """:func:`empirical_lie_logdet` with singular values, summarized over
-    the windows after the first ``burn_frac`` share."""
-    if not 0 <= burn_frac < 1:
-        raise ParameterError(f"burn_frac must be in [0, 1), got {burn_frac}")
+    the windows after the first ``burn_frac`` share.  With no finite
+    log |det| among them the median is NaN."""
     series = empirical_lie_logdet(traj, patch, derivative_order=derivative_order,
-                                  window=window, with_singular_values=True)
+                                  window=window, with_singular_values=True,
+                                  burn_frac=burn_frac)
     post = slice(int(burn_frac * len(series.times)), None)
-    finite = np.isfinite(series.log_abs_det[post])
+    logabs = series.log_abs_det[post]
+    finite = logabs[np.isfinite(logabs)]
     full_rank = series.min_sv[post] > rel_tol * series.max_sv[post]
     return LieLogDetReport(series.dim, series.derivative_order, series.window,
-                           int(finite.size), float(finite.mean()), float(full_rank.mean()),
-                           float(np.median(series.log_abs_det[post][finite])), series)
+                           logabs.size, finite.size / logabs.size, float(full_rank.mean()),
+                           float(np.median(finite)) if finite.size else np.nan, series)

@@ -50,6 +50,8 @@ class GrfParams:
             raise ParameterError(f"m must be > 0, got {self.m}")
         if self.nu <= 0:
             raise ParameterError(f"nu must be > 0, got {self.nu}")
+        if self.seed < 0:
+            raise ParameterError(f"seed must be >= 0, got {self.seed}")
 
 
 def _spectrum(grid_size: int, m: float, nu: float) -> np.ndarray:

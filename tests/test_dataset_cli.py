@@ -1,9 +1,14 @@
 from collections import Counter
+import contextlib
+import io
 import json
 import os
 import subprocess
 import sys
+import warnings
 
+from hypothesis import given, settings
+from hypothesis import strategies as st
 import numpy as np
 import pytest
 
@@ -28,6 +33,12 @@ TINY_WAVE = {
     "init": {"sigma": 5.0, "m": 0.1, "nu": 1.0}, "init_seed": 900,
     "conductivity": {"constant": 0.2},
     "patch": 2,
+}
+
+TINY_KSE = {
+    "equation": "kse1d", "sites": 40, "domain_length": 22.0, "dt": 0.05,
+    "steps": 300, "trajectories": 1, "init": {"kind": "sine", "waves": 2},
+    "init_seed": 0, "patch": 4,
 }
 
 
@@ -274,13 +285,43 @@ def test_cli_error_exit_codes(tmp_path, capsys):
                  # removed: correlation always uses every trajectory
                  ["metrics", "correlation", "--trajectories", "a:b"]):
         assert cli.main([*argv, "--data", str(data), "--out", str(tmp_path / "list.csv")]) == 2
+    # out-of-range values that once fell through to a traceback
+    kse = tmp_path / "kse"
+    (tmp_path / "kse.json").write_text(json.dumps(TINY_KSE))
+    run_cli(["generate", "--config", str(tmp_path / "kse.json"), "--out", str(kse)])
+    fit = ["fit", "--data", str(data), "--role", "g", "--patch", "4", "--k", "2"]
+    for argv in (["export", "--data", str(data), "--traj-index", "3"],
+                 ["sweep", "--data", str(data), "--patch", "4", "--k-list", "1", "--trials", "0"],
+                 [*fit, "--train-frac", "inf"],
+                 [*fit, "--ridge", "inf"],
+                 [*fit, "--ridge", "nan"],
+                 [*fit, "--learner", "sgd", "--sgd-seed", "-1"],
+                 [*fit, "--learner", "sgd", "--lr", "inf"],
+                 ["observability", "--check", "hautus", "--grid", "4", "--constant", "inf"],
+                 ["observability", "--check", "hautus", "--grid", "4", "--grf-seed", "-1"],
+                 ["observability", "--check", "hautus", "--grid", "4", "--tol", "nan"],
+                 ["observability", "--check", "gramian", "--grid", "4", "--horizon", "nan"],
+                 ["observability", "--check", "gramian", "--grid", "4", "--cond-limit", "nan"],
+                 ["observability", "--check", "lie", "--data", str(kse), "--window", "0"]):
+        assert cli.main([*argv, "--out", str(tmp_path / "range.out")]) == 2, argv
+    # a config file that is not JSON text -> data format error
+    for junk in (b"{not json", b"\x83\x00"):
+        (tmp_path / "junk.json").write_bytes(junk)
+        assert cli.main(["generate", "--config", str(tmp_path / "junk.json"),
+                         "--out", str(tmp_path / "g")]) == 3
     capsys.readouterr()
 
 
-def test_module_entry_point_stderr_is_only_the_error_line(tmp_path):
+def run_module(argv, **kwargs):
+    """``python -m latentpde.cli`` in a subprocess that imports this package."""
     env = dict(os.environ)
     src = os.path.dirname(os.path.dirname(latentpde.__file__))
     env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
+    return subprocess.run([sys.executable, "-m", "latentpde.cli", *argv],
+                          capture_output=True, text=True, env=env, **kwargs)
+
+
+def test_module_entry_point_stderr_is_only_the_error_line(tmp_path):
     missing, out = str(tmp_path / "missing"), str(tmp_path / "out")
     cases = [
         (["export", "--data", missing, "--out", out], 3),
@@ -296,8 +337,7 @@ def test_module_entry_point_stderr_is_only_the_error_line(tmp_path):
         (["sweep", "--data", missing, "--patch", "4", "--k-list", "1,x", "--out", out], 2),
     ]
     for argv, code in cases:
-        proc = subprocess.run([sys.executable, "-m", "latentpde.cli", *argv],
-                              capture_output=True, text=True, env=env, cwd=tmp_path)
+        proc = run_module(argv, cwd=tmp_path)
         assert proc.returncode == code, argv
         assert len(proc.stderr.splitlines()) == 1, proc.stderr
         assert proc.stderr.startswith("error: ")
@@ -377,10 +417,7 @@ def test_cli_observability_gramian(tmp_path, capsys):
 
 def test_cli_observability_lie(tmp_path, capsys):
     config_path = tmp_path / "kse.json"
-    config_path.write_text(json.dumps({
-        "equation": "kse1d", "sites": 40, "domain_length": 22.0, "dt": 0.05,
-        "steps": 300, "trajectories": 1, "init": {"kind": "sine", "waves": 2},
-        "init_seed": 0, "patch": 4}))
+    config_path.write_text(json.dumps(TINY_KSE))
     data = tmp_path / "kse"
     run_cli(["generate", "--config", str(config_path), "--out", str(data)])
     out = tmp_path / "lie.txt"
@@ -393,11 +430,37 @@ def test_cli_observability_lie(tmp_path, capsys):
     assert report["finite_fraction"] == "1.000000"
     header, rows = read_csv(str(csv_path))
     assert header == ["t", "sign", "log_abs_det", "rolling", "min_sv", "max_sv"]
-    assert len(rows) - int(0.5 * len(rows)) == int(report["examined"])  # default burn-in
+    first = int(0.5 * len(rows))  # default burn-in
+    assert len(rows) - first == int(report["examined"])
+    sv = np.array([row[4:] for row in rows], dtype=float)
+    assert np.all(np.isnan(sv[:first])) and np.all(np.isfinite(sv[first:]))
+    # with no burn-in every row carries the library's singular values
+    run_cli(["observability", "--check", "lie", "--data", str(data), "--burn-frac", "0",
+             "--out", str(out), "--csv", str(csv_path)])
+    frames, manifest = load_all(str(data))
+    series = latentpde.empirical_lie_logdet(latentpde.Trajectory(frames[0], dt=manifest.dt),
+                                            patch=4, with_singular_values=True)
+    sv = np.array([row[4:] for row in read_csv(str(csv_path))[1]], dtype=float)
+    np.testing.assert_array_equal(sv, np.column_stack([series.min_sv, series.max_sv]))
     # a burn-in that leaves no window to summarize is a parameter error
     assert cli.main(["observability", "--check", "lie", "--data", str(data), "--burn-frac", "1",
                      "--out", str(tmp_path / "none.txt")]) == 2
     capsys.readouterr()
+
+
+def test_cli_observability_lie_on_a_constant_line(tmp_path, capsys):
+    config_path = tmp_path / "kse.json"
+    config_path.write_text(json.dumps(dict(TINY_KSE, init={"kind": "sine", "waves": 0})))
+    data = tmp_path / "kse"
+    run_cli(["generate", "--config", str(config_path), "--out", str(data)])
+    capsys.readouterr()
+    out = tmp_path / "lie.txt"
+    proc = run_module(["observability", "--check", "lie", "--data", str(data), "--patch", "4",
+                       "--out", str(out)])
+    assert proc.returncode == 0 and proc.stderr == "", proc.stderr
+    report = parse_report(out.read_text())
+    assert report["finite_fraction"] == "0.000000"
+    assert report["median_log_abs_det"] == "nan"
 
 
 def test_cli_observability_witness_and_kalman(tmp_path, capsys):
@@ -415,3 +478,122 @@ def test_cli_observability_witness_and_kalman(tmp_path, capsys):
     text2 = open(out2).read()
     assert "rank" in text2 and "observable" in text2
     capsys.readouterr()
+
+
+@pytest.fixture(scope="module")
+def fuzz_files(tmp_path_factory):
+    """Inputs for the CLI fuzz test: tiny heat and kse1d datasets, a
+    forecaster, a super-resolution map, a rollout clip and a file of junk."""
+    root = tmp_path_factory.mktemp("fuzz")
+    paths = {name: str(root / name) for name in
+             ("heat", "kse", "heat_json", "kse_json", "junk", "g_model", "super_model", "clip")}
+    with open(paths["heat_json"], "w") as fh:
+        json.dump(TINY_HEAT, fh)
+    with open(paths["kse_json"], "w") as fh:
+        json.dump(TINY_KSE, fh)
+    with open(paths["junk"], "w") as fh:
+        fh.write("{not json")
+    for argv in (["generate", "--config", paths["heat_json"], "--out", paths["heat"]],
+                 ["generate", "--config", paths["kse_json"], "--out", paths["kse"]],
+                 ["fit", "--data", paths["heat"], "--role", "g", "--patch", "4", "--k", "2",
+                  "--out", paths["g_model"]],
+                 ["fit", "--data", paths["heat"], "--role", "super", "--patch", "4", "--k", "2",
+                  "--out", paths["super_model"]],
+                 ["rollout", "--data", paths["heat"], "--model", paths["g_model"], "--super",
+                  paths["super_model"], "--steps", "3", "--out-prefix", paths["clip"]]):
+        with warnings.catch_warnings():
+            warnings.filterwarnings("ignore", "rank-deficient design", RuntimeWarning)
+            assert cli.main(argv) == 0
+    paths["outputs"] = str(root / "outputs")
+    os.mkdir(paths["outputs"])
+    return paths
+
+
+# every flag of a verb: its value in a cheap valid call (None: left out; a
+# tuple: one of them) and the pool a drawn value comes from
+_INPUTS, _OUTPUTS, _NUMBERS = "inputs", "outputs", "numbers"
+FUZZ_VERBS = {
+    "generate": {"--config": ("{heat_json}", _INPUTS), "--preset": (None, _NUMBERS),
+                 "--from-manifest": (None, _INPUTS), "--out": ("{out}", _OUTPUTS)},
+    "tokenize": {"--data": ("{heat}", _INPUTS), "--patch": ("4", _NUMBERS),
+                 "--out": ("{out}", _OUTPUTS)},
+    "fit": {"--data": ("{heat}", _INPUTS), "--role": (("g", "super"), ("x",)),
+            "--patch": ("4", _NUMBERS), "--k": ("2", _NUMBERS),
+            "--learner": (("lstsq", "sgd"), ("x",)), "--steps": ("3", _NUMBERS),
+            "--batch": (None, _NUMBERS), "--ridge": (None, _NUMBERS),
+            "--train-frac": (None, _NUMBERS), "--lr": (None, _NUMBERS),
+            "--lr-decay": (None, _NUMBERS), "--eval-split": (None, _NUMBERS),
+            "--sgd-seed": (None, _NUMBERS), "--out": ("{out}", _OUTPUTS)},
+    "sweep": {"--data": ("{heat}", _INPUTS), "--patch": ("4", _NUMBERS),
+              "--k-list": ("1,2", _NUMBERS), "--trials": ("1", _NUMBERS),
+              "--ridge": (None, _NUMBERS), "--out": ("{out}", _OUTPUTS)},
+    "rollout": {"--data": ("{heat}", _INPUTS), "--model": ("{g_model}", _INPUTS),
+                "--super": (None, _INPUTS), "--traj-index": (None, _NUMBERS),
+                "--start": (None, _NUMBERS), "--steps": ("3", _NUMBERS),
+                "--out-prefix": ("{out}", _OUTPUTS)},
+    "metrics": {"--data": ("{heat}", _INPUTS), "--pixel": (None, _NUMBERS),
+                "--dt-max": ("4", _NUMBERS), "--clip-prefix": ("{clip}", _INPUTS),
+                "--out": ("{out}", _OUTPUTS)},
+    "observability": {"--check": (("kalman", "hautus", "witness", "gramian", "lie"), ("x",)),
+                      "--equation": (("heat", "wave"), ("kse",)),
+                      "--grid": ("4", _NUMBERS), "--patch": ("2", _NUMBERS),
+                      "--quadrature-steps": ("8", _NUMBERS), "--data": ("{kse}", _INPUTS),
+                      "--constant": (None, _NUMBERS), "--grf-seed": (None, _NUMBERS),
+                      "--rel-tol": (None, _NUMBERS), "--tol": (None, _NUMBERS),
+                      "--horizon": (None, _NUMBERS), "--cond-limit": (None, _NUMBERS),
+                      "--derivative-order": ("2", _NUMBERS), "--window": (None, _NUMBERS),
+                      "--burn-frac": (None, _NUMBERS), "--csv": (None, _OUTPUTS),
+                      "--out": ("{out}", _OUTPUTS)},
+    "export": {"--data": ("{heat}", _INPUTS), "--traj-index": (None, _NUMBERS),
+               "--frame": (None, _NUMBERS), "--colormap": (("gray", "diverging"), ("x",)),
+               "--out": ("{out}", _OUTPUTS)},
+}
+FUZZ_POOLS = {
+    # small magnitudes only: a drawn size must not make a run slow
+    _NUMBERS: ("-1", "0", "1", "2", "3", "4", "0.5", "1e-300", "nan", "inf", "-inf", "x", "",
+               "1,2", "0,0", "9,9", "a:b"),
+    _INPUTS: ("{heat}", "{kse}", "{heat_json}", "{kse_json}", "{junk}", "{g_model}",
+              "{super_model}", "{clip}", "{heat}/manifest.json", "{missing}", ""),
+    _OUTPUTS: ("{out}", "{outputs}", "{missing}/out"),
+}
+
+
+@st.composite
+def fuzz_argv(draw):
+    """A cheap valid call of a random verb with up to three of its flags
+    dropped or set from their pools, and now and then a stray word."""
+    verb = draw(st.sampled_from(sorted(FUZZ_VERBS)))
+    flags = {flag: (draw(st.sampled_from(value)) if isinstance(value, tuple) else value, pool)
+             for flag, (value, pool) in FUZZ_VERBS[verb].items()}
+    for flag in draw(st.lists(st.sampled_from(sorted(flags)), max_size=3, unique=True)):
+        pool = flags[flag][1]
+        choices = FUZZ_POOLS[pool] if isinstance(pool, str) else pool
+        flags[flag] = (draw(st.sampled_from((None, *choices))), pool)
+    argv = [verb]
+    if verb == "metrics":
+        argv.append(draw(st.sampled_from(["correlation", "subvideo", "x"])))
+    for flag, (value, _) in flags.items():
+        if value is not None:
+            argv += [flag, value]
+    if draw(st.integers(0, 9)) == 0:
+        argv.append(draw(st.sampled_from(["--nope", "extra", "--out"])))
+    return argv
+
+
+@given(argv=fuzz_argv())
+@settings(max_examples=300)
+def test_cli_fuzz_exit_codes_and_stderr(fuzz_files, argv):
+    """Random verbs, flags and values: the run succeeds or exits with a
+    documented code, and a failed run writes only its ``error:`` line."""
+    names = dict(fuzz_files, out=os.path.join(fuzz_files["outputs"], "out"),
+                 missing=os.path.join(fuzz_files["outputs"], "missing"))
+    argv = [a.format(**names) if "{" in a else a for a in argv]
+    err = io.StringIO()
+    # a successful run may replay its warnings; record them away from pytest
+    with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()), \
+            warnings.catch_warnings(record=True):
+        code = cli.main(argv)
+    assert code in (0, 2, 3, 4, 5), argv
+    if code:
+        lines = err.getvalue().splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: "), (argv, err.getvalue())

@@ -15,7 +15,7 @@ import pytest
 
 from latentpde import TrainConfig, cli, fit_sgd, generate_dataset, generate_trajectory, write_dataset
 
-from test_dataset_cli import TINY_HEAT, TINY_WAVE
+from test_dataset_cli import TINY_HEAT, TINY_KSE, TINY_WAVE
 
 GRF_COND = {"sigma": 0.4, "m": 0.1, "nu": 1.0, "seed": 7, "scale": 0.2}
 WAVE_SKIP3 = dict(TINY_WAVE, trajectories=3, frames=10, skip=3, conductivity=GRF_COND)
@@ -107,3 +107,24 @@ def test_cli_output_bytes(name, tmp_path, capsys):
     assert cli.main([a.format(data=data) for a in argv] + ["--out", str(out)]) == 0
     capsys.readouterr()
     assert hashlib.sha256(out.read_bytes()).hexdigest() == expected
+
+
+LIE_REPORT_DIGEST = "933700df5a461c2be7f0694c2a2bc4eeb6e2b9e2830d83bd40cfbf9a9523700d"
+LIE_CSV_HEAD_DIGEST = "d54e72f06deade684a7ce76554cdf396007371f156196c9344323560c63cc700"
+
+
+def test_cli_lie_bytes(tmp_path, capsys):
+    """The lie report and the CSV's t, sign, log_abs_det and rolling
+    columns; the singular-value columns are checked in
+    test_cli_observability_lie."""
+    config = tmp_path / "kse.json"
+    config.write_text(json.dumps(TINY_KSE))
+    data, out, csv_path = tmp_path / "kse", tmp_path / "lie.txt", tmp_path / "lie.csv"
+    assert cli.main(["generate", "--config", str(config), "--out", str(data)]) == 0
+    assert cli.main(["observability", "--check", "lie", "--data", str(data), "--out", str(out),
+                     "--csv", str(csv_path)]) == 0
+    capsys.readouterr()
+    head = b"\n".join(b",".join(line.split(b",")[:4])
+                      for line in csv_path.read_bytes().splitlines())
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == LIE_REPORT_DIGEST
+    assert hashlib.sha256(head).hexdigest() == LIE_CSV_HEAD_DIGEST

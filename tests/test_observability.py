@@ -1,3 +1,4 @@
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -6,11 +7,12 @@ from scipy.linalg import expm as real_expm
 
 import latentpde.observability as obs
 from latentpde import (DegenerateStatisticError, GridSpec, GrfParams, NonObservableError,
-                       ParameterError, annihilation_witness, build_conductivity,
+                       ParameterError, Trajectory, annihilation_witness, build_conductivity,
                        build_modified_laplacian, build_tokenizer_matrix, build_wave_generator,
                        empirical_lie_logdet, gramian_reconstruction, hautus_test,
                        kalman_observability_matrix, kalman_rank_test,
-                       linear_reconstruct_initial_state, observability_gramian, rank_test)
+                       linear_reconstruct_initial_state, observability_gramian, rank_test,
+                       simulate_kse1d)
 from latentpde.cli import main as cli_main
 
 
@@ -426,3 +428,68 @@ def test_lie_logdet_rolling_mean():
 def test_lie_logdet_validation():
     with pytest.raises(ParameterError):
         empirical_lie_logdet(np.ones((10, 40)), patch=4, derivative_order=2, window=10)
+
+
+def test_lie_singular_values_skip_the_burn_in():
+    u = make_generic_trajectory()
+    full = empirical_lie_logdet(u, patch=4, derivative_order=2, window=10,
+                                with_singular_values=True)
+    burnt = empirical_lie_logdet(u, patch=4, derivative_order=2, window=10,
+                                 with_singular_values=True, burn_frac=0.3)
+    first = int(0.3 * len(full.times))
+    assert first > 0
+    for name in ("sign", "log_abs_det", "rolling"):
+        np.testing.assert_array_equal(getattr(burnt, name), getattr(full, name))
+    for name in ("min_sv", "max_sv"):
+        got, want = getattr(burnt, name), getattr(full, name)
+        assert np.all(np.isnan(got[:first]))
+        np.testing.assert_array_equal(got[first:], want[first:])
+    for bad in (-0.1, 1.0, float("nan")):
+        with pytest.raises(ParameterError):
+            empirical_lie_logdet(u, patch=4, derivative_order=2, window=10, burn_frac=bad)
+
+
+@pytest.mark.filterwarnings("error")
+def test_lie_report_on_a_constant_line_is_nan_without_warnings():
+    report = obs.lie_logdet_report(np.zeros((100, 40)), patch=4, derivative_order=2,
+                                   window=10)
+    assert report.examined > 0
+    assert report.finite_fraction == 0.0 and report.full_rank_fraction == 0.0
+    assert np.isnan(report.median_log_abs_det)
+
+
+def _window_matrix(frames, dt, patch, order, t):
+    """M(t) built from its definition: row block k holds the k-th forward
+    difference of the tokens over dt**k, at dim consecutive samples."""
+    tokens = frames.reshape(frames.shape[0], -1, patch).mean(axis=2)
+    dim = tokens.shape[1] * order
+    blocks = [np.diff(tokens, n=k, axis=0)[t:t + dim] / dt**k for k in range(order)]
+    return np.concatenate(blocks, axis=1).T
+
+
+def test_lie_singular_values_against_an_mpmath_oracle():
+    """50-digit singular values of small windows.  float64 gets sigma_max
+    to rounding and every sigma_i to within dim*eps*sigma_max (Weyl: a
+    backward-stable SVD is exact for a matrix that close).  On the kse
+    line the true sigma_min sits below that floor, so the float64
+    sigma_min there is rounding noise; log |det| is not checked."""
+    x = np.arange(40) * 22.0 / 40
+    kse = simulate_kse1d(np.sin(4 * np.pi * x / 22.0), 22.0, 0.05, 300)
+    cases = [(kse.frames, kse.dt, 4, 4, t, True) for t in (0, 250)]
+    cases.append((make_generic_trajectory(), 1.0, 4, 2, 100, False))
+    eps = np.finfo(float).eps
+    for frames, dt, patch, order, t, below_floor in cases:
+        series = empirical_lie_logdet(Trajectory(frames, dt=dt), patch=patch,
+                                      derivative_order=order, window=10,
+                                      with_singular_values=True)
+        M = _window_matrix(frames, dt, patch, order, t)
+        dim = M.shape[0]
+        assert dim <= 40
+        with mpmath.workdps(50):
+            oracle = mpmath.svd_r(mpmath.matrix(M.tolist()), compute_uv=False)
+            oracle = np.sort([float(v) for v in oracle])[::-1]
+        floor = dim * eps * oracle[0]
+        assert abs(series.max_sv[t] - oracle[0]) <= 1e-12 * oracle[0]
+        assert abs(series.min_sv[t] - oracle[-1]) <= 2 * floor
+        assert np.all(np.abs(np.linalg.svd(M, compute_uv=False) - oracle) <= 2 * floor)
+        assert (oracle[-1] < floor) == below_floor
