@@ -6,15 +6,14 @@ from .errors import (DataFormatError, DegenerateStatisticError, DivergenceError,
 from .random_fields import (GrfParams, build_conductivity, periodic_matern_covariance,
                             sample_matern_field)
 from .lattice_ops import (GridSpec, build_difference, build_modified_laplacian,
-                          build_tokenizer_matrix, build_wave_generator, load_operator,
-                          save_operator)
+                          build_tokenizer_matrix, build_wave_generator)
 from .solvers import (EtdrkCoefficients, Trajectory, etdrk_coefficients, simulate_kse1d,
                       simulate_kse2d, simulate_linear, simulate_linear_batch,
                       step_forward_euler)
 from .tokenizer import (amplitude, build_histories, build_reconstruction_pairs,
                         forecast_pairs, sliding_histories, tokenize, tokenize_trajectory)
-from .observability import (GramianReport, LieLogDetReport, LieLogDetSeries,
-                            ObservabilityReport, WitnessReport, annihilation_witness,
+from .observability import (GramianReport, HautusReport, KalmanReport, LieLogDetReport,
+                            LieLogDetSeries, RankReport, WitnessReport, annihilation_witness,
                             empirical_lie_logdet, gramian_reconstruction, hautus_test,
                             kalman_observability_matrix, kalman_rank_test,
                             lie_logdet_report, linear_reconstruct_initial_state,

@@ -28,11 +28,11 @@ import numpy as np
 
 from . import dataset as ds
 from . import observability as obs
-from .errors import DataFormatError, LatentPdeError, ParameterError
+from .errors import SHAPE, DataFormatError, LatentPdeError, ParameterError, check_json
 from .lattice_ops import (GridSpec, build_modified_laplacian, build_tokenizer_matrix,
                           build_wave_generator)
 from .learners import LinearMap, TrainConfig, fit_least_squares, fit_sgd, fit_superres, history_sweep
-from .random_fields import GrfParams, build_conductivity
+from .random_fields import GrfParams
 from .rollout_metrics import (autoregressive_rollout, correlation_ensemble_stats,
                               full_pipeline_rollout, nearest_subvideo_distance, residue_norms)
 from .solvers import Trajectory
@@ -95,12 +95,11 @@ def cmd_fit(args) -> int:
     target = np.concatenate(targets)
     if args.learner == "lstsq":
         fit = fit_least_squares if args.role == "g" else fit_superres
-        fitted = fit(histories, target, ridge=args.ridge, bias=not args.no_bias)
+        fitted = fit(histories, target, ridge=args.ridge)
     else:
         config = TrainConfig(learning_rate=args.lr, steps=args.steps, batch_size=args.batch,
                              ridge=args.ridge, seed=args.sgd_seed, lr_decay=args.lr_decay)
-        fitted, curves = fit_sgd(histories, target, config, eval_split=args.eval_split,
-                                 bias=not args.no_bias)
+        fitted, curves = fit_sgd(histories, target, config, eval_split=args.eval_split)
         ds.write_csv(args.out + ".curve.csv", ["epoch", "train_mse", "eval_mse"],
                      [[i, tr, ev] for i, (tr, ev) in enumerate(
                          zip(curves["train"],
@@ -143,7 +142,8 @@ def _load_model(path: str):
     if not os.path.exists(sidecar_path):
         raise DataFormatError(f"missing normalization sidecar {sidecar_path}")
     with open(sidecar_path) as fh:
-        sidecar = json.load(fh)
+        sidecar = check_json(json.load(fh), sidecar_path, normalization=dict, patch=int)
+    check_json(sidecar["normalization"], sidecar_path, **ds.NORMALIZATION)
     return fitted, sidecar
 
 
@@ -204,14 +204,20 @@ def cmd_metrics(args) -> int:
     if args.kind == "subvideo":
         if args.clip_prefix is None:
             raise ParameterError("metrics subvideo needs --clip-prefix")
-        with open(args.clip_prefix + "_meta.json") as fh:
-            meta = json.load(fh)
+        meta_path = args.clip_prefix + "_meta.json"
+        with open(meta_path) as fh:
+            meta = check_json(json.load(fh), meta_path)
         if not meta.get("fields_shape"):
             raise DataFormatError("clip has no reconstructed fields; rerun rollout with --super")
-        clip = np.fromfile(args.clip_prefix + "_fields.bin", dtype="<f8").reshape(
-            meta["fields_shape"])
-        frames, manifest = ds.load_all(args.data)
+        shape = check_json(meta, meta_path, fields_shape=SHAPE)["fields_shape"]
         stats = meta.get("normalization")
+        if stats is not None:
+            check_json(stats, meta_path, **ds.NORMALIZATION)
+        clip = np.fromfile(args.clip_prefix + "_fields.bin", dtype="<f8")
+        if clip.size != np.prod(shape):
+            raise DataFormatError(f"clip fields hold {clip.size} values, not shape {shape}")
+        clip = clip.reshape(shape)
+        frames, manifest = ds.load_all(args.data)
         rows = []
         best = np.inf
         for idx, fr in enumerate(frames):
@@ -255,8 +261,8 @@ def cmd_observability(args) -> int:
             a = np.full((args.grid, args.grid), args.constant)
         else:
             # the preset conductivity (heat32, wave32) with its seed replaced
-            a = 0.2 * build_conductivity(GrfParams(grid_size=args.grid, sigma=0.5, m=0.1,
-                                                   nu=1.0, seed=args.grf_seed))
+            a = ds._conductivity_field({"grid_size": args.grid, "conductivity": dict(
+                ds.PRESETS["heat32"]["conductivity"], seed=args.grf_seed)})
         op = build_wave_generator(a, grid) if wave else build_modified_laplacian(a, grid)
         if args.check == "gramian":
             x0 = ds.sample_matern_field(GrfParams(grid_size=args.grid, sigma=1.0, m=0.5,
@@ -336,7 +342,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--learner", choices=("lstsq", "sgd"), default="lstsq")
     p.add_argument("--ridge", type=float, default=0.0)
     p.add_argument("--train-frac", type=float, default=0.9)
-    p.add_argument("--no-bias", action="store_true")
     p.add_argument("--lr", type=float, default=1e-5)
     p.add_argument("--steps", type=int, default=10000)
     p.add_argument("--batch", type=int, default=32)

@@ -16,13 +16,14 @@ import os
 
 import numpy as np
 
-from .errors import DataFormatError, ParameterError
+from .errors import SHAPE, DataFormatError, ParameterError, check_json
 from .lattice_ops import GridSpec, build_modified_laplacian, build_wave_generator
 from .random_fields import GrfParams, build_conductivity, sample_matern_field
 from .solvers import Trajectory, simulate_kse1d, simulate_kse2d, simulate_linear_batch
 from .tokenizer import tokenize_trajectory
 
 FORMAT_VERSION = 1
+_REAL = (int, float)
 
 
 @dataclass
@@ -52,13 +53,15 @@ class DatasetManifest:
     @classmethod
     def from_json(cls, text: str) -> "DatasetManifest":
         try:
-            raw = json.loads(text)
+            raw = check_json(json.loads(text), "manifest")
         except json.JSONDecodeError as exc:
             raise DataFormatError(f"manifest is not valid JSON: {exc}") from exc
+        if raw.get("format_version") != FORMAT_VERSION:
+            raise DataFormatError(f"unsupported manifest version {raw.get('format_version')}")
+        # the entries a reader uses
+        check_json(raw, "manifest", trajectories=int, frames=int, dt=_REAL, frame_shape=SHAPE,
+                   config=dict, patch=(int, type(None)))
         try:
-            if raw.get("format_version") != FORMAT_VERSION:
-                raise DataFormatError(
-                    f"unsupported manifest version {raw.get('format_version')}")
             return cls(**raw)
         except TypeError as exc:
             raise DataFormatError(f"manifest fields do not match schema: {exc}") from exc
@@ -135,6 +138,10 @@ def compute_normalization(frame_arrays) -> dict:
     return {"lo": lo, "hi": hi, "constant": lo == hi}
 
 
+# the entries of compute_normalization, for check_json on a file that holds them
+NORMALIZATION = {"lo": _REAL, "hi": _REAL, "constant": bool}
+
+
 def apply_normalization(x: np.ndarray, stats: dict) -> np.ndarray:
     """Affine map of [lo, hi] onto [-1, 1]; constant data goes to 0."""
     x = np.asarray(x, dtype=float)
@@ -153,20 +160,17 @@ def invert_normalization(y: np.ndarray, stats: dict) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # image export
 
-def export_frame_image(frame: np.ndarray, path: str, vmin: float = -1.0,
-                       vmax: float = 1.0, colormap: str = "gray") -> None:
+def export_frame_image(frame: np.ndarray, path: str, colormap: str = "gray") -> None:
     """Write one field as a binary PGM (gray) or PPM (diverging colormap).
 
-    Values map linearly from [vmin, vmax] to 0..255 (clipped, rounded
-    half to even), so a zero field on the normalized [-1, 1] range lands
-    on mid-gray 128.  The diverging map runs blue -> white -> red.
+    Values map linearly from the normalized range [-1, 1] to 0..255
+    (clipped, rounded half to even), so a zero field lands on mid-gray
+    128.  The diverging map runs blue -> white -> red.
     """
     frame = np.asarray(frame, dtype=float)
     if frame.ndim != 2:
         raise ParameterError(f"image export needs a 2-d field, got shape {frame.shape}")
-    if vmax <= vmin:
-        raise ParameterError(f"vmax {vmax} must exceed vmin {vmin}")
-    t = np.clip((frame - vmin) / (vmax - vmin), 0.0, 1.0)
+    t = np.clip((frame + 1.0) / 2.0, 0.0, 1.0)
     h, w = frame.shape
     if colormap == "gray":
         payload = np.rint(t * 255).astype(np.uint8)

@@ -14,12 +14,11 @@ reduces to the five-point Laplacian stencil.
 """
 
 from dataclasses import dataclass
-import struct
 
 import numpy as np
 import scipy.sparse as sp
 
-from .errors import DataFormatError, ParameterError
+from .errors import ParameterError
 
 
 @dataclass(frozen=True)
@@ -114,52 +113,6 @@ def build_tokenizer_matrix(grid: GridSpec, patch: int, wave: bool = False) -> sp
     vals = np.full(cols.size, 1.0 / (patch * patch))
     ncols = 2 * n * n if wave else n * n
     op = sp.csr_array(sp.coo_array((vals, (rows, cols)), shape=(blocks * blocks, ncols)))
-    op.sum_duplicates()
-    op.sort_indices()
-    return op
-
-
-_MAGIC = b"LPSP"
-_VERSION = 1
-
-
-def save_operator(op, path) -> None:
-    """Write a sparse operator as sorted COO triplets.
-
-    Layout (all little-endian): 4-byte magic ``LPSP``, uint32 version,
-    int64 rows/cols/nnz, then nnz int64 row indices, nnz int64 column
-    indices, nnz float64 values.
-    """
-    coo = sp.coo_array(op)
-    order = np.lexsort((coo.col, coo.row))
-    with open(path, "wb") as fh:
-        fh.write(_MAGIC)
-        fh.write(struct.pack("<I", _VERSION))
-        fh.write(struct.pack("<qqq", coo.shape[0], coo.shape[1], coo.nnz))
-        fh.write(coo.row[order].astype("<i8").tobytes())
-        fh.write(coo.col[order].astype("<i8").tobytes())
-        fh.write(coo.data[order].astype("<f8").tobytes())
-
-
-def load_operator(path) -> sp.csr_array:
-    """Inverse of :func:`save_operator`; validates header and sizes."""
-    with open(path, "rb") as fh:
-        blob = fh.read()
-    if blob[:4] != _MAGIC:
-        raise DataFormatError(f"{path}: not a sparse-operator file")
-    (version,) = struct.unpack("<I", blob[4:8])
-    if version != _VERSION:
-        raise DataFormatError(f"{path}: unsupported version {version}")
-    nrows, ncols, nnz = struct.unpack("<qqq", blob[8:32])
-    need = 32 + nnz * (8 + 8 + 8)
-    if len(blob) != need:
-        raise DataFormatError(f"{path}: expected {need} bytes, found {len(blob)}")
-    rows = np.frombuffer(blob, dtype="<i8", count=nnz, offset=32)
-    cols = np.frombuffer(blob, dtype="<i8", count=nnz, offset=32 + 8 * nnz)
-    vals = np.frombuffer(blob, dtype="<f8", count=nnz, offset=32 + 16 * nnz)
-    if nnz and (rows.min() < 0 or rows.max() >= nrows or cols.min() < 0 or cols.max() >= ncols):
-        raise DataFormatError(f"{path}: triplet indices out of range")
-    op = sp.csr_array(sp.coo_array((vals, (rows, cols)), shape=(nrows, ncols)))
     op.sum_duplicates()
     op.sort_indices()
     return op

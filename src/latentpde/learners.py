@@ -10,13 +10,12 @@ the same mean-squared objective.
 
 from dataclasses import dataclass
 import json
-import struct
 import warnings
 
 import numpy as np
 import scipy.linalg
 
-from .errors import DataFormatError, DivergenceError, ParameterError
+from .errors import SHAPE, DataFormatError, DivergenceError, ParameterError, check_json
 
 
 @dataclass
@@ -89,9 +88,13 @@ class LinearMap:
             header = json.loads(blob[:cut].decode())
         except (UnicodeDecodeError, json.JSONDecodeError) as exc:
             raise DataFormatError(f"{path}: bad linear-map header: {exc}") from exc
-        if header.get("format") != "linear-map" or header.get("version") != 1:
+        if check_json(header, path).get("format") != "linear-map" or header.get("version") != 1:
             raise DataFormatError(f"{path}: not a version-1 linear-map file")
+        check_json(header, path, history_len=int, token_dim=int, out_dim=int, has_bias=bool,
+                   output_shape=SHAPE, design_rank=(int, type(None)))
         out_dim = header["out_dim"]
+        if out_dim != np.prod(header["output_shape"]):
+            raise DataFormatError(f"{path}: out_dim {out_dim} != the size of output_shape")
         in_dim = header["history_len"] * header["token_dim"]
         body = blob[cut + 2:]
         need = out_dim * in_dim + (out_dim if header["has_bias"] else 0)
@@ -123,9 +126,6 @@ class TrainConfig:
     learning_rate: float = 1e-5
     steps: int = 1000
     batch_size: int = 32
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
     ridge: float = 0.0
     seed: int = 0
     lr_decay: float = 1.0
@@ -142,12 +142,6 @@ class TrainConfig:
             raise ParameterError(f"lr_decay must be in (0, 1], got {self.lr_decay}")
         if not 0 <= self.ridge < np.inf:
             raise ParameterError(f"ridge must be finite and >= 0, got {self.ridge}")
-        for name in ("beta1", "beta2"):
-            value = getattr(self, name)
-            if not 0 <= value < 1:
-                raise ParameterError(f"{name} must be in [0, 1), got {value}")
-        if self.eps <= 0:
-            raise ParameterError(f"eps must be > 0, got {self.eps}")
         if self.seed < 0:
             raise ParameterError(f"seed must be >= 0, got {self.seed}")
 
@@ -226,21 +220,25 @@ def mse_loss_and_grad(weights, bias, x, y, ridge: float = 0.0):
     return loss, gw, gb
 
 
-def _adam_update(param, grad, m, v, s1, s2, step_size, config: TrainConfig, step: int):
+# Adam's moment decay rates and denominator guard
+_BETA1, _BETA2, _EPS = 0.9, 0.999, 1e-8
+
+
+def _adam_update(param, grad, m, v, s1, s2, step_size, step: int):
     """One in-place Adam update of ``param`` and its moments ``m``, ``v``.
 
     ``s1`` and ``s2`` are scratch arrays shaped like ``param``.  The
     operations and their order are those of the out-of-place form
     ``param - step_size * mhat / (sqrt(vhat) + eps)``, so the bits agree.
     """
-    m *= config.beta1
-    m += np.multiply(1 - config.beta1, grad, out=s1)
-    v *= config.beta2
-    v += np.multiply(1 - config.beta2, np.square(grad, out=s1), out=s1)
-    np.divide(m, 1 - config.beta1**step, out=s1)
-    np.divide(v, 1 - config.beta2**step, out=s2)
+    m *= _BETA1
+    m += np.multiply(1 - _BETA1, grad, out=s1)
+    v *= _BETA2
+    v += np.multiply(1 - _BETA2, np.square(grad, out=s1), out=s1)
+    np.divide(m, 1 - _BETA1**step, out=s1)
+    np.divide(v, 1 - _BETA2**step, out=s2)
     np.sqrt(s2, out=s2)
-    s2 += config.eps
+    s2 += _EPS
     s1 *= step_size
     s1 /= s2
     param -= s1
@@ -296,7 +294,7 @@ def fit_sgd(histories: np.ndarray, targets: np.ndarray, config: TrainConfig,
         if not np.isfinite(loss):
             raise DivergenceError(f"training loss diverged at step {step}", step=step)
         for param, grad, buf in zip(params, (gw, gb), buffers):
-            _adam_update(param, grad, *buf, lr, config, step)
+            _adam_update(param, grad, *buf, lr, step)
         lr *= config.lr_decay
         if step % steps_per_epoch == 0 or step == config.steps:
             record()

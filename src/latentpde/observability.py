@@ -31,84 +31,76 @@ from .lattice_ops import (GridSpec, build_modified_laplacian, build_tokenizer_ma
 from .solvers import _gershgorin_radius
 
 
-@dataclass
-class ObservabilityReport:
-    """Outcome of one certificate run.
-
-    ``rank``/``singular_values`` are filled by the rank tests, the eigen
-    fields by the Hautus test.  :func:`rank_test` stores every singular
-    value; :func:`kalman_rank_test` stores the rank gap (smallest kept,
-    largest rejected), ``block_ranks``, the directions each staircase
-    block added, and ``hidden_in_span``, the directions of that basis an
-    eigenvector check finds hidden.  ``eigen_tests`` rows are tuples (eigenvalue,
-    multiplicity, min |h v| over unit eigenvectors v) and ``failing`` is
-    the subset below tolerance.  When ``rank`` is set, ``observable``
-    equals ``rank == state_dim``.  ``generator_rescaled_by`` is the factor
-    the Kalman test scaled the generator by, when it did.
-    """
-
-    method: str
-    state_dim: int
-    observable: bool
-    tolerance: float
-    rank: int | None = None
-    singular_values: np.ndarray | None = None
-    eigen_tests: list = field(default_factory=list)
-    failing: list = field(default_factory=list)
-    tested_eigenvalues: int | None = None
-    generator_rescaled_by: float | None = None
-    block_ranks: list | None = None
-    hidden_in_span: int | None = None
-
-    @property
-    def observability_index(self) -> int | None:
-        """Number of staircase blocks that added a direction."""
-        return None if self.block_ranks is None else len(self.block_ranks)
-
-    def to_text(self) -> str:
-        lines = [] if self.generator_rescaled_by is None else [
-            f"generator_rescaled_by = {self.generator_rescaled_by:.6e}"]
-        lines += [
-            f"method = {self.method}",
-            f"state_dim = {self.state_dim}",
-            f"observable = {self.observable}",
-            f"tolerance = {self.tolerance:.3e}",
-        ]
-        if self.rank is not None:
-            lines.append(f"rank = {self.rank}")
-        if self.block_ranks is not None:
-            lines.append(f"observability_index = {self.observability_index}")
-            lines.append(f"block_ranks = {','.join(map(str, self.block_ranks))}")
-            lines.append(f"hidden_in_span = {self.hidden_in_span}")
-        if self.singular_values is not None:
-            sv = self.singular_values
-            lines.append(f"singular_value_max = {sv[0]:.6e}")
-            lines.append(f"singular_value_min = {sv[-1]:.6e}")
-        if self.tested_eigenvalues is not None:
-            lines.append(f"tested_eigenvalues = {self.tested_eigenvalues}")
-        for lam, mult, norm in self.failing:
-            lines.append(f"failing_eigenvalue = {lam.real:+.6e}{lam.imag:+.6e}j "
-                         f"multiplicity={mult} min_output_norm={norm:.3e}")
-        return "\n".join(lines) + "\n"
-
-
 class _KeyValueReport:
     """``to_text`` for report dataclasses: ``method = METHOD``, then one
     ``name = value`` line per field, formatted by the field's ``fmt``
-    metadata.  Fields set to None or declared ``repr=False`` are left out.
+    metadata; a list prints comma-joined.  Fields set to None or declared
+    ``repr=False`` are left out.
     """
 
     def to_text(self) -> str:
         lines = [f"method = {self.METHOD}"]
         for f in fields(self):
             value = getattr(self, f.name)
-            if f.repr and value is not None:
-                lines.append(f"{f.name} = {value:{f.metadata.get('fmt', '')}}")
+            if not f.repr or value is None:
+                continue
+            if isinstance(value, list):
+                value = ",".join(map(str, value))
+            lines.append(f"{f.name} = {value:{f.metadata.get('fmt', '')}}")
         return "\n".join(lines) + "\n"
 
 
 def _fmt(spec: str):
     return field(metadata={"fmt": spec})
+
+
+@dataclass
+class RankReport(_KeyValueReport):
+    """Numerical column rank of a matrix and all its singular values."""
+
+    METHOD = "kalman-rank"
+    state_dim: int
+    observable: bool
+    tolerance: float = _fmt(".3e")
+    rank: int
+    singular_values: np.ndarray = field(repr=False)
+
+
+@dataclass
+class KalmanReport(_KeyValueReport):
+    """Outcome of :func:`kalman_rank_test`, whose docstring defines the
+    fields; the generator was scaled by ``generator_rescaled_by``."""
+
+    METHOD = "kalman-rank"
+    state_dim: int
+    observable: bool
+    tolerance: float = _fmt(".3e")
+    rank: int
+    observability_index: int
+    block_ranks: list
+    hidden_in_span: int
+    smallest_kept: float = _fmt(".6e")
+    largest_rejected: float = _fmt(".6e")
+    generator_rescaled_by: float = _fmt(".6e")
+
+
+@dataclass
+class HautusReport(_KeyValueReport):
+    """Eigenvector test; ``failing`` rows (eigenvalue, cluster size, min |h v|)
+    are the clusters below ``tolerance``, one ``failing_eigenvalue`` line each."""
+
+    METHOD = "hautus"
+    state_dim: int
+    observable: bool
+    tolerance: float = _fmt(".3e")
+    tested_eigenvalues: int
+    failing: list = field(repr=False)
+
+    def to_text(self) -> str:
+        return super().to_text() + "".join(
+            f"failing_eigenvalue = {lam.real:+.6e}{lam.imag:+.6e}j "
+            f"multiplicity={mult} min_output_norm={norm:.3e}\n"
+            for lam, mult, norm in self.failing)
 
 
 def _as_dense(mat) -> np.ndarray:
@@ -128,24 +120,20 @@ def _output_map(A, h) -> np.ndarray:
     return hd
 
 
-def kalman_observability_matrix(A, h, max_powers: int | None = None) -> np.ndarray:
-    """Stack (h; hA; ...; hA^{p-1}); p defaults to the state dimension."""
+def kalman_observability_matrix(A, h) -> np.ndarray:
+    """Stack (h; hA; ...; hA^{n-1}) for the n-dim generator A."""
     n = A.shape[0]
     hd = _output_map(A, h)
-    p = n if max_powers is None else max_powers
-    if p < 1:
-        raise ParameterError(f"max_powers must be >= 1, got {p}")
     at = A.T if sp.issparse(A) else np.asarray(A, dtype=float).T
-    blocks = np.empty((p, hd.shape[0], n))
     block_t = hd.T.copy()  # (n, m); iterate on the transpose so sparse @ dense works
-    for i in range(p):
-        blocks[i] = block_t.T
-        if i + 1 < p:
-            block_t = at @ block_t
-    return blocks.reshape(p * hd.shape[0], n)
+    blocks = [block_t.T]
+    for _ in range(n - 1):
+        block_t = at @ block_t
+        blocks.append(block_t.T)
+    return np.vstack(blocks)
 
 
-def rank_test(matrix: np.ndarray, rel_tol: float = 1e-10) -> ObservabilityReport:
+def rank_test(matrix: np.ndarray, rel_tol: float = 1e-10) -> RankReport:
     """Numerical column rank via singular values > rel_tol * largest."""
     matrix = np.asarray(matrix, dtype=float)
     if matrix.ndim != 2 or matrix.size == 0:
@@ -154,17 +142,10 @@ def rank_test(matrix: np.ndarray, rel_tol: float = 1e-10) -> ObservabilityReport
         raise ParameterError(f"rel_tol must be in (0, 1), got {rel_tol}")
     svals = np.linalg.svd(matrix, compute_uv=False)
     rank = int((svals > rel_tol * svals[0]).sum()) if svals[0] > 0 else 0
-    return ObservabilityReport(
-        method="kalman-rank",
-        state_dim=matrix.shape[1],
-        observable=rank == matrix.shape[1],
-        tolerance=rel_tol,
-        rank=rank,
-        singular_values=svals,
-    )
+    return RankReport(matrix.shape[1], rank == matrix.shape[1], rel_tol, rank, svals)
 
 
-def kalman_rank_test(A, h, rel_tol: float = 1e-10) -> ObservabilityReport:
+def kalman_rank_test(A, h, rel_tol: float = 1e-10) -> KalmanReport:
     """Kalman rank by an orthogonal staircase (block Arnoldi on A'),
     checked against the eigenvectors of the span it finds.
 
@@ -193,9 +174,9 @@ def kalman_rank_test(A, h, rel_tol: float = 1e-10) -> ObservabilityReport:
     ``rank`` is the basis size minus ``hidden_in_span``, ``block_ranks``
     the directions each block kept and ``observability_index`` the number
     of nonempty blocks: the shortest output history whose Kalman matrix
-    spans the basis.  ``singular_values`` holds the rank gap as two
-    relative values: the smallest kept and the largest rejected (0 if none
-    was rejected).
+    spans the basis.  The rank gap is two relative singular values,
+    ``smallest_kept`` (NaN when nothing was kept) and ``largest_rejected``
+    (0 if none was rejected).
     """
     if not 0 < rel_tol < 1:
         raise ParameterError(f"rel_tol must be in (0, 1), got {rel_tol}")
@@ -234,17 +215,9 @@ def kalman_rank_test(A, h, rel_tol: float = 1e-10) -> ObservabilityReport:
         compressed = (q.T @ (at @ q)).T
         hidden = sum(int((norms <= rel_tol * h_norm).sum())
                      for _, _, norms in _eigenspace_outputs(compressed, hd @ q))
-    return ObservabilityReport(
-        method="kalman-rank",
-        state_dim=n,
-        observable=rank - hidden == n,
-        tolerance=rel_tol,
-        rank=rank - hidden,
-        singular_values=np.array([kept_min if rank else np.nan, rejected_max]),
-        generator_rescaled_by=1.0 / radius,
-        block_ranks=block_ranks,
-        hidden_in_span=hidden,
-    )
+    return KalmanReport(n, rank - hidden == n, rel_tol, rank - hidden, len(block_ranks),
+                        block_ranks, hidden, kept_min if rank else np.nan, rejected_max,
+                        1.0 / radius)
 
 
 def _eigenspace_outputs(A, hd: np.ndarray) -> list:
@@ -290,7 +263,7 @@ def _eigenspace_outputs(A, hd: np.ndarray) -> list:
     return rows
 
 
-def hautus_test(A, h, tol: float = 1e-8) -> ObservabilityReport:
+def hautus_test(A, h, tol: float = 1e-8) -> HautusReport:
     """Check min |h v| over unit eigenvectors v for every eigenvalue of A.
 
     The whole spectrum is computed densely.  Eigenvalues within
@@ -303,18 +276,10 @@ def hautus_test(A, h, tol: float = 1e-8) -> ObservabilityReport:
         raise ParameterError(f"tol must be > 0, got {tol}")
     n = A.shape[0]
     hd = _output_map(A, h)
-    eigen_tests = [(lam, mult, float(norms.min()))
-                   for lam, mult, norms in _eigenspace_outputs(_as_dense(A), hd)]
-    failing = [row for row in eigen_tests if row[2] < tol]
-    return ObservabilityReport(
-        method="hautus",
-        state_dim=n,
-        observable=not failing,
-        tolerance=tol,
-        eigen_tests=eigen_tests,
-        failing=failing,
-        tested_eigenvalues=n,
-    )
+    failing = [(lam, mult, float(norms.min()))
+               for lam, mult, norms in _eigenspace_outputs(_as_dense(A), hd)
+               if norms.min() < tol]
+    return HautusReport(n, not failing, tol, n, failing)
 
 
 def annihilation_witness(grid: GridSpec, patch: int, wave: bool = False):

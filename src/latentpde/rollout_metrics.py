@@ -20,17 +20,11 @@ from .learners import LinearMap
 class RolloutResult:
     """tokens: (seed_len + steps, m); the first seed_len rows are the seed
     verbatim.  fields: reconstructed frames for the generated steps only,
-    (steps, ...) or None.  generated: boolean mask over token rows."""
+    (steps, ...) or None."""
 
     tokens: np.ndarray
     fields: np.ndarray | None
     seed_len: int
-
-    @property
-    def generated(self) -> np.ndarray:
-        mask = np.zeros(self.tokens.shape[0], dtype=bool)
-        mask[self.seed_len:] = True
-        return mask
 
 
 def _check_seed(g_map: LinearMap, seed_history: np.ndarray) -> np.ndarray:

@@ -137,7 +137,6 @@ class EtdrkCoefficients:
     """
 
     dt: float
-    contour_points: int
     exp_full: np.ndarray
     exp_half: np.ndarray
     phi1: np.ndarray
@@ -166,7 +165,6 @@ def etdrk_coefficients(linear_symbol: np.ndarray, dt: float,
     mean = lambda w: w.mean(axis=-1).real
     return EtdrkCoefficients(
         dt=dt,
-        contour_points=contour_points,
         exp_full=np.exp(dt * lam),
         exp_half=np.exp(dt * lam / 2.0),
         phi1=mean((np.exp(z) - 1.0) / z),
@@ -187,8 +185,7 @@ def _dealias_mask(n: int, ndim: int) -> np.ndarray:
 
 
 def simulate_kse2d(u0: np.ndarray, domain_length: float, dt: float, steps: int,
-                   skip: int = 1, burn_in: int = 0, contour_points: int = 32,
-                   seed=None) -> Trajectory:
+                   skip: int = 1, burn_in: int = 0, seed=None) -> Trajectory:
     """ETDRK4 integration of the 2D Kuramoto-Sivashinsky equation.
 
         u_t = -lap(u) - lap^2(u) - |grad u|^2 / 2
@@ -212,7 +209,7 @@ def simulate_kse2d(u0: np.ndarray, domain_length: float, dt: float, steps: int,
     k1d = 2.0 * np.pi * np.fft.fftfreq(n, d=domain_length / n)
     kx, ky = np.meshgrid(k1d, k1d, indexing="ij")
     symbol = (kx**2 + ky**2) - (kx**2 + ky**2) ** 2
-    coef = etdrk_coefficients(symbol, dt, contour_points)
+    coef = etdrk_coefficients(symbol, dt)
     mask = _dealias_mask(n, 2)
 
     def nonlinear(v_hat):
@@ -249,7 +246,7 @@ def simulate_kse2d(u0: np.ndarray, domain_length: float, dt: float, steps: int,
 
 
 def simulate_kse1d(u0: np.ndarray, domain_length: float, dt: float, steps: int,
-                   contour_points: int = 32, seed=None) -> Trajectory:
+                   seed=None) -> Trajectory:
     """ETDRK2 integration of the 1D Kuramoto-Sivashinsky equation.
 
         u_t = -u_xx - u_xxxx - u u_x
@@ -266,7 +263,7 @@ def simulate_kse1d(u0: np.ndarray, domain_length: float, dt: float, steps: int,
     n = u0.shape[0]
     k = 2.0 * np.pi * np.fft.fftfreq(n, d=domain_length / n)
     symbol = k**2 - k**4
-    coef = etdrk_coefficients(symbol, dt, contour_points)
+    coef = etdrk_coefficients(symbol, dt)
     mask = _dealias_mask(n, 1)
 
     def nonlinear(v_hat):

@@ -1,5 +1,6 @@
 from collections import Counter
 import contextlib
+import dataclasses
 import io
 import json
 import os
@@ -13,10 +14,10 @@ import numpy as np
 import pytest
 
 import latentpde
-from latentpde import (DataFormatError, DatasetManifest, DivergenceError, apply_normalization,
-                       cli, compute_normalization, export_frame_image, generate_dataset,
-                       generate_trajectory, invert_normalization, load_all, load_manifest,
-                       load_trajectory, read_csv, write_csv, write_dataset)
+from latentpde import (DataFormatError, DatasetManifest, DivergenceError, ParameterError,
+                       apply_normalization, cli, compute_normalization, export_frame_image,
+                       generate_dataset, generate_trajectory, invert_normalization, load_all,
+                       load_manifest, load_trajectory, read_csv, write_csv, write_dataset)
 from latentpde import dataset as dataset_module
 
 TINY_HEAT = {
@@ -143,8 +144,8 @@ def test_export_diverging_endpoints(tmp_path):
 
 
 def test_export_validation(tmp_path):
-    with pytest.raises(Exception):
-        export_frame_image(np.zeros((4, 4)), str(tmp_path / "x.pgm"), vmin=1.0, vmax=1.0)
+    with pytest.raises(ParameterError):
+        export_frame_image(np.zeros(4), str(tmp_path / "x.pgm"))
 
 
 def test_csv_roundtrip(tmp_path):
@@ -309,6 +310,61 @@ def test_cli_error_exit_codes(tmp_path, capsys):
         (tmp_path / "junk.json").write_bytes(junk)
         assert cli.main(["generate", "--config", str(tmp_path / "junk.json"),
                          "--out", str(tmp_path / "g")]) == 3
+    # malformed program-written files -> data format error with one error line
+    model, clip = str(tmp_path / "g.lpm"), str(tmp_path / "clip")
+    with warnings.catch_warnings():
+        warnings.filterwarnings("ignore", "rank-deficient design", RuntimeWarning)
+        for role, out in (("g", model), ("super", str(tmp_path / "s.lpm"))):
+            run_cli(["fit", "--data", str(data), "--role", role, "--patch", "4", "--k", "2",
+                     "--out", out])
+        run_cli(["rollout", "--data", str(data), "--model", model, "--super",
+                 str(tmp_path / "s.lpm"), "--steps", "3", "--out-prefix", clip])
+    capsys.readouterr()
+
+    def data_format_error(argv):
+        assert cli.main(argv) == 3, argv
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: "), (argv, lines)
+
+    bad_model = tmp_path / "bad.lpm"
+    rollout = ["rollout", "--data", str(data), "--model", str(bad_model), "--steps", "3",
+               "--out-prefix", str(tmp_path / "r")]
+    blob = open(model, "rb").read()
+    bad_model.write_bytes(blob)
+    for sidecar in ({}, [1, 2], {"normalization": {"lo": 0.0, "hi": 1.0}, "patch": 4},
+                    {"normalization": {"lo": 0.0, "hi": 1.0, "constant": False},
+                     "patch": "4"}):
+        (tmp_path / "bad.lpm.norm.json").write_text(json.dumps(sidecar))
+        data_format_error(rollout)
+    (tmp_path / "bad.lpm.norm.json").write_text(open(model + ".norm.json").read())
+    cut = blob.index(b"\n\0")
+    header = json.loads(blob[:cut])
+    for drop in ("out_dim", "has_bias"):
+        trimmed = {k: v for k, v in header.items() if k != drop}
+        bad_model.write_bytes(json.dumps(trimmed).encode() + blob[cut:])
+        data_format_error(rollout)
+    meta = json.loads(open(clip + "_meta.json").read())
+    subvideo = ["metrics", "subvideo", "--data", str(data), "--clip-prefix",
+                str(tmp_path / "badclip"), "--out", str(tmp_path / "s.csv")]
+    fields = open(clip + "_fields.bin", "rb").read()
+    for bad_meta, bad_fields in (([meta], fields),
+                                 (dict(meta, fields_shape=[3, 8, 9]), fields),
+                                 (dict(meta, fields_shape=["3", 8, 8]), fields),
+                                 (meta, fields[:-8]),
+                                 (dict(meta, normalization=[0, 1]), fields)):
+        (tmp_path / "badclip_meta.json").write_text(json.dumps(bad_meta))
+        (tmp_path / "badclip_fields.bin").write_bytes(bad_fields)
+        data_format_error(subvideo)
+    bad_data = tmp_path / "baddata"
+    bad_data.mkdir()
+    manifest = json.loads((data / "manifest.json").read_text())
+    for bad_manifest in ([1], dict(manifest, frames="30"), dict(manifest, frame_shape=8),
+                         dict(manifest, config=[1])):
+        (bad_data / "manifest.json").write_text(json.dumps(bad_manifest))
+        data_format_error(["fit", "--data", str(bad_data), "--role", "g", "--patch", "4",
+                           "--k", "2", "--out", str(tmp_path / "m.lpm")])
+        data_format_error(["generate", "--from-manifest", str(bad_data / "manifest.json"),
+                           "--out", str(tmp_path / "regen")])
     capsys.readouterr()
 
 
@@ -480,13 +536,40 @@ def test_cli_observability_witness_and_kalman(tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_every_observability_report_names_its_fields(tmp_path, capsys):
+    """Each ``--check`` report is one ``key = value`` line per field of its
+    report class, after ``method``; only ``failing_eigenvalue`` repeats."""
+    (tmp_path / "kse.json").write_text(json.dumps(TINY_KSE))
+    run_cli(["generate", "--config", str(tmp_path / "kse.json"), "--out", str(tmp_path / "kse")])
+    small = ["--grid", "8", "--patch", "4", "--constant", "1.0"]
+    cases = {
+        "kalman": (small, latentpde.KalmanReport),
+        "hautus": (small, latentpde.HautusReport),
+        "witness": (small, latentpde.WitnessReport),
+        "gramian": (["--grid", "8", "--patch", "2", "--horizon", "4"], latentpde.GramianReport),
+        "lie": (["--data", str(tmp_path / "kse")], latentpde.LieLogDetReport),
+    }
+    for check, (flags, report_class) in cases.items():
+        out = tmp_path / f"{check}.txt"
+        run_cli(["observability", "--check", check, *flags, "--out", str(out)])
+        keys = Counter(line.split(" = ", 1)[0] for line in out.read_text().splitlines())
+        repeated = keys.pop("failing_eigenvalue", 0)
+        assert (check == "hautus") == (repeated > 0), check
+        assert max(keys.values()) == 1, (check, keys)
+        assert list(keys) == ["method"] + [f.name for f in dataclasses.fields(report_class)
+                                           if f.repr], check
+    capsys.readouterr()
+
+
 @pytest.fixture(scope="module")
 def fuzz_files(tmp_path_factory):
     """Inputs for the CLI fuzz test: tiny heat and kse1d datasets, a
-    forecaster, a super-resolution map, a rollout clip and a file of junk."""
+    forecaster, a super-resolution map, a rollout clip, a file of junk, and
+    a forecaster, a clip and a dataset whose JSON files are malformed."""
     root = tmp_path_factory.mktemp("fuzz")
     paths = {name: str(root / name) for name in
-             ("heat", "kse", "heat_json", "kse_json", "junk", "g_model", "super_model", "clip")}
+             ("heat", "kse", "heat_json", "kse_json", "junk", "g_model", "super_model", "clip",
+              "bad_sidecar", "bad_clip", "bad_manifest")}
     with open(paths["heat_json"], "w") as fh:
         json.dump(TINY_HEAT, fh)
     with open(paths["kse_json"], "w") as fh:
@@ -504,6 +587,14 @@ def fuzz_files(tmp_path_factory):
         with warnings.catch_warnings():
             warnings.filterwarnings("ignore", "rank-deficient design", RuntimeWarning)
             assert cli.main(argv) == 0
+    with open(paths["g_model"], "rb") as src, open(paths["bad_sidecar"], "wb") as dst:
+        dst.write(src.read())
+    os.mkdir(paths["bad_manifest"])
+    for path, content in ((paths["bad_sidecar"] + ".norm.json", {"patch": 4}),
+                          (paths["bad_clip"] + "_meta.json", [1]),
+                          (os.path.join(paths["bad_manifest"], "manifest.json"), [1])):
+        with open(path, "w") as fh:
+            json.dump(content, fh)
     paths["outputs"] = str(root / "outputs")
     os.mkdir(paths["outputs"])
     return paths
@@ -553,7 +644,8 @@ FUZZ_POOLS = {
     _NUMBERS: ("-1", "0", "1", "2", "3", "4", "0.5", "1e-300", "nan", "inf", "-inf", "x", "",
                "1,2", "0,0", "9,9", "a:b"),
     _INPUTS: ("{heat}", "{kse}", "{heat_json}", "{kse_json}", "{junk}", "{g_model}",
-              "{super_model}", "{clip}", "{heat}/manifest.json", "{missing}", ""),
+              "{super_model}", "{clip}", "{heat}/manifest.json", "{missing}", "",
+              "{bad_sidecar}", "{bad_clip}", "{bad_manifest}", "{bad_manifest}/manifest.json"),
     _OUTPUTS: ("{out}", "{outputs}", "{missing}/out"),
 }
 

@@ -1,9 +1,9 @@
 import numpy as np
 import pytest
 
-from latentpde import (DataFormatError, GridSpec, ParameterError, build_difference,
+from latentpde import (GridSpec, ParameterError, build_difference,
                        build_modified_laplacian, build_tokenizer_matrix,
-                       build_wave_generator, load_operator, save_operator, tokenize)
+                       build_wave_generator, tokenize)
 
 
 def dense_difference(n, dx, axis, direction):
@@ -136,31 +136,6 @@ def test_tokenizer_wave_ignores_velocity_block():
     state = np.concatenate([u.ravel(), v.ravel()])
     np.testing.assert_allclose(h @ state, tokenize(u, 2), atol=1e-14)
     assert h[:, 64:].count_nonzero() == 0
-
-
-def test_save_load_roundtrip(tmp_path):
-    rng = np.random.default_rng(4)
-    a = np.exp(0.2 * rng.standard_normal((6, 6)))
-    op = build_modified_laplacian(a, GridSpec(n=6))
-    path = tmp_path / "op.bin"
-    save_operator(op, path)
-    back = load_operator(path)
-    assert back.shape == op.shape
-    np.testing.assert_array_equal(back.toarray(), op.toarray())
-
-
-def test_load_rejects_corrupt_files(tmp_path):
-    path = tmp_path / "bad.bin"
-    path.write_bytes(b"OOPS" + b"\0" * 40)
-    with pytest.raises(DataFormatError):
-        load_operator(path)
-    op = build_modified_laplacian(np.ones((4, 4)), GridSpec(n=4))
-    good = tmp_path / "good.bin"
-    save_operator(op, good)
-    blob = good.read_bytes()
-    (tmp_path / "short.bin").write_bytes(blob[:-8])
-    with pytest.raises(DataFormatError):
-        load_operator(tmp_path / "short.bin")
 
 
 def test_parameter_validation():

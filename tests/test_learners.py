@@ -203,7 +203,7 @@ def test_train_config_validation():
     with pytest.raises(ParameterError):
         TrainConfig(batch_size=0)
     with pytest.raises(ParameterError):
-        TrainConfig(beta1=1.5)
+        TrainConfig(lr_decay=0.0)
 
 
 @pytest.mark.filterwarnings("ignore:rank-deficient:RuntimeWarning")

@@ -29,8 +29,6 @@ def test_kalman_matrix_matches_power_loop():
         got = kalman_observability_matrix(A, h)
         np.testing.assert_allclose(got, naive_kalman(A, h, n), rtol=1e-10, atol=1e-10)
         assert got.shape == (m * n, n)
-    shallow = kalman_observability_matrix(A, h, max_powers=2)
-    assert shallow.shape == (2 * 3, 7)
 
 
 def test_kalman_rank_known_examples():
@@ -100,8 +98,7 @@ def test_staircase_rank_is_the_eigenspace_kernel_count(case):
     assert report.rank == A.shape[0] - hidden_dimension(A.toarray(), h.toarray())
     assert report.observable == hautus_test(A, h).observable
     assert sum(report.block_ranks) == report.rank
-    smallest_kept, largest_rejected = report.singular_values
-    assert largest_rejected <= report.tolerance < smallest_kept
+    assert report.largest_rejected <= report.tolerance < report.smallest_kept
 
 
 @pytest.mark.parametrize("wave", [False, True])
@@ -181,7 +178,7 @@ def test_cli_kalman_on_a_varying_conductivity_is_full_rank(tmp_path, capsys):
     block_ranks = [int(v) for v in report["block_ranks"].split(",")]
     assert sum(block_ranks) == 256
     assert int(report["observability_index"]) == len(block_ranks)
-    assert float(report["singular_value_min"]) <= 1e-10 < float(report["singular_value_max"])
+    assert float(report["largest_rejected"]) <= 1e-10 < float(report["smallest_kept"])
 
 
 def test_hautus_agrees_on_observable_symmetric_system():

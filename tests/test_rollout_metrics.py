@@ -28,8 +28,6 @@ def test_rollout_matches_hand_recurrence():
         expected.append(0.5 * expected[-1] + 0.25 * expected[-2] + 1.0)
     np.testing.assert_allclose(result.tokens, np.array(expected), atol=1e-12)
     assert result.seed_len == 2
-    np.testing.assert_array_equal(result.generated,
-                                  [False, False, True, True, True, True])
 
 
 @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
