@@ -136,20 +136,24 @@ def cmd_sweep(args) -> int:
     return 0
 
 
-def _load_model(path: str):
+def _load_model(path: str, grid: int):
+    """A saved map and its sidecar, checked against data on a ``grid``-wide lattice."""
     fitted = LinearMap.load(path)
     sidecar_path = path + ".norm.json"
     if not os.path.exists(sidecar_path):
         raise DataFormatError(f"missing normalization sidecar {sidecar_path}")
     with open(sidecar_path) as fh:
         sidecar = check_json(json.load(fh), sidecar_path, normalization=dict, patch=int)
-    check_json(sidecar["normalization"], sidecar_path, **ds.NORMALIZATION)
+    ds.check_normalization(sidecar["normalization"], sidecar_path)
+    if sidecar["patch"] < 1 or grid % sidecar["patch"]:
+        raise DataFormatError(f"{sidecar_path}: patch {sidecar['patch']} does not divide "
+                              f"the data grid {grid}")
     return fitted, sidecar
 
 
 def cmd_rollout(args) -> int:
     fr = ds.load_trajectory(args.data, ds.load_manifest(args.data), args.traj_index)
-    g_map, g_side = _load_model(args.model)
+    g_map, g_side = _load_model(args.model, fr.shape[-1])
     stats = g_side["normalization"]
     patch = g_side["patch"]
     traj = ds.apply_normalization(fr, stats)
@@ -160,7 +164,7 @@ def cmd_rollout(args) -> int:
             f"trajectory has {tokens.shape[0]} frames; need start+{k}+{args.steps}")
     seed = tokens[args.start:args.start + k]
     if args.super:
-        super_map, _ = _load_model(args.super)
+        super_map, _ = _load_model(args.super, fr.shape[-1])
         result = full_pipeline_rollout(g_map, super_map, seed, args.steps)
     else:
         result = autoregressive_rollout(g_map, seed, args.steps)
@@ -212,7 +216,7 @@ def cmd_metrics(args) -> int:
         shape = check_json(meta, meta_path, fields_shape=SHAPE)["fields_shape"]
         stats = meta.get("normalization")
         if stats is not None:
-            check_json(stats, meta_path, **ds.NORMALIZATION)
+            ds.check_normalization(stats, meta_path)
         clip = np.fromfile(args.clip_prefix + "_fields.bin", dtype="<f8")
         if clip.size != np.prod(shape):
             raise DataFormatError(f"clip fields hold {clip.size} values, not shape {shape}")

@@ -61,6 +61,9 @@ class DatasetManifest:
         # the entries a reader uses
         check_json(raw, "manifest", trajectories=int, frames=int, dt=_REAL, frame_shape=SHAPE,
                    config=dict, patch=(int, type(None)))
+        if raw["trajectories"] < 1 or raw["frames"] < 1:
+            raise DataFormatError(f"manifest: {raw['trajectories']} trajectories of "
+                                  f"{raw['frames']} frames; need at least 1 of each")
         try:
             return cls(**raw)
         except TypeError as exc:
@@ -138,8 +141,13 @@ def compute_normalization(frame_arrays) -> dict:
     return {"lo": lo, "hi": hi, "constant": lo == hi}
 
 
-# the entries of compute_normalization, for check_json on a file that holds them
-NORMALIZATION = {"lo": _REAL, "hi": _REAL, "constant": bool}
+def check_normalization(stats, where: str) -> None:
+    """A DataFormatError (the file ``where`` is malformed) unless ``stats``
+    holds the entries of :func:`compute_normalization` with finite bounds."""
+    check_json(stats, where, lo=_REAL, hi=_REAL, constant=bool)
+    if not np.isfinite([stats["lo"], stats["hi"]]).all():
+        raise DataFormatError(f"{where}: non-finite normalization bounds "
+                              f"{stats['lo']!r}, {stats['hi']!r}")
 
 
 def apply_normalization(x: np.ndarray, stats: dict) -> np.ndarray:

@@ -14,6 +14,7 @@ import warnings
 
 import numpy as np
 import scipy.linalg
+from scipy.linalg import lapack
 
 from .errors import SHAPE, DataFormatError, DivergenceError, ParameterError, check_json
 
@@ -163,26 +164,49 @@ def fit_least_squares(histories: np.ndarray, targets: np.ndarray,
                       ridge: float = 0.0, bias: bool = True) -> LinearMap:
     """Exact minimiser of  mean ||X w - y||^2 + ridge ||w||^2.
 
-    Solved by an orthogonal (complete QR) factorization, so the result is
-    deterministic and, for a rank-deficient design with ridge = 0, the
-    minimum-norm solution; deficiency is recorded in ``design_rank`` and
-    warned about.  The ridge penalty never touches the bias column.
+    The design (features, bias column, ridge rows) is factored in place as
+    Q R by a blocked Householder QR, Q^T is applied to the target in place,
+    and R w = (Q^T y)[:p], p = min(rows, cols), is solved by LAPACK gelsy,
+    a complete orthogonal decomposition of R alone (Chan 1982's QR
+    preprocessing for tall designs).  R has the singular values of the
+    design, so for a rank-deficient design with ridge = 0 the result is
+    the minimum-norm solution; deficiency is recorded in ``design_rank``
+    and warned about.  ``design_rank`` is gelsy's count at its
+    machine-epsilon cut on R, a rounding-level count on an ill-conditioned
+    design.  What the fit promises is its training predictions and
+    residual norm to a backward-stable tolerance, not its weight bytes.
+    The ridge penalty never touches the bias column.
     """
     x, y, k, m, out_shape = _design(histories, targets)
     if not 0 <= ridge < np.inf:
         raise ParameterError(f"ridge must be finite and >= 0, got {ridge}")
-    n_feat = x.shape[1]
+    if not (np.isfinite(x).all() and np.isfinite(y).all()):
+        raise ParameterError("histories and targets must be finite")
+    samples, n_feat = x.shape
     cols = n_feat + (1 if bias else 0)
-    design = np.hstack([x, np.ones((x.shape[0], 1))]) if bias else x
-    target = y
+    rows = samples + (n_feat if ridge > 0 else 0)
+    # Fortran order so LAPACK factors and overwrites these very arrays
+    design = np.zeros((rows, cols), order="F")
+    design[:samples, :n_feat] = x
+    if bias:
+        design[:samples, n_feat] = 1.0
     if ridge > 0:
         # ridge rows scale with the sample count so the penalty matches
         # the mean-squared objective of the SGD trainer
-        penalty = np.zeros((n_feat, cols))
-        penalty[:, :n_feat] = np.sqrt(ridge * x.shape[0]) * np.eye(n_feat)
-        design = np.vstack([design, penalty])
-        target = np.vstack([y, np.zeros((n_feat, y.shape[1]))])
-    sol, _, rank, _ = scipy.linalg.lstsq(design, target, lapack_driver="gelsy")
+        np.fill_diagonal(design[samples:, :n_feat], np.sqrt(ridge * samples))
+    target = np.zeros((rows, y.shape[1]), order="F")
+    target[:samples] = y
+    # the workspace queries keep LAPACK on its blocked code paths
+    lwork, _ = lapack.dgeqrf_lwork(rows, cols)
+    qr, tau, _, info_qr = lapack.dgeqrf(design, lwork=int(lwork), overwrite_a=1)
+    p = min(rows, cols)
+    reflectors = qr[:, :p]
+    _, work, _ = lapack.dormqr("L", "T", reflectors, tau, target, lwork=-1)
+    qty, _, info_q = lapack.dormqr("L", "T", reflectors, tau, target, lwork=int(work[0]),
+                                   overwrite_c=1)
+    if info_qr or info_q:
+        raise RuntimeError(f"LAPACK QR of the design failed (info {info_qr}, {info_q})")
+    sol, _, rank, _ = scipy.linalg.lstsq(np.triu(qr[:p]), qty[:p], lapack_driver="gelsy")
     if ridge == 0 and rank < cols:
         warnings.warn(f"rank-deficient design: rank {rank} < {cols} columns; "
                       "returning the minimum-norm solution", RuntimeWarning)

@@ -331,9 +331,14 @@ def test_cli_error_exit_codes(tmp_path, capsys):
                "--out-prefix", str(tmp_path / "r")]
     blob = open(model, "rb").read()
     bad_model.write_bytes(blob)
+    stats = {"lo": 0.0, "hi": 1.0, "constant": False}
     for sidecar in ({}, [1, 2], {"normalization": {"lo": 0.0, "hi": 1.0}, "patch": 4},
-                    {"normalization": {"lo": 0.0, "hi": 1.0, "constant": False},
-                     "patch": "4"}):
+                    {"normalization": stats, "patch": "4"},
+                    # once a divergence (exit 4) and a bad flag (exit 2)
+                    {"normalization": dict(stats, lo=float("nan")), "patch": 4},
+                    {"normalization": dict(stats, hi=float("inf")), "patch": 4},
+                    {"normalization": stats, "patch": 3},
+                    {"normalization": stats, "patch": 0}):
         (tmp_path / "bad.lpm.norm.json").write_text(json.dumps(sidecar))
         data_format_error(rollout)
     (tmp_path / "bad.lpm.norm.json").write_text(open(model + ".norm.json").read())
@@ -351,7 +356,9 @@ def test_cli_error_exit_codes(tmp_path, capsys):
                                  (dict(meta, fields_shape=[3, 8, 9]), fields),
                                  (dict(meta, fields_shape=["3", 8, 8]), fields),
                                  (meta, fields[:-8]),
-                                 (dict(meta, normalization=[0, 1]), fields)):
+                                 (dict(meta, normalization=[0, 1]), fields),
+                                 (dict(meta, normalization=dict(stats, lo=float("nan"))),
+                                  fields)):
         (tmp_path / "badclip_meta.json").write_text(json.dumps(bad_meta))
         (tmp_path / "badclip_fields.bin").write_bytes(bad_fields)
         data_format_error(subvideo)
@@ -359,8 +366,12 @@ def test_cli_error_exit_codes(tmp_path, capsys):
     bad_data.mkdir()
     manifest = json.loads((data / "manifest.json").read_text())
     for bad_manifest in ([1], dict(manifest, frames="30"), dict(manifest, frame_shape=8),
-                         dict(manifest, config=[1])):
+                         dict(manifest, config=[1]),
+                         # once an IndexError traceback from tokenize
+                         dict(manifest, trajectories=0), dict(manifest, frames=0)):
         (bad_data / "manifest.json").write_text(json.dumps(bad_manifest))
+        data_format_error(["tokenize", "--data", str(bad_data), "--patch", "4",
+                           "--out", str(tmp_path / "t")])
         data_format_error(["fit", "--data", str(bad_data), "--role", "g", "--patch", "4",
                            "--k", "2", "--out", str(tmp_path / "m.lpm")])
         data_format_error(["generate", "--from-manifest", str(bad_data / "manifest.json"),

@@ -91,7 +91,7 @@ CLI_DIGESTS = {
                 "8911d97860a99b1363fa8af27e90a0fbc6eb0b2316f2f0918a317dde2bed3efe"),
     "sweep": (["sweep", "--data", "{data}", "--patch", "4", "--k-list", "1,2,4",
                "--trials", "1"],
-              "49991fb06375e353edeef33e95d680f9cffe1498ae5778c4533cf3530166851f"),
+              "5596ee018ecfee29cc4e5049f39149efb0f18760a7908f03fc239fadf18d93e8"),
     "export": (["export", "--data", "{data}", "--traj-index", "1", "--frame", "5"],
                "52c804c2a6579e0b126bdfd561dd61482247a0d7d25693d099b09de907dd3f10"),
 }

@@ -1,9 +1,14 @@
 import numpy as np
 import pytest
+import scipy.linalg
 
 from latentpde import (DataFormatError, DivergenceError, LinearMap, ParameterError,
                        TrainConfig, fit_least_squares, fit_sgd, fit_superres,
-                       history_sweep, mse_loss_and_grad)
+                       forecast_pairs, generate_dataset, history_sweep, mse_loss_and_grad,
+                       tokenize_trajectory)
+
+from test_acceptance import GRF_COND, HEAT_BASE, latent_pairs, recon_pairs, split_normalize
+from test_dataset_cli import TINY_HEAT
 
 
 def make_linear_problem(samples, k, m, out_dim, seed, noise=0.0):
@@ -62,16 +67,16 @@ def test_ridge_shrinks_weights_not_bias():
 
 
 def test_ridge_matches_normal_equations():
-    histories, targets, _, _ = make_linear_problem(80, 2, 3, 2, seed=5, noise=0.2)
-    s = histories.shape[0]
     ridge = 0.7
-    fitted = fit_least_squares(histories, targets, ridge=ridge)
-    x = np.hstack([histories.reshape(s, -1), np.ones((s, 1))])
-    reg = ridge * s * np.eye(x.shape[1])
-    reg[-1, -1] = 0.0  # intercept not penalised
-    theta = np.linalg.solve(x.T @ x + reg, x.T @ targets)
-    np.testing.assert_allclose(fitted.weights, theta[:-1].T, atol=1e-8)
-    np.testing.assert_allclose(fitted.bias, theta[-1], atol=1e-8)
+    for s in (80, 4):  # 4 samples: fewer rows than the 7 columns
+        histories, targets, _, _ = make_linear_problem(s, 2, 3, 2, seed=5, noise=0.2)
+        fitted = fit_least_squares(histories, targets, ridge=ridge)
+        x = np.hstack([histories.reshape(s, -1), np.ones((s, 1))])
+        reg = ridge * s * np.eye(x.shape[1])
+        reg[-1, -1] = 0.0  # intercept not penalised
+        theta = np.linalg.solve(x.T @ x + reg, x.T @ targets)
+        np.testing.assert_allclose(fitted.weights, theta[:-1].T, atol=1e-8)
+        np.testing.assert_allclose(fitted.bias, theta[-1], atol=1e-8)
 
 
 def test_rank_deficient_duplicate_feature():
@@ -86,6 +91,83 @@ def test_rank_deficient_duplicate_feature():
     assert fitted.weights[0, 0] == pytest.approx(fitted.weights[0, 3], abs=1e-8)
     pred = fitted.apply(histories)
     np.testing.assert_allclose(pred, targets, atol=1e-8)
+
+
+def test_wide_design_gives_the_minimum_norm_solution():
+    rng = np.random.default_rng(15)
+    histories = rng.standard_normal((6, 2, 5))
+    targets = rng.standard_normal((6, 3))
+    with pytest.warns(RuntimeWarning, match="rank 6 < 11"):
+        fitted = fit_least_squares(histories, targets)
+    theta = np.linalg.pinv(np.hstack([histories.reshape(6, -1), np.ones((6, 1))])) @ targets
+    np.testing.assert_allclose(fitted.weights, theta[:-1].T, atol=1e-10)
+    np.testing.assert_allclose(fitted.bias, theta[-1], atol=1e-10)
+    np.testing.assert_allclose(fitted.apply(histories), targets, atol=1e-10)
+
+
+@pytest.mark.parametrize("order", ["C", "F"])
+def test_least_squares_leaves_its_inputs_unchanged(order):
+    histories, targets, _, _ = make_linear_problem(40, 2, 3, 2, seed=16, noise=0.1)
+    histories, targets = np.asarray(histories, order=order), np.asarray(targets, order=order)
+    kept = histories.copy(), targets.copy()
+    for ridge in (0.0, 0.5):
+        fit_least_squares(histories, targets, ridge=ridge)
+    np.testing.assert_array_equal(histories, kept[0])
+    np.testing.assert_array_equal(targets, kept[1])
+
+
+def test_least_squares_rejects_non_finite_input():
+    histories, targets, _, _ = make_linear_problem(20, 2, 3, 2, seed=17)
+    for bad, where in ((np.nan, histories), (np.inf, targets)):
+        spoilt = where.copy()
+        spoilt.flat[5] = bad
+        args = (spoilt, targets) if where is histories else (histories, spoilt)
+        with pytest.raises(ParameterError, match="finite"):
+            fit_least_squares(*args)
+
+
+@pytest.fixture(scope="module")
+def heat_train():
+    """The 100 normalized training trajectories of ACCEPTANCE 4 and 5."""
+    arrays, _ = generate_dataset(dict(HEAT_BASE, conductivity=GRF_COND))
+    return split_normalize(arrays, 100)[0]
+
+
+def _promise_design(name, heat_train):
+    if name == "heat-g":
+        return latent_pairs(heat_train, 16, 4)
+    if name == "heat-super":
+        return recon_pairs(heat_train, 16, 4)
+    # the designs of the sweep golden run: TINY_HEAT, one eval trajectory,
+    # patch 4; at k = 4 there are fewer rows (16) than columns (17)
+    arrays, _ = generate_dataset(TINY_HEAT)
+    train, _ = split_normalize(arrays, 2)
+    pairs = [forecast_pairs(tokenize_trajectory(a, 4), int(name[-1])) for a in train]
+    return tuple(np.concatenate(part) for part in zip(*pairs))
+
+
+@pytest.mark.parametrize("name", ["tiny-k1", "tiny-k2", "tiny-k4", "heat-g", "heat-super"])
+@pytest.mark.filterwarnings("ignore:rank-deficient design:RuntimeWarning")
+def test_least_squares_keeps_its_promise(name, heat_train):
+    """What ``fit`` promises, against an independent backward-stable
+    solver (SVD-based gelsd on the full design).
+
+    The promise is these tolerances, not weight bytes: on a rank-deficient
+    design the saved weights and ``design_rank`` depend on where a LAPACK
+    path cuts at rounding level.  Training predictions agree within 1e-4
+    relative, and the residual norm is no larger than the reference's by
+    more than 1e-6 ||y||.  That bound is one-sided because two correct
+    solvers may differ in the other direction: on the heat-super design
+    the fit's residual is 2 % (1.1e-6 ||y||) below gelsd's.
+    """
+    histories, targets = _promise_design(name, heat_train)
+    fitted = fit_least_squares(histories, targets)
+    design = np.hstack([histories.reshape(len(histories), -1), np.ones((len(histories), 1))])
+    y = targets.reshape(len(targets), -1)
+    reference = design @ scipy.linalg.lstsq(design, y, lapack_driver="gelsd")[0]
+    pred = fitted.apply(histories).reshape(y.shape)
+    assert np.linalg.norm(pred - reference) <= 1e-4 * np.linalg.norm(reference)
+    assert np.linalg.norm(pred - y) <= np.linalg.norm(reference - y) + 1e-6 * np.linalg.norm(y)
 
 
 def test_sample_order_invariance():
