@@ -20,7 +20,6 @@ Exit codes: 0 success, 2 bad parameters, 3 data-format problems,
 
 import argparse
 import json
-import os
 import sys
 import warnings
 
@@ -100,16 +99,13 @@ def cmd_fit(args) -> int:
         config = TrainConfig(learning_rate=args.lr, steps=args.steps, batch_size=args.batch,
                              ridge=args.ridge, seed=args.sgd_seed, lr_decay=args.lr_decay)
         fitted, curves = fit_sgd(histories, target, config, eval_split=args.eval_split)
+        # no eval split, no eval loss
+        evals = curves["eval"] if len(curves["eval"]) else np.full(len(curves["train"]), np.nan)
         ds.write_csv(args.out + ".curve.csv", ["epoch", "train_mse", "eval_mse"],
-                     [[i, tr, ev] for i, (tr, ev) in enumerate(
-                         zip(curves["train"],
-                             curves["eval"] if len(curves["eval"]) else curves["train"]))],
+                     [[i, tr, ev] for i, (tr, ev) in enumerate(zip(curves["train"], evals))],
                      comment=f"sgd loss curve role={args.role} k={args.k}")
+    fitted.patch, fitted.normalization = args.patch, stats
     fitted.save(args.out)
-    sidecar = {"normalization": stats, "patch": args.patch, "role": args.role,
-               "k": args.k, "train_trajectories": n_train, "data": os.path.abspath(args.data)}
-    with open(args.out + ".norm.json", "w") as fh:
-        json.dump(sidecar, fh, indent=2)
     print(f"fitted {args.role} map (k={args.k}, {args.learner}) on {n_train} trajectories "
           f"-> {args.out}")
     return 0
@@ -136,26 +132,22 @@ def cmd_sweep(args) -> int:
     return 0
 
 
-def _load_model(path: str, grid: int):
-    """A saved map and its sidecar, checked against data on a ``grid``-wide lattice."""
+def _load_model(path: str, grid: int) -> LinearMap:
+    """A map saved by ``fit``, checked against data on a ``grid``-wide lattice."""
     fitted = LinearMap.load(path)
-    sidecar_path = path + ".norm.json"
-    if not os.path.exists(sidecar_path):
-        raise DataFormatError(f"missing normalization sidecar {sidecar_path}")
-    with open(sidecar_path) as fh:
-        sidecar = check_json(json.load(fh), sidecar_path, normalization=dict, patch=int)
-    ds.check_normalization(sidecar["normalization"], sidecar_path)
-    if sidecar["patch"] < 1 or grid % sidecar["patch"]:
-        raise DataFormatError(f"{sidecar_path}: patch {sidecar['patch']} does not divide "
-                              f"the data grid {grid}")
-    return fitted, sidecar
+    if fitted.patch is None or fitted.normalization is None:
+        raise DataFormatError(f"{path}: no patch and normalization in the header; "
+                              "re-fit the model with the fit verb")
+    if fitted.patch < 1 or grid % fitted.patch:
+        raise DataFormatError(f"{path}: patch {fitted.patch} does not divide the data "
+                              f"grid {grid}")
+    return fitted
 
 
 def cmd_rollout(args) -> int:
     fr = ds.load_trajectory(args.data, ds.load_manifest(args.data), args.traj_index)
-    g_map, g_side = _load_model(args.model, fr.shape[-1])
-    stats = g_side["normalization"]
-    patch = g_side["patch"]
+    g_map = _load_model(args.model, fr.shape[-1])
+    stats, patch = g_map.normalization, g_map.patch
     traj = ds.apply_normalization(fr, stats)
     tokens = tokenize_trajectory(traj, patch)
     k = g_map.history_len
@@ -164,27 +156,29 @@ def cmd_rollout(args) -> int:
             f"trajectory has {tokens.shape[0]} frames; need start+{k}+{args.steps}")
     seed = tokens[args.start:args.start + k]
     if args.super:
-        super_map, _ = _load_model(args.super, fr.shape[-1])
+        super_map = _load_model(args.super, fr.shape[-1])
+        if (super_map.patch, super_map.normalization) != (patch, stats):
+            raise ParameterError(f"{args.super} was fitted with another patch or "
+                                 f"normalization than {args.model}")
         result = full_pipeline_rollout(g_map, super_map, seed, args.steps)
     else:
         result = autoregressive_rollout(g_map, seed, args.steps)
     prefix = args.out_prefix
-    ds._atomic_write(prefix + "_tokens.bin", result.tokens.astype("<f8").tobytes())
+    ds.atomic_write(prefix + "_tokens.bin", result.tokens.astype("<f8").tobytes())
     meta = {"seed_len": k, "steps": args.steps, "token_dim": g_map.token_dim,
             "traj_index": args.traj_index, "start": args.start, "space": "normalized",
             "normalization": stats, "fields_shape": None}
     generated = slice(args.start + k, args.start + k + args.steps)
     pairs = {"token": (result.tokens[k:], tokens[generated])}
     if result.fields is not None:
-        ds._atomic_write(prefix + "_fields.bin", result.fields.astype("<f8").tobytes())
+        ds.atomic_write(prefix + "_fields.bin", result.fields.astype("<f8").tobytes())
         meta["fields_shape"] = list(result.fields.shape)
         pairs["field"] = (result.fields, amplitude(traj)[generated])
     columns = {f"{space}_{norm}": residue_norms(pred, truth, norm)
                for space, (pred, truth) in pairs.items() for norm in ("l1", "l2", "linf")}
     header = ["frame", *columns]
     rows = [[i, *(col[i] for col in columns.values())] for i in range(args.steps)]
-    with open(prefix + "_meta.json", "w") as fh:
-        json.dump(meta, fh, indent=2)
+    ds.atomic_write(prefix + "_meta.json", json.dumps(meta, indent=2).encode())
     ds.write_csv(prefix + "_residues.csv", header, rows,
                  comment="per generated frame; normalized units")
     print(f"rollout of {args.steps} frames from trajectory {args.traj_index} "
@@ -205,39 +199,38 @@ def cmd_metrics(args) -> int:
                              f"lag unit = {manifest.dt} time")
         print(f"correlation over {series.count} videos -> {args.out}")
         return 0
-    if args.kind == "subvideo":
-        if args.clip_prefix is None:
-            raise ParameterError("metrics subvideo needs --clip-prefix")
-        meta_path = args.clip_prefix + "_meta.json"
-        with open(meta_path) as fh:
-            meta = check_json(json.load(fh), meta_path)
-        if not meta.get("fields_shape"):
-            raise DataFormatError("clip has no reconstructed fields; rerun rollout with --super")
-        shape = check_json(meta, meta_path, fields_shape=SHAPE)["fields_shape"]
-        stats = meta.get("normalization")
+    # the one other kind argparse lets through: subvideo
+    if args.clip_prefix is None:
+        raise ParameterError("metrics subvideo needs --clip-prefix")
+    meta_path = args.clip_prefix + "_meta.json"
+    with open(meta_path) as fh:
+        meta = check_json(json.load(fh), meta_path)
+    if not meta.get("fields_shape"):
+        raise DataFormatError("clip has no reconstructed fields; rerun rollout with --super")
+    shape = check_json(meta, meta_path, fields_shape=SHAPE)["fields_shape"]
+    stats = meta.get("normalization")
+    if stats is not None:
+        ds.check_normalization(stats, meta_path)
+    clip = np.fromfile(args.clip_prefix + "_fields.bin", dtype="<f8")
+    if clip.size != np.prod(shape):
+        raise DataFormatError(f"clip fields hold {clip.size} values, not shape {shape}")
+    clip = clip.reshape(shape)
+    frames, manifest = ds.load_all(args.data)
+    rows = []
+    best = np.inf
+    for idx, fr in enumerate(frames):
+        video = amplitude(fr)
         if stats is not None:
-            ds.check_normalization(stats, meta_path)
-        clip = np.fromfile(args.clip_prefix + "_fields.bin", dtype="<f8")
-        if clip.size != np.prod(shape):
-            raise DataFormatError(f"clip fields hold {clip.size} values, not shape {shape}")
-        clip = clip.reshape(shape)
-        frames, manifest = ds.load_all(args.data)
-        rows = []
-        best = np.inf
-        for idx, fr in enumerate(frames):
-            video = amplitude(fr)
-            if stats is not None:
-                # the clip lives in the model's normalized units
-                video = ds.apply_normalization(video, stats)
-            d = nearest_subvideo_distance(clip, video)
-            rows.append([idx, d])
-            best = min(best, d)
-        rows.append(["min", best])
-        ds.write_csv(args.out, ["trajectory", "distance"], rows,
-                     comment="euclidean distance to nearest same-length window")
-        print(f"nearest subvideo distance {best:.6e} -> {args.out}")
-        return 0
-    raise ParameterError(f"unknown metrics kind {args.kind!r}")
+            # the clip lives in the model's normalized units
+            video = ds.apply_normalization(video, stats)
+        d = nearest_subvideo_distance(clip, video)
+        rows.append([idx, d])
+        best = min(best, d)
+    rows.append(["min", best])
+    ds.write_csv(args.out, ["trajectory", "distance"], rows,
+                 comment="euclidean distance to nearest same-length window")
+    print(f"nearest subvideo distance {best:.6e} -> {args.out}")
+    return 0
 
 
 def cmd_observability(args) -> int:
@@ -281,7 +274,7 @@ def cmd_observability(args) -> int:
             report = (obs.kalman_rank_test(op, h, rel_tol=args.rel_tol)
                       if args.check == "kalman" else obs.hautus_test(op, h, tol=args.tol))
     text = report.to_text()
-    ds._atomic_write(args.out, text.encode())
+    ds.atomic_write(args.out, text.encode())
     sys.stdout.write(text)
     return 0
 

@@ -70,7 +70,7 @@ class DatasetManifest:
             raise DataFormatError(f"manifest fields do not match schema: {exc}") from exc
 
 
-def _atomic_write(path: str, data: bytes) -> None:
+def atomic_write(path: str, data: bytes) -> None:
     tmp = f"{path}.tmp.{os.getpid()}"
     with open(tmp, "wb") as fh:
         fh.write(data)
@@ -96,8 +96,8 @@ def write_dataset(frame_arrays, manifest: DatasetManifest, out_dir: str) -> None
         if frames.shape != (manifest.frames,) + shape:
             raise ParameterError(
                 f"trajectory {idx} shape {frames.shape} != {(manifest.frames,) + shape}")
-        _atomic_write(os.path.join(out_dir, _blob_name(idx)), frames.astype("<f8").tobytes())
-    _atomic_write(os.path.join(out_dir, "manifest.json"), manifest.to_json().encode())
+        atomic_write(os.path.join(out_dir, _blob_name(idx)), frames.astype("<f8").tobytes())
+    atomic_write(os.path.join(out_dir, "manifest.json"), manifest.to_json().encode())
 
 
 def load_manifest(data_dir: str) -> DatasetManifest:
@@ -191,7 +191,7 @@ def export_frame_image(frame: np.ndarray, path: str, colormap: str = "gray") -> 
         data = b"P6\n%d %d\n255\n" % (w, h) + payload.tobytes()
     else:
         raise ParameterError(f"colormap must be 'gray' or 'diverging', got {colormap!r}")
-    _atomic_write(path, data)
+    atomic_write(path, data)
 
 
 # ---------------------------------------------------------------------------
@@ -316,8 +316,7 @@ def _simulate_lattice(config: dict, seeds: list) -> list:
     else:
         op = build_wave_generator(cond, grid)
         x0s = np.stack([u0s, np.zeros_like(u0s)], axis=1)  # released from rest
-    return simulate_linear_batch(op, x0s, config["dt"], steps, skip=skip,
-                                 equation=config["equation"], seeds=seeds)
+    return simulate_linear_batch(op, x0s, config["dt"], steps, skip=skip, seeds=seeds)
 
 
 def _simulate(config: dict, indices) -> list:
@@ -400,7 +399,7 @@ def write_csv(path: str, header: list, rows, comment: str = "") -> None:
     writer.writerow(header)
     for row in rows:
         writer.writerow(row)
-    _atomic_write(path, buf.getvalue().encode())
+    atomic_write(path, buf.getvalue().encode())
 
 
 def read_csv(path: str):

@@ -16,6 +16,7 @@ import numpy as np
 import scipy.linalg
 from scipy.linalg import lapack
 
+from .dataset import atomic_write, check_normalization
 from .errors import SHAPE, DataFormatError, DivergenceError, ParameterError, check_json
 
 
@@ -29,6 +30,9 @@ class LinearMap:
     token_dim:    tokens per frame
     output_shape: shape the flat output is reshaped to (e.g. (m,) or (n, n))
     design_rank:  column rank of the training design, when known
+    patch:        patch size of the tokens the map was fitted on
+    normalization: :func:`dataset.compute_normalization` of the fields those
+                  tokens came from; ``fit`` sets both, library fits leave None
     """
 
     weights: np.ndarray
@@ -37,6 +41,8 @@ class LinearMap:
     token_dim: int
     output_shape: tuple
     design_rank: int | None = None
+    patch: int | None = None
+    normalization: dict | None = None
 
     @property
     def in_dim(self) -> int:
@@ -45,16 +51,10 @@ class LinearMap:
     def apply(self, history: np.ndarray) -> np.ndarray:
         """Evaluate on one history (k, m) or a batch (..., k, m)."""
         hist = np.asarray(history, dtype=float)
-        if hist.ndim >= 2:
-            if hist.shape[-2:] != (self.history_len, self.token_dim):
-                raise ParameterError(
-                    f"history frames {hist.shape[-2:]} do not match map frames "
-                    f"({self.history_len}, {self.token_dim})")
-            flat = hist.reshape(*hist.shape[:-2], self.in_dim)
-        else:
-            flat = hist
-        if flat.shape[-1] != self.in_dim:
-            raise ParameterError(f"history has {flat.shape[-1]} entries, map expects {self.in_dim}")
+        if hist.shape[-2:] != (self.history_len, self.token_dim):
+            raise ParameterError(f"history of shape {hist.shape} does not end in the map "
+                                 f"frames ({self.history_len}, {self.token_dim})")
+        flat = hist.reshape(*hist.shape[:-2], self.in_dim)
         out = flat @ self.weights.T
         if self.bias is not None:
             out = out + self.bias
@@ -64,19 +64,19 @@ class LinearMap:
         """JSON header line, NUL byte, then little-endian float64 blocks."""
         header = {
             "format": "linear-map",
-            "version": 1,
+            "version": 2,
             "history_len": self.history_len,
             "token_dim": self.token_dim,
             "output_shape": list(self.output_shape),
             "out_dim": int(self.weights.shape[0]),
             "has_bias": self.bias is not None,
             "design_rank": self.design_rank,
+            "patch": self.patch,
+            "normalization": self.normalization,
         }
-        with open(path, "wb") as fh:
-            fh.write(json.dumps(header).encode() + b"\n\0")
-            fh.write(self.weights.astype("<f8").tobytes())
-            if self.bias is not None:
-                fh.write(self.bias.astype("<f8").tobytes())
+        blocks = [self.weights] + ([] if self.bias is None else [self.bias])
+        atomic_write(path, b"".join([json.dumps(header).encode(), b"\n\0",
+                                     *(np.ascontiguousarray(b, dtype="<f8") for b in blocks)]))
 
     @classmethod
     def load(cls, path) -> "LinearMap":
@@ -89,10 +89,17 @@ class LinearMap:
             header = json.loads(blob[:cut].decode())
         except (UnicodeDecodeError, json.JSONDecodeError) as exc:
             raise DataFormatError(f"{path}: bad linear-map header: {exc}") from exc
-        if check_json(header, path).get("format") != "linear-map" or header.get("version") != 1:
-            raise DataFormatError(f"{path}: not a version-1 linear-map file")
+        if check_json(header, path).get("format") != "linear-map":
+            raise DataFormatError(f"{path}: not a linear-map file")
+        if header.get("version") != 2:
+            raise DataFormatError(f"{path}: linear-map version {header.get('version')!r}, "
+                                  "not 2; re-fit the model")
+        none = type(None)
         check_json(header, path, history_len=int, token_dim=int, out_dim=int, has_bias=bool,
-                   output_shape=SHAPE, design_rank=(int, type(None)))
+                   output_shape=SHAPE, design_rank=(int, none), patch=(int, none),
+                   normalization=(dict, none))
+        if header["normalization"] is not None:
+            check_normalization(header["normalization"], path)
         out_dim = header["out_dim"]
         if out_dim != np.prod(header["output_shape"]):
             raise DataFormatError(f"{path}: out_dim {out_dim} != the size of output_shape")
@@ -112,6 +119,8 @@ class LinearMap:
             token_dim=header["token_dim"],
             output_shape=tuple(header["output_shape"]),
             design_rank=header["design_rank"],
+            patch=header["patch"],
+            normalization=header["normalization"],
         )
 
 
@@ -153,6 +162,8 @@ def _design(histories: np.ndarray, targets: np.ndarray):
     tgt = np.asarray(targets, dtype=float)
     if hist.ndim != 3:
         raise ParameterError(f"histories must be (S, k, m), got shape {hist.shape}")
+    if hist.shape[0] == 0:
+        raise ParameterError("histories hold no samples")
     if tgt.shape[0] != hist.shape[0]:
         raise ParameterError(f"{hist.shape[0]} histories vs {tgt.shape[0]} targets")
     s, k, m = hist.shape

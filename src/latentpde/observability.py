@@ -113,10 +113,8 @@ def _output_map(A, h) -> np.ndarray:
     if A.shape[0] != A.shape[1]:
         raise ParameterError(f"generator must be square, got {A.shape}")
     hd = _as_dense(h)
-    if hd.ndim == 1:
-        hd = hd[None, :]
-    if hd.shape[1] != n:
-        raise ParameterError(f"output map columns {hd.shape[1]} != state dim {n}")
+    if hd.ndim != 2 or hd.shape[1] != n:
+        raise ParameterError(f"output map must be 2-d with {n} columns, got shape {hd.shape}")
     return hd
 
 

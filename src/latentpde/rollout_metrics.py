@@ -108,7 +108,6 @@ class CorrelationSeries:
     lags: np.ndarray
     mean: np.ndarray
     std: np.ndarray | None
-    pixel: tuple
     count: int
 
 
@@ -141,8 +140,7 @@ def temporal_correlation(video: np.ndarray, pixel, dt_max: int) -> CorrelationSe
             raise DegenerateStatisticError(
                 f"pixel series has zero variance at lag {d}; correlation undefined")
         rho[d] = float(((a - a.mean()) * (b - b.mean())).mean() / (sa * sb))
-    return CorrelationSeries(lags=np.arange(dt_max + 1), mean=rho, std=None,
-                             pixel=tuple(np.atleast_1d(pixel)), count=1)
+    return CorrelationSeries(lags=np.arange(dt_max + 1), mean=rho, std=None, count=1)
 
 
 def correlation_ensemble_stats(videos, pixel, dt_max: int) -> CorrelationSeries:
@@ -165,7 +163,6 @@ def correlation_ensemble_stats(videos, pixel, dt_max: int) -> CorrelationSeries:
         lags=np.arange(dt_max + 1),
         mean=stack.mean(axis=0),
         std=stack.std(axis=0, ddof=1),
-        pixel=tuple(np.atleast_1d(pixel)),
         count=len(curves),
     )
 

@@ -25,7 +25,6 @@ class Trajectory:
     dt:      time between *stored* frames (integrator step times skip)
     skip:    store one frame per this many integrator steps
     burn_in: stored frames dropped from the beginning before returning
-    equation: free-form tag ("heat", "wave", "kse2d", ...)
     seed:    seed of the initial condition, if one was drawn
     """
 
@@ -33,7 +32,6 @@ class Trajectory:
     dt: float
     skip: int = 1
     burn_in: int = 0
-    equation: str = ""
     seed: int | None = None
 
     def __post_init__(self):
@@ -66,16 +64,15 @@ def _gershgorin_radius(op) -> float:
 
 
 def simulate_linear(op, x0: np.ndarray, dt: float, steps: int, skip: int = 1,
-                    equation: str = "", seed=None) -> Trajectory:
+                    seed=None) -> Trajectory:
     """Forward-Euler trajectory of one initial state: the B = 1 case of
     :func:`simulate_linear_batch`."""
     x0 = np.asarray(x0, dtype=float)
-    return simulate_linear_batch(op, x0[None], dt, steps, skip=skip,
-                                 equation=equation, seeds=[seed])[0]
+    return simulate_linear_batch(op, x0[None], dt, steps, skip=skip, seeds=[seed])[0]
 
 
 def simulate_linear_batch(op, x0s: np.ndarray, dt: float, steps: int, skip: int = 1,
-                          equation: str = "", seeds=None) -> list[Trajectory]:
+                          seeds=None) -> list[Trajectory]:
     """Forward-Euler trajectories of ceil(steps/skip) stored frames each,
     for a stack ``x0s`` of B initial states stepped together.
 
@@ -123,7 +120,7 @@ def simulate_linear_batch(op, x0s: np.ndarray, dt: float, steps: int, skip: int 
                 f"state diverged by step {r * skip}{where} "
                 f"(dt*spectral-radius bound = {dt * radius:.3g})", step=r * skip, trajectory=bad)
         flat[:, r] = state.T
-    return [Trajectory(frames[i], dt=dt * skip, skip=skip, equation=equation, seed=seeds[i])
+    return [Trajectory(frames[i], dt=dt * skip, skip=skip, seed=seeds[i])
             for i in range(batch)]
 
 
@@ -241,8 +238,7 @@ def simulate_kse2d(u0: np.ndarray, domain_length: float, dt: float, steps: int,
                     raise DivergenceError(f"state diverged by step {step}", step=step)
                 frames[stored] = u
                 stored += 1
-    return Trajectory(frames, dt=dt * skip, skip=skip, burn_in=burn_in,
-                      equation="kse2d", seed=seed)
+    return Trajectory(frames, dt=dt * skip, skip=skip, burn_in=burn_in, seed=seed)
 
 
 def simulate_kse1d(u0: np.ndarray, domain_length: float, dt: float, steps: int,
@@ -284,4 +280,4 @@ def simulate_kse1d(u0: np.ndarray, domain_length: float, dt: float, steps: int,
         if not np.all(np.isfinite(u)):
             raise DivergenceError(f"state diverged by step {step}", step=step)
         frames[step] = u
-    return Trajectory(frames, dt=dt, equation="kse1d", seed=seed)
+    return Trajectory(frames, dt=dt, seed=seed)

@@ -162,6 +162,14 @@ def run_cli(argv):
     assert code == 0, f"cli {argv} exited {code}"
 
 
+@pytest.mark.parametrize("name", sorted(dataset_module.PRESETS))
+def test_presets_are_complete_configs(name):
+    args = cli.build_parser().parse_args(["generate", "--preset", name, "--out", "unused"])
+    config = cli._load_config(args)
+    assert config == dataset_module.PRESETS[name]
+    dataset_module._check_config(config)
+
+
 def test_cli_generate_regenerate_bit_identical(tmp_path):
     config_path = tmp_path / "cfg.json"
     config_path.write_text(json.dumps(TINY_HEAT))
@@ -196,9 +204,11 @@ def test_cli_end_to_end_pipeline(tmp_path, capsys):
     sup_path = str(tmp_path / "G.lpm")
     run_cli(["fit", "--data", str(data), "--role", "super", "--patch", "4", "--k", "2",
              "--train-frac", "0.84", "--out", sup_path])
-    sidecar = json.loads(open(g_path + ".norm.json").read())
-    assert sidecar["train_trajectories"] == 5
-    assert sidecar["normalization"]["hi"] > sidecar["normalization"]["lo"]
+    assert "on 5 trajectories" in capsys.readouterr().out
+    g_map = latentpde.LinearMap.load(g_path)
+    assert g_map.patch == 4
+    assert g_map.normalization["hi"] > g_map.normalization["lo"]
+    assert sorted(os.listdir(tmp_path)) == ["G.lpm", "cfg.json", "data", "g.lpm", "tokens"]
 
     prefix = str(tmp_path / "roll")
     run_cli(["rollout", "--data", str(data), "--model", g_path, "--super", sup_path,
@@ -330,23 +340,21 @@ def test_cli_error_exit_codes(tmp_path, capsys):
     rollout = ["rollout", "--data", str(data), "--model", str(bad_model), "--steps", "3",
                "--out-prefix", str(tmp_path / "r")]
     blob = open(model, "rb").read()
-    bad_model.write_bytes(blob)
-    stats = {"lo": 0.0, "hi": 1.0, "constant": False}
-    for sidecar in ({}, [1, 2], {"normalization": {"lo": 0.0, "hi": 1.0}, "patch": 4},
-                    {"normalization": stats, "patch": "4"},
-                    # once a divergence (exit 4) and a bad flag (exit 2)
-                    {"normalization": dict(stats, lo=float("nan")), "patch": 4},
-                    {"normalization": dict(stats, hi=float("inf")), "patch": 4},
-                    {"normalization": stats, "patch": 3},
-                    {"normalization": stats, "patch": 0}):
-        (tmp_path / "bad.lpm.norm.json").write_text(json.dumps(sidecar))
-        data_format_error(rollout)
-    (tmp_path / "bad.lpm.norm.json").write_text(open(model + ".norm.json").read())
     cut = blob.index(b"\n\0")
     header = json.loads(blob[:cut])
-    for drop in ("out_dim", "has_bias"):
-        trimmed = {k: v for k, v in header.items() if k != drop}
-        bad_model.write_bytes(json.dumps(trimmed).encode() + blob[cut:])
+    stats = {"lo": 0.0, "hi": 1.0, "constant": False}
+    for bad_header in ([1, 2], dict(header, version=1),
+                       dict(header, normalization={"lo": 0.0, "hi": 1.0}),
+                       dict(header, normalization=[0, 1]), dict(header, patch="4"),
+                       # once a divergence (exit 4) and a bad flag (exit 2)
+                       dict(header, normalization=dict(stats, lo=float("nan"))),
+                       dict(header, normalization=dict(stats, hi=float("inf"))),
+                       dict(header, patch=3), dict(header, patch=0),
+                       # a map that a library call fitted and saved
+                       dict(header, patch=None, normalization=None),
+                       *({k: v for k, v in header.items() if k != drop}
+                         for drop in ("out_dim", "has_bias", "patch", "normalization"))):
+        bad_model.write_bytes(json.dumps(bad_header).encode() + blob[cut:])
         data_format_error(rollout)
     meta = json.loads(open(clip + "_meta.json").read())
     subvideo = ["metrics", "subvideo", "--data", str(data), "--clip-prefix",
@@ -377,6 +385,45 @@ def test_cli_error_exit_codes(tmp_path, capsys):
         data_format_error(["generate", "--from-manifest", str(bad_data / "manifest.json"),
                            "--out", str(tmp_path / "regen")])
     capsys.readouterr()
+
+
+@pytest.mark.filterwarnings("ignore:rank-deficient design:RuntimeWarning")
+def test_cli_rollout_refuses_a_super_map_of_another_normalization(tmp_path, capsys):
+    """g and G fitted on different training splits normalize the fields
+    differently, so G's fields would not be in g's units."""
+    (tmp_path / "cfg.json").write_text(json.dumps(dict(TINY_HEAT, trajectories=8, frames=24)))
+    data, g_path, sup_path = (str(tmp_path / name) for name in ("data", "g.lpm", "G.lpm"))
+    run_cli(["generate", "--config", str(tmp_path / "cfg.json"), "--out", data])
+    fit = ["fit", "--data", data, "--patch", "4", "--k", "2"]
+    run_cli([*fit, "--role", "g", "--train-frac", "0.75", "--out", g_path])
+    run_cli([*fit, "--role", "super", "--train-frac", "0.25", "--out", sup_path])
+    assert (latentpde.LinearMap.load(g_path).normalization
+            != latentpde.LinearMap.load(sup_path).normalization)
+    capsys.readouterr()
+    prefix = str(tmp_path / "roll")
+    assert cli.main(["rollout", "--data", data, "--model", g_path, "--super", sup_path,
+                     "--steps", "3", "--out-prefix", prefix]) == 2
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: "), lines
+    assert not os.path.exists(prefix + "_meta.json")
+
+
+def test_cli_sgd_curve_has_no_eval_loss_without_an_eval_split(tmp_path, capsys):
+    (tmp_path / "cfg.json").write_text(json.dumps(TINY_HEAT))
+    data = str(tmp_path / "data")
+    run_cli(["generate", "--config", str(tmp_path / "cfg.json"), "--out", data])
+    fit = ["fit", "--data", data, "--role", "g", "--patch", "4", "--k", "2",
+           "--learner", "sgd", "--steps", "30"]
+    for split, out in ((["--eval-split", "0"], "none.lpm"), ([], "default.lpm")):
+        run_cli([*fit, *split, "--out", str(tmp_path / out)])
+    capsys.readouterr()
+    curves = {out: np.array([[float(v) for v in row[1:]]
+                             for row in read_csv(str(tmp_path / out) + ".curve.csv")[1]])
+              for out in ("none.lpm", "default.lpm")}
+    assert np.isfinite(curves["none.lpm"][:, 0]).all()
+    assert np.isnan(curves["none.lpm"][:, 1]).all()
+    assert np.isfinite(curves["default.lpm"]).all()
+    assert len(curves["default.lpm"]) > 1
 
 
 def run_module(argv, **kwargs):
@@ -580,7 +627,7 @@ def fuzz_files(tmp_path_factory):
     root = tmp_path_factory.mktemp("fuzz")
     paths = {name: str(root / name) for name in
              ("heat", "kse", "heat_json", "kse_json", "junk", "g_model", "super_model", "clip",
-              "bad_sidecar", "bad_clip", "bad_manifest")}
+              "bad_header", "bad_clip", "bad_manifest")}
     with open(paths["heat_json"], "w") as fh:
         json.dump(TINY_HEAT, fh)
     with open(paths["kse_json"], "w") as fh:
@@ -598,11 +645,14 @@ def fuzz_files(tmp_path_factory):
         with warnings.catch_warnings():
             warnings.filterwarnings("ignore", "rank-deficient design", RuntimeWarning)
             assert cli.main(argv) == 0
-    with open(paths["g_model"], "rb") as src, open(paths["bad_sidecar"], "wb") as dst:
-        dst.write(src.read())
+    with open(paths["g_model"], "rb") as src, open(paths["bad_header"], "wb") as dst:
+        blob = src.read()
+        cut = blob.index(b"\n\0")
+        header = json.loads(blob[:cut])
+        del header["normalization"]
+        dst.write(json.dumps(header).encode() + blob[cut:])
     os.mkdir(paths["bad_manifest"])
-    for path, content in ((paths["bad_sidecar"] + ".norm.json", {"patch": 4}),
-                          (paths["bad_clip"] + "_meta.json", [1]),
+    for path, content in ((paths["bad_clip"] + "_meta.json", [1]),
                           (os.path.join(paths["bad_manifest"], "manifest.json"), [1])):
         with open(path, "w") as fh:
             json.dump(content, fh)
@@ -656,7 +706,7 @@ FUZZ_POOLS = {
                "1,2", "0,0", "9,9", "a:b"),
     _INPUTS: ("{heat}", "{kse}", "{heat_json}", "{kse_json}", "{junk}", "{g_model}",
               "{super_model}", "{clip}", "{heat}/manifest.json", "{missing}", "",
-              "{bad_sidecar}", "{bad_clip}", "{bad_manifest}", "{bad_manifest}/manifest.json"),
+              "{bad_header}", "{bad_clip}", "{bad_manifest}", "{bad_manifest}/manifest.json"),
     _OUTPUTS: ("{out}", "{outputs}", "{missing}/out"),
 }
 

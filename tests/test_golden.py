@@ -19,6 +19,11 @@ from test_dataset_cli import TINY_HEAT, TINY_KSE, TINY_WAVE
 
 GRF_COND = {"sigma": 0.4, "m": 0.1, "nu": 1.0, "seed": 7, "scale": 0.2}
 WAVE_SKIP3 = dict(TINY_WAVE, trajectories=3, frames=10, skip=3, conductivity=GRF_COND)
+TINY_KSE2D = {
+    "equation": "kse2d", "grid_size": 16, "domain_length": 16.0, "dt": 0.05,
+    "trajectories": 2, "frames": 4, "skip": 2, "burn_in": 1,
+    "init": {"sigma": 1.0, "m": 0.5, "nu": 2.0}, "init_seed": 3000, "patch": 4,
+}
 
 
 def _digest(arrays, extra=b""):
@@ -40,6 +45,7 @@ DATASET_DIGESTS = {
     "heat": (TINY_HEAT, "4f1c85c2ac3d0bf9c65c26340f4d9e0cc6f06f0377cc1f5284307a3a3ed385d4"),
     "wave": (TINY_WAVE, "064ed24967439a4721a8c8f0d9841211fc64f2a67f824b8b9efacda1559f9a69"),
     "wave-skip3": (WAVE_SKIP3, "df670cb6b40d366933dabda07e1be428106554429beda9270fe57c8c81d9dd49"),
+    "kse2d": (TINY_KSE2D, "748b0383cda1ed05e1497d9c1684812890b5129d7f2db3ce4aac6d20a55b8572"),
 }
 
 

@@ -4,8 +4,8 @@ import scipy.linalg
 
 from latentpde import (DataFormatError, DivergenceError, LinearMap, ParameterError,
                        TrainConfig, fit_least_squares, fit_sgd, fit_superres,
-                       forecast_pairs, generate_dataset, history_sweep, mse_loss_and_grad,
-                       tokenize_trajectory)
+                       forecast_pairs, generate_dataset, history_sweep, kalman_rank_test,
+                       mse_loss_and_grad, tokenize_trajectory)
 
 from test_acceptance import GRF_COND, HEAT_BASE, latent_pairs, recon_pairs, split_normalize
 from test_dataset_cli import TINY_HEAT
@@ -189,6 +189,25 @@ def test_apply_shapes():
         fitted.apply(np.ones((3, 3)))
 
 
+def test_flat_inputs_are_refused():
+    """A history is (..., k, m) and an output map (m, n); neither is read
+    from a flat vector."""
+    histories, targets, _, _ = make_linear_problem(10, 2, 3, 4, seed=9)
+    fitted = fit_least_squares(histories, targets)
+    with pytest.raises(ParameterError):
+        fitted.apply(histories[0].ravel())
+    with pytest.raises(ParameterError):
+        kalman_rank_test(np.eye(3), np.ones(3))
+
+
+@pytest.mark.parametrize("fit", [fit_least_squares,
+                                 lambda h, t: fit_sgd(h, t, TrainConfig(steps=1))])
+def test_fits_refuse_zero_samples(fit):
+    histories, targets, _, _ = make_linear_problem(10, 2, 3, 4, seed=9)
+    with pytest.raises(ParameterError, match="no samples"):
+        fit(histories[:0], targets[:0])
+
+
 def test_superres_recovers_field_map():
     rng = np.random.default_rng(10)
     histories = rng.standard_normal((120, 2, 4))
@@ -211,6 +230,11 @@ def test_save_load_roundtrip(tmp_path):
     np.testing.assert_array_equal(loaded.bias, fitted.bias)
     assert loaded.history_len == fitted.history_len
     assert loaded.output_shape == fitted.output_shape
+    assert loaded.patch is None and loaded.normalization is None
+    fitted.patch, fitted.normalization = 4, {"lo": -1.5, "hi": 2.0, "constant": False}
+    fitted.save(path)
+    loaded = LinearMap.load(path)
+    assert (loaded.patch, loaded.normalization) == (fitted.patch, fitted.normalization)
 
 
 def test_load_rejects_corrupt_files(tmp_path):
