@@ -207,10 +207,9 @@ def cmd_metrics(args) -> int:
         meta = check_json(json.load(fh), meta_path)
     if not meta.get("fields_shape"):
         raise DataFormatError("clip has no reconstructed fields; rerun rollout with --super")
-    shape = check_json(meta, meta_path, fields_shape=SHAPE)["fields_shape"]
-    stats = meta.get("normalization")
-    if stats is not None:
-        ds.check_normalization(stats, meta_path)
+    check_json(meta, meta_path, fields_shape=SHAPE, normalization=dict)
+    shape, stats = meta["fields_shape"], meta["normalization"]
+    ds.check_normalization(stats, meta_path)
     clip = np.fromfile(args.clip_prefix + "_fields.bin", dtype="<f8")
     if clip.size != np.prod(shape):
         raise DataFormatError(f"clip fields hold {clip.size} values, not shape {shape}")
@@ -219,10 +218,8 @@ def cmd_metrics(args) -> int:
     rows = []
     best = np.inf
     for idx, fr in enumerate(frames):
-        video = amplitude(fr)
-        if stats is not None:
-            # the clip lives in the model's normalized units
-            video = ds.apply_normalization(video, stats)
+        # the clip lives in the model's normalized units
+        video = ds.apply_normalization(amplitude(fr), stats)
         d = nearest_subvideo_distance(clip, video)
         rows.append([idx, d])
         best = min(best, d)

@@ -109,7 +109,11 @@ def load_manifest(data_dir: str) -> DatasetManifest:
 
 
 def load_trajectory(data_dir: str, manifest: DatasetManifest, index: int) -> np.ndarray:
-    """Read one blob, validating its size against the manifest."""
+    """Read one blob of a field dataset, validating its size against the
+    manifest.  A token dataset is refused: no verb reads one."""
+    if manifest.kind != "fields":
+        raise DataFormatError(f"{data_dir}: a dataset of kind {manifest.kind!r}; "
+                              "this verb reads a 'fields' dataset")
     if not 0 <= index < manifest.trajectories:
         raise ParameterError(f"trajectory index {index} outside 0..{manifest.trajectories - 1}")
     path = os.path.join(data_dir, _blob_name(index))

@@ -361,8 +361,10 @@ def _simpson_pass(estep: np.ndarray, hd: np.ndarray, horizon: float, steps: int,
                   outputs: np.ndarray | None = None):
     """Composite Simpson quadrature on the nodes s_i = i * horizon/steps.
 
-    The propagator e^{A s_i} advances by one multiplication with ``estep``
-    per node.  Returns ``(gram, moment)``: the symmetrized Gramian
+    Both integrands read e^{As} only through the m x n output orbit
+    h e^{A s_i}, which advances by one multiplication with ``estep`` per
+    node: m*n^2 multiply-adds, and as many for the node's Gramian term.
+    Returns ``(gram, moment)``: the symmetrized Gramian
     integral e^{A's} h' h e^{As} ds and, when output samples y(s_i) are
     given, the moment vector  integral e^{A's} h' y(s) ds  (else None).
     """
@@ -371,15 +373,19 @@ def _simpson_pass(estep: np.ndarray, hd: np.ndarray, horizon: float, steps: int,
     weights[1::2] = 4.0
     weights[0] = weights[-1] = 1.0
     gram = np.zeros((n, n))
+    term = np.empty((n, n))
     moment = None if outputs is None else np.zeros(n)
-    prop = np.eye(n)
+    orbit = hd
     for i in range(steps + 1):
-        hm = hd @ prop
-        gram += weights[i] * (hm.T @ hm)
+        # w_i scales the m x n orbit, not the n x n term: exact, as the
+        # weights are powers of two
+        weighted = weights[i] * orbit
+        np.matmul(weighted.T, orbit, out=term)
+        gram += term
         if moment is not None:
-            moment += weights[i] * (prop.T @ (hd.T @ outputs[i]))
+            moment += weighted.T @ outputs[i]
         if i < steps:
-            prop = prop @ estep
+            orbit = orbit @ estep
     delta = horizon / steps
     gram *= delta / 3.0
     if moment is not None:
@@ -403,8 +409,9 @@ def observability_gramian(A, h, horizon: float, quadrature_steps: int = 256) -> 
     """Finite-horizon Gramian  integral_0^T  e^{A's} h' h e^{As} ds.
 
     Composite Simpson quadrature on a uniform grid (steps rounded up to
-    even); matrix exponentials advance by repeated multiplication with
-    expm(A * T/steps).  Dense evaluation, guarded to state dims <= 256.
+    even); the m x n output orbit h e^{As} advances by one multiplication
+    with expm(A * T/steps), m*n^2 multiply-adds per node.  Dense
+    evaluation, guarded to state dims <= 256.
     """
     hd = _output_map(A, h)
     steps, estep = _step_propagator(A, horizon, quadrature_steps)
@@ -434,7 +441,11 @@ def linear_reconstruct_initial_state(A, h, outputs: np.ndarray, horizon: float,
 
 @dataclass
 class GramianReport(_KeyValueReport):
-    """Recovery of a known x(0) from its own patch-token outputs."""
+    """Recovery of a known x(0) from its own patch-token outputs.
+
+    The Gramian and the moment come from the same nodes, so the error is
+    rounding only; ``rounding_bound`` = cond * eps is its error bar.
+    """
 
     METHOD = "gramian-reconstruction"
     grid: int
@@ -443,6 +454,7 @@ class GramianReport(_KeyValueReport):
     quadrature_steps: int
     gramian_condition: float = _fmt(".6e")
     relative_reconstruction_error: float = _fmt(".6e")
+    rounding_bound: float = _fmt(".6e")
 
 
 def gramian_reconstruction(grid: GridSpec, patch: int, A, x0: np.ndarray, horizon: float,
@@ -464,7 +476,8 @@ def gramian_reconstruction(grid: GridSpec, patch: int, A, x0: np.ndarray, horizo
             state = estep @ state
     recon, cond = _solve_moments(*_simpson_pass(estep, hd, horizon, steps, outputs), cond_limit)
     rel = float(np.linalg.norm(recon - x0) / np.linalg.norm(x0))
-    return GramianReport(grid.n, patch, horizon, steps, cond, rel)
+    return GramianReport(grid.n, patch, horizon, steps, cond, rel,
+                         cond * float(np.finfo(float).eps))
 
 
 @dataclass

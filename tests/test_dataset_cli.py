@@ -366,10 +366,28 @@ def test_cli_error_exit_codes(tmp_path, capsys):
                                  (meta, fields[:-8]),
                                  (dict(meta, normalization=[0, 1]), fields),
                                  (dict(meta, normalization=dict(stats, lo=float("nan"))),
+                                  fields),
+                                 # once compared in raw units, exit 0
+                                 (dict(meta, normalization=None), fields),
+                                 ({k: v for k, v in meta.items() if k != "normalization"},
                                   fields)):
         (tmp_path / "badclip_meta.json").write_text(json.dumps(bad_meta))
         (tmp_path / "badclip_fields.bin").write_bytes(bad_fields)
         data_format_error(subvideo)
+    # a token dataset where a verb reads fields -> data format error naming the kind
+    tokens = str(tmp_path / "tokens")
+    run_cli(["tokenize", "--data", str(data), "--patch", "4", "--out", tokens])
+    capsys.readouterr()
+    for argv in (["fit", "--role", "g", "--patch", "2", "--k", "2"],
+                 ["sweep", "--patch", "2", "--k-list", "1"],
+                 ["tokenize", "--patch", "2"],
+                 ["metrics", "correlation"],
+                 ["export"],
+                 ["rollout", "--model", model, "--steps", "3"]):
+        out = ["--out-prefix" if argv[0] == "rollout" else "--out", str(tmp_path / "kind.out")]
+        assert cli.main([*argv, "--data", tokens, *out]) == 3, argv
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1 and "kind 'tokens'" in lines[0], (argv, lines)
     bad_data = tmp_path / "baddata"
     bad_data.mkdir()
     manifest = json.loads((data / "manifest.json").read_text())
@@ -521,7 +539,8 @@ def test_cli_observability_gramian(tmp_path, capsys):
              "--horizon", "4", "--out", str(out)])
     report = parse_report(out.read_text())
     assert set(report) == {"method", "grid", "patch", "horizon", "quadrature_steps",
-                           "gramian_condition", "relative_reconstruction_error"}
+                           "gramian_condition", "relative_reconstruction_error",
+                           "rounding_bound"}
     assert float(report["relative_reconstruction_error"]) < 1e-6
     # patch 4 at horizon 1 leaves the Gramian numerically singular
     assert cli.main(["observability", "--check", "gramian", "--grid", "8",

@@ -308,6 +308,48 @@ def test_gramian_quadrature_convergence():
     assert np.abs(finest - finest.T).max() == 0.0
 
 
+def test_simpson_pass_matches_its_definition(monkeypatch):
+    """The Gramian and the moment against Simpson weights times expm(A s_i)
+    at every node, for a non-normal A and an output map of two rows."""
+    rng = np.random.default_rng(5)
+    n, m, horizon, steps = 7, 2, 1.5, 40
+    A = 0.4 * rng.standard_normal((n, n)) + np.diag(np.full(n - 1, 2.0), k=1)
+    h = rng.standard_normal((m, n))
+    outputs = rng.standard_normal((steps + 1, m))
+    weights = np.full(steps + 1, 2.0)
+    weights[1::2] = 4.0
+    weights[0] = weights[-1] = 1.0
+    weights *= horizon / steps / 3.0
+    gram_ref, moment_ref = np.zeros((n, n)), np.zeros(n)
+    for i, w in enumerate(weights):
+        hm = h @ real_expm(A * (i * horizon / steps))
+        gram_ref += w * (hm.T @ hm)
+        moment_ref += w * (hm.T @ outputs[i])
+
+    solved = {}
+    real_solve = obs._solve_moments
+
+    def recording_solve(gram, moment, cond_limit):
+        solved["moment"] = moment
+        return real_solve(gram, moment, cond_limit)
+
+    monkeypatch.setattr(obs, "_solve_moments", recording_solve)
+    linear_reconstruct_initial_state(A, h, outputs, horizon)
+    gram = observability_gramian(A, h, horizon, steps)
+    for got, ref in ((gram, gram_ref), (solved["moment"], moment_ref)):
+        assert np.linalg.norm(got - ref) <= 1e-12 * np.linalg.norm(ref)
+
+
+def test_gramian_reconstruction_error_is_within_its_rounding_bound():
+    grid = GridSpec(n=8)
+    a = 0.2 * build_conductivity(GrfParams(grid_size=8, sigma=0.5, m=0.1, nu=1.0, seed=77))
+    op = build_modified_laplacian(a, grid)
+    x0 = np.random.default_rng(78).standard_normal(64)
+    report = gramian_reconstruction(grid, 2, op, x0, 4.0, 200)
+    assert report.rounding_bound == report.gramian_condition * np.finfo(float).eps
+    assert report.relative_reconstruction_error <= report.rounding_bound
+
+
 def test_reconstruction_rotation_system():
     # exactly integrable rotation, observed through one coordinate
     A = np.array([[0.0, 1.0], [-1.0, 0.0]])
