@@ -31,7 +31,7 @@ from .errors import SHAPE, DataFormatError, LatentPdeError, ParameterError, chec
 from .lattice_ops import (GridSpec, build_modified_laplacian, build_tokenizer_matrix,
                           build_wave_generator)
 from .learners import LinearMap, TrainConfig, fit_least_squares, fit_sgd, fit_superres, history_sweep
-from .random_fields import GrfParams
+from .random_fields import GrfParams, sample_matern_field
 from .rollout_metrics import (autoregressive_rollout, correlation_ensemble_stats,
                               full_pipeline_rollout, nearest_subvideo_distance, residue_norms)
 from .solvers import Trajectory
@@ -237,9 +237,14 @@ def cmd_observability(args) -> int:
     elif args.check == "lie":
         if args.data is None:
             raise ParameterError("--check lie needs --data")
-        frames, manifest = ds.load_all(args.data)
+        manifest = ds.load_manifest(args.data)
+        if len(manifest.frame_shape) != 1:
+            raise DataFormatError(f"{args.data}: --check lie reads line frames, not the "
+                                  f"{manifest.equation} frames of shape "
+                                  f"{tuple(manifest.frame_shape)}")
+        # a line (kse1d) dataset holds one trajectory
         report = obs.lie_logdet_report(
-            Trajectory(frames[0], dt=manifest.dt), args.patch,
+            Trajectory(ds.load_trajectory(args.data, manifest, 0), dt=manifest.dt), args.patch,
             derivative_order=args.derivative_order, window=args.window,
             burn_frac=args.burn_frac, rel_tol=args.rel_tol)
         if args.csv:
@@ -251,16 +256,14 @@ def cmd_observability(args) -> int:
                          comment=f"local rank diagnostic, dt={series.dt}")
     else:
         grid = GridSpec(n=args.grid)
-        if args.constant is not None:
-            a = np.full((args.grid, args.grid), args.constant)
-        else:
-            # the preset conductivity (heat32, wave32) with its seed replaced
-            a = ds._conductivity_field({"grid_size": args.grid, "conductivity": dict(
-                ds.PRESETS["heat32"]["conductivity"], seed=args.grf_seed)})
+        # without --constant, the preset conductivity (heat32, wave32) with its seed replaced
+        cond = ({"constant": args.constant} if args.constant is not None
+                else dict(ds.PRESETS["heat32"]["conductivity"], seed=args.grf_seed))
+        a = ds._conductivity_field({"grid_size": args.grid, "conductivity": cond})
         op = build_wave_generator(a, grid) if wave else build_modified_laplacian(a, grid)
         if args.check == "gramian":
-            x0 = ds.sample_matern_field(GrfParams(grid_size=args.grid, sigma=1.0, m=0.5,
-                                                  nu=1.0, seed=args.grf_seed + 1)).ravel()
+            x0 = sample_matern_field(GrfParams(grid_size=args.grid, sigma=1.0, m=0.5,
+                                               nu=1.0, seed=args.grf_seed + 1)).ravel()
             if wave:
                 x0 = np.concatenate([x0, np.zeros_like(x0)])
             report = obs.gramian_reconstruction(grid, args.patch, op, x0, args.horizon,

@@ -29,6 +29,7 @@ from .errors import NonObservableError, ParameterError
 from .lattice_ops import (GridSpec, build_modified_laplacian, build_tokenizer_matrix,
                           build_wave_generator)
 from .solvers import _gershgorin_radius
+from .tokenizer import tokenize_trajectory
 
 
 class _KeyValueReport:
@@ -515,7 +516,8 @@ def empirical_lie_logdet(traj, patch: int, derivative_order: int = 5,
     matrix along a tokenized line trajectory.
 
     ``traj`` is a Trajectory of (T, N) line fields (or the raw array);
-    tokens are means over non-overlapping windows of ``patch`` sites.
+    its tokens are :func:`latentpde.tokenizer.tokenize_trajectory` of the
+    line, the means over non-overlapping windows of ``patch`` sites.
     Derivatives use forward-difference tables divided by dt**order, so
     scaling the trajectory by c shifts every log |det| by dim * log(c).
     Singular values, when requested, skip the first ``burn_frac`` share
@@ -525,9 +527,6 @@ def empirical_lie_logdet(traj, patch: int, derivative_order: int = 5,
     dt = float(getattr(traj, "dt", 1.0))
     if frames.ndim != 2:
         raise ParameterError(f"expected (T, N) line frames, got shape {frames.shape}")
-    t_total, n_sites = frames.shape
-    if patch < 1 or n_sites % patch != 0:
-        raise ParameterError(f"patch {patch} must divide the line length {n_sites}")
     p = derivative_order
     if p < 1:
         raise ParameterError(f"derivative_order must be >= 1, got {p}")
@@ -535,8 +534,8 @@ def empirical_lie_logdet(traj, patch: int, derivative_order: int = 5,
         raise ParameterError(f"window must be >= 1, got {window}")
     if not 0 <= burn_frac < 1:
         raise ParameterError(f"burn_frac must be in [0, 1), got {burn_frac}")
-    tokens = frames.reshape(t_total, n_sites // patch, patch).mean(axis=2)
-    m = tokens.shape[1]
+    tokens = tokenize_trajectory(frames, patch)
+    t_total, m = tokens.shape
     dim = m * p
     n_z = t_total - p + 1
     if n_z < dim:

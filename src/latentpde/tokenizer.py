@@ -1,8 +1,9 @@
 """Patch-average tokenization and supervised sample assembly.
 
-A token frame is the vector of patch means of one field, flattened in the
-same block order as the rows of the sparse tokenizer matrix, so applying
-:func:`tokenize` and multiplying by
+A token frame is the vector of patch means of one field: of runs of
+``patch`` sites on an (N,) line, or of ``patch`` x ``patch`` blocks on an
+(n, n) lattice, flattened in the same block order as the rows of the
+sparse tokenizer matrix, so applying :func:`tokenize` and multiplying by
 :func:`latentpde.lattice_ops.build_tokenizer_matrix` agree to rounding.
 For stacked wave states only the amplitude block is read.
 """
@@ -24,21 +25,22 @@ def amplitude(frames: np.ndarray) -> np.ndarray:
 
 
 def tokenize(state: np.ndarray, patch: int) -> np.ndarray:
-    """Token frame of shape ((n/patch)^2,) from one (n, n) or (2, n, n) state."""
+    """Token frame of one (N,) line, (n, n) or (2, n, n) state."""
     return tokenize_trajectory(np.asarray(state, dtype=float)[None], patch)[0]
 
 
 def tokenize_trajectory(frames: np.ndarray, patch: int) -> np.ndarray:
-    """Tokenize every frame: (T, n, n) or (T, 2, n, n) -> (T, m)."""
+    """Tokenize every frame, the one array form of patch averaging:
+    (T, N) lines -> (T, N/patch), (T, n, n) or (T, 2, n, n) -> (T, (n/patch)^2)."""
     frames = amplitude(frames)
-    if frames.ndim != 3 or frames.shape[1] != frames.shape[2]:
-        raise ParameterError(f"expected stacked square frames, got shape {frames.shape}")
-    n = frames.shape[1]
+    rank = frames.ndim - 1
+    if rank not in (1, 2) or frames.shape[1:] != frames.shape[-1:] * rank:
+        raise ParameterError(f"expected (T, N) or (T, n, n) frames, got shape {frames.shape}")
+    t, n = frames.shape[0], frames.shape[-1]
     if patch < 1 or n % patch != 0:
         raise ParameterError(f"patch {patch} must divide grid size {n}")
-    blocks = n // patch
-    t = frames.shape[0]
-    return frames.reshape(t, blocks, patch, blocks, patch).mean(axis=(2, 4)).reshape(t, -1)
+    blocks = frames.reshape((t,) + (n // patch, patch) * rank)
+    return blocks.mean(axis=(2, 4)[:rank]).reshape(t, -1)
 
 
 def sliding_histories(tokens: np.ndarray, k: int) -> np.ndarray:

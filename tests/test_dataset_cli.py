@@ -249,6 +249,32 @@ def test_cli_end_to_end_pipeline(tmp_path, capsys):
     capsys.readouterr()
 
 
+@pytest.mark.filterwarnings("ignore:rank-deficient design:RuntimeWarning")
+def test_cli_pipeline_on_a_line_dataset(tmp_path, capsys):
+    """A kse1d dataset tokenizes, fits, rolls out and scores like a lattice."""
+    (tmp_path / "kse.json").write_text(json.dumps(TINY_KSE))
+    data, tokens = str(tmp_path / "kse"), str(tmp_path / "tokens")
+    g_path, sup_path = str(tmp_path / "g.lpm"), str(tmp_path / "G.lpm")
+    prefix = str(tmp_path / "roll")
+    run_cli(["generate", "--config", str(tmp_path / "kse.json"), "--out", data])
+    run_cli(["tokenize", "--data", data, "--patch", "4", "--out", tokens])
+    assert load_manifest(tokens).frame_shape == [10]
+    for role, out in (("g", g_path), ("super", sup_path)):
+        run_cli(["fit", "--data", data, "--role", role, "--patch", "4", "--k", "4",
+                 "--out", out])
+    run_cli(["rollout", "--data", data, "--model", g_path, "--super", sup_path,
+             "--steps", "20", "--out-prefix", prefix])
+    assert json.loads(open(prefix + "_meta.json").read())["fields_shape"] == [20, 40]
+    header, rows = read_csv(prefix + "_residues.csv")
+    assert header[1:] == [f"{space}_{norm}" for space in ("token", "field")
+                          for norm in ("l1", "l2", "linf")]
+    assert len(rows) == 20 and np.isfinite(np.array(rows, dtype=float)).all()
+    sub_path = str(tmp_path / "sub.csv")
+    run_cli(["metrics", "subvideo", "--data", data, "--clip-prefix", prefix, "--out", sub_path])
+    assert np.isfinite(float(read_csv(sub_path)[1][-1][1]))
+    capsys.readouterr()
+
+
 def test_cli_error_exit_codes(tmp_path, capsys):
     # conflicting sources -> parameter error
     assert cli.main(["generate", "--preset", "heat32", "--config", "x.json",
@@ -309,6 +335,8 @@ def test_cli_error_exit_codes(tmp_path, capsys):
                  [*fit, "--learner", "sgd", "--sgd-seed", "-1"],
                  [*fit, "--learner", "sgd", "--lr", "inf"],
                  ["observability", "--check", "hautus", "--grid", "4", "--constant", "inf"],
+                 ["observability", "--check", "hautus", "--grid", "4", "--constant", "0"],
+                 ["observability", "--check", "kalman", "--grid", "4", "--constant", "-1"],
                  ["observability", "--check", "hautus", "--grid", "4", "--grf-seed", "-1"],
                  ["observability", "--check", "hautus", "--grid", "4", "--tol", "nan"],
                  ["observability", "--check", "gramian", "--grid", "4", "--horizon", "nan"],
@@ -335,6 +363,12 @@ def test_cli_error_exit_codes(tmp_path, capsys):
         assert cli.main(argv) == 3, argv
         lines = capsys.readouterr().err.splitlines()
         assert len(lines) == 1 and lines[0].startswith("error: "), (argv, lines)
+
+    # the log-det diagnostic on a lattice dataset: the data is wrong, not a flag
+    assert cli.main(["observability", "--check", "lie", "--data", str(data),
+                     "--out", str(tmp_path / "lie.txt")]) == 3
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1 and "heat" in lines[0] and "(8, 8)" in lines[0], lines
 
     bad_model = tmp_path / "bad.lpm"
     rollout = ["rollout", "--data", str(data), "--model", str(bad_model), "--steps", "3",

@@ -2,10 +2,12 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from latentpde import (DataFormatError, DivergenceError, LinearMap, ParameterError,
-                       TrainConfig, fit_least_squares, fit_sgd, fit_superres,
+from latentpde import (DataFormatError, DivergenceError, GridSpec, LinearMap, ParameterError,
+                       TrainConfig, build_modified_laplacian, build_tokenizer_matrix,
+                       build_wave_generator, fit_least_squares, fit_sgd, fit_superres,
                        forecast_pairs, generate_dataset, history_sweep, kalman_rank_test,
                        mse_loss_and_grad, tokenize_trajectory)
+from latentpde import dataset as dataset_module
 
 from test_acceptance import GRF_COND, HEAT_BASE, latent_pairs, recon_pairs, split_normalize
 from test_dataset_cli import TINY_HEAT
@@ -334,3 +336,34 @@ def test_history_sweep_prefers_sufficient_history():
     assert by_k[1]["l1_std"] > 0.0
     with pytest.raises(ParameterError):
         history_sweep(trajectories[:8], trajectories[8:], k_values=[0])
+
+
+SWEEP_BASE = dict(grid_size=8, dx=1.0, frames=64, trajectories=60, init_seed=100,
+                  init=dict(sigma=5.0, m=0.1, nu=1.0))
+
+
+@pytest.mark.parametrize("config, cliff", [
+    (dict(SWEEP_BASE, equation="heat", dt=0.19, conductivity=GRF_COND), True),
+    (dict(SWEEP_BASE, equation="heat", dt=0.19, conductivity=dict(constant=1.0)), True),
+    (dict(SWEEP_BASE, equation="wave", dt=0.01, skip=5, conductivity=dict(constant=1.0)), True),
+    # the last Krylov blocks of this pair are barely excited by the data,
+    # so the error is at rounding level before k = nu
+    (dict(SWEEP_BASE, equation="wave", dt=0.01, skip=5, conductivity=GRF_COND), False),
+], ids=["heat-grf", "heat-const", "wave-const", "wave-grf"])
+@pytest.mark.filterwarnings("ignore:rank-deficient:RuntimeWarning")
+def test_sweep_error_falls_to_rounding_at_the_observability_index(config, cliff):
+    """On noise-free lattice data the next token is linear in the last nu
+    tokens, nu the observability index of the data's own generator, so
+    the least-squares sweep is exact to rounding at k = nu."""
+    arrays, _ = generate_dataset(config)
+    grid, wave = GridSpec(n=8), config["equation"] == "wave"
+    a = dataset_module._conductivity_field(config)
+    op = build_wave_generator(a, grid) if wave else build_modified_laplacian(a, grid)
+    nu = kalman_rank_test(op, build_tokenizer_matrix(grid, 2, wave=wave)).observability_index
+    tokens = [tokenize_trajectory(fr, 2) for fr in arrays]
+    scale = np.mean([np.abs(t).mean() for t in tokens[50:]])
+    rows = history_sweep(tokens[:50], tokens[50:], [nu - 1, nu])
+    before, at = (row["l1_mean"] / scale for row in rows)
+    assert at <= 1e-10, (nu, at)
+    if cliff:
+        assert before >= 1e-8, (nu, before)

@@ -1,3 +1,5 @@
+import dataclasses
+
 import mpmath
 import numpy as np
 import pytest
@@ -12,7 +14,7 @@ from latentpde import (DegenerateStatisticError, GridSpec, GrfParams, NonObserva
                        empirical_lie_logdet, gramian_reconstruction, hautus_test,
                        kalman_observability_matrix, kalman_rank_test,
                        linear_reconstruct_initial_state, observability_gramian, rank_test,
-                       simulate_kse1d)
+                       simulate_kse1d, tokenize_trajectory)
 from latentpde.cli import main as cli_main
 
 
@@ -467,6 +469,21 @@ def test_lie_logdet_rolling_mean():
 def test_lie_logdet_validation():
     with pytest.raises(ParameterError):
         empirical_lie_logdet(np.ones((10, 40)), patch=4, derivative_order=2, window=10)
+
+
+def test_lie_logdet_reads_the_tokenizer_tokens():
+    """Tokenizing first and averaging over patches of one site gives the
+    same series, bit for bit, as handing the diagnostic the raw line."""
+    u = make_generic_trajectory()
+    args = dict(derivative_order=2, window=10, with_singular_values=True)
+    direct = empirical_lie_logdet(u, patch=4, **args)
+    via_tokens = empirical_lie_logdet(tokenize_trajectory(u, 4), patch=1, **args)
+    for f in dataclasses.fields(direct):
+        got, want = getattr(via_tokens, f.name), getattr(direct, f.name)
+        if isinstance(want, np.ndarray):
+            assert got.shape == want.shape and got.tobytes() == want.tobytes(), f.name
+        else:
+            assert got == want, f.name
 
 
 def test_lie_singular_values_skip_the_burn_in():

@@ -73,6 +73,17 @@ def test_trajectory_tokenization_shapes():
                                   tokenize_trajectory(wave[:, 0], 4))
 
 
+def test_line_frames_are_means_over_runs_of_sites():
+    frames = np.random.default_rng(7).standard_normal((6, 40))
+    tokens = tokenize_trajectory(frames, 4)
+    expected = frames.reshape(6, 10, 4).mean(axis=2)
+    assert tokens.shape == expected.shape and tokens.tobytes() == expected.tobytes()
+    # a non-square lattice, a lone frame, a patch that does not divide N
+    for bad, patch in ((np.ones((5, 8, 6)), 2), (np.ones(40), 4), (frames, 3)):
+        with pytest.raises(ParameterError):
+            tokenize_trajectory(bad, patch)
+
+
 def test_sliding_histories():
     tokens = np.arange(12.0).reshape(6, 2)
     hist = sliding_histories(tokens, 3)
