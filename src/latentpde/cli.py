@@ -77,21 +77,25 @@ def _train_split(n_traj: int, train_frac: float) -> int:
 
 
 def cmd_fit(args) -> int:
-    frames, manifest = ds.load_all(args.data)
-    n_train = _train_split(len(frames), args.train_frac)
-    train = frames[:n_train]
-    stats = ds.compute_normalization(train)
-    train = [ds.apply_normalization(fr, stats) for fr in train]
+    manifest = ds.load_field_manifest(args.data)
+    n_train = _train_split(manifest.trajectories, args.train_frac)
+    train = range(n_train)
+    stats = ds.compute_normalization(ds.trajectories(args.data, manifest, train))
     hists, targets = [], []
-    for fr in train:
+    for fr in ds.trajectories(args.data, manifest, train):
+        fr = ds.apply_normalization(fr, stats)
         if args.role == "g":
             h, t, _ = build_histories(fr, args.k, args.patch)
         else:
             h, t = build_reconstruction_pairs(fr, args.k, args.patch)
+            # a view of the normalized field would keep all of it alive
+            t = t.copy()
         hists.append(h)
         targets.append(t)
     histories = np.concatenate(hists)
     target = np.concatenate(targets)
+    # free the per-trajectory copies before the fit makes its Fortran-order ones
+    del hists, targets
     if args.learner == "lstsq":
         fit = fit_least_squares if args.role == "g" else fit_superres
         fitted = fit(histories, target, ridge=args.ridge)
@@ -112,17 +116,19 @@ def cmd_fit(args) -> int:
 
 
 def cmd_sweep(args) -> int:
-    frames, manifest = ds.load_all(args.data)
-    if not 0 < args.trials < len(frames):
+    manifest = ds.load_field_manifest(args.data)
+    n_traj = manifest.trajectories
+    if not 0 < args.trials < n_traj:
         raise ParameterError(f"--trials {args.trials} must be >= 1 and leave training "
-                             f"trajectories of {len(frames)}")
-    train, eval_frames = frames[:-args.trials], frames[-args.trials:]
-    stats = ds.compute_normalization(train)
-    train_tokens = [tokenize_trajectory(ds.apply_normalization(fr, stats), args.patch)
-                    for fr in train]
-    eval_tokens = [tokenize_trajectory(ds.apply_normalization(fr, stats), args.patch)
-                   for fr in eval_frames]
-    rows = history_sweep(train_tokens, eval_tokens, args.k_list, ridge=args.ridge)
+                             f"trajectories of {n_traj}")
+    train, evals = range(n_traj - args.trials), range(n_traj - args.trials, n_traj)
+    stats = ds.compute_normalization(ds.trajectories(args.data, manifest, train))
+
+    def tokens(indices):
+        return [tokenize_trajectory(ds.apply_normalization(fr, stats), args.patch)
+                for fr in ds.trajectories(args.data, manifest, indices)]
+
+    rows = history_sweep(tokens(train), tokens(evals), args.k_list, ridge=args.ridge)
     ds.write_csv(args.out, ["k", "l1_mean", "l1_std", "linf_mean", "linf_std", "trials"],
                  [[r["k"], r["l1_mean"], r["l1_std"], r["linf_mean"], r["linf_std"], r["trials"]]
                   for r in rows],
@@ -132,21 +138,32 @@ def cmd_sweep(args) -> int:
     return 0
 
 
-def _load_model(path: str, grid: int) -> LinearMap:
-    """A map saved by ``fit``, checked against data on a ``grid``-wide lattice."""
+def _load_model(path: str, manifest: ds.DatasetManifest, fields: bool) -> LinearMap:
+    """A map saved by ``fit``, checked against the frames of a dataset: a
+    forecaster (``fields`` false) maps token frames to a token frame, a
+    super-resolution map maps them to an amplitude frame."""
     fitted = LinearMap.load(path)
     if fitted.patch is None or fitted.normalization is None:
         raise DataFormatError(f"{path}: no patch and normalization in the header; "
                               "re-fit the model with the fit verb")
-    if fitted.patch < 1 or grid % fitted.patch:
+    shape = manifest.amplitude_shape
+    if fitted.patch < 1 or shape[-1] % fitted.patch:
         raise DataFormatError(f"{path}: patch {fitted.patch} does not divide the data "
-                              f"grid {grid}")
+                              f"grid {shape[-1]}")
+    token_dim = tokenize_trajectory(np.zeros((1, *shape)), fitted.patch).shape[1]
+    output_shape = shape if fields else (token_dim,)
+    if (fitted.token_dim, fitted.output_shape) != (token_dim, output_shape):
+        raise DataFormatError(
+            f"{path}: a map from {fitted.token_dim} tokens per frame to shape "
+            f"{fitted.output_shape}; the {manifest.equation} frames of shape {shape} at "
+            f"patch {fitted.patch} need {token_dim} tokens to shape {output_shape}")
     return fitted
 
 
 def cmd_rollout(args) -> int:
-    fr = ds.load_trajectory(args.data, ds.load_manifest(args.data), args.traj_index)
-    g_map = _load_model(args.model, fr.shape[-1])
+    manifest = ds.load_field_manifest(args.data)
+    fr = ds.load_trajectory(args.data, manifest, args.traj_index)
+    g_map = _load_model(args.model, manifest, fields=False)
     stats, patch = g_map.normalization, g_map.patch
     traj = ds.apply_normalization(fr, stats)
     tokens = tokenize_trajectory(traj, patch)
@@ -156,7 +173,7 @@ def cmd_rollout(args) -> int:
             f"trajectory has {tokens.shape[0]} frames; need start+{k}+{args.steps}")
     seed = tokens[args.start:args.start + k]
     if args.super:
-        super_map = _load_model(args.super, fr.shape[-1])
+        super_map = _load_model(args.super, manifest, fields=True)
         if (super_map.patch, super_map.normalization) != (patch, stats):
             raise ParameterError(f"{args.super} was fitted with another patch or "
                                  f"normalization than {args.model}")
@@ -187,10 +204,11 @@ def cmd_rollout(args) -> int:
 
 
 def cmd_metrics(args) -> int:
+    manifest = ds.load_field_manifest(args.data)
+    frames = ds.trajectories(args.data, manifest)
     if args.kind == "correlation":
-        frames, manifest = ds.load_all(args.data)
         i, j = args.pixel
-        videos = [amplitude(fr) for fr in frames]
+        videos = (amplitude(fr) for fr in frames)
         series = correlation_ensemble_stats(videos, (i, j), args.dt_max)
         ds.write_csv(args.out, ["lag", "rho_mean", "rho_std"],
                      [[int(l), series.mean[d], series.std[d]]
@@ -210,11 +228,14 @@ def cmd_metrics(args) -> int:
     check_json(meta, meta_path, fields_shape=SHAPE, normalization=dict)
     shape, stats = meta["fields_shape"], meta["normalization"]
     ds.check_normalization(stats, meta_path)
+    if tuple(shape[1:]) != manifest.amplitude_shape:
+        raise DataFormatError(f"{meta_path}: a clip of frame shape {tuple(shape[1:])}; the "
+                              f"{manifest.equation} data have frames of shape "
+                              f"{manifest.amplitude_shape}")
     clip = np.fromfile(args.clip_prefix + "_fields.bin", dtype="<f8")
     if clip.size != np.prod(shape):
         raise DataFormatError(f"clip fields hold {clip.size} values, not shape {shape}")
     clip = clip.reshape(shape)
-    frames, manifest = ds.load_all(args.data)
     rows = []
     best = np.inf
     for idx, fr in enumerate(frames):
@@ -280,7 +301,12 @@ def cmd_observability(args) -> int:
 
 
 def cmd_export(args) -> int:
-    fr = ds.load_trajectory(args.data, ds.load_manifest(args.data), args.traj_index)
+    manifest = ds.load_field_manifest(args.data)
+    if len(manifest.amplitude_shape) != 2:
+        raise DataFormatError(f"{args.data}: export renders 2-d fields, not the "
+                              f"{manifest.equation} frames of shape "
+                              f"{tuple(manifest.frame_shape)}")
+    fr = ds.load_trajectory(args.data, manifest, args.traj_index)
     if not 0 <= args.frame < fr.shape[0]:
         raise ParameterError(f"frame {args.frame} outside 0..{fr.shape[0] - 1}")
     field = ds.apply_normalization(amplitude(fr)[args.frame], ds.compute_normalization([fr]))

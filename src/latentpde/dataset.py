@@ -20,7 +20,7 @@ from .errors import SHAPE, DataFormatError, ParameterError, check_json
 from .lattice_ops import GridSpec, build_modified_laplacian, build_wave_generator
 from .random_fields import GrfParams, build_conductivity, sample_matern_field
 from .solvers import Trajectory, simulate_kse1d, simulate_kse2d, simulate_linear_batch
-from .tokenizer import tokenize_trajectory
+from .tokenizer import amplitude, tokenize_trajectory
 
 FORMAT_VERSION = 1
 _REAL = (int, float)
@@ -46,6 +46,12 @@ class DatasetManifest:
     created: str = ""
     format_version: int = FORMAT_VERSION
     extra: dict = field(default_factory=dict)
+
+    @property
+    def amplitude_shape(self) -> tuple:
+        """Shape of one field frame as the verbs read it: the amplitude
+        block of a stacked wave state, the frame itself otherwise."""
+        return amplitude(np.empty((0, *self.frame_shape))).shape[1:]
 
     def to_json(self) -> str:
         return json.dumps(asdict(self), indent=2, sort_keys=True)
@@ -108,12 +114,24 @@ def load_manifest(data_dir: str) -> DatasetManifest:
         return DatasetManifest.from_json(fh.read().decode())
 
 
-def load_trajectory(data_dir: str, manifest: DatasetManifest, index: int) -> np.ndarray:
-    """Read one blob of a field dataset, validating its size against the
-    manifest.  A token dataset is refused: no verb reads one."""
+def _check_fields(data_dir: str, manifest: DatasetManifest) -> None:
     if manifest.kind != "fields":
         raise DataFormatError(f"{data_dir}: a dataset of kind {manifest.kind!r}; "
                               "this verb reads a 'fields' dataset")
+
+
+def load_field_manifest(data_dir: str) -> DatasetManifest:
+    """The manifest of a field dataset.  A token dataset is refused here,
+    before any count in the manifest is checked or any blob is read."""
+    manifest = load_manifest(data_dir)
+    _check_fields(data_dir, manifest)
+    return manifest
+
+
+def load_trajectory(data_dir: str, manifest: DatasetManifest, index: int) -> np.ndarray:
+    """Read one blob of a field dataset, validating its size against the
+    manifest.  A token dataset is refused: no verb reads one."""
+    _check_fields(data_dir, manifest)
     if not 0 <= index < manifest.trajectories:
         raise ParameterError(f"trajectory index {index} outside 0..{manifest.trajectories - 1}")
     path = os.path.join(data_dir, _blob_name(index))
@@ -129,19 +147,34 @@ def load_trajectory(data_dir: str, manifest: DatasetManifest, index: int) -> np.
     return np.fromfile(path, dtype="<f8").reshape(shape)
 
 
+def trajectories(data_dir: str, manifest: DatasetManifest, indices=None):
+    """Yield the trajectories ``indices`` (all by default) of a field
+    dataset, each blob read when the iteration reaches it.  This is the one
+    way the verbs read a dataset: a verb that keeps only what it needs of
+    each trajectory holds one trajectory at a time, not the dataset."""
+    for index in range(manifest.trajectories) if indices is None else indices:
+        yield load_trajectory(data_dir, manifest, index)
+
+
 def load_all(data_dir: str):
+    """Every trajectory of a field dataset at once, with its manifest."""
     manifest = load_manifest(data_dir)
-    frames = [load_trajectory(data_dir, manifest, i) for i in range(manifest.trajectories)]
-    return frames, manifest
+    return list(trajectories(data_dir, manifest)), manifest
 
 
 # ---------------------------------------------------------------------------
 # normalization
 
 def compute_normalization(frame_arrays) -> dict:
-    """Global min/max over the given (training) trajectories."""
-    lo = min(float(np.min(fr)) for fr in frame_arrays)
-    hi = max(float(np.max(fr)) for fr in frame_arrays)
+    """Global min/max over the given (training) trajectories: one pass over
+    any iterable of arrays, so a generator is read once."""
+    lows, highs = [], []
+    for fr in frame_arrays:
+        lows.append(float(np.min(fr)))
+        highs.append(float(np.max(fr)))
+    if not lows:
+        raise ParameterError("no trajectories to normalize over")
+    lo, hi = min(lows), max(highs)
     return {"lo": lo, "hi": hi, "constant": lo == hi}
 
 
@@ -381,8 +414,8 @@ def generate_dataset(config: dict):
 
 def tokenize_dataset(data_dir: str, patch: int, out_dir: str) -> DatasetManifest:
     """Patch-average every trajectory of a field dataset into a token one."""
-    frames, manifest = load_all(data_dir)
-    tokens = [tokenize_trajectory(fr, patch) for fr in frames]
+    manifest = load_field_manifest(data_dir)
+    tokens = [tokenize_trajectory(fr, patch) for fr in trajectories(data_dir, manifest)]
     token_manifest = replace(
         manifest, kind="tokens", frame_shape=[tokens[0].shape[1]], patch=patch,
         created=datetime.datetime.now(datetime.timezone.utc).isoformat(),

@@ -212,7 +212,8 @@ def fit_least_squares(histories: np.ndarray, targets: np.ndarray,
     qr, tau, _, info_qr = lapack.dgeqrf(design, lwork=int(lwork), overwrite_a=1)
     p = min(rows, cols)
     reflectors = qr[:, :p]
-    _, work, _ = lapack.dormqr("L", "T", reflectors, tau, target, lwork=-1)
+    # the query reads no entry of the target; without overwrite_c it would copy it
+    _, work, _ = lapack.dormqr("L", "T", reflectors, tau, target, lwork=-1, overwrite_c=1)
     qty, _, info_q = lapack.dormqr("L", "T", reflectors, tau, target, lwork=int(work[0]),
                                    overwrite_c=1)
     if info_qr or info_q:
@@ -359,6 +360,7 @@ def history_sweep(train_tokens, eval_tokens, k_values, ridge: float = 0.0):
         hists, targs = zip(*(forecast_pairs(tokens, k) for tokens in train_tokens))
         histories = np.concatenate(hists)
         targets = np.concatenate(targs)
+        del hists, targs
         fitted = fit_least_squares(histories, targets, ridge=ridge)
         l1 = []
         linf = []

@@ -113,6 +113,14 @@ def test_normalization_endpoints_and_inverse():
     np.testing.assert_allclose(invert_normalization(scaled, stats), frames[0], atol=1e-14)
 
 
+def test_normalization_reads_any_iterable_once():
+    frames, _ = generate_dataset(TINY_HEAT)
+    assert compute_normalization(fr for fr in frames) == compute_normalization(frames)
+    for empty in ([], iter(())):
+        with pytest.raises(ParameterError):
+            compute_normalization(empty)
+
+
 def test_normalization_constant_input():
     frames = [np.full((2, 4, 4), 7.0)]
     stats = compute_normalization(frames)
@@ -408,6 +416,31 @@ def test_cli_error_exit_codes(tmp_path, capsys):
         (tmp_path / "badclip_meta.json").write_text(json.dumps(bad_meta))
         (tmp_path / "badclip_fields.bin").write_bytes(bad_fields)
         data_format_error(subvideo)
+    # a model or clip made for another frame shape: the file is wrong, not a flag
+    kse_model, kse_super, kse_clip = (str(tmp_path / name)
+                                      for name in ("kg.lpm", "ks.lpm", "kclip"))
+    with warnings.catch_warnings():
+        warnings.filterwarnings("ignore", "rank-deficient design", RuntimeWarning)
+        for role, out in (("g", kse_model), ("super", kse_super)):
+            run_cli(["fit", "--data", str(kse), "--role", role, "--patch", "4", "--k", "2",
+                     "--out", out])
+        run_cli(["rollout", "--data", str(kse), "--model", kse_model, "--super", kse_super,
+                 "--steps", "3", "--out-prefix", kse_clip])
+    capsys.readouterr()
+    heat_files = (model, str(tmp_path / "s.lpm"), clip)
+    kse_files = (kse_model, kse_super, kse_clip)
+    for target, (own_g, _, _), (g_path, super_path, clip_path) in (
+            (kse, kse_files, heat_files), (data, heat_files, kse_files)):
+        rollout = ["rollout", "--data", str(target), "--steps", "3",
+                   "--out-prefix", str(tmp_path / "r")]
+        data_format_error([*rollout, "--model", g_path])
+        data_format_error([*rollout, "--model", own_g, "--super", super_path])
+        data_format_error(["metrics", "subvideo", "--data", str(target), "--clip-prefix",
+                           clip_path, "--out", str(tmp_path / "s.csv")])
+    # a line dataset has no image to export; refused from its manifest
+    assert cli.main(["export", "--data", str(kse), "--out", str(tmp_path / "line.pgm")]) == 3
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1 and "kse1d" in lines[0] and "(40,)" in lines[0], lines
     # a token dataset where a verb reads fields -> data format error naming the kind
     tokens = str(tmp_path / "tokens")
     run_cli(["tokenize", "--data", str(data), "--patch", "4", "--out", tokens])

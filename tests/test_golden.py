@@ -100,19 +100,44 @@ CLI_DIGESTS = {
               "5596ee018ecfee29cc4e5049f39149efb0f18760a7908f03fc239fadf18d93e8"),
     "export": (["export", "--data", "{data}", "--traj-index", "1", "--frame", "5"],
                "52c804c2a6579e0b126bdfd561dd61482247a0d7d25693d099b09de907dd3f10"),
+    "tokenize": (["tokenize", "--data", "{data}", "--patch", "4"],
+                 "5308592114fa0f35a8aae1410f31712b2d6bf8836904434e2534a6d383963b1b"),
+    "fit-g": (["fit", "--data", "{data}", "--role", "g", "--patch", "4", "--k", "2"],
+              "d588855d1b56182ae5edf815c28bfbee9bc3a627ad3f7dca4f66826d3bc5dc37"),
+    "fit-super": (["fit", "--data", "{data}", "--role", "super", "--patch", "4", "--k", "2"],
+                  "a3e3d7d9a6c6e79d89b2ea5bd0cc3c40cf7672dd1edb3f3182345e1371276b4c"),
+    "correlation": (["metrics", "correlation", "--data", "{data}", "--pixel", "1,2",
+                     "--dt-max", "5"],
+                    "0b9ed2b76f79675f496af0754eed85db59d6a62fd5009473983a16237c2541f0"),
+    "subvideo": (["metrics", "subvideo", "--data", "{data}", "--clip-prefix", "{clip}"],
+                 "db2e23a09ae2fc78964c13c0109ca5a10721ef8b47af813d45e6d5ff5f4ed636"),
 }
+
+
+def _output_digest(out):
+    """sha256 of a written file, or of a written dataset's blobs in order
+    (its manifest carries a timestamp and an absolute path)."""
+    paths = sorted(out.glob("traj_*.bin")) if out.is_dir() else [out]
+    return hashlib.sha256(b"".join(p.read_bytes() for p in paths)).hexdigest()
 
 
 @pytest.mark.parametrize("name", sorted(CLI_DIGESTS))
 @pytest.mark.filterwarnings("ignore:rank-deficient design:RuntimeWarning")
 def test_cli_output_bytes(name, tmp_path, capsys):
     argv, expected = CLI_DIGESTS[name]
-    data = tmp_path / "data"
+    data, clip = tmp_path / "data", tmp_path / "clip"
     write_dataset(*generate_dataset(TINY_HEAT), str(data))
+    if "{clip}" in argv:
+        fit = ["fit", "--data", str(data), "--patch", "4", "--k", "2"]
+        assert cli.main([*fit, "--role", "g", "--out", str(tmp_path / "g.lpm")]) == 0
+        assert cli.main([*fit, "--role", "super", "--out", str(tmp_path / "s.lpm")]) == 0
+        assert cli.main(["rollout", "--data", str(data), "--model", str(tmp_path / "g.lpm"),
+                         "--super", str(tmp_path / "s.lpm"), "--traj-index", "2",
+                         "--steps", "6", "--out-prefix", str(clip)]) == 0
     out = tmp_path / "out"
-    assert cli.main([a.format(data=data) for a in argv] + ["--out", str(out)]) == 0
+    assert cli.main([a.format(data=data, clip=clip) for a in argv] + ["--out", str(out)]) == 0
     capsys.readouterr()
-    assert hashlib.sha256(out.read_bytes()).hexdigest() == expected
+    assert _output_digest(out) == expected
 
 
 LIE_REPORT_DIGEST = "933700df5a461c2be7f0694c2a2bc4eeb6e2b9e2830d83bd40cfbf9a9523700d"
