@@ -18,8 +18,8 @@ from .observability import (GramianReport, HautusReport, KalmanReport, LieLogDet
                             kalman_observability_matrix, kalman_rank_test,
                             lie_logdet_report, linear_reconstruct_initial_state,
                             observability_gramian, rank_test, witness_orbit)
-from .learners import (LinearMap, TrainConfig, fit_least_squares, fit_sgd, fit_superres,
-                       history_sweep, mse_loss_and_grad)
+from .learners import (LinearMap, TrainConfig, fit_blocks, fit_least_squares, fit_sgd,
+                       fit_superres, history_sweep, mse_loss_and_grad)
 from .rollout_metrics import (CorrelationSeries, RolloutResult, autoregressive_rollout,
                               correlation_ensemble_stats, full_pipeline_rollout,
                               nearest_subvideo_distance, residue_norms,

@@ -30,7 +30,7 @@ from . import observability as obs
 from .errors import SHAPE, DataFormatError, LatentPdeError, ParameterError, check_json
 from .lattice_ops import (GridSpec, build_modified_laplacian, build_tokenizer_matrix,
                           build_wave_generator)
-from .learners import LinearMap, TrainConfig, fit_least_squares, fit_sgd, fit_superres, history_sweep
+from .learners import LinearMap, TrainConfig, fit_blocks, fit_sgd, history_sweep
 from .random_fields import GrfParams, sample_matern_field
 from .rollout_metrics import (autoregressive_rollout, correlation_ensemble_stats,
                               full_pipeline_rollout, nearest_subvideo_distance, residue_norms)
@@ -76,33 +76,47 @@ def _train_split(n_traj: int, train_frac: float) -> int:
     return n_train
 
 
+def _token_dim(shape: tuple, patch: int) -> int:
+    """Tokens per frame of ``shape`` at ``patch``; a patch that does not
+    divide the frame is a ParameterError."""
+    return tokenize_trajectory(np.zeros((1, *shape)), patch).shape[1]
+
+
 def cmd_fit(args) -> int:
     manifest = ds.load_field_manifest(args.data)
     n_train = _train_split(manifest.trajectories, args.train_frac)
     train = range(n_train)
+    # a patch that does not divide the frame, or a k the trajectories
+    # cannot take, is refused before the first blob is read
+    _token_dim(manifest.amplitude_shape, args.patch)
+    super_role = args.role == "super"
+    # samples per trajectory: windows of k frames followed by a frame (g)
+    # or ending at the frame they reconstruct (super)
+    windows = manifest.frames - args.k + super_role
+    if args.k < 1 or windows < 1:
+        raise ParameterError(f"--k {args.k} outside 1..{manifest.frames - 1 + super_role} for "
+                             f"trajectories of {manifest.frames} frames (role {args.role})")
     stats = ds.compute_normalization(ds.trajectories(args.data, manifest, train))
-    hists, targets = [], []
-    for fr in ds.trajectories(args.data, manifest, train):
-        fr = ds.apply_normalization(fr, stats)
-        if args.role == "g":
-            h, t, _ = build_histories(fr, args.k, args.patch)
-        else:
-            h, t = build_reconstruction_pairs(fr, args.k, args.patch)
-            # a view of the normalized field would keep all of it alive
-            t = t.copy()
-        hists.append(h)
-        targets.append(t)
-    histories = np.concatenate(hists)
-    target = np.concatenate(targets)
-    # free the per-trajectory copies before the fit makes its Fortran-order ones
-    del hists, targets
+
+    def blocks():
+        for fr in ds.trajectories(args.data, manifest, train):
+            fr = ds.apply_normalization(fr, stats)
+            if super_role:
+                yield build_reconstruction_pairs(fr, args.k, args.patch)
+            else:
+                yield build_histories(fr, args.k, args.patch)[:2]
+
     if args.learner == "lstsq":
-        fit = fit_least_squares if args.role == "g" else fit_superres
-        fitted = fit(histories, target, ridge=args.ridge)
+        fitted = fit_blocks(blocks(), n_train * windows, ridge=args.ridge)
     else:
+        # Adam gathers random rows, so its samples are concatenated; a
+        # target is copied, since a view of the normalized field would
+        # keep all of it alive
+        hists, targets = zip(*((h, t.copy()) for h, t in blocks()))
         config = TrainConfig(learning_rate=args.lr, steps=args.steps, batch_size=args.batch,
                              ridge=args.ridge, seed=args.sgd_seed, lr_decay=args.lr_decay)
-        fitted, curves = fit_sgd(histories, target, config, eval_split=args.eval_split)
+        fitted, curves = fit_sgd(np.concatenate(hists), np.concatenate(targets), config,
+                                 eval_split=args.eval_split)
         # no eval split, no eval loss
         evals = curves["eval"] if len(curves["eval"]) else np.full(len(curves["train"]), np.nan)
         ds.write_csv(args.out + ".curve.csv", ["epoch", "train_mse", "eval_mse"],
@@ -150,7 +164,7 @@ def _load_model(path: str, manifest: ds.DatasetManifest, fields: bool) -> Linear
     if fitted.patch < 1 or shape[-1] % fitted.patch:
         raise DataFormatError(f"{path}: patch {fitted.patch} does not divide the data "
                               f"grid {shape[-1]}")
-    token_dim = tokenize_trajectory(np.zeros((1, *shape)), fitted.patch).shape[1]
+    token_dim = _token_dim(shape, fitted.patch)
     output_shape = shape if fields else (token_dim,)
     if (fitted.token_dim, fitted.output_shape) != (token_dim, output_shape):
         raise DataFormatError(

@@ -9,7 +9,9 @@ the same mean-squared objective.
 """
 
 from dataclasses import dataclass
+import itertools
 import json
+import math
 import warnings
 
 import numpy as np
@@ -173,58 +175,105 @@ def _design(histories: np.ndarray, targets: np.ndarray):
 
 def fit_least_squares(histories: np.ndarray, targets: np.ndarray,
                       ridge: float = 0.0, bias: bool = True) -> LinearMap:
-    """Exact minimiser of  mean ||X w - y||^2 + ridge ||w||^2.
+    """Exact minimiser of  mean ||X w - y||^2 + ridge ||w||^2: the one-block
+    case of :func:`fit_blocks`."""
+    hist, tgt = np.asarray(histories, dtype=float), np.asarray(targets, dtype=float)
+    samples = _design(hist, tgt)[0].shape[0]
+    return fit_blocks([(hist, tgt)], samples, ridge=ridge, bias=bias)
 
-    The design (features, bias column, ridge rows) is factored in place as
-    Q R by a blocked Householder QR, Q^T is applied to the target in place,
-    and R w = (Q^T y)[:p], p = min(rows, cols), is solved by LAPACK gelsy,
-    a complete orthogonal decomposition of R alone (Chan 1982's QR
+
+def fit_blocks(blocks, samples: int, ridge: float = 0.0, bias: bool = True) -> LinearMap:
+    """Exact minimiser of  mean ||X w - y||^2 + ridge ||w||^2  over samples
+    that arrive in blocks.
+
+    Each block is a pair of arrays ``(histories, targets)`` of shapes
+    (S_i, k, m) and (S_i, ...), typically the samples of one trajectory.
+    The first block sets k, m and the output shape, and the S_i sum to
+    ``samples``.  Each block is read once, in order, into the
+    Fortran-order design (features, bias column, ridge rows) and target,
+    the only copy of the samples the fit makes, so a block may be a window
+    view that is dropped once read.  The design is then factored in place
+    as Q R by a blocked Householder QR, Q^T is applied to the target in
+    place, and R w = (Q^T y)[:p], p = min(rows, cols), is solved by LAPACK
+    gelsy, a complete orthogonal decomposition of R alone (Chan 1982's QR
     preprocessing for tall designs).  R has the singular values of the
     design, so for a rank-deficient design with ridge = 0 the result is
-    the minimum-norm solution; deficiency is recorded in ``design_rank``
-    and warned about.  ``design_rank`` is gelsy's count at its
-    machine-epsilon cut on R, a rounding-level count on an ill-conditioned
-    design.  What the fit promises is its training predictions and
-    residual norm to a backward-stable tolerance, not its weight bytes.
-    The ridge penalty never touches the bias column.
+    the minimum-norm solution; deficiency is recorded in
+    ``design_rank`` and warned about.  ``design_rank`` is gelsy's count at
+    its machine-epsilon cut on R, a rounding-level count on an
+    ill-conditioned design.  What the fit promises is its training
+    predictions and residual norm to a backward-stable tolerance, not its
+    weight bytes.  The ridge penalty never touches the bias column.
     """
-    x, y, k, m, out_shape = _design(histories, targets)
     if not 0 <= ridge < np.inf:
         raise ParameterError(f"ridge must be finite and >= 0, got {ridge}")
-    if not (np.isfinite(x).all() and np.isfinite(y).all()):
-        raise ParameterError("histories and targets must be finite")
-    samples, n_feat = x.shape
+    blocks = iter(blocks)
+    first = next(blocks, None)
+    if first is None or samples < 1:
+        raise ParameterError("histories hold no samples")
+    _, _, k, m, output_shape = _design(*first)
+    n_feat = k * m
+    design, target = _assemble(itertools.chain([first], blocks), samples, k, m,
+                               math.prod(output_shape), ridge, bias)
+    rows, cols = design.shape
+    p = min(rows, cols)
+    # the workspace queries keep LAPACK on its blocked code paths
+    lwork, _ = lapack.dgeqrf_lwork(rows, cols)
+    qr, tau, _, info_qr = lapack.dgeqrf(design, lwork=int(lwork), overwrite_a=1)
+    # the query reads no entry of the target; without overwrite_c it would copy it
+    _, work, _ = lapack.dormqr("L", "T", qr[:, :p], tau, target, lwork=-1, overwrite_c=1)
+    qty, _, info_q = lapack.dormqr("L", "T", qr[:, :p], tau, target, lwork=int(work[0]),
+                                   overwrite_c=1)
+    if info_qr or info_q:
+        raise RuntimeError(f"LAPACK QR of the design failed (info {info_qr}, {info_q})")
+    # each large array goes once its first p rows are copied out, so the
+    # target and R are never held at once
+    rhs = qty[:p].copy(order="F")
+    del target, qty
+    r = np.triu(qr[:p])
+    del design, qr
+    sol, _, rank, _ = scipy.linalg.lstsq(r, rhs, lapack_driver="gelsy",
+                                         overwrite_a=True, overwrite_b=True)
+    if ridge == 0 and rank < cols:
+        warnings.warn(f"rank-deficient design: rank {rank} < {cols} columns; "
+                      "returning the minimum-norm solution", RuntimeWarning)
+    weights = sol[:n_feat].T.copy()
+    bias_vec = sol[n_feat].copy() if bias else None
+    return LinearMap(weights, bias_vec, k, m, output_shape, design_rank=int(rank))
+
+
+def _assemble(blocks, samples, k, m, out_dim, ridge, bias):
+    """The Fortran-order design and target that LAPACK factors and
+    overwrites in place, filled block by block: the only copy of the
+    samples a fit makes."""
+    n_feat = k * m
     cols = n_feat + (1 if bias else 0)
     rows = samples + (n_feat if ridge > 0 else 0)
-    # Fortran order so LAPACK factors and overwrites these very arrays
     design = np.zeros((rows, cols), order="F")
-    design[:samples, :n_feat] = x
+    target = np.zeros((rows, out_dim), order="F")
+    start = 0
+    for hist, tgt in blocks:
+        count = hist.shape[0]
+        if (hist.shape[1:] != (k, m) or tgt.shape[0] != count or tgt.size != count * out_dim
+                or start + count > samples):
+            raise ParameterError(f"a block of {hist.shape} histories and {tgt.shape} targets "
+                                 f"after {start} samples; expected (S, {k}, {m}) and S targets "
+                                 f"of {out_dim} values, {samples} samples in all")
+        rows_i = slice(start, start + count)
+        design[rows_i, :n_feat] = hist.reshape(count, n_feat)
+        target[rows_i] = tgt.reshape(count, out_dim)
+        if not (np.isfinite(design[rows_i, :n_feat]).all() and np.isfinite(target[rows_i]).all()):
+            raise ParameterError("histories and targets must be finite")
+        start += count
+    if start != samples:
+        raise ParameterError(f"the blocks hold {start} samples, not {samples}")
     if bias:
         design[:samples, n_feat] = 1.0
     if ridge > 0:
         # ridge rows scale with the sample count so the penalty matches
         # the mean-squared objective of the SGD trainer
         np.fill_diagonal(design[samples:, :n_feat], np.sqrt(ridge * samples))
-    target = np.zeros((rows, y.shape[1]), order="F")
-    target[:samples] = y
-    # the workspace queries keep LAPACK on its blocked code paths
-    lwork, _ = lapack.dgeqrf_lwork(rows, cols)
-    qr, tau, _, info_qr = lapack.dgeqrf(design, lwork=int(lwork), overwrite_a=1)
-    p = min(rows, cols)
-    reflectors = qr[:, :p]
-    # the query reads no entry of the target; without overwrite_c it would copy it
-    _, work, _ = lapack.dormqr("L", "T", reflectors, tau, target, lwork=-1, overwrite_c=1)
-    qty, _, info_q = lapack.dormqr("L", "T", reflectors, tau, target, lwork=int(work[0]),
-                                   overwrite_c=1)
-    if info_qr or info_q:
-        raise RuntimeError(f"LAPACK QR of the design failed (info {info_qr}, {info_q})")
-    sol, _, rank, _ = scipy.linalg.lstsq(np.triu(qr[:p]), qty[:p], lapack_driver="gelsy")
-    if ridge == 0 and rank < cols:
-        warnings.warn(f"rank-deficient design: rank {rank} < {cols} columns; "
-                      "returning the minimum-norm solution", RuntimeWarning)
-    weights = sol[:n_feat].T.copy()
-    bias_vec = sol[n_feat].copy() if bias else None
-    return LinearMap(weights, bias_vec, k, m, out_shape, design_rank=int(rank))
+    return design, target
 
 
 def fit_superres(histories: np.ndarray, fields: np.ndarray,
@@ -357,11 +406,9 @@ def history_sweep(train_tokens, eval_tokens, k_values, ridge: float = 0.0):
     for k in k_values:
         if k < 1:
             raise ParameterError(f"history length must be >= 1, got {k}")
-        hists, targs = zip(*(forecast_pairs(tokens, k) for tokens in train_tokens))
-        histories = np.concatenate(hists)
-        targets = np.concatenate(targs)
-        del hists, targs
-        fitted = fit_least_squares(histories, targets, ridge=ridge)
+        # window views of the token arrays: the design is the only copy
+        pairs = [forecast_pairs(tokens, k) for tokens in train_tokens]
+        fitted = fit_blocks(pairs, sum(len(h) for h, _ in pairs), ridge=ridge)
         l1 = []
         linf = []
         for tokens in eval_tokens:

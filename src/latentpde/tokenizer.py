@@ -43,27 +43,34 @@ def tokenize_trajectory(frames: np.ndarray, patch: int) -> np.ndarray:
     return blocks.mean(axis=(2, 4)[:rank]).reshape(t, -1)
 
 
-def sliding_histories(tokens: np.ndarray, k: int) -> np.ndarray:
-    """All windows of k consecutive token frames: (T, m) -> (T-k+1, k, m)."""
+def _windows(tokens: np.ndarray, k: int) -> np.ndarray:
+    """All windows of k consecutive token frames as a read-only view of
+    ``tokens``: (T, m) -> (T-k+1, k, m), with no copy."""
     tokens = np.asarray(tokens, dtype=float)
     if tokens.ndim != 2:
         raise ParameterError(f"expected a (T, m) token array, got shape {tokens.shape}")
     if k < 1 or k > tokens.shape[0]:
         raise ParameterError(f"history length {k} outside 1..{tokens.shape[0]}")
-    view = np.lib.stride_tricks.sliding_window_view(tokens, (k, tokens.shape[1]))
-    return view[:, 0].copy()
+    return np.lib.stride_tricks.sliding_window_view(tokens, (k, tokens.shape[1]))[:, 0]
+
+
+def sliding_histories(tokens: np.ndarray, k: int) -> np.ndarray:
+    """All windows of k consecutive token frames, as a writable copy:
+    (T, m) -> (T-k+1, k, m)."""
+    return _windows(tokens, k).copy()
 
 
 def forecast_pairs(tokens: np.ndarray, k: int):
     """Forecasting samples from one (T, m) token trajectory.
 
     History r covers token frames ``r .. r+k-1`` and its target is frame
-    ``r+k``: shapes (T-k, k, m) and (T-k, m).  T <= k raises.
+    ``r+k``: shapes (T-k, k, m) and (T-k, m), both read-only views of
+    ``tokens``.  T <= k raises.
     """
     tokens = np.asarray(tokens, dtype=float)
     if tokens.shape[0] <= k:
         raise ParameterError(f"need more than k={k} frames, got {tokens.shape[0]}")
-    return sliding_histories(tokens[:-1], k), tokens[k:]
+    return _windows(tokens[:-1], k), tokens[k:]
 
 
 def build_histories(frames: np.ndarray, k: int, patch: int):
@@ -73,7 +80,8 @@ def build_histories(frames: np.ndarray, k: int, patch: int):
     covers frames ``r .. r+k-1`` and both targets are frame ``r+k`` (its
     token frame and the raw field).  A trajectory of T frames yields
     T - k samples; T <= k raises.  Shapes: (S, k, m), (S, m), and
-    (S, n, n) or (S, 2, n, n).
+    (S, n, n) or (S, 2, n, n); the histories are windows of one token
+    array, not copies.
     """
     frames = np.asarray(frames, dtype=float)
     histories, token_targets = forecast_pairs(tokenize_trajectory(frames, patch), k)
@@ -86,11 +94,10 @@ def build_reconstruction_pairs(frames: np.ndarray, k: int, patch: int):
 
     Returns ``(histories, field_targets)`` of shapes (S, k, m) and
     (S, n, n) (the amplitude block for wave states), with S = T - k + 1
-    and s running over k-1 .. T-1.
+    and s running over k-1 .. T-1.  Both are views: the histories are
+    windows of one token array, the targets frames of ``frames``.
     """
     frames = np.asarray(frames, dtype=float)
     if frames.shape[0] < k:
         raise ParameterError(f"need at least k={k} frames, got {frames.shape[0]}")
-    tokens = tokenize_trajectory(frames, patch)
-    histories = sliding_histories(tokens, k)
-    return histories, amplitude(frames)[k - 1:]
+    return _windows(tokenize_trajectory(frames, patch), k), amplitude(frames)[k - 1:]

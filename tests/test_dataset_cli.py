@@ -283,6 +283,35 @@ def test_cli_pipeline_on_a_line_dataset(tmp_path, capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("config", [TINY_HEAT, TINY_KSE], ids=["heat", "kse1d"])
+def test_fit_and_sweep_refuse_a_history_or_patch_the_frames_cannot_take(config, tmp_path,
+                                                                        capsys):
+    """A k or patch the dataset's frames cannot take exits 2 with one error
+    line, and ``fit`` refuses it before it reads a blob: with a blob gone,
+    the refusal still wins over the missing file."""
+    (tmp_path / "cfg.json").write_text(json.dumps(config))
+    data = str(tmp_path / "data")
+    run_cli(["generate", "--config", str(tmp_path / "cfg.json"), "--out", data])
+    frames = load_manifest(data).frames
+    fit = ["fit", "--data", data, "--patch", "4", "--out", str(tmp_path / "m.lpm")]
+    cases = [[*fit, "--role", role, "--k", str(k)]
+             for role, k in (("g", 0), ("super", 0), ("g", frames), ("super", frames + 1))]
+    cases += [["fit", "--data", data, "--patch", "3", "--role", role, "--k", "2",
+               "--out", str(tmp_path / "m.lpm")] for role in ("g", "super")]
+    cases.append(["sweep", "--data", data, "--patch", "4", "--k-list", f"1,{frames}",
+                  "--trials", "1", "--out", str(tmp_path / "s.csv")])
+    capsys.readouterr()
+    for argv in cases:
+        assert cli.main(argv) == 2, argv
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: "), (argv, lines)
+    os.remove(os.path.join(data, "traj_00000.bin"))
+    for argv in cases[:-1]:
+        assert cli.main(argv) == 2, argv
+    capsys.readouterr()
+    assert not (tmp_path / "m.lpm").exists() and not (tmp_path / "s.csv").exists()
+
+
 def test_cli_error_exit_codes(tmp_path, capsys):
     # conflicting sources -> parameter error
     assert cli.main(["generate", "--preset", "heat32", "--config", "x.json",

@@ -106,6 +106,10 @@ CLI_DIGESTS = {
               "d588855d1b56182ae5edf815c28bfbee9bc3a627ad3f7dca4f66826d3bc5dc37"),
     "fit-super": (["fit", "--data", "{data}", "--role", "super", "--patch", "4", "--k", "2"],
                   "a3e3d7d9a6c6e79d89b2ea5bd0cc3c40cf7672dd1edb3f3182345e1371276b4c"),
+    "fit-sgd": (["fit", "--data", "{data}", "--role", "g", "--patch", "4", "--k", "2",
+                 "--learner", "sgd", "--lr", "1e-2", "--steps", "40", "--batch", "8",
+                 "--sgd-seed", "5"],
+                "147755436f3de4b11c0143588617146929cd597d6db121d1db35d4e366001d3c"),
     "correlation": (["metrics", "correlation", "--data", "{data}", "--pixel", "1,2",
                      "--dt-max", "5"],
                     "0b9ed2b76f79675f496af0754eed85db59d6a62fd5009473983a16237c2541f0"),
@@ -115,9 +119,12 @@ CLI_DIGESTS = {
 
 
 def _output_digest(out):
-    """sha256 of a written file, or of a written dataset's blobs in order
-    (its manifest carries a timestamp and an absolute path)."""
-    paths = sorted(out.glob("traj_*.bin")) if out.is_dir() else [out]
+    """sha256 of a written file and its loss curve, if it has one, or of a
+    written dataset's blobs in order (its manifest carries a timestamp and
+    an absolute path)."""
+    curve = out.with_name(out.name + ".curve.csv")
+    paths = (sorted(out.glob("traj_*.bin")) if out.is_dir()
+             else [out] + ([curve] if curve.exists() else []))
     return hashlib.sha256(b"".join(p.read_bytes() for p in paths)).hexdigest()
 
 

@@ -4,7 +4,7 @@ import scipy.linalg
 
 from latentpde import (DataFormatError, DivergenceError, GridSpec, LinearMap, ParameterError,
                        TrainConfig, build_modified_laplacian, build_tokenizer_matrix,
-                       build_wave_generator, fit_least_squares, fit_sgd, fit_superres,
+                       build_wave_generator, fit_blocks, fit_least_squares, fit_sgd, fit_superres,
                        forecast_pairs, generate_dataset, history_sweep, kalman_rank_test,
                        mse_loss_and_grad, tokenize_trajectory)
 from latentpde import dataset as dataset_module
@@ -126,6 +126,35 @@ def test_least_squares_rejects_non_finite_input():
         args = (spoilt, targets) if where is histories else (histories, spoilt)
         with pytest.raises(ParameterError, match="finite"):
             fit_least_squares(*args)
+
+
+@pytest.mark.parametrize("ridge", [0.0, 0.5])
+def test_fit_blocks_equals_one_block_fit_bit_for_bit(ridge):
+    """Window views of several token trajectories, fitted block by block,
+    give the bytes of one fit on their concatenated copies."""
+    rng = np.random.default_rng(18)
+    trajectories = [rng.standard_normal((t, 3)) for t in (9, 12, 7)]
+    pairs = [forecast_pairs(tokens, 2) for tokens in trajectories]
+    whole = fit_least_squares(*(np.concatenate(part) for part in zip(*pairs)), ridge=ridge)
+    streamed = fit_blocks(iter(pairs), 22, ridge=ridge)
+    for a, b in ((whole.weights, streamed.weights), (whole.bias, streamed.bias)):
+        assert a.tobytes() == b.tobytes()
+    assert (streamed.design_rank, streamed.output_shape) == (whole.design_rank, (3,))
+
+
+def test_fit_blocks_refuses_blocks_that_break_their_count_or_shape():
+    rng = np.random.default_rng(19)
+    block = (rng.standard_normal((5, 2, 3)), rng.standard_normal((5, 4)))
+    for samples in (4, 6):
+        with pytest.raises(ParameterError, match="samples"):
+            fit_blocks([block], samples)
+    # later blocks must match the first one's history shape and output size
+    for hist, tgt in (((5, 3, 3), (5, 4)), ((5, 2, 2), (5, 4)), ((5, 2, 3), (5, 5)),
+                      ((5, 2, 3), (4, 4))):
+        with pytest.raises(ParameterError, match="block"):
+            fit_blocks([block, (np.zeros(hist), np.zeros(tgt))], 10)
+    with pytest.raises(ParameterError, match="no samples"):
+        fit_blocks([], 0)
 
 
 @pytest.fixture(scope="module")

@@ -1,10 +1,13 @@
-"""The verbs that read a field dataset hold one trajectory at a time.
+"""The verbs that read a field dataset hold one trajectory at a time, and
+a least-squares fit holds one copy of its samples.
 
 ``tracemalloc`` sees numpy's array allocations, so the traced peak of one
 verb, taken against the bytes of the dataset it reads, shows whether the
-verb held the whole dataset (a ratio of 1 or more) or streamed it.
-``fit --role super`` keeps full-field targets for every training frame
-by design and is not bounded here.
+verb held the whole dataset (a ratio of 1 or more) or streamed it.  The
+peak of a least-squares call, taken against the bytes of the
+Fortran-order design and target that LAPACK factors, shows whether the
+call built its samples once, in that design, or also held other copies
+of them (a ratio of 2 or more).
 """
 
 import json
@@ -20,6 +23,7 @@ from test_dataset_cli import TINY_HEAT
 # 40 trajectories of 40 frames on 16 x 16: 3.3 MB of float64
 STREAM_HEAT = dict(TINY_HEAT, grid_size=16, trajectories=40, frames=40)
 PEAK_SHARE = 0.6
+DESIGN_SHARE = 1.5
 
 pytestmark = pytest.mark.filterwarnings("ignore:rank-deficient design:RuntimeWarning")
 
@@ -48,18 +52,53 @@ VERBS = {
 }
 
 
+def _traced_peak(argv):
+    tracemalloc.start()
+    try:
+        code = cli.main(argv)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert code == 0, argv
+    return peak
+
+
 @pytest.mark.parametrize("name", sorted(VERBS))
 def test_verb_peak_is_a_share_of_the_dataset(name, workspace, capsys):
     data = workspace / "data"
     manifest = load_manifest(str(data))
     dataset_bytes = 8 * manifest.trajectories * manifest.frames * math.prod(manifest.frame_shape)
     argv = [a.format(data=data, clip=workspace / "clip") for a in VERBS[name]]
-    tracemalloc.start()
-    try:
-        code = cli.main([*argv, "--out", str(workspace / f"{name}.out")])
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
+    peak = _traced_peak([*argv, "--out", str(workspace / f"{name}.out")])
     capsys.readouterr()
-    assert code == 0
     assert peak < PEAK_SHARE * dataset_bytes, f"peak {peak / dataset_bytes:.2f}x the dataset"
+
+
+# the flags of each call, its role and the largest k it fits
+DESIGNS = {
+    "fit-super-k2": (["fit", "--role", "super", "--k", "2"], "super", 2),
+    "fit-super-k8": (["fit", "--role", "super", "--k", "8"], "super", 8),
+    "fit-g-k8": (["fit", "--role", "g", "--k", "8"], "g", 8),
+    "sweep": (["sweep", "--k-list", "2,8"], "g", 8),
+}
+
+
+@pytest.mark.parametrize("name", sorted(DESIGNS))
+def test_least_squares_peak_is_a_share_of_its_design(name, workspace, capsys):
+    flags, role, k = DESIGNS[name]
+    data = workspace / "data"
+    manifest = load_manifest(str(data))
+    tokens = math.prod(n // 4 for n in manifest.frame_shape)
+    # fit trains on its default 0.9 of the trajectories, sweep on all but
+    # its default 10 trials
+    n_train = round(0.9 * manifest.trajectories) if flags[0] == "fit" else \
+        manifest.trajectories - 10
+    rows = n_train * (manifest.frames - k + (role == "super"))
+    cols = k * tokens + 1
+    outputs = math.prod(manifest.frame_shape) if role == "super" else tokens
+    design_bytes = 8 * rows * (cols + outputs)
+    peak = _traced_peak([*flags, "--data", str(data), "--patch", "4",
+                         "--out", str(workspace / f"{name}.out")])
+    capsys.readouterr()
+    assert peak < DESIGN_SHARE * design_bytes, \
+        f"peak {peak / design_bytes:.2f}x the design and target"
