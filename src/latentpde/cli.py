@@ -30,7 +30,7 @@ from . import observability as obs
 from .errors import SHAPE, DataFormatError, LatentPdeError, ParameterError, check_json
 from .lattice_ops import (GridSpec, build_modified_laplacian, build_tokenizer_matrix,
                           build_wave_generator)
-from .learners import LinearMap, TrainConfig, fit_blocks, fit_sgd, history_sweep
+from .learners import LinearMap, TrainConfig, fit_blocks, fit_sgd_blocks, history_sweep
 from .random_fields import GrfParams, sample_matern_field
 from .rollout_metrics import (autoregressive_rollout, correlation_ensemble_stats,
                               full_pipeline_rollout, nearest_subvideo_distance, residue_norms)
@@ -55,8 +55,7 @@ def _load_config(args) -> dict:
 
 def cmd_generate(args) -> int:
     config = _load_config(args)
-    frames, manifest = ds.generate_dataset(config)
-    ds.write_dataset(frames, manifest, args.out)
+    manifest = ds.write_generated_dataset(config, args.out)
     print(f"wrote {manifest.trajectories} trajectories of {manifest.frames} frames "
           f"({manifest.equation}) to {args.out}")
     return 0
@@ -109,14 +108,10 @@ def cmd_fit(args) -> int:
     if args.learner == "lstsq":
         fitted = fit_blocks(blocks(), n_train * windows, ridge=args.ridge)
     else:
-        # Adam gathers random rows, so its samples are concatenated; a
-        # target is copied, since a view of the normalized field would
-        # keep all of it alive
-        hists, targets = zip(*((h, t.copy()) for h, t in blocks()))
         config = TrainConfig(learning_rate=args.lr, steps=args.steps, batch_size=args.batch,
                              ridge=args.ridge, seed=args.sgd_seed, lr_decay=args.lr_decay)
-        fitted, curves = fit_sgd(np.concatenate(hists), np.concatenate(targets), config,
-                                 eval_split=args.eval_split)
+        fitted, curves = fit_sgd_blocks(blocks(), n_train * windows, config,
+                                        eval_split=args.eval_split)
         # no eval split, no eval loss
         evals = curves["eval"] if len(curves["eval"]) else np.full(len(curves["train"]), np.nan)
         ds.write_csv(args.out + ".curve.csv", ["epoch", "train_mse", "eval_mse"],

@@ -9,6 +9,7 @@ temp file and an atomic rename so readers never see partial data.
 """
 
 from dataclasses import dataclass, field, asdict, replace
+import contextlib
 import datetime
 import json
 import numbers
@@ -19,7 +20,7 @@ import numpy as np
 from .errors import SHAPE, DataFormatError, ParameterError, check_json
 from .lattice_ops import GridSpec, build_modified_laplacian, build_wave_generator
 from .random_fields import GrfParams, build_conductivity, sample_matern_field
-from .solvers import Trajectory, simulate_kse1d, simulate_kse2d, simulate_linear_batch
+from .solvers import Trajectory, euler_frames, simulate_kse1d, simulate_kse2d
 from .tokenizer import amplitude, tokenize_trajectory
 
 FORMAT_VERSION = 1
@@ -76,8 +77,12 @@ class DatasetManifest:
             raise DataFormatError(f"manifest fields do not match schema: {exc}") from exc
 
 
+def _tmp_path(path: str) -> str:
+    return f"{path}.tmp.{os.getpid()}"
+
+
 def atomic_write(path: str, data: bytes) -> None:
-    tmp = f"{path}.tmp.{os.getpid()}"
+    tmp = _tmp_path(path)
     with open(tmp, "wb") as fh:
         fh.write(data)
         fh.flush()
@@ -89,21 +94,73 @@ def _blob_name(index: int) -> str:
     return f"traj_{index:05d}.bin"
 
 
+class _BlobWriter:
+    """The blobs of one dataset, each written to its own temp file as its
+    frames arrive: ``append(index, frames)`` adds frames to blob ``index``
+    and ``close(index)`` syncs a finished one.  ``commit(manifest)`` syncs
+    the rest, renames every blob into place and writes the manifest last.
+    Leaving the ``with`` block on an exception before that removes the
+    temp files, and ``out_dir`` too if it was made here and is empty, so
+    a failed write leaves ``out_dir`` as it was."""
+
+    def __init__(self, out_dir: str, count: int):
+        self.out_dir = out_dir
+        self.paths = [os.path.join(out_dir, _blob_name(i)) for i in range(count)]
+        self.files = {}
+        self.made = not os.path.isdir(out_dir)
+        os.makedirs(out_dir, exist_ok=True)
+
+    def __enter__(self):
+        return self
+
+    def append(self, index: int, frames) -> None:
+        if index not in self.files:
+            self.files[index] = open(_tmp_path(self.paths[index]), "wb")
+        self.files[index].write(np.ascontiguousarray(frames, dtype="<f8"))
+
+    def close(self, index: int) -> None:
+        fh = self.files.pop(index)
+        fh.flush()
+        os.fsync(fh.fileno())
+        fh.close()
+
+    def commit(self, manifest: DatasetManifest) -> None:
+        for index in list(self.files):
+            self.close(index)
+        for path in self.paths:
+            os.replace(_tmp_path(path), path)
+        atomic_write(os.path.join(self.out_dir, "manifest.json"), manifest.to_json().encode())
+
+    def __exit__(self, kind, value, traceback):
+        if kind is None:
+            return
+        for fh in self.files.values():
+            with contextlib.suppress(OSError):
+                fh.close()
+        for path in self.paths:
+            with contextlib.suppress(OSError):
+                os.remove(_tmp_path(path))
+        if self.made:
+            with contextlib.suppress(OSError):
+                os.rmdir(self.out_dir)
+
+
 def write_dataset(frame_arrays, manifest: DatasetManifest, out_dir: str) -> None:
-    """Write blobs plus manifest; every file lands atomically."""
+    """Write blobs plus manifest: every blob lands, with the manifest
+    last, or none does."""
     frame_arrays = list(frame_arrays)
     if len(frame_arrays) != manifest.trajectories:
         raise ParameterError(
             f"{len(frame_arrays)} trajectories but manifest says {manifest.trajectories}")
-    os.makedirs(out_dir, exist_ok=True)
-    shape = tuple(manifest.frame_shape)
+    shape = (manifest.frames,) + tuple(manifest.frame_shape)
     for idx, frames in enumerate(frame_arrays):
-        frames = np.asarray(frames, dtype=float)
-        if frames.shape != (manifest.frames,) + shape:
-            raise ParameterError(
-                f"trajectory {idx} shape {frames.shape} != {(manifest.frames,) + shape}")
-        atomic_write(os.path.join(out_dir, _blob_name(idx)), frames.astype("<f8").tobytes())
-    atomic_write(os.path.join(out_dir, "manifest.json"), manifest.to_json().encode())
+        if np.shape(frames) != shape:
+            raise ParameterError(f"trajectory {idx} shape {np.shape(frames)} != {shape}")
+    with _BlobWriter(out_dir, len(frame_arrays)) as blobs:
+        for idx, frames in enumerate(frame_arrays):
+            blobs.append(idx, frames)
+            blobs.close(idx)
+        blobs.commit(manifest)
 
 
 def load_manifest(data_dir: str) -> DatasetManifest:
@@ -339,35 +396,24 @@ def _grf_init(config: dict, seed: int) -> np.ndarray:
                                          m=init["m"], nu=init["nu"], seed=seed))
 
 
-def _simulate_lattice(config: dict, seeds: list) -> list:
-    """Heat or wave trajectories for ``seeds``: one conductivity, one
-    operator, all initial states stepped together."""
+def _lattice_problem(config: dict, seeds: list):
+    """The operator and stacked initial states of heat or wave
+    trajectories ``seeds``: one conductivity, one operator."""
     grid = GridSpec(n=config["grid_size"], dx=config.get("dx", 1.0))
     cond = _conductivity_field(config)
     u0s = np.stack([_grf_init(config, seed) for seed in seeds])
-    frames, skip = config["frames"], config.get("skip", 1)
-    steps = (frames - 1) * skip + 1
     if config["equation"] == "heat":
-        op = build_modified_laplacian(cond, grid)
-        x0s = u0s
-    else:
-        op = build_wave_generator(cond, grid)
-        x0s = np.stack([u0s, np.zeros_like(u0s)], axis=1)  # released from rest
-    return simulate_linear_batch(op, x0s, config["dt"], steps, skip=skip, seeds=seeds)
+        return build_modified_laplacian(cond, grid), u0s
+    # released from rest
+    return build_wave_generator(cond, grid), np.stack([u0s, np.zeros_like(u0s)], axis=1)
 
 
-def _simulate(config: dict, indices) -> list:
-    """Trajectories ``indices`` of a checked config, each self-seeded."""
-    equation = config["equation"]
-    seeds = [config["init_seed"] + i for i in indices]
-    if equation in ("heat", "wave"):
-        return _simulate_lattice(config, seeds)
-    if equation == "kse2d":
+def _kse_trajectory(config: dict, seed: int) -> Trajectory:
+    if config["equation"] == "kse2d":
         skip, burn = config.get("skip", 1), config.get("burn_in", 0)
         steps = (config["frames"] + burn) * skip
-        return [simulate_kse2d(_grf_init(config, seed), config["domain_length"], config["dt"],
-                               steps, skip=skip, burn_in=burn, seed=seed)
-                for seed in seeds]
+        return simulate_kse2d(_grf_init(config, seed), config["domain_length"], config["dt"],
+                              steps, skip=skip, burn_in=burn, seed=seed)
     sites = config["sites"]
     length = config["domain_length"]
     init = config["init"]
@@ -375,41 +421,99 @@ def _simulate(config: dict, indices) -> list:
         raise ParameterError(f"unsupported line init {init!r}")
     x = np.arange(sites) * length / sites
     u0 = np.sin(init["waves"] * np.pi * x / length)
-    return [simulate_kse1d(u0, length, config["dt"], config["steps"], seed=seed)
-            for seed in seeds]
+    return simulate_kse1d(u0, length, config["dt"], config["steps"], seed=seed)
+
+
+def _generate(config: dict, indices, sink) -> DatasetManifest:
+    """Simulate trajectories ``indices`` of a checked config, each
+    self-seeded, and hand their frames to ``sink`` as they are computed:
+    ``sink.append(position, frames)`` adds frames to the trajectory at
+    that position of ``indices``, and ``sink.close(position)`` says a
+    trajectory is complete.  Heat and wave trajectories share one
+    conductivity and one operator and are stepped together, so each of
+    their stored frames goes out as it is stepped (see
+    :func:`euler_frames`); a kse trajectory goes out whole.  Returns the
+    dataset's manifest."""
+    seeds = [config["init_seed"] + i for i in indices]
+    if config["equation"] in ("heat", "wave"):
+        op, x0s = _lattice_problem(config, seeds)
+        skip = config.get("skip", 1)
+        steps = (config["frames"] - 1) * skip + 1
+        for frame in euler_frames(op, x0s, config["dt"], steps, skip=skip):
+            for position, stored in enumerate(frame):
+                sink.append(position, stored[None])
+        frames, shape, dt, burn_in = config["frames"], x0s.shape[1:], config["dt"] * skip, 0
+    else:
+        for position, seed in enumerate(seeds):
+            traj = _kse_trajectory(config, seed)
+            sink.append(position, traj.frames)
+            sink.close(position)
+        frames, shape, dt = traj.n_frames, traj.frames.shape[1:], traj.dt
+        skip, burn_in = traj.skip, traj.burn_in
+    return DatasetManifest(
+        equation=config["equation"],
+        kind="fields",
+        grid_size=config.get("grid_size", config.get("sites")),
+        trajectories=len(seeds),
+        frames=frames,
+        dt=dt,
+        skip=skip,
+        burn_in=burn_in,
+        frame_shape=list(shape),
+        init_seeds=seeds,
+        config=dict(config),
+        patch=None,
+        created=datetime.datetime.now(datetime.timezone.utc).isoformat(),
+    )
+
+
+class _Collected:
+    """A sink for :func:`_generate` that keeps every trajectory in memory."""
+
+    def __init__(self):
+        self.parts = {}
+
+    def append(self, position: int, frames: np.ndarray) -> None:
+        # a copy, so a lattice frame does not keep the whole stepped state
+        self.parts.setdefault(position, []).append(np.array(frames))
+
+    def close(self, position: int) -> None:
+        pass
+
+    def arrays(self) -> list:
+        return [np.concatenate(self.parts.pop(p)) for p in range(len(self.parts))]
 
 
 def generate_trajectory(config: dict, index: int) -> Trajectory:
     """Simulate trajectory ``index`` of a dataset config (self-seeded)."""
     _check_config(config)
-    return _simulate(config, [index])[0]
+    collected = _Collected()
+    manifest = _generate(config, [index], collected)
+    return Trajectory(collected.arrays()[0], dt=manifest.dt, skip=manifest.skip,
+                      burn_in=manifest.burn_in, seed=manifest.init_seeds[0])
 
 
 def generate_dataset(config: dict):
-    """All trajectories of a config; returns (frame arrays, manifest).
-
-    Heat and wave trajectories share one conductivity and one operator
-    and are stepped together (see :func:`simulate_linear_batch`).
-    """
+    """All trajectories of a config, held in memory; returns (frame arrays,
+    manifest).  :func:`write_generated_dataset` writes the same bytes
+    without holding them."""
     _check_config(config)
-    trajs = _simulate(config, range(config["trajectories"]))
-    first = trajs[0]
-    manifest = DatasetManifest(
-        equation=config["equation"],
-        kind="fields",
-        grid_size=config.get("grid_size", config.get("sites")),
-        trajectories=len(trajs),
-        frames=first.n_frames,
-        dt=first.dt,
-        skip=first.skip,
-        burn_in=first.burn_in,
-        frame_shape=list(first.frames.shape[1:]),
-        init_seeds=[t.seed for t in trajs],
-        config=dict(config),
-        patch=None,
-        created=datetime.datetime.now(datetime.timezone.utc).isoformat(),
-    )
-    return [t.frames for t in trajs], manifest
+    collected = _Collected()
+    manifest = _generate(config, range(config["trajectories"]), collected)
+    return collected.arrays(), manifest
+
+
+def write_generated_dataset(config: dict, out_dir: str) -> DatasetManifest:
+    """Generate the dataset of a config into ``out_dir``, each frame
+    appended to its blob as soon as it is computed, so only the stepped
+    states (heat, wave) or one trajectory (kse) are held at once.  The
+    blobs land as :func:`write_dataset`'s do: every one, with the
+    manifest last, or none, whatever stops the run."""
+    _check_config(config)
+    with _BlobWriter(out_dir, config["trajectories"]) as blobs:
+        manifest = _generate(config, range(config["trajectories"]), blobs)
+        blobs.commit(manifest)
+    return manifest
 
 
 def tokenize_dataset(data_dir: str, patch: int, out_dir: str) -> DatasetManifest:

@@ -251,6 +251,25 @@ def _assemble(blocks, samples, k, m, out_dim, ridge, bias):
     rows = samples + (n_feat if ridge > 0 else 0)
     design = np.zeros((rows, cols), order="F")
     target = np.zeros((rows, out_dim), order="F")
+    for start, hist, tgt in _block_rows(blocks, samples, k, m, out_dim):
+        rows_i = slice(start, start + hist.shape[0])
+        design[rows_i, :n_feat] = hist
+        target[rows_i] = tgt
+        if not (np.isfinite(design[rows_i, :n_feat]).all() and np.isfinite(target[rows_i]).all()):
+            raise ParameterError("histories and targets must be finite")
+    if bias:
+        design[:samples, n_feat] = 1.0
+    if ridge > 0:
+        # ridge rows scale with the sample count so the penalty matches
+        # the mean-squared objective of the SGD trainer
+        np.fill_diagonal(design[samples:, :n_feat], np.sqrt(ridge * samples))
+    return design, target
+
+
+def _block_rows(blocks, samples, k, m, out_dim):
+    """Yield each block's first sample index and its histories and targets
+    as (S_i, k*m) and (S_i, out_dim) rows, refusing a block of other
+    shapes and blocks that do not hold ``samples`` samples in all."""
     start = 0
     for hist, tgt in blocks:
         count = hist.shape[0]
@@ -259,21 +278,10 @@ def _assemble(blocks, samples, k, m, out_dim, ridge, bias):
             raise ParameterError(f"a block of {hist.shape} histories and {tgt.shape} targets "
                                  f"after {start} samples; expected (S, {k}, {m}) and S targets "
                                  f"of {out_dim} values, {samples} samples in all")
-        rows_i = slice(start, start + count)
-        design[rows_i, :n_feat] = hist.reshape(count, n_feat)
-        target[rows_i] = tgt.reshape(count, out_dim)
-        if not (np.isfinite(design[rows_i, :n_feat]).all() and np.isfinite(target[rows_i]).all()):
-            raise ParameterError("histories and targets must be finite")
+        yield start, hist.reshape(count, k * m), tgt.reshape(count, out_dim)
         start += count
     if start != samples:
         raise ParameterError(f"the blocks hold {start} samples, not {samples}")
-    if bias:
-        design[:samples, n_feat] = 1.0
-    if ridge > 0:
-        # ridge rows scale with the sample count so the penalty matches
-        # the mean-squared objective of the SGD trainer
-        np.fill_diagonal(design[samples:, :n_feat], np.sqrt(ridge * samples))
-    return design, target
 
 
 def fit_superres(histories: np.ndarray, fields: np.ndarray,
@@ -290,7 +298,9 @@ def _mse_loss(weights, bias, x, y, ridge: float):
     resid = x @ weights.T - y
     if bias is not None:
         resid += bias
-    loss = float((resid**2).sum() / x.shape[0]) + ridge * float((weights**2).sum())
+    loss = float((resid**2).sum() / x.shape[0])
+    if ridge:
+        loss += ridge * float((weights**2).sum())
     return loss, resid
 
 
@@ -300,7 +310,9 @@ def mse_loss_and_grad(weights, bias, x, y, ridge: float = 0.0):
     loss = mean_i ||x_i W' + b - y_i||^2 + ridge ||W||_F^2
     """
     loss, resid = _mse_loss(weights, bias, x, y, ridge)
-    gw = 2.0 * resid.T @ x / x.shape[0] + 2.0 * ridge * weights
+    gw = 2.0 * resid.T @ x / x.shape[0]
+    if ridge:
+        gw += 2.0 * ridge * weights
     gb = 2.0 * resid.sum(axis=0) / x.shape[0] if bias is not None else None
     return loss, gw, gb
 
@@ -331,27 +343,52 @@ def _adam_update(param, grad, m, v, s1, s2, step_size, step: int):
 
 def fit_sgd(histories: np.ndarray, targets: np.ndarray, config: TrainConfig,
             eval_split: float = 0.1, bias: bool = True):
-    """Adam on the mean-squared objective, from a zero initial map.
+    """Adam on the mean-squared objective, from a zero initial map: the
+    one-block case of :func:`fit_sgd_blocks`."""
+    hist, tgt = np.asarray(histories, dtype=float), np.asarray(targets, dtype=float)
+    samples = _design(hist, tgt)[0].shape[0]
+    return fit_sgd_blocks([(hist, tgt)], samples, config, eval_split=eval_split, bias=bias)
+
+
+def fit_sgd_blocks(blocks, samples: int, config: TrainConfig, eval_split: float = 0.1,
+                   bias: bool = True):
+    """Adam on the mean-squared objective, from a zero initial map, over
+    samples that arrive in blocks as for :func:`fit_blocks`.
 
     Returns ``(map, curves)`` where curves is a dict with per-epoch
     ``train`` and ``eval`` mean-squared residues (an epoch is one pass
     over the training split).  The evaluation split is carved off by a
-    seeded permutation; ``eval_split=0`` trains on everything and the
-    eval curve stays empty.  NaN/Inf loss raises DivergenceError with the
-    offending step.
+    seeded permutation of the ``samples`` indices, drawn before any block
+    is read; ``eval_split=0`` trains on everything and the eval curve
+    stays empty.  Each block's rows are written straight to their permuted
+    places in one (samples, k*m) array of histories and one of targets,
+    the evaluation rows first, so the two splits are views of the only
+    copy of the samples the fit makes.  NaN/Inf loss raises
+    DivergenceError with the offending step.
     """
-    x, y, k, m, out_shape = _design(histories, targets)
     if not 0 <= eval_split < 1:
         raise ParameterError(f"eval_split must be in [0, 1), got {eval_split}")
+    blocks = iter(blocks)
+    first = next(blocks, None)
+    if first is None or samples < 1:
+        raise ParameterError("histories hold no samples")
+    _, _, k, m, out_shape = _design(*first)
+    out_dim = math.prod(out_shape)
     rng = np.random.default_rng(config.seed)
-    perm = rng.permutation(x.shape[0])
-    n_eval = int(round(eval_split * x.shape[0]))
-    eval_idx, train_idx = perm[:n_eval], perm[n_eval:]
-    if train_idx.size == 0:
+    perm = rng.permutation(samples)
+    n_eval = int(round(eval_split * samples))
+    if n_eval == samples:
         raise ParameterError("eval_split leaves no training samples")
-    xt, yt = x[train_idx], y[train_idx]
-    xe, ye = x[eval_idx], y[eval_idx]
-    out_dim = y.shape[1]
+    # sample perm[p] is row p
+    row_of = np.empty(samples, dtype=np.intp)
+    row_of[perm] = np.arange(samples)
+    x, y = np.empty((samples, k * m)), np.empty((samples, out_dim))
+    for start, hist, tgt in _block_rows(itertools.chain([first], blocks), samples, k, m,
+                                        out_dim):
+        rows_i = row_of[start:start + hist.shape[0]]
+        x[rows_i] = hist
+        y[rows_i] = tgt
+    xe, ye, xt, yt = x[:n_eval], y[:n_eval], x[n_eval:], y[n_eval:]
     weights = np.zeros((out_dim, x.shape[1]))
     bias_vec = np.zeros(out_dim) if bias else None
     params = [weights] + ([bias_vec] if bias else [])

@@ -74,54 +74,73 @@ def simulate_linear(op, x0: np.ndarray, dt: float, steps: int, skip: int = 1,
 def simulate_linear_batch(op, x0s: np.ndarray, dt: float, steps: int, skip: int = 1,
                           seeds=None) -> list[Trajectory]:
     """Forward-Euler trajectories of ceil(steps/skip) stored frames each,
-    for a stack ``x0s`` of B initial states stepped together.
+    for a stack ``x0s`` of B initial states stepped together: the stored
+    frames of :func:`euler_frames` collected into one (B, T, ...) array,
+    of which each returned trajectory holds a view.
+    """
+    x0s = np.asarray(x0s, dtype=float)
+    stored = euler_frames(op, x0s, dt, steps, skip=skip)
+    batch = x0s.shape[0]
+    seeds = [None] * batch if seeds is None else list(seeds)
+    if len(seeds) != batch:
+        raise ParameterError(f"{len(seeds)} seeds for {batch} initial states")
+    frames = np.empty((batch, -(-steps // skip)) + x0s.shape[1:])
+    for r, frame in enumerate(stored):
+        frames[:, r] = frame
+    return [Trajectory(frames[i], dt=dt * skip, skip=skip, seed=seeds[i])
+            for i in range(batch)]
+
+
+def euler_frames(op, x0s: np.ndarray, dt: float, steps: int, skip: int = 1):
+    """The ceil(steps/skip) stored frames of forward-Euler trajectories of a
+    stack ``x0s`` of B initial states stepped together, each a (B, ...)
+    array yielded as soon as it is stepped.
 
     Every Euler step is one sparse product on the (N, B) C-contiguous state,
     which gives each trajectory the same bits as stepping it alone.  Stored
     frame r is the state after r*skip Euler steps; the first stored frame is
-    the initial state itself.  The frames of all trajectories live in one
-    (B, T, ...) array, and each returned trajectory holds a view of it.
-    Emits a RuntimeWarning (but keeps going) when dt times the Gershgorin
-    spectral-radius bound reaches the explicit-Euler stability limit of 2.
-    Raises DivergenceError naming the first bad step, and for B > 1 the
-    first trajectory that is not finite there, if a stored frame stops
-    being finite.
+    the initial states themselves.  A yielded frame is a read-only view
+    that later steps leave alone.  The arguments are checked, and a
+    RuntimeWarning is emitted (but stepping goes on) when dt times the
+    Gershgorin spectral-radius bound reaches the explicit-Euler stability
+    limit of 2, before this returns.  The iteration raises DivergenceError
+    naming the first bad step, and for B > 1 the first trajectory that is
+    not finite there, if a stored frame stops being finite.
     """
     x0s = np.asarray(x0s, dtype=float)
     if steps < 1 or skip < 1:
         raise ParameterError(f"steps and skip must be >= 1, got {steps}, {skip}")
     if x0s.ndim < 2 or x0s.shape[0] < 1:
         raise ParameterError(f"expected a stack of initial states, got shape {x0s.shape}")
-    batch, shape = x0s.shape[0], x0s.shape[1:]
     if op.shape[0] != op.shape[1] or op.shape[1] != x0s[0].size:
         raise ParameterError(f"operator shape {op.shape} does not match state size {x0s[0].size}")
-    seeds = [None] * batch if seeds is None else list(seeds)
-    if len(seeds) != batch:
-        raise ParameterError(f"{len(seeds)} seeds for {batch} initial states")
     radius = _gershgorin_radius(op)
     if dt * radius >= 2.0:
         warnings.warn(
             f"forward Euler may be unstable: dt*spectral-radius bound = {dt * radius:.3g} >= 2",
             RuntimeWarning,
         )
-    n_stored = -(-steps // skip)
-    frames = np.empty((batch, n_stored) + shape)
-    frames[:, 0] = x0s
-    flat = frames.reshape(batch, n_stored, -1)
-    state = np.ascontiguousarray(flat[:, 0].T)
-    for r in range(1, n_stored):
-        for _ in range(skip):
-            state = state + dt * (op @ state)
-        finite = np.isfinite(state).all(axis=0)
-        if not finite.all():
-            bad = int(np.argmin(finite))
-            where = f" in trajectory {bad}" if batch > 1 else ""
-            raise DivergenceError(
-                f"state diverged by step {r * skip}{where} "
-                f"(dt*spectral-radius bound = {dt * radius:.3g})", step=r * skip, trajectory=bad)
-        flat[:, r] = state.T
-    return [Trajectory(frames[i], dt=dt * skip, skip=skip, seed=seeds[i])
-            for i in range(batch)]
+    return _euler_loop(op, x0s, dt, -(-steps // skip), skip, radius)
+
+
+def _euler_loop(op, x0s, dt, n_stored, skip, radius):
+    batch, shape = x0s.shape[0], x0s.shape[1:]
+    state = np.ascontiguousarray(x0s.reshape(batch, -1).T)
+    for r in range(n_stored):
+        if r:
+            for _ in range(skip):
+                state = state + dt * (op @ state)
+            finite = np.isfinite(state).all(axis=0)
+            if not finite.all():
+                bad = int(np.argmin(finite))
+                where = f" in trajectory {bad}" if batch > 1 else ""
+                raise DivergenceError(
+                    f"state diverged by step {r * skip}{where} "
+                    f"(dt*spectral-radius bound = {dt * radius:.3g})", step=r * skip,
+                    trajectory=bad)
+        frame = state.T.reshape((batch,) + shape)
+        frame.flags.writeable = False
+        yield frame
 
 
 @dataclass

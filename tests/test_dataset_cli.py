@@ -1,6 +1,7 @@
 from collections import Counter
 import contextlib
 import dataclasses
+import errno
 import io
 import json
 import os
@@ -597,11 +598,47 @@ def test_batched_divergence_names_step_and_trajectory(tmp_path):
     env = dict(os.environ)
     src = os.path.dirname(os.path.dirname(latentpde.__file__))
     env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
-    proc = subprocess.run([sys.executable, "-m", "latentpde.cli", "generate", "--config",
-                           str(config_path), "--out", str(tmp_path / "d")],
-                          capture_output=True, text=True, env=env, cwd=tmp_path)
-    assert proc.returncode == 4
-    assert proc.stderr.splitlines() == [f"error: {err.value}"]
+    # generate writes frames before it sees the divergence: it removes
+    # them, and keeps a dataset already in --out byte for byte
+    old = tmp_path / "old"
+    write_dataset(*generate_dataset(TINY_HEAT), str(old))
+    for out, kept in ((tmp_path / "d", {}), (old, _files(old))):
+        proc = subprocess.run([sys.executable, "-m", "latentpde.cli", "generate", "--config",
+                               str(config_path), "--out", str(out)],
+                              capture_output=True, text=True, env=env, cwd=tmp_path)
+        assert proc.returncode == 4
+        assert proc.stderr.splitlines() == [f"error: {err.value}"]
+        assert _files(out) == kept
+
+
+def _files(directory):
+    """Name and bytes of every file in ``directory``; none if it is absent."""
+    return ({p.name: p.read_bytes() for p in directory.iterdir()} if directory.exists()
+            else {})
+
+
+def test_generate_write_failure_leaves_out_as_it_was(tmp_path, monkeypatch, capsys):
+    old = tmp_path / "old"
+    write_dataset(*generate_dataset(TINY_HEAT), str(old))
+    config_path = tmp_path / "heat.json"
+    config_path.write_text(json.dumps(TINY_HEAT))
+    opened = []
+
+    def open_two(path, *args, **kwargs):
+        # the third temp blob cannot be opened, as with too many open files
+        opened.append(path)
+        if len(opened) > 2:
+            raise OSError(errno.EMFILE, "Too many open files", path)
+        return open(path, *args, **kwargs)
+
+    monkeypatch.setattr(dataset_module, "open", open_two, raising=False)
+    for out, kept in ((tmp_path / "d", {}), (old, _files(old))):
+        opened.clear()
+        assert cli.main(["generate", "--config", str(config_path), "--out", str(out)]) == 3
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: [Errno 24] Too many open files")
+        assert len(opened) == 3
+        assert _files(out) == kept
 
 
 def test_generation_builds_conductivity_and_operator_once(monkeypatch):

@@ -147,7 +147,35 @@ def test_cli_output_bytes(name, tmp_path, capsys):
     assert _output_digest(out) == expected
 
 
-LIE_REPORT_DIGEST = "933700df5a461c2be7f0694c2a2bc4eeb6e2b9e2830d83bd40cfbf9a9523700d"
+# the generate verb writes its blobs as it steps, so its files are pinned
+# apart from generate_dataset's arrays: blobs in order, then the manifest
+# without its timestamp (the hash of DATASET_DIGESTS, so a config in both
+# has one digest)
+GENERATE_DIGESTS = {
+    "heat": (TINY_HEAT, "4f1c85c2ac3d0bf9c65c26340f4d9e0cc6f06f0377cc1f5284307a3a3ed385d4"),
+    "wave-skip3": (WAVE_SKIP3, "df670cb6b40d366933dabda07e1be428106554429beda9270fe57c8c81d9dd49"),
+    "kse2d": (TINY_KSE2D, "748b0383cda1ed05e1497d9c1684812890b5129d7f2db3ce4aac6d20a55b8572"),
+    "kse1d": (TINY_KSE, "276181ce16d5f7a0b4f14590a3f751b81a95d84a1bb2f815630872e6d82503ad"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(GENERATE_DIGESTS))
+def test_cli_generate_bytes(name, tmp_path, capsys):
+    config, expected = GENERATE_DIGESTS[name]
+    path, out = tmp_path / "config.json", tmp_path / "out"
+    path.write_text(json.dumps(config))
+    assert cli.main(["generate", "--config", str(path), "--out", str(out)]) == 0
+    capsys.readouterr()
+    meta = json.loads((out / "manifest.json").read_text())
+    meta.pop("created")
+    blobs = b"".join(p.read_bytes() for p in sorted(out.glob("traj_*.bin")))
+    assert sorted(p.name for p in out.iterdir()) == \
+        ["manifest.json"] + [f"traj_{i:05d}.bin" for i in range(config["trajectories"])]
+    assert hashlib.sha256(blobs + json.dumps(meta, sort_keys=True).encode()).hexdigest() \
+        == expected
+
+
+LIE_REPORT_DIGEST ="933700df5a461c2be7f0694c2a2bc4eeb6e2b9e2830d83bd40cfbf9a9523700d"
 LIE_CSV_HEAD_DIGEST = "d54e72f06deade684a7ce76554cdf396007371f156196c9344323560c63cc700"
 
 

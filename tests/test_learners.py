@@ -4,9 +4,9 @@ import scipy.linalg
 
 from latentpde import (DataFormatError, DivergenceError, GridSpec, LinearMap, ParameterError,
                        TrainConfig, build_modified_laplacian, build_tokenizer_matrix,
-                       build_wave_generator, fit_blocks, fit_least_squares, fit_sgd, fit_superres,
-                       forecast_pairs, generate_dataset, history_sweep, kalman_rank_test,
-                       mse_loss_and_grad, tokenize_trajectory)
+                       build_wave_generator, fit_blocks, fit_least_squares, fit_sgd,
+                       fit_sgd_blocks, fit_superres, forecast_pairs, generate_dataset,
+                       history_sweep, kalman_rank_test, mse_loss_and_grad, tokenize_trajectory)
 from latentpde import dataset as dataset_module
 
 from test_acceptance import GRF_COND, HEAT_BASE, latent_pairs, recon_pairs, split_normalize
@@ -155,6 +155,37 @@ def test_fit_blocks_refuses_blocks_that_break_their_count_or_shape():
             fit_blocks([block, (np.zeros(hist), np.zeros(tgt))], 10)
     with pytest.raises(ParameterError, match="no samples"):
         fit_blocks([], 0)
+
+
+@pytest.mark.parametrize("eval_split", [0.0, 0.3])
+def test_fit_sgd_blocks_equals_one_block_fit_bit_for_bit(eval_split):
+    """Adam on window views of several token trajectories, read block by
+    block into their permuted rows, gives the bytes of Adam on their
+    concatenated copies."""
+    rng = np.random.default_rng(18)
+    trajectories = [rng.standard_normal((t, 3)) for t in (9, 12, 7)]
+    pairs = [forecast_pairs(tokens, 2) for tokens in trajectories]
+    config = TrainConfig(learning_rate=0.05, steps=30, batch_size=4, seed=2, ridge=1e-3)
+    whole, whole_curves = fit_sgd(*(np.concatenate(part) for part in zip(*pairs)), config,
+                                  eval_split=eval_split)
+    streamed, curves = fit_sgd_blocks(iter(pairs), 22, config, eval_split=eval_split)
+    for a, b in ((whole.weights, streamed.weights), (whole.bias, streamed.bias),
+                 *((whole_curves[key], curves[key]) for key in ("train", "eval"))):
+        assert a.tobytes() == b.tobytes()
+    assert len(curves["eval"]) == (len(curves["train"]) if eval_split else 0)
+
+
+def test_fit_sgd_blocks_refuses_blocks_that_break_their_count_or_shape():
+    rng = np.random.default_rng(19)
+    block = (rng.standard_normal((5, 2, 3)), rng.standard_normal((5, 4)))
+    config = TrainConfig(steps=1)
+    for samples in (4, 6):
+        with pytest.raises(ParameterError, match="samples"):
+            fit_sgd_blocks([block], samples, config)
+    with pytest.raises(ParameterError, match="block"):
+        fit_sgd_blocks([block, (np.zeros((5, 2, 2)), np.zeros((5, 4)))], 10, config)
+    with pytest.raises(ParameterError, match="no samples"):
+        fit_sgd_blocks([], 0, config)
 
 
 @pytest.fixture(scope="module")

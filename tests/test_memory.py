@@ -1,13 +1,15 @@
-"""The verbs that read a field dataset hold one trajectory at a time, and
-a least-squares fit holds one copy of its samples.
+"""The verbs that read a field dataset hold one trajectory at a time,
+``generate`` holds no more than the states it steps, and a fit holds one
+copy of its samples.
 
 ``tracemalloc`` sees numpy's array allocations, so the traced peak of one
-verb, taken against the bytes of the dataset it reads, shows whether the
-verb held the whole dataset (a ratio of 1 or more) or streamed it.  The
-peak of a least-squares call, taken against the bytes of the
-Fortran-order design and target that LAPACK factors, shows whether the
-call built its samples once, in that design, or also held other copies
-of them (a ratio of 2 or more).
+verb, taken against the bytes of the dataset it reads or writes, shows
+whether the verb held the whole dataset (a ratio of 1 or more) or
+streamed it.  The peak of a least-squares call, taken against the bytes
+of the Fortran-order design and target that LAPACK factors, shows
+whether the call built its samples once, in that design, or also held
+other copies of them (a ratio of 2 or more); the peak of an Adam fit is
+taken against the bytes of its histories and targets in the same way.
 """
 
 import json
@@ -18,10 +20,12 @@ import pytest
 
 from latentpde import cli, load_manifest
 
-from test_dataset_cli import TINY_HEAT
+from test_dataset_cli import TINY_HEAT, TINY_WAVE
 
 # 40 trajectories of 40 frames on 16 x 16: 3.3 MB of float64
 STREAM_HEAT = dict(TINY_HEAT, grid_size=16, trajectories=40, frames=40)
+# 12 wave trajectories of 60 two-block frames on 16 x 16: 2.9 MB
+STREAM_WAVE = dict(TINY_WAVE, grid_size=16, trajectories=12, frames=60)
 PEAK_SHARE = 0.6
 DESIGN_SHARE = 1.5
 
@@ -102,3 +106,30 @@ def test_least_squares_peak_is_a_share_of_its_design(name, workspace, capsys):
     capsys.readouterr()
     assert peak < DESIGN_SHARE * design_bytes, \
         f"peak {peak / design_bytes:.2f}x the design and target"
+
+
+@pytest.mark.parametrize("config", [STREAM_HEAT, STREAM_WAVE], ids=["heat", "wave"])
+def test_generate_peak_is_a_share_of_what_it_writes(config, tmp_path, capsys):
+    path, out = tmp_path / "cfg.json", tmp_path / "data"
+    path.write_text(json.dumps(config))
+    peak = _traced_peak(["generate", "--config", str(path), "--out", str(out)])
+    capsys.readouterr()
+    written = sum(p.stat().st_size for p in out.glob("traj_*.bin"))
+    assert peak < PEAK_SHARE * written, f"peak {peak / written:.2f}x the blobs"
+
+
+def test_adam_peak_is_a_share_of_its_samples(workspace, capsys):
+    """``fit --learner sgd`` at k = 8, the history length of the benchmark's
+    Adam fit.  Each epoch's loss also forms residuals the size of the
+    training targets, which at k = 8 is an eighth of the histories."""
+    k, data = 8, workspace / "data"
+    manifest = load_manifest(str(data))
+    tokens = math.prod(n // 4 for n in manifest.frame_shape)
+    rows = round(0.9 * manifest.trajectories) * (manifest.frames - k)
+    sample_bytes = 8 * rows * (k * tokens + tokens)
+    peak = _traced_peak(["fit", "--data", str(data), "--role", "g", "--patch", "4",
+                         "--k", str(k), "--learner", "sgd", "--steps", "5",
+                         "--out", str(workspace / "adam.out")])
+    capsys.readouterr()
+    assert peak < DESIGN_SHARE * sample_bytes, \
+        f"peak {peak / sample_bytes:.2f}x the histories and targets"
