@@ -99,6 +99,8 @@ class _BlobWriter:
     frames arrive: ``append(index, frames)`` adds frames to blob ``index``
     and ``close(index)`` syncs a finished one.  ``commit(manifest)`` syncs
     the rest, renames every blob into place and writes the manifest last.
+    Each call opens the one file it touches and closes it again, so a
+    dataset of any number of trajectories holds one descriptor at a time.
     Leaving the ``with`` block on an exception before that removes the
     temp files, and ``out_dir`` too if it was made here and is empty, so
     a failed write leaves ``out_dir`` as it was."""
@@ -106,7 +108,7 @@ class _BlobWriter:
     def __init__(self, out_dir: str, count: int):
         self.out_dir = out_dir
         self.paths = [os.path.join(out_dir, _blob_name(i)) for i in range(count)]
-        self.files = {}
+        self.unsynced = set()
         self.made = not os.path.isdir(out_dir)
         os.makedirs(out_dir, exist_ok=True)
 
@@ -114,18 +116,28 @@ class _BlobWriter:
         return self
 
     def append(self, index: int, frames) -> None:
-        if index not in self.files:
-            self.files[index] = open(_tmp_path(self.paths[index]), "wb")
-        self.files[index].write(np.ascontiguousarray(frames, dtype="<f8"))
+        # os-level calls cost about half of a file object's open and close,
+        # and a lattice dataset appends one frame per trajectory per step
+        flags = os.O_WRONLY | os.O_CREAT | (os.O_APPEND if index in self.unsynced else os.O_TRUNC)
+        fd = os.open(_tmp_path(self.paths[index]), flags, 0o666)
+        try:
+            data = memoryview(np.ascontiguousarray(frames, dtype="<f8")).cast("B")
+            while data:
+                data = data[os.write(fd, data):]
+        finally:
+            os.close(fd)
+        self.unsynced.add(index)
 
     def close(self, index: int) -> None:
-        fh = self.files.pop(index)
-        fh.flush()
-        os.fsync(fh.fileno())
-        fh.close()
+        self.unsynced.remove(index)
+        fd = os.open(_tmp_path(self.paths[index]), os.O_RDONLY)
+        try:
+            os.fsync(fd)
+        finally:
+            os.close(fd)
 
     def commit(self, manifest: DatasetManifest) -> None:
-        for index in list(self.files):
+        for index in sorted(self.unsynced):
             self.close(index)
         for path in self.paths:
             os.replace(_tmp_path(path), path)
@@ -134,9 +146,6 @@ class _BlobWriter:
     def __exit__(self, kind, value, traceback):
         if kind is None:
             return
-        for fh in self.files.values():
-            with contextlib.suppress(OSError):
-                fh.close()
         for path in self.paths:
             with contextlib.suppress(OSError):
                 os.remove(_tmp_path(path))

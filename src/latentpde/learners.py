@@ -8,6 +8,7 @@ an orthogonal factorization or Adam-style stochastic gradient descent on
 the same mean-squared objective.
 """
 
+import contextlib
 from dataclasses import dataclass
 import itertools
 import json
@@ -317,6 +318,81 @@ def mse_loss_and_grad(weights, bias, x, y, ridge: float = 0.0):
     return loss, gw, gb
 
 
+class _SplitStats:
+    """The loss of :func:`mse_loss_and_grad` on one data split, from
+    statistics formed once: G = XᵀX, C = XᵀY, ‖Y‖², the column sums s_x
+    and s_y of X and Y, and the row count n.  Then
+
+        n · mse = tr(W G Wᵀ) − 2 tr(W C) + ‖Y‖² + 2 bᵀ(W s_x − s_y) + n ‖b‖²,
+
+    which costs (k·m)²·outputs multiply-adds and forms no residual.  The
+    terms cancel as the fit improves, and each carries the rounding of
+    its sums, so the result differs from a direct residual evaluation by
+    about c·eps·(tr(W G Wᵀ) + ‖Y‖² + n ‖b‖²)/n, c = 2(k·m + √n): a
+    sum over n rows whose rounding errors add in quadrature (the worst
+    case replaces √n by n).  A total that rounds below zero is reported
+    as 0.
+    """
+
+    def __init__(self, x, y):
+        self.gram = x.T @ x
+        self.cross = x.T @ y
+        # a C-contiguous split, so the flat view copies nothing
+        flat = y.reshape(-1)
+        self.yy = float(flat @ flat)
+        self.sx, self.sy = x.sum(axis=0), y.sum(axis=0)
+        self.rows = x.shape[0]
+
+    def loss(self, weights, bias, ridge: float) -> float:
+        total = (float(((weights @ self.gram) * weights).sum())
+                 - 2.0 * float((weights * self.cross.T).sum()) + self.yy)
+        if bias is not None:
+            total += (2.0 * float(bias @ (weights @ self.sx - self.sy))
+                      + self.rows * float(bias @ bias))
+        loss = max(total, 0.0) / self.rows
+        if ridge:
+            loss += ridge * float((weights**2).sum())
+        return loss
+
+
+def _blas_thread_setter():
+    """numpy's OpenBLAS ``openblas_set_num_threads_local``, or None when
+    numpy runs another BLAS or an OpenBLAS without it.  The lookup goes
+    through numpy's own extension module, whose handle resolves to the
+    OpenBLAS numpy links; scipy loads a second copy with its own pool."""
+    import ctypes
+
+    try:
+        from numpy._core import _multiarray_umath
+        setter = ctypes.CDLL(_multiarray_umath.__file__).openblas_set_num_threads_local
+    except (ImportError, OSError, AttributeError):
+        return None
+    setter.argtypes, setter.restype = [ctypes.c_int], ctypes.c_int
+    return setter
+
+
+@contextlib.contextmanager
+def _one_blas_thread():
+    """Run the block with numpy's OpenBLAS on one thread, for the calling
+    thread only, and restore the previous count on the way out.
+
+    A product of a few dozen rows is too small to share: the second
+    thread of the pool spins between calls and burns about as much CPU as
+    the product.  OpenBLAS splits a product over its rows and columns,
+    never over the summed dimension, so no result bit moves.  Without
+    the setter the block runs as it is, and nothing is said.
+    """
+    setter = _blas_thread_setter()
+    if setter is None:
+        yield
+        return
+    previous = setter(1)
+    try:
+        yield
+    finally:
+        setter(previous)
+
+
 # Adam's moment decay rates and denominator guard
 _BETA1, _BETA2, _EPS = 0.9, 0.999, 1e-8
 
@@ -361,10 +437,13 @@ def fit_sgd_blocks(blocks, samples: int, config: TrainConfig, eval_split: float 
     seeded permutation of the ``samples`` indices, drawn before any block
     is read; ``eval_split=0`` trains on everything and the eval curve
     stays empty.  Each block's rows are written straight to their permuted
-    places in one (samples, k*m) array of histories and one of targets,
-    the evaluation rows first, so the two splits are views of the only
-    copy of the samples the fit makes.  NaN/Inf loss raises
-    DivergenceError with the offending step.
+    places in the histories and targets of their split, the only copy of
+    the samples the fit makes.  Each split's statistics are formed once,
+    before the first step, and each epoch's residues come from them (see
+    :class:`_SplitStats` for the rounding bound), not from the samples, so
+    the evaluation split is freed before the first step.  The steps run
+    on one BLAS thread (see :func:`_one_blas_thread`).  NaN/Inf loss
+    raises DivergenceError with the offending step.
     """
     if not 0 <= eval_split < 1:
         raise ParameterError(f"eval_split must be in [0, 1), got {eval_split}")
@@ -379,17 +458,26 @@ def fit_sgd_blocks(blocks, samples: int, config: TrainConfig, eval_split: float 
     n_eval = int(round(eval_split * samples))
     if n_eval == samples:
         raise ParameterError("eval_split leaves no training samples")
-    # sample perm[p] is row p
+    # sample perm[p] is row p of the evaluation split for p < n_eval, and
+    # row p - n_eval of the training split after that
     row_of = np.empty(samples, dtype=np.intp)
     row_of[perm] = np.arange(samples)
-    x, y = np.empty((samples, k * m)), np.empty((samples, out_dim))
+    xe, ye = np.empty((n_eval, k * m)), np.empty((n_eval, out_dim))
+    xt, yt = np.empty((samples - n_eval, k * m)), np.empty((samples - n_eval, out_dim))
     for start, hist, tgt in _block_rows(itertools.chain([first], blocks), samples, k, m,
                                         out_dim):
         rows_i = row_of[start:start + hist.shape[0]]
-        x[rows_i] = hist
-        y[rows_i] = tgt
-    xe, ye, xt, yt = x[:n_eval], y[:n_eval], x[n_eval:], y[n_eval:]
-    weights = np.zeros((out_dim, x.shape[1]))
+        to_eval, to_train = rows_i < n_eval, rows_i >= n_eval
+        xe[rows_i[to_eval]] = hist[to_eval]
+        ye[rows_i[to_eval]] = tgt[to_eval]
+        xt[rows_i[to_train] - n_eval] = hist[to_train]
+        yt[rows_i[to_train] - n_eval] = tgt[to_train]
+    splits = {"train": _SplitStats(xt, yt)}
+    if n_eval:
+        splits["eval"] = _SplitStats(xe, ye)
+    # the evaluation split enters the fit only through its statistics
+    del xe, ye
+    weights = np.zeros((out_dim, k * m))
     bias_vec = np.zeros(out_dim) if bias else None
     params = [weights] + ([bias_vec] if bias else [])
     # per parameter: the Adam moments m and v, then two scratch arrays
@@ -401,25 +489,25 @@ def fit_sgd_blocks(blocks, samples: int, config: TrainConfig, eval_split: float 
     curves = {"train": [], "eval": []}
 
     def record():
-        curves["train"].append(_mse_loss(weights, bias_vec, xt, yt, config.ridge)[0])
-        if xe.shape[0]:
-            curves["eval"].append(_mse_loss(weights, bias_vec, xe, ye, config.ridge)[0])
+        for key, stats in splits.items():
+            curves[key].append(stats.loss(weights, bias_vec, config.ridge))
 
     lr = config.learning_rate
-    for step in range(1, config.steps + 1):
-        if cursor + batch > xt.shape[0]:
-            order = rng.permutation(xt.shape[0])
-            cursor = 0
-        sel = order[cursor:cursor + batch]
-        cursor += batch
-        loss, gw, gb = mse_loss_and_grad(weights, bias_vec, xt[sel], yt[sel], config.ridge)
-        if not np.isfinite(loss):
-            raise DivergenceError(f"training loss diverged at step {step}", step=step)
-        for param, grad, buf in zip(params, (gw, gb), buffers):
-            _adam_update(param, grad, *buf, lr, step)
-        lr *= config.lr_decay
-        if step % steps_per_epoch == 0 or step == config.steps:
-            record()
+    with _one_blas_thread():
+        for step in range(1, config.steps + 1):
+            if cursor + batch > xt.shape[0]:
+                order = rng.permutation(xt.shape[0])
+                cursor = 0
+            sel = order[cursor:cursor + batch]
+            cursor += batch
+            loss, gw, gb = mse_loss_and_grad(weights, bias_vec, xt[sel], yt[sel], config.ridge)
+            if not np.isfinite(loss):
+                raise DivergenceError(f"training loss diverged at step {step}", step=step)
+            for param, grad, buf in zip(params, (gw, gb), buffers):
+                _adam_update(param, grad, *buf, lr, step)
+            lr *= config.lr_decay
+            if step % steps_per_epoch == 0 or step == config.steps:
+                record()
     if config.steps == 0:
         record()
     linear_map = LinearMap(weights, bias_vec, k, m, out_shape)

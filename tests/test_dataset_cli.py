@@ -541,12 +541,14 @@ def test_cli_sgd_curve_has_no_eval_loss_without_an_eval_split(tmp_path, capsys):
     assert len(curves["default.lpm"]) > 1
 
 
-def run_module(argv, **kwargs):
-    """``python -m latentpde.cli`` in a subprocess that imports this package."""
+def run_module(argv, code=None, **kwargs):
+    """``python -m latentpde.cli`` in a subprocess that imports this package,
+    or ``python -c code`` with the same arguments."""
     env = dict(os.environ)
     src = os.path.dirname(os.path.dirname(latentpde.__file__))
     env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
-    return subprocess.run([sys.executable, "-m", "latentpde.cli", *argv],
+    entry = ["-m", "latentpde.cli"] if code is None else ["-c", code]
+    return subprocess.run([sys.executable, *entry, *argv],
                           capture_output=True, text=True, env=env, **kwargs)
 
 
@@ -623,15 +625,17 @@ def test_generate_write_failure_leaves_out_as_it_was(tmp_path, monkeypatch, caps
     config_path = tmp_path / "heat.json"
     config_path.write_text(json.dumps(TINY_HEAT))
     opened = []
+    os_open = os.open
 
     def open_two(path, *args, **kwargs):
         # the third temp blob cannot be opened, as with too many open files
-        opened.append(path)
-        if len(opened) > 2:
-            raise OSError(errno.EMFILE, "Too many open files", path)
-        return open(path, *args, **kwargs)
+        if ".tmp." in os.fspath(path):
+            opened.append(path)
+            if len(opened) > 2:
+                raise OSError(errno.EMFILE, "Too many open files", path)
+        return os_open(path, *args, **kwargs)
 
-    monkeypatch.setattr(dataset_module, "open", open_two, raising=False)
+    monkeypatch.setattr(dataset_module.os, "open", open_two)
     for out, kept in ((tmp_path / "d", {}), (old, _files(old))):
         opened.clear()
         assert cli.main(["generate", "--config", str(config_path), "--out", str(out)]) == 3

@@ -8,6 +8,7 @@ from latentpde import (DataFormatError, DivergenceError, GridSpec, LinearMap, Pa
                        fit_sgd_blocks, fit_superres, forecast_pairs, generate_dataset,
                        history_sweep, kalman_rank_test, mse_loss_and_grad, tokenize_trajectory)
 from latentpde import dataset as dataset_module
+from latentpde import learners as learners_module
 
 from test_acceptance import GRF_COND, HEAT_BASE, latent_pairs, recon_pairs, split_normalize
 from test_dataset_cli import TINY_HEAT
@@ -363,6 +364,116 @@ def test_sgd_zero_steps_and_divergence():
     with pytest.raises(DivergenceError) as err:
         fit_sgd(histories, targets, huge)
     assert err.value.step is not None
+
+
+def _cancellation_bound(x, y, weights, bias):
+    """c·eps·(tr(W G Wᵀ) + ‖Y‖² + n ‖b‖²)/n with c = 2(k·m + √n), the
+    bound the statistics-based loss keeps against a residual evaluation."""
+    n, d = x.shape
+    size = float(((x @ weights.T) ** 2).sum() + (y**2).sum())
+    if bias is not None:
+        size += n * float(bias @ bias)
+    return 2 * (d + np.sqrt(n)) * np.finfo(float).eps * size / n
+
+
+@pytest.mark.parametrize("eval_split", [0.0, 0.2])
+@pytest.mark.parametrize("ridge", [0.0, 1e-3])
+@pytest.mark.parametrize("bias", [True, False])
+def test_adam_curve_matches_a_residual_evaluation(bias, ridge, eval_split):
+    """The last point of each curve is the loss of the returned map on its
+    split; it agrees with a direct residual evaluation within the
+    cancellation bound, from the zero map to a fitted one."""
+    histories, targets, _, _ = make_linear_problem(120, 2, 3, 4, seed=31, noise=0.1)
+    x, y = histories.reshape(120, -1), targets
+    perm = np.random.default_rng(5).permutation(120)
+    n_eval = int(round(eval_split * 120))
+    rows = {"eval": perm[:n_eval], "train": perm[n_eval:]}
+    for steps in (0, 7, 300):
+        config = TrainConfig(learning_rate=0.05, steps=steps, batch_size=16, seed=5,
+                             ridge=ridge)
+        fitted, curves = fit_sgd(histories, targets, config, eval_split=eval_split, bias=bias)
+        assert len(curves["eval"]) == (len(curves["train"]) if eval_split else 0)
+        for key in ("train", "eval") if eval_split else ("train",):
+            xs, ys = x[rows[key]], y[rows[key]]
+            direct = learners_module._mse_loss(fitted.weights, fitted.bias, xs, ys, ridge)[0]
+            assert abs(curves[key][-1] - direct) <= _cancellation_bound(
+                xs, ys, fitted.weights, fitted.bias), (steps, key)
+        assert min(curves["train"].min(), curves["eval"].min(initial=0.0)) >= 0.0
+
+
+@pytest.mark.parametrize("ridge", [0.0, 1e-3])
+@pytest.mark.parametrize("bias", [True, False])
+def test_split_loss_of_an_exactly_realisable_target(bias, ridge):
+    """At the weights that generated the targets the data term cancels to
+    rounding level: it stays within the bound of zero, never below."""
+    for seed in range(20):
+        histories, _, true_w, true_b = make_linear_problem(500, 4, 3, 5, seed=seed)
+        x = 10.0 + histories.reshape(500, -1)
+        b = true_b if bias else None
+        y = x @ true_w.T + (true_b if bias else 0.0)
+        penalty = ridge * float((true_w**2).sum())
+        loss = learners_module._SplitStats(x, y).loss(true_w, b, ridge)
+        direct = learners_module._mse_loss(true_w, b, x, y, ridge)[0]
+        bound = _cancellation_bound(x, y, true_w, b)
+        assert loss >= penalty
+        assert loss - penalty <= bound
+        assert abs(loss - direct) <= bound
+
+
+def _blas_threads():
+    """numpy's OpenBLAS thread count for the calling thread, or None when
+    numpy runs another BLAS."""
+    import ctypes
+    from numpy._core import _multiarray_umath
+
+    try:
+        getter = ctypes.CDLL(_multiarray_umath.__file__).scipy_openblas_get_num_threads64_
+    except AttributeError:
+        return None
+    getter.argtypes, getter.restype = [], ctypes.c_int
+    return getter()
+
+
+@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
+def test_adam_steps_on_one_blas_thread_and_restores_the_count(monkeypatch):
+    setter = learners_module._blas_thread_setter()
+    if setter is None or _blas_threads() is None:
+        pytest.skip("numpy does not run scipy-openblas")
+    seen = []
+    step = learners_module.mse_loss_and_grad
+
+    def counted(*args, **kwargs):
+        seen.append(_blas_threads())
+        return step(*args, **kwargs)
+
+    monkeypatch.setattr(learners_module, "mse_loss_and_grad", counted)
+    histories, targets, _, _ = make_linear_problem(50, 1, 3, 2, seed=15)
+    huge = TrainConfig(learning_rate=1e300, steps=500, batch_size=16)
+    # a count other than 1, whatever an earlier call left behind
+    outer = setter(2)
+    try:
+        before = _blas_threads()
+        fit_sgd(histories, targets, TrainConfig(steps=20))
+        assert set(seen) == {1}
+        assert _blas_threads() == before
+        with pytest.raises(DivergenceError):
+            fit_sgd(histories, targets, huge)
+        assert _blas_threads() == before
+    finally:
+        setter(outer)
+
+
+def test_adam_without_the_thread_setter_gives_the_same_bytes(monkeypatch):
+    """At the benchmark's product shape (batches of 64 by 512 features by
+    64 outputs), large enough for OpenBLAS to share among threads."""
+    histories, targets, _, _ = make_linear_problem(600, 8, 64, 64, seed=32, noise=0.1)
+    config = TrainConfig(learning_rate=1e-3, steps=40, batch_size=64, seed=6, ridge=1e-3)
+    scoped, scoped_curves = fit_sgd(histories, targets, config)
+    monkeypatch.setattr(learners_module, "_blas_thread_setter", lambda: None)
+    plain, plain_curves = fit_sgd(histories, targets, config)
+    for a, b in ((scoped.weights, plain.weights), (scoped.bias, plain.bias),
+                 *((scoped_curves[key], plain_curves[key]) for key in ("train", "eval"))):
+        assert a.tobytes() == b.tobytes()
 
 
 def test_train_config_validation():
