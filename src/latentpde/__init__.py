@@ -8,8 +8,7 @@ from .random_fields import (GrfParams, build_conductivity, periodic_matern_covar
 from .lattice_ops import (GridSpec, build_difference, build_modified_laplacian,
                           build_tokenizer_matrix, build_wave_generator)
 from .solvers import (EtdrkCoefficients, Trajectory, etdrk_coefficients, euler_frames,
-                      simulate_kse1d, simulate_kse2d, simulate_linear, simulate_linear_batch,
-                      step_forward_euler)
+                      simulate_kse1d, simulate_kse2d, simulate_linear)
 from .tokenizer import (amplitude, build_histories, build_reconstruction_pairs,
                         forecast_pairs, sliding_histories, tokenize, tokenize_trajectory)
 from .observability import (GramianReport, HautusReport, KalmanReport, LieLogDetReport,
@@ -25,7 +24,7 @@ from .rollout_metrics import (CorrelationSeries, RolloutResult, autoregressive_r
                               nearest_subvideo_distance, residue_norms,
                               temporal_correlation)
 from .dataset import (DatasetManifest, apply_normalization, compute_normalization,
-                      export_frame_image, generate_dataset, generate_trajectory,
+                      export_frame_image, generate_dataset,
                       invert_normalization, load_all, load_manifest, load_trajectory,
                       read_csv, tokenize_dataset, write_csv, write_dataset,
                       write_generated_dataset)

@@ -177,9 +177,10 @@ def cmd_rollout(args) -> int:
     traj = ds.apply_normalization(fr, stats)
     tokens = tokenize_trajectory(traj, patch)
     k = g_map.history_len
-    if args.start + k + args.steps > tokens.shape[0]:
+    if args.start < 0 or args.start + k + args.steps > tokens.shape[0]:
         raise ParameterError(
-            f"trajectory has {tokens.shape[0]} frames; need start+{k}+{args.steps}")
+            f"--start {args.start} outside 0..{tokens.shape[0] - k - args.steps}: trajectory "
+            f"has {tokens.shape[0]} frames; need start+{k}+{args.steps}")
     seed = tokens[args.start:args.start + k]
     if args.super:
         super_map = _load_model(args.super, manifest, fields=True)

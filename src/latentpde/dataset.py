@@ -96,11 +96,12 @@ def _blob_name(index: int) -> str:
 
 class _BlobWriter:
     """The blobs of one dataset, each written to its own temp file as its
-    frames arrive: ``append(index, frames)`` adds frames to blob ``index``
-    and ``close(index)`` syncs a finished one.  ``commit(manifest)`` syncs
-    the rest, renames every blob into place and writes the manifest last.
-    Each call opens the one file it touches and closes it again, so a
-    dataset of any number of trajectories holds one descriptor at a time.
+    frames arrive: ``append(index, frames)`` adds frames to blob ``index``,
+    the first append starting its temp file afresh.  ``commit(manifest)``
+    syncs every temp blob before it renames any into place, and writes
+    the manifest last.  Each call opens the one file it touches and
+    closes it again, so a dataset of any number of trajectories holds one
+    descriptor at a time.
     Leaving the ``with`` block on an exception before that removes the
     temp files, and ``out_dir`` too if it was made here and is empty, so
     a failed write leaves ``out_dir`` as it was."""
@@ -108,7 +109,7 @@ class _BlobWriter:
     def __init__(self, out_dir: str, count: int):
         self.out_dir = out_dir
         self.paths = [os.path.join(out_dir, _blob_name(i)) for i in range(count)]
-        self.unsynced = set()
+        self.begun = set()
         self.made = not os.path.isdir(out_dir)
         os.makedirs(out_dir, exist_ok=True)
 
@@ -118,7 +119,7 @@ class _BlobWriter:
     def append(self, index: int, frames) -> None:
         # os-level calls cost about half of a file object's open and close,
         # and a lattice dataset appends one frame per trajectory per step
-        flags = os.O_WRONLY | os.O_CREAT | (os.O_APPEND if index in self.unsynced else os.O_TRUNC)
+        flags = os.O_WRONLY | os.O_CREAT | (os.O_APPEND if index in self.begun else os.O_TRUNC)
         fd = os.open(_tmp_path(self.paths[index]), flags, 0o666)
         try:
             data = memoryview(np.ascontiguousarray(frames, dtype="<f8")).cast("B")
@@ -126,19 +127,15 @@ class _BlobWriter:
                 data = data[os.write(fd, data):]
         finally:
             os.close(fd)
-        self.unsynced.add(index)
-
-    def close(self, index: int) -> None:
-        self.unsynced.remove(index)
-        fd = os.open(_tmp_path(self.paths[index]), os.O_RDONLY)
-        try:
-            os.fsync(fd)
-        finally:
-            os.close(fd)
+        self.begun.add(index)
 
     def commit(self, manifest: DatasetManifest) -> None:
-        for index in sorted(self.unsynced):
-            self.close(index)
+        for path in self.paths:
+            fd = os.open(_tmp_path(path), os.O_RDONLY)
+            try:
+                os.fsync(fd)
+            finally:
+                os.close(fd)
         for path in self.paths:
             os.replace(_tmp_path(path), path)
         atomic_write(os.path.join(self.out_dir, "manifest.json"), manifest.to_json().encode())
@@ -168,7 +165,6 @@ def write_dataset(frame_arrays, manifest: DatasetManifest, out_dir: str) -> None
     with _BlobWriter(out_dir, len(frame_arrays)) as blobs:
         for idx, frames in enumerate(frame_arrays):
             blobs.append(idx, frames)
-            blobs.close(idx)
         blobs.commit(manifest)
 
 
@@ -362,33 +358,42 @@ _REQUIRED_KEYS = {
     "kse1d": ("sites", "domain_length", "dt", "steps", "trajectories", "init_seed", "init"),
 }
 _TYPED_KEYS = (
-    (("trajectories", "frames", "grid_size", "sites", "steps", "init_seed", "skip", "burn_in"),
-     numbers.Integral, "an integer"),
-    (("dt", "domain_length", "dx"), numbers.Real, "a real number"),
+    (("trajectories", "frames", "grid_size", "sites", "steps", "init_seed", "skip", "burn_in",
+      "conductivity.seed"), numbers.Integral, "an integer"),
+    (("dt", "domain_length", "dx", "init.sigma", "init.m", "init.nu", "init.waves",
+      "conductivity.sigma", "conductivity.m", "conductivity.nu", "conductivity.scale",
+      "conductivity.constant"), numbers.Real, "a real number"),
 )
 
 
 def _check_config(config) -> None:
     """Raise ParameterError unless the config has every key its equation
-    reads and its counts and lengths have the right type."""
+    reads, its ``init`` and ``conductivity`` are objects, and its counts,
+    lengths and field parameters have the right type."""
     if not isinstance(config, dict):
         raise ParameterError(f"a generation config is a JSON object, got {type(config).__name__}")
     equation = config.get("equation")
     if equation not in _REQUIRED_KEYS:
         raise ParameterError(f"unknown equation {equation!r}; have {sorted(_REQUIRED_KEYS)}")
+    # the nested entries as "init.sigma", ... beside the top-level ones
+    entries = dict(config)
+    for name in ("init", "conductivity"):
+        nested = config.get(name, {})
+        if not isinstance(nested, dict):
+            raise ParameterError(f"{name} must be a JSON object, got {nested!r}")
+        entries.update((f"{name}.{key}", value) for key, value in nested.items())
     missing = [key for key in _REQUIRED_KEYS[equation] if key not in config]
     if not missing:
-        init_keys = ("waves",) if equation == "kse1d" else _GRF_KEYS
-        missing = [f"init.{key}" for key in init_keys if key not in config["init"]]
-        cond = config.get("conductivity")
-        if cond is not None and "constant" not in cond:
-            missing += [f"conductivity.{key}" for key in _GRF_KEYS + ("seed",) if key not in cond]
+        needed = [f"init.{key}" for key in (("waves",) if equation == "kse1d" else _GRF_KEYS)]
+        if "conductivity" in config and "conductivity.constant" not in entries:
+            needed += [f"conductivity.{key}" for key in _GRF_KEYS + ("seed",)]
+        missing = [key for key in needed if key not in entries]
     if missing:
         raise ParameterError(f"{equation} config lacks {', '.join(missing)}")
     for keys, kind, noun in _TYPED_KEYS:
         for key in keys:
-            value = config.get(key)
-            if key in config and (isinstance(value, bool) or not isinstance(value, kind)):
+            value = entries.get(key)
+            if key in entries and (isinstance(value, bool) or not isinstance(value, kind)):
                 raise ParameterError(f"{key} must be {noun}, got {value!r}")
     if config["trajectories"] < 1:
         raise ParameterError(f"trajectories must be >= 1, got {config['trajectories']}")
@@ -433,30 +438,26 @@ def _kse_trajectory(config: dict, seed: int) -> Trajectory:
     return simulate_kse1d(u0, length, config["dt"], config["steps"], seed=seed)
 
 
-def _generate(config: dict, indices, sink) -> DatasetManifest:
-    """Simulate trajectories ``indices`` of a checked config, each
-    self-seeded, and hand their frames to ``sink`` as they are computed:
-    ``sink.append(position, frames)`` adds frames to the trajectory at
-    that position of ``indices``, and ``sink.close(position)`` says a
-    trajectory is complete.  Heat and wave trajectories share one
-    conductivity and one operator and are stepped together, so each of
-    their stored frames goes out as it is stepped (see
-    :func:`euler_frames`); a kse trajectory goes out whole.  Returns the
-    dataset's manifest."""
-    seeds = [config["init_seed"] + i for i in indices]
+def _generate(config: dict, emit) -> DatasetManifest:
+    """Simulate every trajectory of a checked config, each self-seeded,
+    and hand its frames to ``emit(index, frames)`` as they are computed.
+    Heat and wave trajectories share one conductivity and one operator
+    and are stepped together, so each of their stored frames goes out as
+    it is stepped (see :func:`euler_frames`); a kse trajectory goes out
+    whole.  Returns the dataset's manifest."""
+    seeds = [config["init_seed"] + i for i in range(config["trajectories"])]
     if config["equation"] in ("heat", "wave"):
         op, x0s = _lattice_problem(config, seeds)
         skip = config.get("skip", 1)
         steps = (config["frames"] - 1) * skip + 1
         for frame in euler_frames(op, x0s, config["dt"], steps, skip=skip):
-            for position, stored in enumerate(frame):
-                sink.append(position, stored[None])
+            for index, stored in enumerate(frame):
+                emit(index, stored[None])
         frames, shape, dt, burn_in = config["frames"], x0s.shape[1:], config["dt"] * skip, 0
     else:
-        for position, seed in enumerate(seeds):
+        for index, seed in enumerate(seeds):
             traj = _kse_trajectory(config, seed)
-            sink.append(position, traj.frames)
-            sink.close(position)
+            emit(index, traj.frames)
         frames, shape, dt = traj.n_frames, traj.frames.shape[1:], traj.dt
         skip, burn_in = traj.skip, traj.burn_in
     return DatasetManifest(
@@ -476,40 +477,18 @@ def _generate(config: dict, indices, sink) -> DatasetManifest:
     )
 
 
-class _Collected:
-    """A sink for :func:`_generate` that keeps every trajectory in memory."""
-
-    def __init__(self):
-        self.parts = {}
-
-    def append(self, position: int, frames: np.ndarray) -> None:
-        # a copy, so a lattice frame does not keep the whole stepped state
-        self.parts.setdefault(position, []).append(np.array(frames))
-
-    def close(self, position: int) -> None:
-        pass
-
-    def arrays(self) -> list:
-        return [np.concatenate(self.parts.pop(p)) for p in range(len(self.parts))]
-
-
-def generate_trajectory(config: dict, index: int) -> Trajectory:
-    """Simulate trajectory ``index`` of a dataset config (self-seeded)."""
-    _check_config(config)
-    collected = _Collected()
-    manifest = _generate(config, [index], collected)
-    return Trajectory(collected.arrays()[0], dt=manifest.dt, skip=manifest.skip,
-                      burn_in=manifest.burn_in, seed=manifest.init_seeds[0])
-
-
 def generate_dataset(config: dict):
     """All trajectories of a config, held in memory; returns (frame arrays,
-    manifest).  :func:`write_generated_dataset` writes the same bytes
-    without holding them."""
+    manifest).  Trajectory i is the one trajectory of the config with
+    ``init_seed + i`` and ``trajectories = 1``.  :func:`write_generated_dataset`
+    writes the same bytes without holding them."""
     _check_config(config)
-    collected = _Collected()
-    manifest = _generate(config, range(config["trajectories"]), collected)
-    return collected.arrays(), manifest
+    parts = [[] for _ in range(config["trajectories"])]
+    # a copy, so a lattice frame does not keep the whole stepped state
+    manifest = _generate(config, lambda index, frames: parts[index].append(np.array(frames)))
+    for index, part in enumerate(parts):
+        parts[index] = np.concatenate(part)
+    return parts, manifest
 
 
 def write_generated_dataset(config: dict, out_dir: str) -> DatasetManifest:
@@ -520,7 +499,7 @@ def write_generated_dataset(config: dict, out_dir: str) -> DatasetManifest:
     manifest last, or none, whatever stops the run."""
     _check_config(config)
     with _BlobWriter(out_dir, config["trajectories"]) as blobs:
-        manifest = _generate(config, range(config["trajectories"]), blobs)
+        manifest = _generate(config, blobs.append)
         blobs.commit(manifest)
     return manifest
 

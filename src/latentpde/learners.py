@@ -159,19 +159,19 @@ class TrainConfig:
             raise ParameterError(f"seed must be >= 0, got {self.seed}")
 
 
-def _design(histories: np.ndarray, targets: np.ndarray):
-    """Flatten histories/targets into a 2-d design and target matrix."""
-    hist = np.asarray(histories, dtype=float)
-    tgt = np.asarray(targets, dtype=float)
+def _intake(blocks, samples: int):
+    """The prologue of :func:`fit_blocks` and :func:`fit_sgd_blocks`: the
+    blocks as one iterator, with the k, m and output shape that the first
+    block sets.  :func:`_block_rows` then checks every block as it is read."""
+    blocks = iter(blocks)
+    first = next(blocks, None)
+    if first is None or samples < 1:
+        raise ParameterError("histories hold no samples")
+    hist, tgt = first
     if hist.ndim != 3:
         raise ParameterError(f"histories must be (S, k, m), got shape {hist.shape}")
-    if hist.shape[0] == 0:
-        raise ParameterError("histories hold no samples")
-    if tgt.shape[0] != hist.shape[0]:
-        raise ParameterError(f"{hist.shape[0]} histories vs {tgt.shape[0]} targets")
-    s, k, m = hist.shape
     out_shape = tgt.shape[1:] if tgt.ndim > 1 else (1,)
-    return hist.reshape(s, k * m), tgt.reshape(s, -1), k, m, out_shape
+    return itertools.chain([first], blocks), *hist.shape[1:], out_shape
 
 
 def fit_least_squares(histories: np.ndarray, targets: np.ndarray,
@@ -179,8 +179,7 @@ def fit_least_squares(histories: np.ndarray, targets: np.ndarray,
     """Exact minimiser of  mean ||X w - y||^2 + ridge ||w||^2: the one-block
     case of :func:`fit_blocks`."""
     hist, tgt = np.asarray(histories, dtype=float), np.asarray(targets, dtype=float)
-    samples = _design(hist, tgt)[0].shape[0]
-    return fit_blocks([(hist, tgt)], samples, ridge=ridge, bias=bias)
+    return fit_blocks([(hist, tgt)], len(hist), ridge=ridge, bias=bias)
 
 
 def fit_blocks(blocks, samples: int, ridge: float = 0.0, bias: bool = True) -> LinearMap:
@@ -208,14 +207,9 @@ def fit_blocks(blocks, samples: int, ridge: float = 0.0, bias: bool = True) -> L
     """
     if not 0 <= ridge < np.inf:
         raise ParameterError(f"ridge must be finite and >= 0, got {ridge}")
-    blocks = iter(blocks)
-    first = next(blocks, None)
-    if first is None or samples < 1:
-        raise ParameterError("histories hold no samples")
-    _, _, k, m, output_shape = _design(*first)
+    blocks, k, m, output_shape = _intake(blocks, samples)
     n_feat = k * m
-    design, target = _assemble(itertools.chain([first], blocks), samples, k, m,
-                               math.prod(output_shape), ridge, bias)
+    design, target = _assemble(blocks, samples, k, m, math.prod(output_shape), ridge, bias)
     rows, cols = design.shape
     p = min(rows, cols)
     # the workspace queries keep LAPACK on its blocked code paths
@@ -294,25 +288,18 @@ def fit_superres(histories: np.ndarray, fields: np.ndarray,
     return fit_least_squares(histories, fields, ridge=ridge, bias=bias)
 
 
-def _mse_loss(weights, bias, x, y, ridge: float):
-    """The loss of :func:`mse_loss_and_grad` and the residual it came from."""
-    resid = x @ weights.T - y
-    if bias is not None:
-        resid += bias
-    loss = float((resid**2).sum() / x.shape[0])
-    if ridge:
-        loss += ridge * float((weights**2).sum())
-    return loss, resid
-
-
 def mse_loss_and_grad(weights, bias, x, y, ridge: float = 0.0):
     """Mean-over-samples squared L2 residual, its gradients, all exact.
 
     loss = mean_i ||x_i W' + b - y_i||^2 + ridge ||W||_F^2
     """
-    loss, resid = _mse_loss(weights, bias, x, y, ridge)
+    resid = x @ weights.T - y
+    if bias is not None:
+        resid += bias
+    loss = float((resid**2).sum() / x.shape[0])
     gw = 2.0 * resid.T @ x / x.shape[0]
     if ridge:
+        loss += ridge * float((weights**2).sum())
         gw += 2.0 * ridge * weights
     gb = 2.0 * resid.sum(axis=0) / x.shape[0] if bias is not None else None
     return loss, gw, gb
@@ -422,8 +409,7 @@ def fit_sgd(histories: np.ndarray, targets: np.ndarray, config: TrainConfig,
     """Adam on the mean-squared objective, from a zero initial map: the
     one-block case of :func:`fit_sgd_blocks`."""
     hist, tgt = np.asarray(histories, dtype=float), np.asarray(targets, dtype=float)
-    samples = _design(hist, tgt)[0].shape[0]
-    return fit_sgd_blocks([(hist, tgt)], samples, config, eval_split=eval_split, bias=bias)
+    return fit_sgd_blocks([(hist, tgt)], len(hist), config, eval_split=eval_split, bias=bias)
 
 
 def fit_sgd_blocks(blocks, samples: int, config: TrainConfig, eval_split: float = 0.1,
@@ -447,11 +433,7 @@ def fit_sgd_blocks(blocks, samples: int, config: TrainConfig, eval_split: float 
     """
     if not 0 <= eval_split < 1:
         raise ParameterError(f"eval_split must be in [0, 1), got {eval_split}")
-    blocks = iter(blocks)
-    first = next(blocks, None)
-    if first is None or samples < 1:
-        raise ParameterError("histories hold no samples")
-    _, _, k, m, out_shape = _design(*first)
+    blocks, k, m, out_shape = _intake(blocks, samples)
     out_dim = math.prod(out_shape)
     rng = np.random.default_rng(config.seed)
     perm = rng.permutation(samples)
@@ -464,8 +446,7 @@ def fit_sgd_blocks(blocks, samples: int, config: TrainConfig, eval_split: float 
     row_of[perm] = np.arange(samples)
     xe, ye = np.empty((n_eval, k * m)), np.empty((n_eval, out_dim))
     xt, yt = np.empty((samples - n_eval, k * m)), np.empty((samples - n_eval, out_dim))
-    for start, hist, tgt in _block_rows(itertools.chain([first], blocks), samples, k, m,
-                                        out_dim):
+    for start, hist, tgt in _block_rows(blocks, samples, k, m, out_dim):
         rows_i = row_of[start:start + hist.shape[0]]
         to_eval, to_train = rows_i < n_eval, rows_i >= n_eval
         xe[rows_i[to_eval]] = hist[to_eval]

@@ -597,6 +597,8 @@ def lie_logdet_report(traj, patch: int, derivative_order: int = 5, window: int =
     """:func:`empirical_lie_logdet` with singular values, summarized over
     the windows after the first ``burn_frac`` share.  With no finite
     log |det| among them the median is NaN."""
+    if not 0 < rel_tol < 1:
+        raise ParameterError(f"rel_tol must be in (0, 1), got {rel_tol}")
     series = empirical_lie_logdet(traj, patch, derivative_order=derivative_order,
                                   window=window, with_singular_values=True,
                                   burn_frac=burn_frac)

@@ -46,16 +46,6 @@ class Trajectory:
         return self.frames.shape[0]
 
 
-def step_forward_euler(op, state: np.ndarray, dt: float) -> np.ndarray:
-    """One explicit Euler step x + dt*A x; dt = 0 returns a copy."""
-    state = np.asarray(state, dtype=float)
-    if op.shape[1] != state.size:
-        raise ParameterError(f"operator acts on {op.shape[1]} entries, state has {state.size}")
-    if dt == 0:
-        return state.copy()
-    return state + dt * (op @ state.ravel()).reshape(state.shape)
-
-
 def _gershgorin_radius(op) -> float:
     """Upper bound on the spectral radius: max absolute row sum."""
     if sp.issparse(op):
@@ -65,30 +55,11 @@ def _gershgorin_radius(op) -> float:
 
 def simulate_linear(op, x0: np.ndarray, dt: float, steps: int, skip: int = 1,
                     seed=None) -> Trajectory:
-    """Forward-Euler trajectory of one initial state: the B = 1 case of
-    :func:`simulate_linear_batch`."""
+    """Forward-Euler trajectory of one initial state: the ceil(steps/skip)
+    stored frames of :func:`euler_frames` for the B = 1 stack ``x0[None]``."""
     x0 = np.asarray(x0, dtype=float)
-    return simulate_linear_batch(op, x0[None], dt, steps, skip=skip, seeds=[seed])[0]
-
-
-def simulate_linear_batch(op, x0s: np.ndarray, dt: float, steps: int, skip: int = 1,
-                          seeds=None) -> list[Trajectory]:
-    """Forward-Euler trajectories of ceil(steps/skip) stored frames each,
-    for a stack ``x0s`` of B initial states stepped together: the stored
-    frames of :func:`euler_frames` collected into one (B, T, ...) array,
-    of which each returned trajectory holds a view.
-    """
-    x0s = np.asarray(x0s, dtype=float)
-    stored = euler_frames(op, x0s, dt, steps, skip=skip)
-    batch = x0s.shape[0]
-    seeds = [None] * batch if seeds is None else list(seeds)
-    if len(seeds) != batch:
-        raise ParameterError(f"{len(seeds)} seeds for {batch} initial states")
-    frames = np.empty((batch, -(-steps // skip)) + x0s.shape[1:])
-    for r, frame in enumerate(stored):
-        frames[:, r] = frame
-    return [Trajectory(frames[i], dt=dt * skip, skip=skip, seed=seeds[i])
-            for i in range(batch)]
+    frames = np.stack([frame[0] for frame in euler_frames(op, x0[None], dt, steps, skip=skip)])
+    return Trajectory(frames, dt=dt * skip, skip=skip, seed=seed)
 
 
 def euler_frames(op, x0s: np.ndarray, dt: float, steps: int, skip: int = 1):
@@ -218,6 +189,8 @@ def simulate_kse2d(u0: np.ndarray, domain_length: float, dt: float, steps: int,
         raise ParameterError(f"expected a square field, got shape {u0.shape}")
     if steps < 1 or skip < 1 or burn_in < 0:
         raise ParameterError("steps, skip must be >= 1 and burn_in >= 0")
+    if domain_length <= 0:
+        raise ParameterError(f"domain_length must be > 0, got {domain_length}")
     n_stored = steps // skip
     if n_stored - burn_in < 1:
         raise ParameterError(f"burn_in {burn_in} leaves no frames out of {n_stored} stored")
@@ -275,6 +248,8 @@ def simulate_kse1d(u0: np.ndarray, domain_length: float, dt: float, steps: int,
         raise ParameterError(f"expected a line field, got shape {u0.shape}")
     if steps < 1:
         raise ParameterError(f"steps must be >= 1, got {steps}")
+    if domain_length <= 0:
+        raise ParameterError(f"domain_length must be > 0, got {domain_length}")
     n = u0.shape[0]
     k = 2.0 * np.pi * np.fft.fftfreq(n, d=domain_length / n)
     symbol = k**2 - k**4

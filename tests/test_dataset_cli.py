@@ -17,7 +17,7 @@ import pytest
 import latentpde
 from latentpde import (DataFormatError, DatasetManifest, DivergenceError, ParameterError,
                        apply_normalization, cli, compute_normalization, export_frame_image,
-                       generate_dataset, generate_trajectory, invert_normalization, load_all,
+                       generate_dataset, invert_normalization, load_all,
                        load_manifest, load_trajectory, read_csv, write_csv, write_dataset)
 from latentpde import dataset as dataset_module
 
@@ -379,7 +379,8 @@ def test_cli_error_exit_codes(tmp_path, capsys):
                  ["observability", "--check", "hautus", "--grid", "4", "--tol", "nan"],
                  ["observability", "--check", "gramian", "--grid", "4", "--horizon", "nan"],
                  ["observability", "--check", "gramian", "--grid", "4", "--cond-limit", "nan"],
-                 ["observability", "--check", "lie", "--data", str(kse), "--window", "0"]):
+                 ["observability", "--check", "lie", "--data", str(kse), "--window", "0"],
+                 ["observability", "--check", "lie", "--data", str(kse), "--rel-tol", "-1"]):
         assert cli.main([*argv, "--out", str(tmp_path / "range.out")]) == 2, argv
     # a config file that is not JSON text -> data format error
     for junk in (b"{not json", b"\x83\x00"):
@@ -396,6 +397,14 @@ def test_cli_error_exit_codes(tmp_path, capsys):
         run_cli(["rollout", "--data", str(data), "--model", model, "--super",
                  str(tmp_path / "s.lpm"), "--steps", "3", "--out-prefix", clip])
     capsys.readouterr()
+    # a negative --start once wrapped round as a Python index (exit 0), or
+    # ended in a shape mismatch that did not name it
+    for start, steps in (("-5", "2"), ("-3", "5")):
+        assert cli.main(["rollout", "--data", str(data), "--model", model, "--start", start,
+                         "--steps", steps, "--out-prefix", str(tmp_path / "neg")]) == 2
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith(f"error: --start {start} "), lines
+    assert not (tmp_path / "neg_meta.json").exists()
 
     def data_format_error(argv):
         assert cli.main(argv) == 3, argv
@@ -592,7 +601,8 @@ def test_batched_divergence_names_step_and_trajectory(tmp_path):
     # diverges any earlier
     for index in range(bad + 1):
         with pytest.raises(DivergenceError) as alone:
-            generate_trajectory(UNSTABLE_HEAT, index)
+            generate_dataset(dict(UNSTABLE_HEAT, init_seed=UNSTABLE_HEAT["init_seed"] + index,
+                                  trajectories=1))
         assert alone.value.step == step if index == bad else alone.value.step > step
 
     config_path = tmp_path / "unstable.json"
@@ -643,6 +653,85 @@ def test_generate_write_failure_leaves_out_as_it_was(tmp_path, monkeypatch, caps
         assert len(err) == 1 and err[0].startswith("error: [Errno 24] Too many open files")
         assert len(opened) == 3
         assert _files(out) == kept
+
+
+KSE2D = {
+    "equation": "kse2d", "grid_size": 8, "domain_length": 16.0, "dt": 0.05,
+    "trajectories": 1, "frames": 2, "init": {"sigma": 1.0, "m": 0.5, "nu": 2.0},
+    "init_seed": 3000,
+}
+# each once escaped from generate as a Python exception (exit 1)
+MALFORMED_CONFIGS = {
+    "init-number": dict(TINY_HEAT, init=5),
+    "init-string": dict(TINY_HEAT, init="sigma m nu"),
+    "init-sigma-string": dict(TINY_HEAT, init=dict(TINY_HEAT["init"], sigma="x")),
+    "conductivity-number": dict(TINY_HEAT, conductivity=7),
+    "conductivity-constant-string": dict(TINY_HEAT, conductivity={"constant": "a"}),
+    "conductivity-seed-real": dict(TINY_HEAT, conductivity=dict(TINY_HEAT["conductivity"],
+                                                                seed=2.5)),
+    "kse1d-waves-string": dict(TINY_KSE, init=dict(TINY_KSE["init"], waves="3")),
+    "kse1d-domain-length-0": dict(TINY_KSE, domain_length=0),
+    "kse2d-domain-length-0": dict(KSE2D, domain_length=0),
+}
+
+
+@pytest.mark.parametrize("source", ["--config", "--from-manifest"])
+@pytest.mark.parametrize("name", sorted(MALFORMED_CONFIGS))
+def test_generate_refuses_a_malformed_nested_config(name, source, tmp_path, capsys):
+    config = MALFORMED_CONFIGS[name]
+    path = tmp_path / "source.json"
+    if source == "--config":
+        path.write_text(json.dumps(config))
+    else:
+        manifest = json.loads(generate_dataset(TINY_HEAT)[1].to_json())
+        path.write_text(json.dumps(dict(manifest, config=config)))
+    out = tmp_path / "out"
+    assert cli.main(["generate", source, str(path), "--out", str(out)]) == 2
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: "), lines
+    assert not out.exists()
+
+
+def _generate_cli(config, out):
+    path = os.path.join(os.path.dirname(out), "config.json")
+    with open(path, "w") as fh:
+        json.dump(config, fh)
+    assert cli.main(["generate", "--config", path, "--out", out]) == 0
+
+
+@pytest.mark.parametrize("write", [
+    lambda out: _generate_cli(TINY_HEAT, out),
+    lambda out: _generate_cli(TINY_KSE, out),
+    lambda out: write_dataset(*generate_dataset(TINY_WAVE), out),
+], ids=["generate-heat", "generate-kse1d", "write_dataset"])
+def test_every_blob_is_synced_before_any_rename_and_the_manifest_lands_last(
+        write, tmp_path, monkeypatch, capsys):
+    """A rename keeps its file's inode, so each synced inode is matched
+    with the name it ends up under."""
+    events = []
+    fsync, replace = os.fsync, os.replace
+
+    def recorded_fsync(fd):
+        events.append(("fsync", os.fstat(fd).st_ino))
+        fsync(fd)
+
+    def recorded_replace(src, dst):
+        events.append(("replace", os.path.basename(dst)))
+        replace(src, dst)
+
+    monkeypatch.setattr(os, "fsync", recorded_fsync)
+    monkeypatch.setattr(os, "replace", recorded_replace)
+    out = tmp_path / "out"
+    write(str(out))
+    capsys.readouterr()
+    renamed = [name for kind, name in events if kind == "replace"]
+    blobs = sorted(p.name for p in out.iterdir() if p.name != "manifest.json")
+    assert renamed == blobs + ["manifest.json"]
+    assert events[-1] == ("replace", "manifest.json")
+    first_rename = events.index(("replace", blobs[0]))
+    synced = {ino for kind, ino in events[:first_rename] if kind == "fsync"}
+    assert {(out / name).stat().st_ino for name in blobs} <= synced
+    assert events[-2] == ("fsync", (out / "manifest.json").stat().st_ino)
 
 
 def test_generation_builds_conductivity_and_operator_once(monkeypatch):

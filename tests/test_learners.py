@@ -395,7 +395,7 @@ def test_adam_curve_matches_a_residual_evaluation(bias, ridge, eval_split):
         assert len(curves["eval"]) == (len(curves["train"]) if eval_split else 0)
         for key in ("train", "eval") if eval_split else ("train",):
             xs, ys = x[rows[key]], y[rows[key]]
-            direct = learners_module._mse_loss(fitted.weights, fitted.bias, xs, ys, ridge)[0]
+            direct = mse_loss_and_grad(fitted.weights, fitted.bias, xs, ys, ridge)[0]
             assert abs(curves[key][-1] - direct) <= _cancellation_bound(
                 xs, ys, fitted.weights, fitted.bias), (steps, key)
         assert min(curves["train"].min(), curves["eval"].min(initial=0.0)) >= 0.0
@@ -413,7 +413,7 @@ def test_split_loss_of_an_exactly_realisable_target(bias, ridge):
         y = x @ true_w.T + (true_b if bias else 0.0)
         penalty = ridge * float((true_w**2).sum())
         loss = learners_module._SplitStats(x, y).loss(true_w, b, ridge)
-        direct = learners_module._mse_loss(true_w, b, x, y, ridge)[0]
+        direct = mse_loss_and_grad(true_w, b, x, y, ridge)[0]
         bound = _cancellation_bound(x, y, true_w, b)
         assert loss >= penalty
         assert loss - penalty <= bound

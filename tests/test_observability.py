@@ -514,6 +514,15 @@ def test_lie_report_on_a_constant_line_is_nan_without_warnings():
     assert np.isnan(report.median_log_abs_det)
 
 
+def test_lie_report_refuses_a_rel_tol_outside_0_1():
+    """As rank_test and kalman_rank_test do: a negative tolerance once
+    called every window full rank."""
+    u = np.random.default_rng(3).standard_normal((100, 40))
+    for bad in (-1.0, 0.0, 1.0, float("nan")):
+        with pytest.raises(ParameterError, match="rel_tol"):
+            obs.lie_logdet_report(u, patch=4, derivative_order=2, window=10, rel_tol=bad)
+
+
 def _window_matrix(frames, dt, patch, order, t):
     """M(t) built from its definition: row block k holds the k-th forward
     difference of the tokens over dt**k, at dim consecutive samples."""

@@ -3,22 +3,8 @@ import pytest
 
 from latentpde import (DivergenceError, GridSpec, ParameterError, Trajectory,
                        build_modified_laplacian, build_wave_generator, etdrk_coefficients,
-                       simulate_kse1d, simulate_kse2d, simulate_linear, simulate_linear_batch,
-                       step_forward_euler)
+                       euler_frames, simulate_kse1d, simulate_kse2d, simulate_linear)
 from latentpde.random_fields import GrfParams, sample_matern_field
-
-
-def test_euler_step_basics():
-    grid = GridSpec(n=4)
-    op = build_modified_laplacian(np.ones((4, 4)), grid)
-    state = np.arange(16.0).reshape(4, 4)
-    same = step_forward_euler(op, state, 0.0)
-    np.testing.assert_array_equal(same, state)
-    assert same is not state
-    stepped = step_forward_euler(op, state, 0.1)
-    np.testing.assert_allclose(stepped, state + 0.1 * (op @ state.ravel()).reshape(4, 4))
-    with pytest.raises(ParameterError):
-        step_forward_euler(op, np.ones(15), 0.1)
 
 
 def test_heat_mode_decay_closed_form():
@@ -69,10 +55,10 @@ def test_simulate_linear_frame_conventions():
     np.testing.assert_array_equal(traj.frames[0], x0)
     assert traj.dt == pytest.approx(0.03)
     # stored frame r equals r*skip explicit steps
-    state = x0.copy()
+    state = x0.ravel()
     for _ in range(3):
-        state = step_forward_euler(op, state, 0.01)
-    np.testing.assert_allclose(traj.frames[1], state, atol=1e-14)
+        state = state + 0.01 * (op @ state)
+    np.testing.assert_allclose(traj.frames[1], state.reshape(4, 4), atol=1e-14)
     zero = simulate_linear(op, np.zeros((4, 4)), 0.01, steps=5)
     assert np.all(zero.frames == 0.0)
 
@@ -86,20 +72,20 @@ def test_batch_stepping_matches_one_state_matvecs():
     for op, shape in ((build_modified_laplacian(cond, grid), (6, 6)),
                       (build_wave_generator(cond, grid), (2, 6, 6))):
         x0s = rng.standard_normal((5,) + shape)
-        trajs = simulate_linear_batch(op, x0s, 0.05, steps=10, skip=3, seeds=range(5))
-        for i, traj in enumerate(trajs):
+        frames = np.stack(list(euler_frames(op, x0s, 0.05, steps=10, skip=3)), axis=1)
+        assert frames.shape == (5, 4) + shape
+        for i in range(5):
             state = x0s[i].ravel()
             expected = [state]
             for _ in range(3):
                 for _ in range(3):
                     state = state + 0.05 * (op @ state)
                 expected.append(state)
-            assert traj.frames.shape == (4,) + shape and traj.seed == i
-            np.testing.assert_array_equal(traj.frames.reshape(4, -1), expected)
+            np.testing.assert_array_equal(frames[i].reshape(4, -1), expected)
     with pytest.raises(ParameterError):
-        simulate_linear_batch(op, x0s, 0.05, steps=10, seeds=range(4))
+        euler_frames(op, x0s[0, 0, 0], 0.05, steps=10)
     with pytest.raises(ParameterError):
-        simulate_linear_batch(op, x0s[0, 0, 0], 0.05, steps=10)
+        euler_frames(op, x0s[:, 0], 0.05, steps=10)
 
 
 def test_stability_warning_and_divergence():
