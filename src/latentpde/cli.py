@@ -290,7 +290,7 @@ def cmd_observability(args) -> int:
         # without --constant, the preset conductivity (heat32, wave32) with its seed replaced
         cond = ({"constant": args.constant} if args.constant is not None
                 else dict(ds.PRESETS["heat32"]["conductivity"], seed=args.grf_seed))
-        a = ds._conductivity_field({"grid_size": args.grid, "conductivity": cond})
+        a = ds._conductivity_field(cond, args.grid)
         op = build_wave_generator(a, grid) if wave else build_modified_laplacian(a, grid)
         if args.check == "gramian":
             x0 = sample_matern_field(GrfParams(grid_size=args.grid, sigma=1.0, m=0.5,

@@ -9,6 +9,7 @@ temp file and an atomic rename so readers never see partial data.
 """
 
 from dataclasses import dataclass, field, asdict, replace
+import collections
 import contextlib
 import datetime
 import json
@@ -68,9 +69,13 @@ class DatasetManifest:
         # the entries a reader uses
         check_json(raw, "manifest", trajectories=int, frames=int, dt=_REAL, frame_shape=SHAPE,
                    config=dict, patch=(int, type(None)))
-        if raw["trajectories"] < 1 or raw["frames"] < 1:
-            raise DataFormatError(f"manifest: {raw['trajectories']} trajectories of "
-                                  f"{raw['frames']} frames; need at least 1 of each")
+        shape = raw["frame_shape"]
+        n = shape[-1] if shape else 0
+        # a frame is a line (N,); a field frame may be a lattice (n, n) or a wave state (2, n, n)
+        if min(raw["trajectories"], raw["frames"], n) < 1 or shape != [n] and not (
+                raw.get("kind") == "fields" and shape in ([n, n], [2, n, n])):
+            raise DataFormatError(f"manifest: no dataset has {raw['trajectories']} trajectories of "
+                                  f"{raw['frames']} {raw.get('kind')} frames of shape {shape}")
         try:
             return cls(**raw)
         except TypeError as exc:
@@ -336,72 +341,69 @@ PRESETS = {
 }
 
 
-def _conductivity_field(config: dict) -> np.ndarray:
-    n = config["grid_size"]
-    cond = config["conductivity"]
+def _conductivity_field(cond: dict, n: int) -> np.ndarray:
     if "constant" in cond:
-        value = float(cond["constant"])
-        if value <= 0:
-            raise ParameterError(f"constant conductivity must be > 0, got {value}")
-        return np.full((n, n), value)
+        return np.full((n, n), float(cond["constant"]))
     params = GrfParams(grid_size=n, sigma=cond["sigma"], m=cond["m"],
                        nu=cond["nu"], seed=cond["seed"])
     return cond.get("scale", 1.0) * build_conductivity(params)
 
 
-_GRF_KEYS = ("sigma", "m", "nu")
-_LATTICE_KEYS = ("grid_size", "dt", "trajectories", "frames", "init_seed", "init", "conductivity")
-_REQUIRED_KEYS = {
-    "heat": _LATTICE_KEYS,
-    "wave": _LATTICE_KEYS,
-    "kse2d": ("grid_size", "domain_length", "dt", "trajectories", "frames", "init_seed", "init"),
-    "kse1d": ("sites", "domain_length", "dt", "steps", "trajectories", "init_seed", "init"),
+# Each key an equation reads: its kind (int, float for a finite real, str or a nested
+# table), its range ``value op bound``, and whether it may be left out: always (True),
+# or if the key ``omit`` is given.  Other keys pass, so a preset's ``patch`` does too.
+_Key = collections.namedtuple("_Key", "kind op bound omit", defaults=(None, None, False))
+_POSITIVE, _COUNT, _SEED = _Key(float, ">", 0), _Key(int, ">=", 1), _Key(int, ">=", 0)
+_GRF = {"sigma": _Key(float, ">=", 0), "m": _POSITIVE, "nu": _POSITIVE}
+_STEPPED = {"grid_size": _Key(int, ">=", 2), "dt": _POSITIVE, "trajectories": _COUNT,
+            "frames": _COUNT, "skip": _COUNT._replace(omit=True), "init_seed": _SEED,
+            "init": _Key(_GRF)}
+# a lattice keeps every frame from the first; its conductivity is a constant or a GRF
+_LATTICE = {**_STEPPED, "dx": _POSITIVE._replace(omit=True), "burn_in": _Key(int, "==", 0, True),
+            "conductivity": _Key({"constant": _POSITIVE._replace(omit=True),
+                                  **{key: row._replace(omit="constant")
+                                     for key, row in dict(_GRF, seed=_SEED).items()},
+                                  "scale": _POSITIVE._replace(omit=True)})}
+_CONFIG_TABLES = {
+    "heat": _LATTICE, "wave": _LATTICE,
+    "kse2d": {**_STEPPED, "domain_length": _POSITIVE, "burn_in": _SEED._replace(omit=True)},
+    # the sine initial state ignores init_seed: a second trajectory repeats the first
+    "kse1d": {"sites": _COUNT, "domain_length": _POSITIVE, "dt": _POSITIVE, "steps": _COUNT,
+              "trajectories": _Key(int, "==", 1), "init_seed": _SEED,
+              "init": _Key({"kind": _Key(str, "==", "sine", True), "waves": _Key(float)})},
 }
-_TYPED_KEYS = (
-    (("trajectories", "frames", "grid_size", "sites", "steps", "init_seed", "skip", "burn_in",
-      "conductivity.seed"), numbers.Integral, "an integer"),
-    (("dt", "domain_length", "dx", "init.sigma", "init.m", "init.nu", "init.waves",
-      "conductivity.sigma", "conductivity.m", "conductivity.nu", "conductivity.scale",
-      "conductivity.constant"), numbers.Real, "a real number"),
-)
+_KINDS = {int: (numbers.Integral, "an integer"), float: (numbers.Real, "a finite real number"),
+          str: (str, "a string")}
+_OPS = {">": lambda a, b: a > b, ">=": lambda a, b: a >= b, "==": lambda a, b: a == b}
+
+
+def _check_entries(entries: dict, table: dict, prefix: str) -> None:
+    for key, (kind, op, bound, omit) in table.items():
+        name = prefix + key
+        if key not in entries:
+            if omit is True or (omit and omit in entries):
+                continue
+            raise ParameterError(f"config lacks {name}")
+        value = entries[key]
+        types, noun = (dict, "a JSON object") if isinstance(kind, dict) else _KINDS[kind]
+        # a boolean is no number; NaN, infinity and an integer past the float range fail
+        if (isinstance(value, bool) or not isinstance(value, types)
+                or kind is float and not abs(value) <= float(np.finfo(float).max)):
+            raise ParameterError(f"{name} must be {noun}, got {value!r}")
+        if isinstance(kind, dict):
+            _check_entries(value, kind, name + ".")
+        elif op and not _OPS[op](value, bound):
+            raise ParameterError(f"{name} must be {op} {bound!r}, got {value!r}")
 
 
 def _check_config(config) -> None:
-    """Raise ParameterError unless the config has every key its equation
-    reads, its ``init`` and ``conductivity`` are objects, and its counts,
-    lengths and field parameters have the right type."""
-    if not isinstance(config, dict):
-        raise ParameterError(f"a generation config is a JSON object, got {type(config).__name__}")
-    equation = config.get("equation")
-    if equation not in _REQUIRED_KEYS:
-        raise ParameterError(f"unknown equation {equation!r}; have {sorted(_REQUIRED_KEYS)}")
-    # the nested entries as "init.sigma", ... beside the top-level ones
-    entries = dict(config)
-    for name in ("init", "conductivity"):
-        nested = config.get(name, {})
-        if not isinstance(nested, dict):
-            raise ParameterError(f"{name} must be a JSON object, got {nested!r}")
-        entries.update((f"{name}.{key}", value) for key, value in nested.items())
-    missing = [key for key in _REQUIRED_KEYS[equation] if key not in config]
-    if not missing:
-        needed = [f"init.{key}" for key in (("waves",) if equation == "kse1d" else _GRF_KEYS)]
-        if "conductivity" in config and "conductivity.constant" not in entries:
-            needed += [f"conductivity.{key}" for key in _GRF_KEYS + ("seed",)]
-        missing = [key for key in needed if key not in entries]
-    if missing:
-        raise ParameterError(f"{equation} config lacks {', '.join(missing)}")
-    for keys, kind, noun in _TYPED_KEYS:
-        for key in keys:
-            value = entries.get(key)
-            if key in entries and (isinstance(value, bool) or not isinstance(value, kind)):
-                raise ParameterError(f"{key} must be {noun}, got {value!r}")
-    if config["trajectories"] < 1:
-        raise ParameterError(f"trajectories must be >= 1, got {config['trajectories']}")
-    if equation == "kse1d" and config["trajectories"] != 1:
-        # the sine initial state does not depend on init_seed, so every
-        # further trajectory would repeat the first
-        raise ParameterError(f"kse1d makes one trajectory, got trajectories = "
-                             f"{config['trajectories']}")
+    """Raise ParameterError unless the config names an equation and meets its
+    table, nested entries included.  No other code checks a config's values."""
+    equation = config.get("equation") if isinstance(config, dict) else None
+    if not isinstance(equation, str) or equation not in _CONFIG_TABLES:
+        raise ParameterError(f"a generation config is a JSON object naming an equation "
+                             f"of {sorted(_CONFIG_TABLES)}, got equation {equation!r}")
+    _check_entries(config, _CONFIG_TABLES[equation], "")
 
 
 def _grf_init(config: dict, seed: int) -> np.ndarray:
@@ -414,7 +416,7 @@ def _lattice_problem(config: dict, seeds: list):
     """The operator and stacked initial states of heat or wave
     trajectories ``seeds``: one conductivity, one operator."""
     grid = GridSpec(n=config["grid_size"], dx=config.get("dx", 1.0))
-    cond = _conductivity_field(config)
+    cond = _conductivity_field(config["conductivity"], config["grid_size"])
     u0s = np.stack([_grf_init(config, seed) for seed in seeds])
     if config["equation"] == "heat":
         return build_modified_laplacian(cond, grid), u0s
@@ -428,13 +430,9 @@ def _kse_trajectory(config: dict, seed: int) -> Trajectory:
         steps = (config["frames"] + burn) * skip
         return simulate_kse2d(_grf_init(config, seed), config["domain_length"], config["dt"],
                               steps, skip=skip, burn_in=burn, seed=seed)
-    sites = config["sites"]
-    length = config["domain_length"]
-    init = config["init"]
-    if init.get("kind", "sine") != "sine":
-        raise ParameterError(f"unsupported line init {init!r}")
+    sites, length = config["sites"], config["domain_length"]
     x = np.arange(sites) * length / sites
-    u0 = np.sin(init["waves"] * np.pi * x / length)
+    u0 = np.sin(config["init"]["waves"] * np.pi * x / length)
     return simulate_kse1d(u0, length, config["dt"], config["steps"], seed=seed)
 
 
@@ -506,6 +504,8 @@ def write_generated_dataset(config: dict, out_dir: str) -> DatasetManifest:
 
 def tokenize_dataset(data_dir: str, patch: int, out_dir: str) -> DatasetManifest:
     """Patch-average every trajectory of a field dataset into a token one."""
+    if os.path.realpath(out_dir) == os.path.realpath(data_dir):
+        raise ParameterError(f"tokenize would write its tokens over the dataset {data_dir}")
     manifest = load_field_manifest(data_dir)
     tokens = [tokenize_trajectory(fr, patch) for fr in trajectories(data_dir, manifest)]
     token_manifest = replace(

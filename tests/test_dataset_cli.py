@@ -5,6 +5,7 @@ import errno
 import io
 import json
 import os
+import re
 import subprocess
 import sys
 import warnings
@@ -497,10 +498,18 @@ def test_cli_error_exit_codes(tmp_path, capsys):
     bad_data = tmp_path / "baddata"
     bad_data.mkdir()
     manifest = json.loads((data / "manifest.json").read_text())
+    # 0-byte blobs, which a frame of zero extent passes the size check with
+    for i in range(manifest["trajectories"]):
+        (bad_data / f"traj_{i:05d}.bin").write_bytes(b"")
     for bad_manifest in ([1], dict(manifest, frames="30"), dict(manifest, frame_shape=8),
                          dict(manifest, config=[1]),
                          # once an IndexError traceback from tokenize
-                         dict(manifest, trajectories=0), dict(manifest, frames=0)):
+                         dict(manifest, trajectories=0), dict(manifest, frames=0),
+                         # once a TypeError or ValueError traceback (exit 1)
+                         *(dict(manifest, frame_shape=s) for s in ([0, 0], [8, 0], [2, 0, 0])),
+                         # once refused by fit as a bad flag (exit 2)
+                         *(dict(manifest, frame_shape=s) for s in ([], [3, 8, 8], [8, 8, 8, 8])),
+                         dict(manifest, kind="tokens")):
         (bad_data / "manifest.json").write_text(json.dumps(bad_manifest))
         data_format_error(["tokenize", "--data", str(bad_data), "--patch", "4",
                            "--out", str(tmp_path / "t")])
@@ -660,7 +669,9 @@ KSE2D = {
     "trajectories": 1, "frames": 2, "init": {"sigma": 1.0, "m": 0.5, "nu": 2.0},
     "init_seed": 3000,
 }
-# each once escaped from generate as a Python exception (exit 1)
+NAN = float("nan")
+# each once escaped from generate as a Python exception (exit 1), wrote a
+# dataset (exit 0) or was reported as a divergence (exit 4)
 MALFORMED_CONFIGS = {
     "init-number": dict(TINY_HEAT, init=5),
     "init-string": dict(TINY_HEAT, init="sigma m nu"),
@@ -672,6 +683,17 @@ MALFORMED_CONFIGS = {
     "kse1d-waves-string": dict(TINY_KSE, init=dict(TINY_KSE["init"], waves="3")),
     "kse1d-domain-length-0": dict(TINY_KSE, domain_length=0),
     "kse2d-domain-length-0": dict(KSE2D, domain_length=0),
+    "heat-dt-0": dict(TINY_HEAT, dt=0),
+    "heat-dt-negative": dict(TINY_HEAT, dt=-0.1),
+    "heat-burn-in-5": dict(TINY_HEAT, burn_in=5),
+    "heat-dt-nan": dict(TINY_HEAT, dt=NAN),
+    "heat-dx-nan": dict(TINY_HEAT, dx=NAN),
+    "heat-init-sigma-nan": dict(TINY_HEAT, init=dict(TINY_HEAT["init"], sigma=NAN)),
+    "kse1d-sites-0": dict(TINY_KSE, sites=0),
+    "kse1d-dt-nan": dict(TINY_KSE, dt=NAN),
+    "kse1d-domain-length-nan": dict(TINY_KSE, domain_length=NAN),
+    # an integer too large for a float: once an OverflowError (exit 1)
+    "heat-dt-past-float-range": dict(TINY_HEAT, dt=10**400),
 }
 
 
@@ -690,6 +712,62 @@ def test_generate_refuses_a_malformed_nested_config(name, source, tmp_path, caps
     lines = capsys.readouterr().err.splitlines()
     assert len(lines) == 1 and lines[0].startswith("error: "), lines
     assert not out.exists()
+
+
+def test_generate_exits_0_2_or_4_for_any_value_of_any_config_key(tmp_path, capsys):
+    """Every key the config tables name, nested ones included, set to each
+    of a few values that a hand-written config may hold by mistake."""
+    runs = 0
+    for config in (TINY_HEAT, TINY_WAVE, TINY_KSE, KSE2D):
+        table = dataset_module._CONFIG_TABLES[config["equation"]]
+        paths = [(key,) for key in table]
+        paths += [(key, sub) for key, row in table.items() if isinstance(row.kind, dict)
+                  for sub in row.kind]
+        for path in paths:
+            for value in (0, -1, NAN, float("inf"), True, None, "x"):
+                changed = json.loads(json.dumps(config))
+                entry = changed
+                for key in path[:-1]:
+                    entry = entry[key]
+                entry[path[-1]] = value
+                source, out = tmp_path / "config.json", tmp_path / f"out{runs}"
+                source.write_text(json.dumps(changed))
+                runs += 1
+                code = cli.main(["generate", "--config", str(source), "--out", str(out)])
+                case = (config["equation"], path, value)
+                assert code in (0, 2, 4), case
+                err = capsys.readouterr().err.splitlines()
+                if code:
+                    assert len(err) == 1 and err[0].startswith("error: "), (case, err)
+                    assert not out.exists(), case
+    assert runs > 300
+
+
+def test_readme_session_configs_pass_the_config_check():
+    """Each config the README's CLI session writes with a here-document is
+    one the config check takes, so a stricter table cannot silently break
+    the documented session."""
+    readme = os.path.join(os.path.dirname(__file__), os.pardir, "README.md")
+    with open(readme) as fh:
+        configs = re.findall(r"cat > \S+\.json <<'EOF'\n(.*?)\nEOF\n", fh.read(), re.S)
+    assert len(configs) >= 2
+    for text in configs:
+        dataset_module._check_config(json.loads(text))
+
+
+def test_tokenize_refuses_to_write_over_its_own_dataset(tmp_path, capsys):
+    config_path = tmp_path / "cfg.json"
+    config_path.write_text(json.dumps(TINY_HEAT))
+    data = tmp_path / "data"
+    run_cli(["generate", "--config", str(config_path), "--out", str(data)])
+    before = {name: (data / name).read_bytes() for name in os.listdir(data)}
+    capsys.readouterr()
+    for out in (data, tmp_path / "data" / ".." / "data"):
+        assert cli.main(["tokenize", "--data", str(data), "--patch", "4",
+                         "--out", str(out)]) == 2
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: "), lines
+    assert {name: (data / name).read_bytes() for name in os.listdir(data)} == before
 
 
 def _generate_cli(config, out):

@@ -528,7 +528,7 @@ def test_sweep_error_falls_to_rounding_at_the_observability_index(config, cliff)
     the least-squares sweep is exact to rounding at k = nu."""
     arrays, _ = generate_dataset(config)
     grid, wave = GridSpec(n=8), config["equation"] == "wave"
-    a = dataset_module._conductivity_field(config)
+    a = dataset_module._conductivity_field(config["conductivity"], config["grid_size"])
     op = build_wave_generator(a, grid) if wave else build_modified_laplacian(a, grid)
     nu = kalman_rank_test(op, build_tokenizer_matrix(grid, 2, wave=wave)).observability_index
     tokens = [tokenize_trajectory(fr, 2) for fr in arrays]
