@@ -27,7 +27,7 @@ import numpy as np
 
 from . import dataset as ds
 from . import observability as obs
-from .errors import SHAPE, DataFormatError, LatentPdeError, ParameterError, check_json
+from .errors import DataFormatError, Key, LatentPdeError, ParameterError, check_entries
 from .lattice_ops import (GridSpec, build_modified_laplacian, build_tokenizer_matrix,
                           build_wave_generator)
 from .learners import LinearMap, TrainConfig, fit_blocks, fit_sgd_blocks, history_sweep
@@ -155,8 +155,9 @@ def _load_model(path: str, manifest: ds.DatasetManifest, fields: bool) -> Linear
     if fitted.patch is None or fitted.normalization is None:
         raise DataFormatError(f"{path}: no patch and normalization in the header; "
                               "re-fit the model with the fit verb")
+    ds.check_normalization(fitted.normalization, path)
     shape = manifest.amplitude_shape
-    if fitted.patch < 1 or shape[-1] % fitted.patch:
+    if shape[-1] % fitted.patch:
         raise DataFormatError(f"{path}: patch {fitted.patch} does not divide the data "
                               f"grid {shape[-1]}")
     token_dim = _token_dim(shape, fitted.patch)
@@ -213,6 +214,10 @@ def cmd_rollout(args) -> int:
     return 0
 
 
+_CLIP_TABLE = {"fields_shape": Key((list, None), ">=", 1),  # null: rolled out without --super
+               "normalization": Key(ds.NORMALIZATION_TABLE)}
+
+
 def cmd_metrics(args) -> int:
     manifest = ds.load_field_manifest(args.data)
     frames = ds.trajectories(args.data, manifest)
@@ -232,11 +237,11 @@ def cmd_metrics(args) -> int:
         raise ParameterError("metrics subvideo needs --clip-prefix")
     meta_path = args.clip_prefix + "_meta.json"
     with open(meta_path) as fh:
-        meta = check_json(json.load(fh), meta_path)
-    if not meta.get("fields_shape"):
-        raise DataFormatError("clip has no reconstructed fields; rerun rollout with --super")
-    check_json(meta, meta_path, fields_shape=SHAPE, normalization=dict)
+        meta = json.load(fh)
+    check_entries(meta, _CLIP_TABLE, meta_path, DataFormatError)
     shape, stats = meta["fields_shape"], meta["normalization"]
+    if shape is None:
+        raise DataFormatError("clip has no reconstructed fields; rerun rollout with --super")
     ds.check_normalization(stats, meta_path)
     if tuple(shape[1:]) != manifest.amplitude_shape:
         raise DataFormatError(f"{meta_path}: a clip of frame shape {tuple(shape[1:])}; the "
@@ -268,7 +273,7 @@ def cmd_observability(args) -> int:
     elif args.check == "lie":
         if args.data is None:
             raise ParameterError("--check lie needs --data")
-        manifest = ds.load_manifest(args.data)
+        manifest = ds.load_field_manifest(args.data)
         if len(manifest.frame_shape) != 1:
             raise DataFormatError(f"{args.data}: --check lie reads line frames, not the "
                                   f"{manifest.equation} frames of shape "

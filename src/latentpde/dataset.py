@@ -9,23 +9,25 @@ temp file and an atomic rename so readers never see partial data.
 """
 
 from dataclasses import dataclass, field, asdict, replace
-import collections
 import contextlib
 import datetime
 import json
-import numbers
 import os
 
 import numpy as np
 
-from .errors import SHAPE, DataFormatError, ParameterError, check_json
+from .errors import DataFormatError, Key, ParameterError, check_entries
 from .lattice_ops import GridSpec, build_modified_laplacian, build_wave_generator
 from .random_fields import GrfParams, build_conductivity, sample_matern_field
 from .solvers import Trajectory, euler_frames, simulate_kse1d, simulate_kse2d
 from .tokenizer import amplitude, tokenize_trajectory
 
 FORMAT_VERSION = 1
-_REAL = (int, float)
+# the entries a reader uses; the version first, as a manifest of another one may lack the rest
+_MANIFEST_TABLE = {"format_version": Key(int, "==", FORMAT_VERSION), "kind": Key(str),
+                   "trajectories": Key(int, ">=", 1), "frames": Key(int, ">=", 1),
+                   "dt": Key(float, ">", 0), "frame_shape": Key(list, ">=", 1),
+                   "config": Key(dict), "patch": Key((int, None))}
 
 
 @dataclass
@@ -61,21 +63,15 @@ class DatasetManifest:
     @classmethod
     def from_json(cls, text: str) -> "DatasetManifest":
         try:
-            raw = check_json(json.loads(text), "manifest")
+            raw = json.loads(text)
         except json.JSONDecodeError as exc:
             raise DataFormatError(f"manifest is not valid JSON: {exc}") from exc
-        if raw.get("format_version") != FORMAT_VERSION:
-            raise DataFormatError(f"unsupported manifest version {raw.get('format_version')}")
-        # the entries a reader uses
-        check_json(raw, "manifest", trajectories=int, frames=int, dt=_REAL, frame_shape=SHAPE,
-                   config=dict, patch=(int, type(None)))
+        check_entries(raw, _MANIFEST_TABLE, "manifest.json", DataFormatError)
         shape = raw["frame_shape"]
         n = shape[-1] if shape else 0
         # a frame is a line (N,); a field frame may be a lattice (n, n) or a wave state (2, n, n)
-        if min(raw["trajectories"], raw["frames"], n) < 1 or shape != [n] and not (
-                raw.get("kind") == "fields" and shape in ([n, n], [2, n, n])):
-            raise DataFormatError(f"manifest: no dataset has {raw['trajectories']} trajectories of "
-                                  f"{raw['frames']} {raw.get('kind')} frames of shape {shape}")
+        if shape != [n] and not (raw["kind"] == "fields" and shape in ([n, n], [2, n, n])):
+            raise DataFormatError(f"manifest.json: no {raw['kind']} dataset has frames {shape}")
         try:
             return cls(**raw)
         except TypeError as exc:
@@ -181,24 +177,18 @@ def load_manifest(data_dir: str) -> DatasetManifest:
         return DatasetManifest.from_json(fh.read().decode())
 
 
-def _check_fields(data_dir: str, manifest: DatasetManifest) -> None:
+def load_field_manifest(data_dir: str) -> DatasetManifest:
+    """The manifest of a field dataset.  A token dataset, which no verb
+    reads, is refused here, before any blob is read."""
+    manifest = load_manifest(data_dir)
     if manifest.kind != "fields":
         raise DataFormatError(f"{data_dir}: a dataset of kind {manifest.kind!r}; "
                               "this verb reads a 'fields' dataset")
-
-
-def load_field_manifest(data_dir: str) -> DatasetManifest:
-    """The manifest of a field dataset.  A token dataset is refused here,
-    before any count in the manifest is checked or any blob is read."""
-    manifest = load_manifest(data_dir)
-    _check_fields(data_dir, manifest)
     return manifest
 
 
 def load_trajectory(data_dir: str, manifest: DatasetManifest, index: int) -> np.ndarray:
-    """Read one blob of a field dataset, validating its size against the
-    manifest.  A token dataset is refused: no verb reads one."""
-    _check_fields(data_dir, manifest)
+    """Read one blob of a dataset, validating its size against the manifest."""
     if not 0 <= index < manifest.trajectories:
         raise ParameterError(f"trajectory index {index} outside 0..{manifest.trajectories - 1}")
     path = os.path.join(data_dir, _blob_name(index))
@@ -225,7 +215,7 @@ def trajectories(data_dir: str, manifest: DatasetManifest, indices=None):
 
 def load_all(data_dir: str):
     """Every trajectory of a field dataset at once, with its manifest."""
-    manifest = load_manifest(data_dir)
+    manifest = load_field_manifest(data_dir)
     return list(trajectories(data_dir, manifest)), manifest
 
 
@@ -245,13 +235,15 @@ def compute_normalization(frame_arrays) -> dict:
     return {"lo": lo, "hi": hi, "constant": lo == hi}
 
 
+# the normalization entry of a model header and of a clip's metadata
+NORMALIZATION_TABLE = {"lo": Key(float), "hi": Key(float), "constant": Key(bool)}
+
+
 def check_normalization(stats, where: str) -> None:
-    """A DataFormatError (the file ``where`` is malformed) unless ``stats``
-    holds the entries of :func:`compute_normalization` with finite bounds."""
-    check_json(stats, where, lo=_REAL, hi=_REAL, constant=bool)
-    if not np.isfinite([stats["lo"], stats["hi"]]).all():
-        raise DataFormatError(f"{where}: non-finite normalization bounds "
-                              f"{stats['lo']!r}, {stats['hi']!r}")
+    """A DataFormatError (the file ``where`` is malformed) unless ``stats``, which met
+    :data:`NORMALIZATION_TABLE`, could come from :func:`compute_normalization`."""
+    if not stats["lo"] <= stats["hi"] or stats["constant"] != (stats["lo"] == stats["hi"]):
+        raise DataFormatError(f"{where}: normalization {stats!r} is no min and max of any data")
 
 
 def apply_normalization(x: np.ndarray, stats: dict) -> np.ndarray:
@@ -349,18 +341,16 @@ def _conductivity_field(cond: dict, n: int) -> np.ndarray:
     return cond.get("scale", 1.0) * build_conductivity(params)
 
 
-# Each key an equation reads: its kind (int, float for a finite real, str or a nested
-# table), its range ``value op bound``, and whether it may be left out: always (True),
-# or if the key ``omit`` is given.  Other keys pass, so a preset's ``patch`` does too.
-_Key = collections.namedtuple("_Key", "kind op bound omit", defaults=(None, None, False))
-_POSITIVE, _COUNT, _SEED = _Key(float, ">", 0), _Key(int, ">=", 1), _Key(int, ">=", 0)
-_GRF = {"sigma": _Key(float, ">=", 0), "m": _POSITIVE, "nu": _POSITIVE}
-_STEPPED = {"grid_size": _Key(int, ">=", 2), "dt": _POSITIVE, "trajectories": _COUNT,
+# Each key an equation reads, as a row of :class:`errors.Key`.  Other keys pass, so a
+# preset's ``patch`` does too.
+_POSITIVE, _COUNT, _SEED = Key(float, ">", 0), Key(int, ">=", 1), Key(int, ">=", 0)
+_GRF = {"sigma": Key(float, ">=", 0), "m": _POSITIVE, "nu": _POSITIVE}
+_STEPPED = {"grid_size": Key(int, ">=", 2), "dt": _POSITIVE, "trajectories": _COUNT,
             "frames": _COUNT, "skip": _COUNT._replace(omit=True), "init_seed": _SEED,
-            "init": _Key(_GRF)}
+            "init": Key(_GRF)}
 # a lattice keeps every frame from the first; its conductivity is a constant or a GRF
-_LATTICE = {**_STEPPED, "dx": _POSITIVE._replace(omit=True), "burn_in": _Key(int, "==", 0, True),
-            "conductivity": _Key({"constant": _POSITIVE._replace(omit=True),
+_LATTICE = {**_STEPPED, "dx": _POSITIVE._replace(omit=True), "burn_in": Key(int, "==", 0, True),
+            "conductivity": Key({"constant": _POSITIVE._replace(omit=True),
                                   **{key: row._replace(omit="constant")
                                      for key, row in dict(_GRF, seed=_SEED).items()},
                                   "scale": _POSITIVE._replace(omit=True)})}
@@ -369,41 +359,17 @@ _CONFIG_TABLES = {
     "kse2d": {**_STEPPED, "domain_length": _POSITIVE, "burn_in": _SEED._replace(omit=True)},
     # the sine initial state ignores init_seed: a second trajectory repeats the first
     "kse1d": {"sites": _COUNT, "domain_length": _POSITIVE, "dt": _POSITIVE, "steps": _COUNT,
-              "trajectories": _Key(int, "==", 1), "init_seed": _SEED,
-              "init": _Key({"kind": _Key(str, "==", "sine", True), "waves": _Key(float)})},
+              "trajectories": Key(int, "==", 1), "init_seed": _SEED,
+              "init": Key({"kind": Key(str, "==", "sine", True), "waves": Key(float)})},
 }
-_KINDS = {int: (numbers.Integral, "an integer"), float: (numbers.Real, "a finite real number"),
-          str: (str, "a string")}
-_OPS = {">": lambda a, b: a > b, ">=": lambda a, b: a >= b, "==": lambda a, b: a == b}
-
-
-def _check_entries(entries: dict, table: dict, prefix: str) -> None:
-    for key, (kind, op, bound, omit) in table.items():
-        name = prefix + key
-        if key not in entries:
-            if omit is True or (omit and omit in entries):
-                continue
-            raise ParameterError(f"config lacks {name}")
-        value = entries[key]
-        types, noun = (dict, "a JSON object") if isinstance(kind, dict) else _KINDS[kind]
-        # a boolean is no number; NaN, infinity and an integer past the float range fail
-        if (isinstance(value, bool) or not isinstance(value, types)
-                or kind is float and not abs(value) <= float(np.finfo(float).max)):
-            raise ParameterError(f"{name} must be {noun}, got {value!r}")
-        if isinstance(kind, dict):
-            _check_entries(value, kind, name + ".")
-        elif op and not _OPS[op](value, bound):
-            raise ParameterError(f"{name} must be {op} {bound!r}, got {value!r}")
 
 
 def _check_config(config) -> None:
     """Raise ParameterError unless the config names an equation and meets its
     table, nested entries included.  No other code checks a config's values."""
-    equation = config.get("equation") if isinstance(config, dict) else None
-    if not isinstance(equation, str) or equation not in _CONFIG_TABLES:
-        raise ParameterError(f"a generation config is a JSON object naming an equation "
-                             f"of {sorted(_CONFIG_TABLES)}, got equation {equation!r}")
-    _check_entries(config, _CONFIG_TABLES[equation], "")
+    check_entries(config, {"equation": Key(str, "in", sorted(_CONFIG_TABLES))}, "config",
+                  ParameterError)
+    check_entries(config, _CONFIG_TABLES[config["equation"]], "config", ParameterError)
 
 
 def _grf_init(config: dict, seed: int) -> np.ndarray:

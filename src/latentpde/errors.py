@@ -1,5 +1,5 @@
-"""Exception hierarchy shared across the package, and the check that
-makes a malformed file a DataFormatError.
+"""Exception hierarchy shared across the package, and the one check of each
+JSON object the program reads: configs, manifests, model headers and clips.
 
 Every error carries an ``exit_code`` so the command line driver can map
 failures onto stable process exit statuses:
@@ -9,6 +9,10 @@ failures onto stable process exit statuses:
     4 -> numerical divergence (NaN/Inf mid-run)
     5 -> diagnostic failures (singular Gramian, degenerate statistics, ...)
 """
+
+import collections
+import numbers
+import sys
 
 
 class LatentPdeError(Exception):
@@ -56,22 +60,42 @@ class DegenerateStatisticError(LatentPdeError):
     exit_code = 5
 
 
+# A row of a table: the kind of value a key holds (int, float for a finite real, bool, str,
+# dict for any JSON object, a nested table, list for a list of integers, or (kind, None) if
+# null may stand in), its range ``value op bound`` (of each item of a list), and whether it
+# may be left out: always (True), or if the key ``omit`` is given.
+Key = collections.namedtuple("Key", "kind op bound omit", defaults=(None, None, False))
+_KINDS = {int: (numbers.Integral, "an integer"), float: (numbers.Real, "a finite real number"),
+          bool: (bool, "true or false"), str: (str, "a string"), dict: (dict, "a JSON object"),
+          list: (list, "a list")}
+_OPS = {">": lambda a, b: a > b, ">=": lambda a, b: a >= b, "==": lambda a, b: a == b,
+        "in": lambda a, b: a in b}
 
-SHAPE = "a list of integers >= 0"
 
-
-def check_json(obj, where: str, **kinds) -> dict:
-    """``obj`` if it is a JSON object whose ``kinds`` keys hold values of
-    those kinds (a type, a tuple of types or :data:`SHAPE`; a boolean is no
-    number), else a DataFormatError: the file ``where`` is malformed."""
-    if not isinstance(obj, dict):
-        raise DataFormatError(f"{where}: expected a JSON object, got {type(obj).__name__}")
-    for key, kind in kinds.items():
-        val = obj.get(key)
-        if kind is SHAPE:
-            ok = isinstance(val, list) and all(type(v) is int and v >= 0 for v in val)
-        else:
-            ok = key in obj and isinstance(val, kind) and (kind is bool or type(val) is not bool)
-        if not ok:
-            raise DataFormatError(f"{where}: bad or missing {key!r} entry {val!r}")
-    return obj
+def check_entries(entries, table: dict, where: str, error, prefix: str = "") -> None:
+    """Raise ``error`` unless ``entries`` is a JSON object that meets ``table``,
+    whose other keys pass; ``where`` names the config or file."""
+    if not isinstance(entries, dict):
+        raise error(f"{where}: expected a JSON object, got {type(entries).__name__}")
+    for key, (kind, op, bound, omit) in table.items():
+        name = prefix + key
+        if key not in entries:
+            if omit is True or (omit and omit in entries):
+                continue
+            raise error(f"{where} lacks {name}")
+        value = entries[key]
+        if value is None and isinstance(kind, tuple):
+            continue
+        kind = kind[0] if isinstance(kind, tuple) else kind
+        types, noun = _KINDS[dict if isinstance(kind, dict) else kind]
+        # a boolean is no number; NaN, infinity and an integer past the float range fail
+        if (not isinstance(value, types) or kind is not bool and isinstance(value, bool)
+                or kind is float and not abs(value) <= sys.float_info.max):
+            raise error(f"{where}: {name} must be {noun}, got {value!r}")
+        if kind is list:  # a table of one integer row per item
+            kind = {str(i): Key(int, op, bound) for i in range(len(value))}
+            value = dict(zip(kind, value))
+        if isinstance(kind, dict):
+            check_entries(value, kind, where, error, name + ".")
+        elif op and not _OPS[op](value, bound):
+            raise error(f"{where}: {name} must be {op} {bound!r}, got {value!r}")

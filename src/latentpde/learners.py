@@ -19,8 +19,15 @@ import numpy as np
 import scipy.linalg
 from scipy.linalg import lapack
 
-from .dataset import atomic_write, check_normalization
-from .errors import SHAPE, DataFormatError, DivergenceError, ParameterError, check_json
+from .dataset import NORMALIZATION_TABLE, atomic_write
+from .errors import DataFormatError, DivergenceError, Key, ParameterError, check_entries
+
+_HEADER_TABLE = {"format": Key(str, "==", "linear-map"), "version": Key(int, "==", 2),
+                 "history_len": Key(int, ">=", 1), "token_dim": Key(int, ">=", 1),
+                 "out_dim": Key(int, ">=", 0), "has_bias": Key(bool),
+                 "output_shape": Key(list, ">=", 0), "design_rank": Key((int, None), ">=", 0),
+                 "patch": Key((int, None), ">=", 1),
+                 "normalization": Key((NORMALIZATION_TABLE, None))}
 
 
 @dataclass
@@ -92,17 +99,11 @@ class LinearMap:
             header = json.loads(blob[:cut].decode())
         except (UnicodeDecodeError, json.JSONDecodeError) as exc:
             raise DataFormatError(f"{path}: bad linear-map header: {exc}") from exc
-        if check_json(header, path).get("format") != "linear-map":
-            raise DataFormatError(f"{path}: not a linear-map file")
-        if header.get("version") != 2:
-            raise DataFormatError(f"{path}: linear-map version {header.get('version')!r}, "
+        # a header of another version may lack the entries of this one
+        if isinstance(header, dict) and header.get("version", 2) != 2:
+            raise DataFormatError(f"{path}: linear-map version {header['version']!r}, "
                                   "not 2; re-fit the model")
-        none = type(None)
-        check_json(header, path, history_len=int, token_dim=int, out_dim=int, has_bias=bool,
-                   output_shape=SHAPE, design_rank=(int, none), patch=(int, none),
-                   normalization=(dict, none))
-        if header["normalization"] is not None:
-            check_normalization(header["normalization"], path)
+        check_entries(header, _HEADER_TABLE, path, DataFormatError)
         out_dim = header["out_dim"]
         if out_dim != np.prod(header["output_shape"]):
             raise DataFormatError(f"{path}: out_dim {out_dim} != the size of output_shape")

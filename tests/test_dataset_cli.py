@@ -367,6 +367,7 @@ def test_cli_error_exit_codes(tmp_path, capsys):
     run_cli(["generate", "--config", str(tmp_path / "kse.json"), "--out", str(kse)])
     fit = ["fit", "--data", str(data), "--role", "g", "--patch", "4", "--k", "2"]
     for argv in (["export", "--data", str(data), "--traj-index", "3"],
+                 ["export", "--data", str(data), "--frame", str(TINY_HEAT["frames"])],
                  ["sweep", "--data", str(data), "--patch", "4", "--k-list", "1", "--trials", "0"],
                  [*fit, "--train-frac", "inf"],
                  [*fit, "--ridge", "inf"],
@@ -397,6 +398,9 @@ def test_cli_error_exit_codes(tmp_path, capsys):
                      "--out", out])
         run_cli(["rollout", "--data", str(data), "--model", model, "--super",
                  str(tmp_path / "s.lpm"), "--steps", "3", "--out-prefix", clip])
+        plain = str(tmp_path / "plain")
+        run_cli(["rollout", "--data", str(data), "--model", model, "--steps", "3",
+                 "--out-prefix", plain])
     capsys.readouterr()
     # a negative --start once wrapped round as a Python index (exit 0), or
     # ended in a shape mismatch that did not name it
@@ -425,6 +429,9 @@ def test_cli_error_exit_codes(tmp_path, capsys):
     cut = blob.index(b"\n\0")
     header = json.loads(blob[:cut])
     stats = {"lo": 0.0, "hi": 1.0, "constant": False}
+    # bounds that compute_normalization never writes: once a divergence (exit 4) or exit 0
+    no_data = ({"lo": 1, "hi": 1, "constant": False}, {"lo": 5, "hi": -5, "constant": False},
+               {"lo": 0, "hi": 1, "constant": True})
     for bad_header in ([1, 2], dict(header, version=1),
                        dict(header, normalization={"lo": 0.0, "hi": 1.0}),
                        dict(header, normalization=[0, 1]), dict(header, patch="4"),
@@ -432,6 +439,7 @@ def test_cli_error_exit_codes(tmp_path, capsys):
                        dict(header, normalization=dict(stats, lo=float("nan"))),
                        dict(header, normalization=dict(stats, hi=float("inf"))),
                        dict(header, patch=3), dict(header, patch=0),
+                       *(dict(header, normalization=n) for n in no_data),
                        # a map that a library call fitted and saved
                        dict(header, patch=None, normalization=None),
                        *({k: v for k, v in header.items() if k != drop}
@@ -452,10 +460,16 @@ def test_cli_error_exit_codes(tmp_path, capsys):
                                  # once compared in raw units, exit 0
                                  (dict(meta, normalization=None), fields),
                                  ({k: v for k, v in meta.items() if k != "normalization"},
-                                  fields)):
+                                  fields),
+                                 *((dict(meta, normalization=n), fields) for n in no_data),
+                                 # once a perfect score (exit 0) for an empty clip
+                                 (dict(meta, fields_shape=[0, 8, 8]), b"")):
         (tmp_path / "badclip_meta.json").write_text(json.dumps(bad_meta))
         (tmp_path / "badclip_fields.bin").write_bytes(bad_fields)
         data_format_error(subvideo)
+    # a clip rolled out without --super has no fields to compare
+    data_format_error(["metrics", "subvideo", "--data", str(data), "--clip-prefix", plain,
+                       "--out", str(tmp_path / "s.csv")])
     # a model or clip made for another frame shape: the file is wrong, not a flag
     kse_model, kse_super, kse_clip = (str(tmp_path / name)
                                       for name in ("kg.lpm", "ks.lpm", "kclip"))
@@ -509,7 +523,9 @@ def test_cli_error_exit_codes(tmp_path, capsys):
                          *(dict(manifest, frame_shape=s) for s in ([0, 0], [8, 0], [2, 0, 0])),
                          # once refused by fit as a bad flag (exit 2)
                          *(dict(manifest, frame_shape=s) for s in ([], [3, 8, 8], [8, 8, 8, 8])),
-                         dict(manifest, kind="tokens")):
+                         dict(manifest, kind="tokens"),
+                         # once a traceback (exit 1), exit 0 or a bad flag (exit 2)
+                         *(dict(manifest, dt=dt) for dt in (NAN, float("inf"), 0, -0.1))):
         (bad_data / "manifest.json").write_text(json.dumps(bad_manifest))
         data_format_error(["tokenize", "--data", str(bad_data), "--patch", "4",
                            "--out", str(tmp_path / "t")])
@@ -517,7 +533,9 @@ def test_cli_error_exit_codes(tmp_path, capsys):
                            "--k", "2", "--out", str(tmp_path / "m.lpm")])
         data_format_error(["generate", "--from-manifest", str(bad_data / "manifest.json"),
                            "--out", str(tmp_path / "regen")])
-    capsys.readouterr()
+    os.remove(data / "traj_00001.bin")
+    data_format_error(["export", "--data", str(data), "--traj-index", "1",
+                       "--out", str(tmp_path / "gone.pgm")])
 
 
 @pytest.mark.filterwarnings("ignore:rank-deficient design:RuntimeWarning")
@@ -694,6 +712,8 @@ MALFORMED_CONFIGS = {
     "kse1d-domain-length-nan": dict(TINY_KSE, domain_length=NAN),
     # an integer too large for a float: once an OverflowError (exit 1)
     "heat-dt-past-float-range": dict(TINY_HEAT, dt=10**400),
+    "no-equation": {k: v for k, v in TINY_HEAT.items() if k != "equation"},
+    "equation-burgers": dict(TINY_HEAT, equation="burgers"),
 }
 
 
@@ -741,6 +761,70 @@ def test_generate_exits_0_2_or_4_for_any_value_of_any_config_key(tmp_path, capsy
                     assert len(err) == 1 and err[0].startswith("error: "), (case, err)
                     assert not out.exists(), case
     assert runs > 300
+
+
+def _table_paths(table, prefix=()):
+    """Each key path a table names, those of its nested tables included."""
+    for key, row in table.items():
+        kind = row.kind[0] if isinstance(row.kind, tuple) else row.kind
+        yield prefix + (key,)
+        if isinstance(kind, dict):
+            yield from _table_paths(kind, prefix + (key,))
+
+
+@pytest.mark.filterwarnings("ignore:rank-deficient design:RuntimeWarning")
+def test_verbs_exit_0_or_3_for_any_value_of_any_file_key(tmp_path, capsys):
+    """Every key the manifest, model header and clip tables name, set to each
+    of a few values a damaged file may hold, given to a verb that reads it."""
+    for name, config in (("heat", TINY_HEAT), ("kse", TINY_KSE)):
+        (tmp_path / f"{name}.json").write_text(json.dumps(config))
+        run_cli(["generate", "--config", str(tmp_path / f"{name}.json"),
+                 "--out", str(tmp_path / name)])
+    heat, model, clip = (str(tmp_path / name) for name in ("heat", "g.lpm", "clip"))
+    for role, out in (("g", model), ("super", str(tmp_path / "s.lpm"))):
+        run_cli(["fit", "--data", heat, "--role", role, "--patch", "4", "--k", "2", "--out", out])
+    run_cli(["rollout", "--data", heat, "--model", model, "--super", str(tmp_path / "s.lpm"),
+             "--steps", "3", "--out-prefix", clip])
+    bad_kse, bad_model, bad_clip = (tmp_path / name for name in ("bad_kse", "bad.lpm", "bad"))
+    bad_kse.mkdir()
+    (bad_kse / "traj_00000.bin").write_bytes((tmp_path / "kse" / "traj_00000.bin").read_bytes())
+    (tmp_path / "bad_fields.bin").write_bytes(open(clip + "_fields.bin", "rb").read())
+    blob = open(model, "rb").read()
+    cut = blob.index(b"\n\0")
+    files = {
+        # file table, its entries, how to write them, and a verb that reads them
+        "manifest": (dataset_module._MANIFEST_TABLE,
+                     json.loads((tmp_path / "kse" / "manifest.json").read_text()),
+                     lambda text: (bad_kse / "manifest.json").write_text(text),
+                     ["observability", "--check", "lie", "--data", str(bad_kse), "--patch", "4",
+                      "--derivative-order", "2", "--window", "10"]),
+        "header": (latentpde.learners._HEADER_TABLE, json.loads(blob[:cut]),
+                   lambda text: bad_model.write_bytes(text.encode() + blob[cut:]),
+                   ["rollout", "--data", heat, "--model", str(bad_model), "--steps", "3"]),
+        "clip": (cli._CLIP_TABLE, json.loads(open(clip + "_meta.json").read()),
+                 lambda text: (tmp_path / "bad_meta.json").write_text(text),
+                 ["metrics", "subvideo", "--data", heat, "--clip-prefix", str(bad_clip)]),
+    }
+    capsys.readouterr()
+    runs = 0
+    for file, (table, entries, write, verb) in files.items():
+        for path in _table_paths(table):
+            for value in (0, -1, NAN, float("inf"), True, None, "x"):
+                changed = json.loads(json.dumps(entries))
+                entry = changed
+                for key in path[:-1]:
+                    entry = entry[key]
+                entry[path[-1]] = value
+                write(json.dumps(changed))
+                out = "--out-prefix" if verb[0] == "rollout" else "--out"
+                code = cli.main([*verb, out, str(tmp_path / f"out{runs}")])
+                runs += 1
+                case = (file, path, value)
+                assert code in (0, 3), case
+                err = capsys.readouterr().err.splitlines()
+                if code:
+                    assert len(err) == 1 and err[0].startswith("error: "), (case, err)
+    assert runs > 150
 
 
 def test_readme_session_configs_pass_the_config_check():
@@ -849,6 +933,12 @@ def test_cli_observability_gramian(tmp_path, capsys):
     # patch 4 at horizon 1 leaves the Gramian numerically singular
     assert cli.main(["observability", "--check", "gramian", "--grid", "8",
                      "--out", str(tmp_path / "refused.txt")]) == 5
+    # the wave generator: patch 1 reconstructs, patch 2 leaves the Gramian singular
+    wave = ["observability", "--check", "gramian", "--equation", "wave", "--grid", "8",
+            "--horizon", "4", "--out", str(out)]
+    run_cli([*wave, "--patch", "1"])
+    assert float(parse_report(out.read_text())["relative_reconstruction_error"]) < 1e-12
+    assert cli.main([*wave, "--patch", "2"]) == 5
     capsys.readouterr()
 
 
