@@ -30,7 +30,8 @@ from . import observability as obs
 from .errors import DataFormatError, Key, LatentPdeError, ParameterError, check_entries
 from .lattice_ops import (GridSpec, build_modified_laplacian, build_tokenizer_matrix,
                           build_wave_generator)
-from .learners import LinearMap, TrainConfig, fit_blocks, fit_sgd_blocks, history_sweep
+from .learners import (LinearMap, TrainConfig, _one_blas_thread, fit_blocks, fit_sgd_blocks,
+                       history_sweep)
 from .random_fields import GrfParams, sample_matern_field
 from .rollout_metrics import (autoregressive_rollout, correlation_ensemble_stats,
                               full_pipeline_rollout, nearest_subvideo_distance, residue_norms)
@@ -247,6 +248,9 @@ def cmd_metrics(args) -> int:
         raise DataFormatError(f"{meta_path}: a clip of frame shape {tuple(shape[1:])}; the "
                               f"{manifest.equation} data have frames of shape "
                               f"{manifest.amplitude_shape}")
+    if shape[0] > manifest.frames:
+        raise DataFormatError(f"{meta_path}: a clip of {shape[0]} frames; the data have "
+                              f"{manifest.frames} frames per trajectory")
     clip = np.fromfile(args.clip_prefix + "_fields.bin", dtype="<f8")
     if clip.size != np.prod(shape):
         raise DataFormatError(f"clip fields hold {clip.size} values, not shape {shape}")
@@ -452,7 +456,10 @@ def main(argv=None) -> int:
     with warnings.catch_warnings(record=True) as caught:
         try:
             args = build_parser().parse_args(argv)
-            code = args.func(args)
+            # the verbs' small products and factorizations run on one BLAS
+            # thread; the log-det diagnostic spends the cores on its windows
+            with _one_blas_thread():
+                code = args.func(args)
         except (LatentPdeError, OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
             # an unreadable, missing or malformed file is a data/IO problem
             # like any other; the error line alone reports a failed run, so

@@ -359,26 +359,41 @@ def _blas_thread_setter():
     return setter
 
 
+# numpy's OpenBLAS thread count before the outermost open scope pinned it
+_unpinned_threads = None
+
+
 @contextlib.contextmanager
 def _one_blas_thread():
-    """Run the block with numpy's OpenBLAS on one thread, for the calling
-    thread only, and restore the previous count on the way out.
+    """Run the block with numpy's OpenBLAS on one thread, restore the
+    previous count on the way out, and yield the count the outermost
+    open scope found: the cores a caller may spend on independent work.
 
-    A product of a few dozen rows is too small to share: the second
-    thread of the pool spins between calls and burns about as much CPU as
-    the product.  OpenBLAS splits a product over its rows and columns,
-    never over the summed dimension, so no result bit moves.  Without
-    the setter the block runs as it is, and nothing is said.
+    The count is process-wide, not per thread: while the block runs,
+    every thread's numpy products and factorizations run on one BLAS
+    thread.  The small products and factorizations the verbs run are too
+    small to share, and the second thread of the pool spins between
+    calls.  A general product keeps its bits on any count, since
+    OpenBLAS splits it over rows and columns, never over the summed
+    dimension, and so do singular values; a dot product, a Gram product
+    ``x.T @ x`` and an LU may round differently.  Without the setter the
+    block runs as it is, the yield is 1, and nothing is said.
     """
+    global _unpinned_threads
     setter = _blas_thread_setter()
     if setter is None:
-        yield
+        yield 1
         return
     previous = setter(1)
+    outermost = _unpinned_threads is None
+    if outermost:
+        _unpinned_threads = previous
     try:
-        yield
+        yield _unpinned_threads
     finally:
         setter(previous)
+        if outermost:
+            _unpinned_threads = None
 
 
 # Adam's moment decay rates and denominator guard

@@ -19,6 +19,7 @@ that state explicitly.
 Each check returns a report whose ``to_text`` the command line prints.
 """
 
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, fields
 
 import numpy as np
@@ -28,6 +29,7 @@ from scipy.linalg import expm
 from .errors import NonObservableError, ParameterError
 from .lattice_ops import (GridSpec, build_modified_laplacian, build_tokenizer_matrix,
                           build_wave_generator)
+from .learners import _one_blas_thread
 from .solvers import _gershgorin_radius
 from .tokenizer import tokenize_trajectory
 
@@ -521,7 +523,8 @@ def empirical_lie_logdet(traj, patch: int, derivative_order: int = 5,
     Derivatives use forward-difference tables divided by dt**order, so
     scaling the trajectory by c shifts every log |det| by dim * log(c).
     Singular values, when requested, skip the first ``burn_frac`` share
-    of the windows.
+    of the windows; a pool of one thread per core computes them (the
+    count :func:`latentpde.learners._one_blas_thread` yields).
     """
     frames = np.asarray(getattr(traj, "frames", traj), dtype=float)
     dt = float(getattr(traj, "dt", 1.0))
@@ -552,8 +555,19 @@ def empirical_lie_logdet(traj, patch: int, derivative_order: int = 5,
     if with_singular_values:
         first = int(burn_frac * nt)
         min_sv, max_sv = np.full(nt, np.nan), np.full(nt, np.nan)
-        svals = np.linalg.svd(windows[first:], compute_uv=False)
-        min_sv[first:], max_sv[first:] = svals[:, -1], svals[:, 0]
+
+        def extremes(chunk):
+            svals = np.linalg.svd(windows[chunk], compute_uv=False)
+            min_sv[chunk], max_sv[chunk] = svals[:, -1], svals[:, 0]
+
+        # svd releases the GIL: contiguous chunks of windows go to one
+        # worker per core, each on one BLAS thread, and each writes its own
+        # slices; the values keep their bits for any split
+        with _one_blas_thread() as cores:
+            workers = min(cores, nt - first)
+            edges = [first + (nt - first) * i // workers for i in range(workers + 1)]
+            with ThreadPoolExecutor(workers) as pool:
+                list(pool.map(extremes, map(slice, edges[:-1], edges[1:])))
     rolling = np.full(nt, np.nan)
     if nt >= window:
         kernel = np.ones(window) / window

@@ -463,7 +463,10 @@ def test_cli_error_exit_codes(tmp_path, capsys):
                                   fields),
                                  *((dict(meta, normalization=n), fields) for n in no_data),
                                  # once a perfect score (exit 0) for an empty clip
-                                 (dict(meta, fields_shape=[0, 8, 8]), b"")):
+                                 (dict(meta, fields_shape=[0, 8, 8]), b""),
+                                 # longer than every trajectory: once a bad flag (exit 2)
+                                 (dict(meta, fields_shape=[20, 8, 8]),
+                                  np.zeros(20 * 64).tobytes())):
         (tmp_path / "badclip_meta.json").write_text(json.dumps(bad_meta))
         (tmp_path / "badclip_fields.bin").write_bytes(bad_fields)
         data_format_error(subvideo)
@@ -988,6 +991,28 @@ def test_cli_observability_lie_on_a_constant_line(tmp_path, capsys):
     report = parse_report(out.read_text())
     assert report["finite_fraction"] == "0.000000"
     assert report["median_log_abs_det"] == "nan"
+
+
+def test_cli_observability_lie_does_not_depend_on_the_core_count(tmp_path, monkeypatch):
+    """Windows of dimension 150: OpenBLAS shares the LU of a matrix this
+    large among threads, and its bits then depend on their number (with
+    the OpenBLAS of the numpy 2.4 wheels, at dimension 128 and below they
+    do not).  The report and the series are the same bytes on one BLAS
+    thread and on two."""
+    config_path = tmp_path / "kse.json"
+    config_path.write_text(json.dumps(dict(TINY_KSE, sites=150, patch=5)))
+    data = tmp_path / "kse"
+    run_cli(["generate", "--config", str(config_path), "--out", str(data)])
+    outputs = []
+    for threads in ("1", "2"):
+        monkeypatch.setenv("OPENBLAS_NUM_THREADS", threads)
+        out, csv_path = tmp_path / f"lie{threads}.txt", tmp_path / f"lie{threads}.csv"
+        proc = run_module(["observability", "--check", "lie", "--data", str(data),
+                           "--patch", "5", "--out", str(out), "--csv", str(csv_path)])
+        assert proc.returncode == 0, proc.stderr
+        outputs.append((out.read_bytes(), csv_path.read_bytes()))
+    assert parse_report(outputs[0][0].decode())["matrix_dim"] == "150"
+    assert outputs[0] == outputs[1]
 
 
 def test_cli_observability_witness_and_kalman(tmp_path, capsys):

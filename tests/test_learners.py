@@ -1,3 +1,5 @@
+from concurrent.futures import ThreadPoolExecutor
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -7,8 +9,10 @@ from latentpde import (DataFormatError, DivergenceError, GridSpec, LinearMap, Pa
                        build_wave_generator, fit_blocks, fit_least_squares, fit_sgd,
                        fit_sgd_blocks, fit_superres, forecast_pairs, generate_dataset,
                        history_sweep, kalman_rank_test, mse_loss_and_grad, tokenize_trajectory)
+from latentpde import cli
 from latentpde import dataset as dataset_module
 from latentpde import learners as learners_module
+from latentpde import observability as observability_module
 
 from test_acceptance import GRF_COND, HEAT_BASE, latent_pairs, recon_pairs, split_normalize
 from test_dataset_cli import TINY_HEAT
@@ -421,8 +425,9 @@ def test_split_loss_of_an_exactly_realisable_target(bias, ridge):
 
 
 def _blas_threads():
-    """numpy's OpenBLAS thread count for the calling thread, or None when
-    numpy runs another BLAS."""
+    """numpy's OpenBLAS thread count, or None when numpy runs another
+    BLAS.  The count is process-wide: a setter called on any thread
+    changes it for all of them."""
     import ctypes
     from numpy._core import _multiarray_umath
 
@@ -474,6 +479,74 @@ def test_adam_without_the_thread_setter_gives_the_same_bytes(monkeypatch):
     for a, b in ((scoped.weights, plain.weights), (scoped.bias, plain.bias),
                  *((scoped_curves[key], plain_curves[key]) for key in ("train", "eval"))):
         assert a.tobytes() == b.tobytes()
+
+
+def test_window_svds_keep_their_bits_on_any_number_of_workers(monkeypatch):
+    """The pool takes one worker per BLAS thread the caller had.  Of the
+    26 windows the last 13 are examined, a count that neither 2 nor 3
+    workers split evenly; each split gives the bytes of one serial SVD."""
+    setter = learners_module._blas_thread_setter()
+    if setter is None:
+        pytest.skip("numpy does not run scipy-openblas")
+    frames = np.random.default_rng(41).standard_normal((65, 40))
+    windows = np.lib.stride_tricks.sliding_window_view(frames, 40, axis=0)
+    with learners_module._one_blas_thread():
+        svals = np.linalg.svd(windows[13:], compute_uv=False)
+    sizes = []
+
+    class Recorded(ThreadPoolExecutor):
+        def __init__(self, workers):
+            sizes.append(workers)
+            super().__init__(workers)
+
+    def extremes():
+        series = observability_module.empirical_lie_logdet(
+            frames, patch=1, derivative_order=1, with_singular_values=True, burn_frac=0.5)
+        assert np.isnan(series.min_sv[:13]).all() and np.isnan(series.max_sv[:13]).all()
+        assert series.min_sv[13:].tobytes() == svals[:, -1].tobytes()
+        assert series.max_sv[13:].tobytes() == svals[:, 0].tobytes()
+
+    monkeypatch.setattr(observability_module, "ThreadPoolExecutor", Recorded)
+    outer = setter(1)
+    try:
+        for workers in (1, 2, 3):
+            setter(workers)
+            extremes()
+    finally:
+        setter(outer)
+    # without the setter the pool has one worker
+    monkeypatch.setattr(learners_module, "_blas_thread_setter", lambda: None)
+    extremes()
+    assert sizes == [1, 2, 3, 1]
+
+
+def test_each_verb_runs_on_one_blas_thread_and_restores_the_count(tmp_path, monkeypatch,
+                                                                  capsys):
+    setter = learners_module._blas_thread_setter()
+    if setter is None or _blas_threads() is None:
+        pytest.skip("numpy does not run scipy-openblas")
+    seen = []
+    witness = observability_module.witness_orbit
+
+    def counted(*args, **kwargs):
+        seen.append(_blas_threads())
+        return witness(*args, **kwargs)
+
+    monkeypatch.setattr(observability_module, "witness_orbit", counted)
+    out = str(tmp_path / "out")
+    # a count other than 1, whatever an earlier call left behind
+    outer = setter(3)
+    try:
+        for argv, code in ((["observability", "--check", "witness", "--grid", "16",
+                             "--patch", "4"], 0),
+                           (["observability", "--check", "lie"], 2),
+                           (["export", "--data", str(tmp_path / "missing")], 3)):
+            assert cli.main([*argv, "--out", out]) == code, argv
+            assert _blas_threads() == 3, argv
+    finally:
+        setter(outer)
+    assert seen == [1]
+    capsys.readouterr()
 
 
 def test_train_config_validation():
