@@ -24,9 +24,8 @@ from .rollout_metrics import (CorrelationSeries, RolloutResult, autoregressive_r
                               nearest_subvideo_distance, residue_norms,
                               temporal_correlation)
 from .dataset import (DatasetManifest, apply_normalization, compute_normalization,
-                      export_frame_image, generate_dataset,
-                      invert_normalization, load_all, load_manifest, load_trajectory,
-                      read_csv, tokenize_dataset, write_csv, write_dataset,
+                      export_frame_image, generate_dataset, load_all, load_manifest,
+                      load_trajectory, read_csv, tokenize_dataset, write_csv, write_dataset,
                       write_generated_dataset)
 
 __version__ = "0.1.0"

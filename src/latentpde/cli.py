@@ -2,7 +2,7 @@
 
 Verbs:
 
-  generate       simulate a dataset from a preset, config file, or manifest
+  generate       simulate a dataset from a config file or a manifest
   tokenize       patch-average a field dataset into a token dataset
   fit            train a forecaster (g) or super-resolution map on a dataset
   sweep          one-step error versus history length, written as CSV
@@ -40,14 +40,8 @@ from .tokenizer import amplitude, build_histories, build_reconstruction_pairs, t
 
 
 def _load_config(args) -> dict:
-    sources = [bool(args.preset), bool(args.config), bool(args.from_manifest)]
-    if sum(sources) != 1:
-        raise ParameterError("give exactly one of --preset, --config, --from-manifest")
-    if args.preset:
-        if args.preset not in ds.PRESETS:
-            raise ParameterError(f"unknown preset {args.preset!r}; have {sorted(ds.PRESETS)}")
-        return dict(ds.PRESETS[args.preset])
-    if args.config:
+    # argparse lets exactly one source through; an empty path is an unreadable file
+    if args.config is not None:
         with open(args.config) as fh:
             return json.load(fh)
     with open(args.from_manifest) as fh:
@@ -104,7 +98,7 @@ def cmd_fit(args) -> int:
             if super_role:
                 yield build_reconstruction_pairs(fr, args.k, args.patch)
             else:
-                yield build_histories(fr, args.k, args.patch)[:2]
+                yield build_histories(fr, args.k, args.patch)
 
     if args.learner == "lstsq":
         fitted = fit_blocks(blocks(), n_train * windows, ridge=args.ridge)
@@ -254,6 +248,8 @@ def cmd_metrics(args) -> int:
     clip = np.fromfile(args.clip_prefix + "_fields.bin", dtype="<f8")
     if clip.size != np.prod(shape):
         raise DataFormatError(f"clip fields hold {clip.size} values, not shape {shape}")
+    if not np.isfinite(clip).all():
+        raise DataFormatError(f"{args.clip_prefix}_fields.bin: holds a value that is not finite")
     clip = clip.reshape(shape)
     rows = []
     best = np.inf
@@ -268,6 +264,11 @@ def cmd_metrics(args) -> int:
                  comment="euclidean distance to nearest same-length window")
     print(f"nearest subvideo distance {best:.6e} -> {args.out}")
     return 0
+
+
+# the certificates' conductivity without --constant: a GRF with these parameters,
+# seeded by --grf-seed and scaled by 0.2
+_CERTIFICATE_CONDUCTIVITY = {"sigma": 0.5, "m": 0.1, "nu": 1.0, "scale": 0.2}
 
 
 def cmd_observability(args) -> int:
@@ -296,9 +297,8 @@ def cmd_observability(args) -> int:
                          comment=f"local rank diagnostic, dt={series.dt}")
     else:
         grid = GridSpec(n=args.grid)
-        # without --constant, the preset conductivity (heat32, wave32) with its seed replaced
         cond = ({"constant": args.constant} if args.constant is not None
-                else dict(ds.PRESETS["heat32"]["conductivity"], seed=args.grf_seed))
+                else dict(_CERTIFICATE_CONDUCTIVITY, seed=args.grf_seed))
         a = ds._conductivity_field(cond, args.grid)
         op = build_wave_generator(a, grid) if wave else build_modified_laplacian(a, grid)
         if args.check == "gramian":
@@ -364,9 +364,9 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="verb", required=True)
 
     p = sub.add_parser("generate", help="simulate a dataset")
-    p.add_argument("--preset", default=None)
-    p.add_argument("--config", default=None)
-    p.add_argument("--from-manifest", default=None)
+    source = p.add_mutually_exclusive_group(required=True)
+    source.add_argument("--config", default=None)
+    source.add_argument("--from-manifest", default=None)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_generate)
 

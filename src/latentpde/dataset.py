@@ -188,7 +188,8 @@ def load_field_manifest(data_dir: str) -> DatasetManifest:
 
 
 def load_trajectory(data_dir: str, manifest: DatasetManifest, index: int) -> np.ndarray:
-    """Read one blob of a dataset, validating its size against the manifest."""
+    """Read one blob of a dataset, validating its size against the manifest
+    and its values: no program writes a non-finite frame."""
     if not 0 <= index < manifest.trajectories:
         raise ParameterError(f"trajectory index {index} outside 0..{manifest.trajectories - 1}")
     path = os.path.join(data_dir, _blob_name(index))
@@ -201,7 +202,10 @@ def load_trajectory(data_dir: str, manifest: DatasetManifest, index: int) -> np.
         raise DataFormatError(
             f"{path}: {actual} bytes but manifest implies {expected} "
             f"({manifest.frames} frames of shape {tuple(manifest.frame_shape)})")
-    return np.fromfile(path, dtype="<f8").reshape(shape)
+    frames = np.fromfile(path, dtype="<f8").reshape(shape)
+    if not np.isfinite(frames).all():
+        raise DataFormatError(f"{path}: holds a value that is not finite")
+    return frames
 
 
 def trajectories(data_dir: str, manifest: DatasetManifest, indices=None):
@@ -254,13 +258,6 @@ def apply_normalization(x: np.ndarray, stats: dict) -> np.ndarray:
     return 2.0 * (x - stats["lo"]) / (stats["hi"] - stats["lo"]) - 1.0
 
 
-def invert_normalization(y: np.ndarray, stats: dict) -> np.ndarray:
-    y = np.asarray(y, dtype=float)
-    if stats["constant"]:
-        return y + stats["lo"]
-    return (y + 1.0) * (stats["hi"] - stats["lo"]) / 2.0 + stats["lo"]
-
-
 # ---------------------------------------------------------------------------
 # image export
 
@@ -293,46 +290,6 @@ def export_frame_image(frame: np.ndarray, path: str, colormap: str = "gray") -> 
 # ---------------------------------------------------------------------------
 # generation
 
-PRESETS = {
-    # desk-scale linear lattice runs; coefficient scale keeps forward Euler
-    # inside its stability region (dt * 8 * max(a) < 2)
-    "heat32": {
-        "equation": "heat", "grid_size": 32, "dx": 1.0, "dt": 0.4,
-        "trajectories": 100, "frames": 220, "skip": 1, "burn_in": 0,
-        "init": {"sigma": 10.0, "m": 0.1, "nu": 1.0}, "init_seed": 1000,
-        "conductivity": {"sigma": 0.5, "m": 0.1, "nu": 1.0, "seed": 77, "scale": 0.2},
-        "patch": 4,
-    },
-    "heat32-const": {
-        "equation": "heat", "grid_size": 32, "dx": 1.0, "dt": 0.4,
-        "trajectories": 100, "frames": 220, "skip": 1, "burn_in": 0,
-        "init": {"sigma": 10.0, "m": 0.1, "nu": 1.0}, "init_seed": 1000,
-        "conductivity": {"constant": 0.2},
-        "patch": 4,
-    },
-    "wave32": {
-        "equation": "wave", "grid_size": 32, "dx": 1.0, "dt": 0.05,
-        "trajectories": 75, "frames": 400, "skip": 1, "burn_in": 0,
-        "init": {"sigma": 10.0, "m": 0.1, "nu": 1.0}, "init_seed": 2000,
-        "conductivity": {"sigma": 0.5, "m": 0.1, "nu": 1.0, "seed": 77, "scale": 0.2},
-        "patch": 4,
-    },
-    "kse2d64": {
-        "equation": "kse2d", "grid_size": 64, "domain_length": 64.0,
-        "dt": 0.01, "trajectories": 33, "frames": 400, "skip": 10, "burn_in": 100,
-        "init": {"sigma": 1.0, "m": 0.5, "nu": 2.0}, "init_seed": 3000,
-        "patch": 4,
-    },
-    # line trajectory for the local-rank diagnostic
-    "kse1d-diag": {
-        "equation": "kse1d", "sites": 200, "domain_length": 80.0,
-        "dt": 0.01, "steps": 10000, "trajectories": 1,
-        "init": {"kind": "sine", "waves": 7}, "init_seed": 0,
-        "patch": 5,
-    },
-}
-
-
 def _conductivity_field(cond: dict, n: int) -> np.ndarray:
     if "constant" in cond:
         return np.full((n, n), float(cond["constant"]))
@@ -341,8 +298,8 @@ def _conductivity_field(cond: dict, n: int) -> np.ndarray:
     return cond.get("scale", 1.0) * build_conductivity(params)
 
 
-# Each key an equation reads, as a row of :class:`errors.Key`.  Other keys pass, so a
-# preset's ``patch`` does too.
+# Each key an equation reads, as a row of :class:`errors.Key`.  Other keys, such as a
+# ``patch`` kept as a note in the config file, pass.
 _POSITIVE, _COUNT, _SEED = Key(float, ">", 0), Key(int, ">=", 1), Key(int, ">=", 0)
 _GRF = {"sigma": Key(float, ">=", 0), "m": _POSITIVE, "nu": _POSITIVE}
 _STEPPED = {"grid_size": Key(int, ">=", 2), "dt": _POSITIVE, "trajectories": _COUNT,
@@ -395,11 +352,11 @@ def _kse_trajectory(config: dict, seed: int) -> Trajectory:
         skip, burn = config.get("skip", 1), config.get("burn_in", 0)
         steps = (config["frames"] + burn) * skip
         return simulate_kse2d(_grf_init(config, seed), config["domain_length"], config["dt"],
-                              steps, skip=skip, burn_in=burn, seed=seed)
+                              steps, skip=skip, burn_in=burn)
     sites, length = config["sites"], config["domain_length"]
     x = np.arange(sites) * length / sites
     u0 = np.sin(config["init"]["waves"] * np.pi * x / length)
-    return simulate_kse1d(u0, length, config["dt"], config["steps"], seed=seed)
+    return simulate_kse1d(u0, length, config["dt"], config["steps"])
 
 
 def _generate(config: dict, emit) -> DatasetManifest:

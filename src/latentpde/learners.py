@@ -112,10 +112,12 @@ class LinearMap:
         need = out_dim * in_dim + (out_dim if header["has_bias"] else 0)
         if len(body) != need * 8:
             raise DataFormatError(f"{path}: expected {need * 8} payload bytes, found {len(body)}")
-        weights = np.frombuffer(body, dtype="<f8", count=out_dim * in_dim).reshape(out_dim, in_dim)
-        bias = None
-        if header["has_bias"]:
-            bias = np.frombuffer(body, dtype="<f8", count=out_dim, offset=out_dim * in_dim * 8)
+        values = np.frombuffer(body, dtype="<f8")
+        # no fit saves a non-finite weight
+        if not np.isfinite(values).all():
+            raise DataFormatError(f"{path}: a weight or bias that is not finite")
+        weights = values[:out_dim * in_dim].reshape(out_dim, in_dim)
+        bias = values[out_dim * in_dim:] if header["has_bias"] else None
         return cls(
             weights=weights.copy(),
             bias=None if bias is None else bias.copy(),

@@ -126,11 +126,12 @@ def temporal_correlation(video: np.ndarray, pixel, dt_max: int) -> CorrelationSe
     """Pearson correlation of a pixel series with itself at lags 0..dt_max.
 
     Raises DegenerateStatisticError when either slice of a lagged pair has
-    zero variance (the correlation is undefined there).
+    zero variance (the correlation is undefined there).  A lag leaves at
+    least two samples in each slice, so dt_max runs up to T - 2.
     """
     series = _pixel_series(video, pixel)
-    if dt_max < 0 or dt_max >= len(series):
-        raise ParameterError(f"dt_max {dt_max} outside 0..{len(series) - 1}")
+    if dt_max < 0 or dt_max >= len(series) - 1:
+        raise ParameterError(f"dt_max {dt_max} outside 0..{len(series) - 2}")
     rho = np.empty(dt_max + 1)
     for d in range(dt_max + 1):
         a = series[:len(series) - d]

@@ -18,21 +18,19 @@ from .errors import DivergenceError, ParameterError
 
 @dataclass
 class Trajectory:
-    """A stored trajectory plus the provenance needed to regenerate it.
+    """A stored trajectory and how its frames were sampled in time.
 
     frames:  (T, n, n) scalar fields, (T, 2, n, n) stacked wave states,
              or (T, N) line fields; frame 0 is the earliest stored state
     dt:      time between *stored* frames (integrator step times skip)
     skip:    store one frame per this many integrator steps
     burn_in: stored frames dropped from the beginning before returning
-    seed:    seed of the initial condition, if one was drawn
     """
 
     frames: np.ndarray
     dt: float
     skip: int = 1
     burn_in: int = 0
-    seed: int | None = None
 
     def __post_init__(self):
         self.frames = np.asarray(self.frames, dtype=float)
@@ -53,13 +51,12 @@ def _gershgorin_radius(op) -> float:
     return float(np.abs(np.asarray(op)).sum(axis=1).max())
 
 
-def simulate_linear(op, x0: np.ndarray, dt: float, steps: int, skip: int = 1,
-                    seed=None) -> Trajectory:
+def simulate_linear(op, x0: np.ndarray, dt: float, steps: int, skip: int = 1) -> Trajectory:
     """Forward-Euler trajectory of one initial state: the ceil(steps/skip)
     stored frames of :func:`euler_frames` for the B = 1 stack ``x0[None]``."""
     x0 = np.asarray(x0, dtype=float)
     frames = np.stack([frame[0] for frame in euler_frames(op, x0[None], dt, steps, skip=skip)])
-    return Trajectory(frames, dt=dt * skip, skip=skip, seed=seed)
+    return Trajectory(frames, dt=dt * skip, skip=skip)
 
 
 def euler_frames(op, x0s: np.ndarray, dt: float, steps: int, skip: int = 1):
@@ -172,7 +169,7 @@ def _dealias_mask(n: int, ndim: int) -> np.ndarray:
 
 
 def simulate_kse2d(u0: np.ndarray, domain_length: float, dt: float, steps: int,
-                   skip: int = 1, burn_in: int = 0, seed=None) -> Trajectory:
+                   skip: int = 1, burn_in: int = 0) -> Trajectory:
     """ETDRK4 integration of the 2D Kuramoto-Sivashinsky equation.
 
         u_t = -lap(u) - lap^2(u) - |grad u|^2 / 2
@@ -230,11 +227,10 @@ def simulate_kse2d(u0: np.ndarray, domain_length: float, dt: float, steps: int,
                     raise DivergenceError(f"state diverged by step {step}", step=step)
                 frames[stored] = u
                 stored += 1
-    return Trajectory(frames, dt=dt * skip, skip=skip, burn_in=burn_in, seed=seed)
+    return Trajectory(frames, dt=dt * skip, skip=skip, burn_in=burn_in)
 
 
-def simulate_kse1d(u0: np.ndarray, domain_length: float, dt: float, steps: int,
-                   seed=None) -> Trajectory:
+def simulate_kse1d(u0: np.ndarray, domain_length: float, dt: float, steps: int) -> Trajectory:
     """ETDRK2 integration of the 1D Kuramoto-Sivashinsky equation.
 
         u_t = -u_xx - u_xxxx - u u_x
@@ -274,4 +270,4 @@ def simulate_kse1d(u0: np.ndarray, domain_length: float, dt: float, steps: int,
         if not np.all(np.isfinite(u)):
             raise DivergenceError(f"state diverged by step {step}", step=step)
         frames[step] = u
-    return Trajectory(frames, dt=dt, seed=seed)
+    return Trajectory(frames, dt=dt)

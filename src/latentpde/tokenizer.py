@@ -74,18 +74,11 @@ def forecast_pairs(tokens: np.ndarray, k: int):
 
 
 def build_histories(frames: np.ndarray, k: int, patch: int):
-    """Forecasting samples from one trajectory.
-
-    Returns ``(histories, token_targets, field_targets)`` where history r
-    covers frames ``r .. r+k-1`` and both targets are frame ``r+k`` (its
-    token frame and the raw field).  A trajectory of T frames yields
-    T - k samples; T <= k raises.  Shapes: (S, k, m), (S, m), and
-    (S, n, n) or (S, 2, n, n); the histories are windows of one token
-    array, not copies.
-    """
-    frames = np.asarray(frames, dtype=float)
-    histories, token_targets = forecast_pairs(tokenize_trajectory(frames, patch), k)
-    return histories, token_targets, frames[k:]
+    """Forecasting samples from one trajectory: :func:`forecast_pairs` of
+    its token frames, ``(histories, targets)`` of shapes (T-k, k, m) and
+    (T-k, m), where history r covers frames ``r .. r+k-1`` and its target
+    is the token frame ``r+k``.  T <= k raises."""
+    return forecast_pairs(tokenize_trajectory(frames, patch), k)
 
 
 def build_reconstruction_pairs(frames: np.ndarray, k: int, patch: int):

@@ -1,3 +1,4 @@
+import argparse
 from collections import Counter
 import contextlib
 import dataclasses
@@ -6,6 +7,7 @@ import io
 import json
 import os
 import re
+import shutil
 import subprocess
 import sys
 import warnings
@@ -18,8 +20,8 @@ import pytest
 import latentpde
 from latentpde import (DataFormatError, DatasetManifest, DivergenceError, ParameterError,
                        apply_normalization, cli, compute_normalization, export_frame_image,
-                       generate_dataset, invert_normalization, load_all,
-                       load_manifest, load_trajectory, read_csv, write_csv, write_dataset)
+                       generate_dataset, load_all, load_manifest, load_trajectory, read_csv,
+                       write_csv, write_dataset)
 from latentpde import dataset as dataset_module
 
 TINY_HEAT = {
@@ -112,7 +114,8 @@ def test_normalization_endpoints_and_inverse():
     assert stats["lo"] == -3.0 and stats["hi"] == 5.0 and not stats["constant"]
     scaled = apply_normalization(frames[0], stats)
     assert scaled.min() == -1.0 and scaled.max() == 1.0
-    np.testing.assert_allclose(invert_normalization(scaled, stats), frames[0], atol=1e-14)
+    # the affine map of [lo, hi] = [-3, 5] onto [-1, 1], undone by hand
+    np.testing.assert_allclose((scaled + 1.0) * 4.0 - 3.0, frames[0], atol=1e-14)
 
 
 def test_normalization_reads_any_iterable_once():
@@ -129,7 +132,7 @@ def test_normalization_constant_input():
     assert stats["constant"]
     scaled = apply_normalization(frames[0], stats)
     np.testing.assert_array_equal(scaled, 0.0)
-    np.testing.assert_array_equal(invert_normalization(scaled, stats), frames[0])
+    np.testing.assert_array_equal(scaled + 7.0, frames[0])
 
 
 def test_export_gray_midpoint(tmp_path):
@@ -170,14 +173,6 @@ def test_csv_roundtrip(tmp_path):
 def run_cli(argv):
     code = cli.main(argv)
     assert code == 0, f"cli {argv} exited {code}"
-
-
-@pytest.mark.parametrize("name", sorted(dataset_module.PRESETS))
-def test_presets_are_complete_configs(name):
-    args = cli.build_parser().parse_args(["generate", "--preset", name, "--out", "unused"])
-    config = cli._load_config(args)
-    assert config == dataset_module.PRESETS[name]
-    dataset_module._check_config(config)
 
 
 def test_cli_generate_regenerate_bit_identical(tmp_path):
@@ -315,9 +310,15 @@ def test_fit_and_sweep_refuse_a_history_or_patch_the_frames_cannot_take(config, 
 
 
 def test_cli_error_exit_codes(tmp_path, capsys):
-    # conflicting sources -> parameter error
-    assert cli.main(["generate", "--preset", "heat32", "--config", "x.json",
-                     "--out", str(tmp_path / "d")]) == 2
+    # a config comes from exactly one of two sources -> parameter error
+    for sources in ([], ["--from-manifest", "manifest.json", "--config", "x.json"]):
+        assert cli.main(["generate", *sources, "--out", str(tmp_path / "d")]) == 2, sources
+    # an empty path names no readable file; it is not a missing source
+    capsys.readouterr()
+    for flag in ("--config", "--from-manifest"):
+        assert cli.main(["generate", flag, "", "--out", str(tmp_path / "d")]) == 3, flag
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: "), (flag, lines)
     # unreadable model file -> data format error
     bad = tmp_path / "bad.lpm"
     bad.write_bytes(b"nonsense")
@@ -369,6 +370,9 @@ def test_cli_error_exit_codes(tmp_path, capsys):
     for argv in (["export", "--data", str(data), "--traj-index", "3"],
                  ["export", "--data", str(data), "--frame", str(TINY_HEAT["frames"])],
                  ["sweep", "--data", str(data), "--patch", "4", "--k-list", "1", "--trials", "0"],
+                 # each slice of the last lag holds one sample: once exit 5
+                 ["metrics", "correlation", "--data", str(data),
+                  "--dt-max", str(TINY_HEAT["frames"] - 1)],
                  [*fit, "--train-frac", "inf"],
                  [*fit, "--ridge", "inf"],
                  [*fit, "--ridge", "nan"],
@@ -446,6 +450,9 @@ def test_cli_error_exit_codes(tmp_path, capsys):
                          for drop in ("out_dim", "has_bias", "patch", "normalization"))):
         bad_model.write_bytes(json.dumps(bad_header).encode() + blob[cut:])
         data_format_error(rollout)
+    # a weight no fit saves: once a divergence (exit 4)
+    bad_model.write_bytes(blob[:cut + 2] + np.array([NAN], "<f8").tobytes() + blob[cut + 10:])
+    data_format_error(rollout)
     meta = json.loads(open(clip + "_meta.json").read())
     subvideo = ["metrics", "subvideo", "--data", str(data), "--clip-prefix",
                 str(tmp_path / "badclip"), "--out", str(tmp_path / "s.csv")]
@@ -466,7 +473,9 @@ def test_cli_error_exit_codes(tmp_path, capsys):
                                  (dict(meta, fields_shape=[0, 8, 8]), b""),
                                  # longer than every trajectory: once a bad flag (exit 2)
                                  (dict(meta, fields_shape=[20, 8, 8]),
-                                  np.zeros(20 * 64).tobytes())):
+                                  np.zeros(20 * 64).tobytes()),
+                                 # a value no rollout writes: once inf distances, exit 0
+                                 (meta, np.array([NAN], "<f8").tobytes() + fields[8:])):
         (tmp_path / "badclip_meta.json").write_text(json.dumps(bad_meta))
         (tmp_path / "badclip_fields.bin").write_bytes(bad_fields)
         data_format_error(subvideo)
@@ -536,6 +545,23 @@ def test_cli_error_exit_codes(tmp_path, capsys):
                            "--k", "2", "--out", str(tmp_path / "m.lpm")])
         data_format_error(["generate", "--from-manifest", str(bad_data / "manifest.json"),
                            "--out", str(tmp_path / "regen")])
+    # a blob value no generate writes: once exit 0 with NaN tokens or a
+    # garbled image, a bad flag (exit 2) or a divergence (exit 4)
+    nan_data = tmp_path / "nandata"
+    shutil.copytree(data, nan_data)
+    blob0 = nan_data / "traj_00000.bin"
+    blob0.write_bytes(np.array([NAN], "<f8").tobytes() + blob0.read_bytes()[8:])
+    fit = ["fit", "--data", str(nan_data), "--role", "g", "--patch", "4", "--k", "2"]
+    for argv in (["tokenize", "--data", str(nan_data), "--patch", "4",
+                  "--out", str(tmp_path / "nantok")],
+                 [*fit, "--out", str(tmp_path / "nan.lpm")],
+                 [*fit, "--learner", "sgd", "--steps", "3", "--out", str(tmp_path / "nan.lpm")],
+                 ["export", "--data", str(nan_data), "--out", str(tmp_path / "nan.pgm")],
+                 ["metrics", "correlation", "--data", str(nan_data), "--dt-max", "3",
+                  "--out", str(tmp_path / "nan.csv")],
+                 ["rollout", "--data", str(nan_data), "--model", model, "--steps", "3",
+                  "--out-prefix", str(tmp_path / "nanroll")]):
+        data_format_error(argv)
     os.remove(data / "traj_00001.bin")
     data_format_error(["export", "--data", str(data), "--traj-index", "1",
                        "--out", str(tmp_path / "gone.pgm")])
@@ -1103,8 +1129,8 @@ def fuzz_files(tmp_path_factory):
 # tuple: one of them) and the pool a drawn value comes from
 _INPUTS, _OUTPUTS, _NUMBERS = "inputs", "outputs", "numbers"
 FUZZ_VERBS = {
-    "generate": {"--config": ("{heat_json}", _INPUTS), "--preset": (None, _NUMBERS),
-                 "--from-manifest": (None, _INPUTS), "--out": ("{out}", _OUTPUTS)},
+    "generate": {"--config": ("{heat_json}", _INPUTS), "--from-manifest": (None, _INPUTS),
+                 "--out": ("{out}", _OUTPUTS)},
     "tokenize": {"--data": ("{heat}", _INPUTS), "--patch": ("4", _NUMBERS),
                  "--out": ("{out}", _OUTPUTS)},
     "fit": {"--data": ("{heat}", _INPUTS), "--role": (("g", "super"), ("x",)),
@@ -1147,6 +1173,17 @@ FUZZ_POOLS = {
               "{bad_header}", "{bad_clip}", "{bad_manifest}", "{bad_manifest}/manifest.json"),
     _OUTPUTS: ("{out}", "{outputs}", "{missing}/out"),
 }
+
+
+def test_fuzz_table_names_every_flag():
+    """Each verb's row of FUZZ_VERBS holds exactly the flags the parser
+    defines for that verb, so the fuzz draws every flag and no stale one."""
+    verbs = next(action.choices for action in cli.build_parser()._actions
+                 if isinstance(action, argparse._SubParsersAction))
+    assert sorted(verbs) == sorted(FUZZ_VERBS)
+    for verb, parser in verbs.items():
+        flags = {flag for action in parser._actions for flag in action.option_strings}
+        assert flags - {"-h", "--help"} == set(FUZZ_VERBS[verb]), verb
 
 
 @st.composite

@@ -56,7 +56,8 @@ def test_rank_test_relative_tolerance():
 
 def lattice(grid, patch, grf_seed, constant, wave=False):
     """Heat (or wave) generator on a grid x grid lattice, with a constant
-    or the preset GRF conductivity, and its patch tokenizer."""
+    or the GRF conductivity the observability verb uses without
+    ``--constant``, and its patch tokenizer."""
     spec = GridSpec(n=grid)
     if constant is None:
         a = 0.2 * build_conductivity(GrfParams(grid_size=grid, sigma=0.5, m=0.1, nu=1.0,

@@ -139,6 +139,18 @@ def test_correlation_pixel_outside_the_frame():
         temporal_correlation(video.reshape(20, 25), pixel=25, dt_max=3)
 
 
+def test_correlation_lag_leaves_two_samples():
+    """At lag T - 1 each slice holds one sample, whose variance is zero, so
+    the largest lag is T - 2; a larger one is a bad parameter."""
+    video = np.random.default_rng(7).standard_normal((12, 4))
+    assert temporal_correlation(video, pixel=0, dt_max=10).mean.shape == (11,)
+    for dt_max in (11, 12, -1):
+        with pytest.raises(ParameterError, match=r"outside 0\.\.10"):
+            temporal_correlation(video, pixel=0, dt_max=dt_max)
+    with pytest.raises(ParameterError):
+        correlation_ensemble_stats([video, video], pixel=0, dt_max=11)
+
+
 def test_correlation_degenerate_pixel():
     video = np.ones((30, 4))
     with pytest.raises(DegenerateStatisticError):

@@ -98,20 +98,19 @@ def test_build_histories_alignment():
     rng = np.random.default_rng(3)
     frames = rng.standard_normal((10, 8, 8))
     tokens = tokenize_trajectory(frames, 4)
-    hist, tok_targets, field_targets = build_histories(frames, k=3, patch=4)
+    hist, tok_targets = build_histories(frames, k=3, patch=4)
     assert hist.shape == (7, 3, 4)
     assert tok_targets.shape == (7, 4)
-    assert field_targets.shape == (7, 8, 8)
     # sample s uses token frames s..s+k-1 to predict frame s+k
     for s in (0, 4, 6):
         np.testing.assert_array_equal(hist[s], tokens[s:s + 3])
         np.testing.assert_array_equal(tok_targets[s], tokens[s + 3])
-        np.testing.assert_array_equal(field_targets[s], frames[s + 3])
+        np.testing.assert_array_equal(tok_targets[s], tokenize(frames[s + 3], 4))
 
 
 def test_build_histories_edge_counts():
     frames = np.random.default_rng(4).standard_normal((4, 4, 4))
-    hist, tok_targets, _ = build_histories(frames, k=3, patch=2)
+    hist, tok_targets = build_histories(frames, k=3, patch=2)
     assert hist.shape[0] == 1 and tok_targets.shape[0] == 1
     with pytest.raises(ParameterError):
         build_histories(frames, k=4, patch=2)
