@@ -217,6 +217,10 @@ def cmd_metrics(args) -> int:
     manifest = ds.load_field_manifest(args.data)
     frames = ds.trajectories(args.data, manifest)
     if args.kind == "correlation":
+        # a lag leaves at least two samples in each slice
+        if not 0 <= args.dt_max <= manifest.frames - 2:
+            raise ParameterError(f"--dt-max {args.dt_max} outside 0..{manifest.frames - 2} for "
+                                 f"data of {manifest.frames} frames per trajectory")
         i, j = args.pixel
         videos = (amplitude(fr) for fr in frames)
         series = correlation_ensemble_stats(videos, (i, j), args.dt_max)

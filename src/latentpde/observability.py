@@ -16,6 +16,13 @@ annihilated by the tokenizer yet is an eigenvector of the generator, so
 its entire orbit is invisible.  :func:`annihilation_witness` constructs
 that state explicitly.
 
+The Kalman and Hautus checks answer a wave pair A = [[0, I], [L, 0]],
+h = [P, 0] from the symmetric heat pair (L, P): ranks and the
+observability index double, each eigenvalue mu of L gives +-sqrt(mu)
+with |P v| scaled by 1/sqrt(1 + |mu|), and the heat cluster at 0 is a
+Jordan chain tested on its eigenvectors [v; 0].  The Gramian's step
+propagator comes from ``eigh`` for a symmetric generator, else ``expm``.
+
 Each check returns a report whose ``to_text`` the command line prints.
 """
 
@@ -178,11 +185,31 @@ def kalman_rank_test(A, h, rel_tol: float = 1e-10) -> KalmanReport:
     spans the basis.  The rank gap is two relative singular values,
     ``smallest_kept`` (NaN when nothing was kept) and ``largest_rejected``
     (0 if none was rejected).
+
+    A wave pair A = [[0, I], [L, 0]], h = [P, 0] with L symmetric is
+    answered from the staircase of (L, P): h A^{2j} = [P L^j, 0] and
+    h A^{2j+1} = [0, P L^j], so each block of (L, P) is kept twice in a
+    row.  The rank, ``hidden_in_span`` and ``observability_index`` double
+    and each block rank repeats.  ``largest_rejected`` and
+    ``generator_rescaled_by`` are those of (L, P); A has L's Gershgorin
+    bound or 1, whichever is larger.  ``smallest_kept`` is the smaller of
+    that of (L, P) and ``generator_rescaled_by``, the relative singular
+    value of each repeated block [0; Q_j].
     """
     if not 0 < rel_tol < 1:
         raise ParameterError(f"rel_tol must be in (0, 1), got {rel_tol}")
     n = A.shape[0]
     hd = _output_map(A, h)
+    pair = _wave_pair(A, hd)
+    if pair is not None:
+        heat = kalman_rank_test(*pair, rel_tol=rel_tol)
+        return KalmanReport(n, heat.observable, rel_tol, 2 * heat.rank,
+                            2 * heat.observability_index,
+                            [r for r in heat.block_ranks for _ in range(2)],
+                            2 * heat.hidden_in_span,
+                            # a NaN smallest_kept (nothing kept) stays NaN
+                            min(heat.smallest_kept, heat.generator_rescaled_by),
+                            heat.largest_rejected, heat.generator_rescaled_by)
     bound = _gershgorin_radius(A)
     radius = max(1.0, bound)
     at = (sp.csr_matrix(A.T) if sp.issparse(A) else np.asarray(A, dtype=float).T) / radius
@@ -221,47 +248,98 @@ def kalman_rank_test(A, h, rel_tol: float = 1e-10) -> KalmanReport:
                         1.0 / radius)
 
 
+def _is_symmetric(A: np.ndarray) -> bool:
+    """Dense A equals its transpose to 1e-12 of its largest entry."""
+    return np.allclose(A, A.T, rtol=0, atol=1e-12 * max(1.0, np.abs(A).max()))
+
+
 def _eigenspace_outputs(A, hd: np.ndarray) -> list:
     """Rows (mean eigenvalue, cluster size, |h| on the eigenspace) per
-    cluster of eigenvalues of the dense matrix A.
+    cluster of eigenvalues of the dense matrix A, ordered by real part,
+    then imaginary part.
 
-    Eigenvalues within 1e-8 * max|eig| of each other form one cluster.
-    The last entry is the singular values of ``hd`` on an orthonormal basis
-    of the cluster's eigenspace, padded with zeros where the eigenspace is
-    wider than the output.  For a symmetric A that basis is the cluster's
-    eigenvectors.  Otherwise the computed eigenvectors of a Jordan chain
-    span the whole chain, so the basis is cut to the directions v of their
-    span with |(A - mean) v| <= 1e-4 * max|eig|: on an eigenvector that
-    residual is at most the cluster width, on the next vector of a chain
-    it is the chain's coupling.
+    Each cluster is the eigenvalues within 1e-8 * max|eig| of the first,
+    in that order, that no cluster holds yet.  It is gathered from the
+    whole spectrum, not from a run of neighbours in the order: the real
+    parts of a complex cluster carry rounding, which interleaves its
+    members with those of other clusters.  The last entry is the singular values of ``hd`` on
+    an orthonormal basis of the cluster's eigenspace, padded with zeros
+    where the eigenspace is wider than the output.  For a symmetric A that
+    basis is the cluster's eigenvectors.  Otherwise the computed
+    eigenvectors of a Jordan chain span the whole chain, so the basis is
+    cut to the directions v of their span with
+    |(A - mean) v| <= 1e-4 * max|eig|: on an eigenvector that residual is
+    at most the cluster width, on the next vector of a chain it is the
+    chain's coupling.
     """
-    if np.allclose(A, A.T, rtol=0, atol=1e-12 * max(1.0, np.abs(A).max())):
+    symmetric = _is_symmetric(A)
+    if symmetric:
         vals, vecs = np.linalg.eigh(A)
-        vals, symmetric = vals.astype(complex), True
+        vals = vals.astype(complex)
     else:
         vals, vecs = np.linalg.eig(A)
-        symmetric = False
     scale = max(1.0, float(np.abs(vals).max()))
     cluster_tol = 1e-8 * scale
     order = np.lexsort((vals.imag, vals.real))
     vals, vecs = vals[order], vecs[:, order]
     rows = []
-    start = 0
-    while start < len(vals):
-        stop = start + 1
-        while stop < len(vals) and abs(vals[stop] - vals[start]) <= cluster_tol:
-            stop += 1
-        mean = complex(vals[start:stop].mean())
-        q, _ = np.linalg.qr(vecs[:, start:stop])
-        if not symmetric and stop - start > 1:
-            shifted = q.conj().T @ (A @ q) - mean * np.eye(stop - start)
+    free = np.ones(len(vals), dtype=bool)
+    for start in range(len(vals)):
+        if not free[start]:
+            continue
+        members = np.flatnonzero(free & (np.abs(vals - vals[start]) <= cluster_tol))
+        free[members] = False
+        mean = complex(vals[members].mean())
+        q, _ = np.linalg.qr(vecs[:, members])
+        if not symmetric and members.size > 1:
+            shifted = q.conj().T @ (A @ q) - mean * np.eye(members.size)
             _, sv, wh = np.linalg.svd(shifted)
             dim = max(1, int((sv <= 1e-4 * scale).sum()))
             q = q @ wh[-dim:].conj().T
         norms = np.linalg.svd(hd @ q, compute_uv=False)
-        rows.append((mean, stop - start, np.pad(norms, (0, q.shape[1] - norms.size))))
-        start = stop
+        rows.append((mean, members.size, np.pad(norms, (0, q.shape[1] - norms.size))))
     return rows
+
+
+def _wave_pair(A, hd: np.ndarray):
+    """``(L, P)``, L sparse, when A = [[0, I], [L, 0]] with L symmetric
+    and hd = [P, 0] hold exactly, as :func:`build_wave_generator` and the
+    amplitude tokenizer build them; else None."""
+    n = A.shape[0] // 2
+    if A.shape[0] != 2 * n or hd[:, n:].any():
+        return None
+    blocks = sp.csr_array(A)
+    lap = blocks[n:, :n]
+    identity = sp.eye_array(n, format="csr")
+    if (blocks[:n, :n].count_nonzero() or blocks[n:, n:].count_nonzero()
+            or (blocks[:n, n:] != identity).count_nonzero() or (lap != lap.T).count_nonzero()):
+        return None
+    return lap, hd[:, :n]
+
+
+def _wave_eigenspace_outputs(lap, p: np.ndarray) -> list:
+    """The rows of :func:`_eigenspace_outputs` for A = [[0, I], [L, 0]]
+    and h = [P, 0], from the symmetric pair (L, P).
+
+    Each heat eigenvector L v = mu v gives the wave eigenvectors [v; lam v]
+    with lam = +-sqrt(mu), of norm sqrt(1 + |mu|), on which h reads P v;
+    so each heat cluster gives two wave clusters of its size, with the
+    heat norms divided by sqrt(1 + |mu|).  The heat cluster within
+    1e-8 * max|mu| of 0 is a Jordan chain [v; 0] -> [0; v] instead: one
+    cluster at 0 of twice the size, tested on its eigenvectors [v; 0]
+    with the heat norms as they are.
+    """
+    heat = _eigenspace_outputs(lap.toarray(), p)
+    cluster_tol = 1e-8 * max(1.0, max(abs(mu) for mu, _, _ in heat))
+    rows = []
+    for mu, mult, norms in heat:
+        if abs(mu) <= cluster_tol:
+            rows.append((0j, 2 * mult, norms))
+        else:
+            # 0.0 - root, not -root, so that an imaginary pair prints with +0 real parts
+            root = np.sqrt(mu)
+            rows += [(lam, mult, norms / np.sqrt(1.0 + abs(mu))) for lam in (root, 0.0 - root)]
+    return sorted(rows, key=lambda row: (row[0].real, row[0].imag))
 
 
 def hautus_test(A, h, tol: float = 1e-8) -> HautusReport:
@@ -271,14 +349,18 @@ def hautus_test(A, h, tol: float = 1e-8) -> HautusReport:
     1e-8 * max|eig| of each other are treated as one cluster and the
     minimum is taken over the whole (orthonormalised) eigenspace, so
     degenerate spectra are handled correctly; a Jordan chain counts only
-    its eigenvectors (see :func:`_eigenspace_outputs`).
+    its eigenvectors (see :func:`_eigenspace_outputs`).  A wave pair
+    A = [[0, I], [L, 0]], h = [P, 0] with L symmetric is answered from
+    the spectrum of L alone (see :func:`_wave_eigenspace_outputs`).
     """
     if not tol > 0:
         raise ParameterError(f"tol must be > 0, got {tol}")
     n = A.shape[0]
     hd = _output_map(A, h)
-    failing = [(lam, mult, float(norms.min()))
-               for lam, mult, norms in _eigenspace_outputs(_as_dense(A), hd)
+    pair = _wave_pair(A, hd)
+    rows = (_eigenspace_outputs(_as_dense(A), hd) if pair is None
+            else _wave_eigenspace_outputs(*pair))
+    failing = [(lam, mult, float(norms.min())) for lam, mult, norms in rows
                if norms.min() < tol]
     return HautusReport(n, not failing, tol, n, failing)
 
@@ -347,8 +429,12 @@ _GRAMIAN_DENSE_LIMIT = 256
 
 
 def _step_propagator(A, horizon: float, quadrature_steps: int):
-    """``(steps, expm(A * horizon/steps))`` with ``quadrature_steps``
-    rounded up to even; dense, guarded to state dims <= 256."""
+    """``(steps, e^{A delta})``, delta = horizon/steps, with
+    ``quadrature_steps`` rounded up to even; dense, guarded to state dims
+    <= 256.  A symmetric A gives V e^{Lambda delta} V' from numpy's
+    ``eigh``, whose bits do not depend on the BLAS thread count inside a
+    verb; any other A gives scipy's ``expm``, which runs on scipy's own
+    BLAS threads."""
     n = A.shape[0]
     if n > _GRAMIAN_DENSE_LIMIT:
         raise ParameterError(f"dense Gramian limited to state dim {_GRAMIAN_DENSE_LIMIT}, got {n}")
@@ -357,7 +443,11 @@ def _step_propagator(A, horizon: float, quadrature_steps: int):
     if quadrature_steps < 2:
         raise ParameterError(f"quadrature_steps must be >= 2, got {quadrature_steps}")
     steps = quadrature_steps + (quadrature_steps % 2)
-    return steps, expm(_as_dense(A) * (horizon / steps))
+    dense, delta = _as_dense(A), horizon / steps
+    if not _is_symmetric(dense):
+        return steps, expm(dense * delta)
+    vals, vecs = np.linalg.eigh(dense)
+    return steps, (vecs * np.exp(vals * delta)) @ vecs.T
 
 
 def _simpson_pass(estep: np.ndarray, hd: np.ndarray, horizon: float, steps: int,
@@ -524,7 +614,9 @@ def empirical_lie_logdet(traj, patch: int, derivative_order: int = 5,
     scaling the trajectory by c shifts every log |det| by dim * log(c).
     Singular values, when requested, skip the first ``burn_frac`` share
     of the windows; a pool of one thread per core computes them (the
-    count :func:`latentpde.learners._one_blas_thread` yields).
+    count :func:`latentpde.learners._one_blas_thread` yields).  Both the
+    determinants and the singular values run on one BLAS thread, so a
+    library call gives the same bits on any core count.
     """
     frames = np.asarray(getattr(traj, "frames", traj), dtype=float)
     dt = float(getattr(traj, "dt", 1.0))
@@ -550,20 +642,21 @@ def empirical_lie_logdet(traj, patch: int, derivative_order: int = 5,
     # (nt, dim, dim) strided view; the LAPACK gufuncs copy one matrix at a time
     windows = np.lib.stride_tricks.sliding_window_view(z, dim, axis=0)
     nt = windows.shape[0]
-    sign, logabs = np.linalg.slogdet(windows)
     min_sv = max_sv = None
-    if with_singular_values:
-        first = int(burn_frac * nt)
-        min_sv, max_sv = np.full(nt, np.nan), np.full(nt, np.nan)
+    # on one BLAS thread an LU keeps its bits on any core count
+    with _one_blas_thread() as cores:
+        sign, logabs = np.linalg.slogdet(windows)
+        if with_singular_values:
+            first = int(burn_frac * nt)
+            min_sv, max_sv = np.full(nt, np.nan), np.full(nt, np.nan)
 
-        def extremes(chunk):
-            svals = np.linalg.svd(windows[chunk], compute_uv=False)
-            min_sv[chunk], max_sv[chunk] = svals[:, -1], svals[:, 0]
+            def extremes(chunk):
+                svals = np.linalg.svd(windows[chunk], compute_uv=False)
+                min_sv[chunk], max_sv[chunk] = svals[:, -1], svals[:, 0]
 
-        # svd releases the GIL: contiguous chunks of windows go to one
-        # worker per core, each on one BLAS thread, and each writes its own
-        # slices; the values keep their bits for any split
-        with _one_blas_thread() as cores:
+            # svd releases the GIL: contiguous chunks of windows go to one
+            # worker per core, and each writes its own slices; the values
+            # keep their bits for any split
             workers = min(cores, nt - first)
             edges = [first + (nt - first) * i // workers for i in range(workers + 1)]
             with ThreadPoolExecutor(workers) as pool:

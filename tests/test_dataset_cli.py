@@ -1041,6 +1041,44 @@ def test_cli_observability_lie_does_not_depend_on_the_core_count(tmp_path, monke
     assert outputs[0] == outputs[1]
 
 
+def test_cli_heat_gramian_does_not_depend_on_the_core_count(tmp_path, monkeypatch):
+    """At grid 16 (state dimension 256) scipy's expm of the generator gave
+    other bits on one BLAS thread and on two; the symmetric heat
+    generator's propagator now comes from numpy's eigh inside the verb's
+    one-thread scope."""
+    outputs = []
+    for threads in ("1", "2"):
+        monkeypatch.setenv("OPENBLAS_NUM_THREADS", threads)
+        out = tmp_path / f"gramian{threads}.txt"
+        proc = run_module(["observability", "--check", "gramian", "--grid", "16", "--patch", "2",
+                           "--horizon", "4", "--out", str(out)])
+        assert proc.returncode == 0, proc.stderr
+        outputs.append(out.read_bytes())
+    assert float(parse_report(outputs[0].decode())["relative_reconstruction_error"]) < 1e-6
+    assert outputs[0] == outputs[1]
+
+
+def test_metrics_correlation_checks_dt_max_against_the_frame_count(tmp_path, capsys,
+                                                                  monkeypatch):
+    data = tmp_path / "data"
+    write_dataset(*generate_dataset(TINY_HEAT), str(data))
+    reads = []
+    load = dataset_module.load_trajectory
+    monkeypatch.setattr(dataset_module, "load_trajectory",
+                        lambda *args: reads.append(args) or load(*args))
+    frames = TINY_HEAT["frames"]
+    for dt_max in (frames - 1, -1):
+        assert cli.main(["metrics", "correlation", "--data", str(data), "--dt-max", str(dt_max),
+                         "--out", str(tmp_path / "corr.csv")]) == 2
+        lines = capsys.readouterr().err.splitlines()
+        assert lines == [f"error: --dt-max {dt_max} outside 0..{frames - 2} for data of "
+                         f"{frames} frames per trajectory"]
+    assert reads == [] and not (tmp_path / "corr.csv").exists()
+    run_cli(["metrics", "correlation", "--data", str(data), "--dt-max", str(frames - 2),
+             "--out", str(tmp_path / "corr.csv")])
+    assert len(reads) == TINY_HEAT["trajectories"]
+
+
 def test_cli_observability_witness_and_kalman(tmp_path, capsys):
     out = str(tmp_path / "witness.txt")
     run_cli(["observability", "--check", "witness", "--grid", "16", "--patch", "4",

@@ -103,7 +103,7 @@ CLI_DIGESTS = {
                "b53c7a4cd53276e39dec553ee48ab81c017600a46fde6272957981bae5e1719d"),
     "gramian": (["observability", "--check", "gramian", "--grid", "8", "--patch", "2",
                  "--horizon", "4"],
-                "e2ef1c40ceebf00e0c3a9a9e0144a32c91538b6995dae6df8ab3f3232071f190"),
+                "bc885c4e0530c716ea43cb71e7d2349659f2e84d98f7aa695a3b140cab3b0117"),
     "sweep": (["sweep", "--data", "{data}", "--patch", "4", "--k-list", "1,2,4",
                "--trials", "1"],
               "5596ee018ecfee29cc4e5049f39149efb0f18760a7908f03fc239fadf18d93e8"),

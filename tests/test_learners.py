@@ -520,6 +520,29 @@ def test_window_svds_keep_their_bits_on_any_number_of_workers(monkeypatch):
     assert sizes == [1, 2, 3, 1]
 
 
+def test_a_library_log_det_keeps_its_bits_on_any_thread_count():
+    """Windows of dimension 150, whose LU OpenBLAS shares among threads: a
+    library call gives the same determinants and singular values whatever
+    count the caller left numpy's OpenBLAS at, and leaves that count."""
+    setter = learners_module._blas_thread_setter()
+    if setter is None or _blas_threads() is None:
+        pytest.skip("numpy does not run scipy-openblas")
+    frames = np.random.default_rng(43).standard_normal((170, 150))
+    outputs = []
+    outer = setter(1)
+    try:
+        for threads in (1, 2):
+            setter(threads)
+            series = observability_module.empirical_lie_logdet(
+                frames, patch=1, derivative_order=1, window=5, with_singular_values=True)
+            assert _blas_threads() == threads
+            outputs.append([series.sign.tobytes(), series.log_abs_det.tobytes(),
+                            series.min_sv.tobytes(), series.max_sv.tobytes()])
+    finally:
+        setter(outer)
+    assert outputs[0] == outputs[1]
+
+
 def test_each_verb_runs_on_one_blas_thread_and_restores_the_count(tmp_path, monkeypatch,
                                                                   capsys):
     setter = learners_module._blas_thread_setter()

@@ -3,6 +3,7 @@ import dataclasses
 import mpmath
 import numpy as np
 import pytest
+import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.linalg import expm as real_expm
@@ -163,11 +164,116 @@ def test_a_jordan_chain_counts_only_its_eigenvector():
 @pytest.mark.parametrize("grf_seed", [0, 6, 9])
 def test_wave_with_a_varying_conductivity_is_observable(grf_seed):
     # The wave generator has a Jordan chain at 0 (u constant, then v
-    # constant); for these seeds eig splits it within the cluster width.
+    # constant).  Both certificates answer from the Laplacian, which tests
+    # the chain on its eigenvector (u constant, v = 0) alone.
     A, h = lattice(8, 4, grf_seed, None, wave=True)
     assert hautus_test(A, h).observable
     report = kalman_rank_test(A, h)
     assert report.observable and report.rank == 128
+
+
+def permuted(A, h, seed):
+    """The pair, dense, under a random state permutation: the same ranks
+    and spectrum, without the [[0, I], [L, 0]] block structure."""
+    perm = np.random.default_rng(seed).permutation(A.shape[0])
+    return obs._as_dense(A)[np.ix_(perm, perm)], obs._as_dense(h)[:, perm]
+
+
+def same_failing(lifted, dense, tol):
+    """Each failing cluster of one report is within ``tol`` of exactly one
+    of the other's, of the same size, and there are as many."""
+    def matched(rows, others):
+        return all(sum(abs(lam - mu) <= tol and mult == size for mu, size, _ in others) == 1
+                   for lam, mult, _ in rows)
+    return (len(lifted) == len(dense) and matched(lifted, dense)
+            and matched(dense, lifted))
+
+
+WAVE_CASES = ([(8, patch, seed, None) for patch in (2, 4) for seed in (0, 3, 7, 9, 41, 77)]
+              + [(16, patch, seed, None) for patch in (2, 4) for seed in (7, 77)]
+              + [(grid, patch, None, 1.0) for grid in (8, 16) for patch in (2, 4)])
+
+
+@pytest.mark.parametrize("case", WAVE_CASES)
+def test_wave_certificates_from_the_laplacian_match_the_dense_path(case):
+    """The wave pair is answered from (L, P); the same pair under a state
+    permutation has no block structure, so it takes the dense path."""
+    grid, patch, grf_seed, constant = case
+    A, h = lattice(grid, patch, grf_seed, constant, wave=True)
+    dense_a, dense_h = permuted(A, h, grid * patch)
+    assert obs._wave_pair(A, obs._as_dense(h)) is not None
+    assert obs._wave_pair(dense_a, dense_h) is None
+    lifted, dense = kalman_rank_test(A, h), kalman_rank_test(dense_a, dense_h)
+    assert lifted.observable == dense.observable == (constant is None)
+    for key in ("state_dim", "rank", "observability_index", "block_ranks", "hidden_in_span"):
+        assert getattr(lifted, key) == getattr(dense, key), key
+    lifted, dense = hautus_test(A, h), hautus_test(dense_a, dense_h)
+    assert lifted.observable == dense.observable == (constant is None)
+    assert lifted.tested_eigenvalues == dense.tested_eigenvalues == A.shape[0]
+    laplacian, _ = lattice(grid, patch, grf_seed, constant)
+    tol = 1e-8 * np.abs(np.linalg.eigvalsh(laplacian.toarray())).max()
+    assert same_failing(lifted.failing, dense.failing, tol)
+    assert bool(lifted.failing) == (constant is not None)
+
+
+def symmetric_wave_pair(hidden):
+    """A = [[0, I], [L, 0]] and h = [P, 0] for an L with eigenvalues 2, 0,
+    -1, -3, -4.5 and -7, and P blind to the eigenvectors of ``hidden``."""
+    rng = np.random.default_rng(3)
+    spectrum = [2.0, 0.0, -1.0, -3.0, -4.5, -7.0]
+    vecs, _ = np.linalg.qr(rng.standard_normal((6, 6)))
+    lap = vecs @ np.diag(spectrum) @ vecs.T
+    lap = (lap + lap.T) / 2
+    p = rng.standard_normal((2, 6))
+    for mu in hidden:
+        v = vecs[:, spectrum.index(mu)]
+        p -= np.outer(p @ v, v)
+    wave = np.block([[np.zeros((6, 6)), np.eye(6)], [lap, np.zeros((6, 6))]])
+    return wave, np.hstack([p, np.zeros((2, 6))]), lap, p
+
+
+def test_wave_certificates_of_a_symmetric_pair_with_a_hidden_mode():
+    """P blind to the eigenvector of mu = 2: the wave pair hides
+    lam = +-sqrt(2), with real eigenvalues, and sees its Jordan chain at 0
+    through the kernel vector."""
+    wave, h, lap, p = symmetric_wave_pair([2.0])
+    lifted = hautus_test(wave, h)
+    assert [mult for _, mult, _ in lifted.failing] == [1, 1]
+    assert [lam for lam, _, _ in lifted.failing] == pytest.approx([-np.sqrt(2.0), np.sqrt(2.0)],
+                                                                  abs=1e-12)
+    assert same_failing(lifted.failing, hautus_test(*permuted(wave, h, 0)).failing, 1e-7)
+    # away from 0, each cluster reads the heat norms over sqrt(1 + |mu|)
+    dense_rows = obs._eigenspace_outputs(*permuted(wave, h, 0))
+    for lam, mult, norms in obs._wave_eigenspace_outputs(sp.csr_array(lap), p):
+        if lam != 0:
+            [twin] = [row for row in dense_rows if abs(row[0] - lam) <= 1e-7]
+            assert twin[1] == mult
+            np.testing.assert_allclose(twin[2], norms, rtol=0, atol=1e-12)
+    report, heat = kalman_rank_test(wave, h), kalman_rank_test(lap, p)
+    assert (report.rank, report.observability_index) == (10, 2 * heat.observability_index)
+    assert report.block_ranks == [r for r in heat.block_ranks for _ in range(2)]
+    dense = kalman_rank_test(*permuted(wave, h, 0))
+    assert (dense.rank, dense.block_ranks) == (report.rank, report.block_ranks)
+    assert dense.smallest_kept == pytest.approx(report.smallest_kept, rel=1e-12)
+
+
+def test_a_hidden_jordan_chain_is_one_failing_cluster():
+    """P blind to the kernel vector v: the chain [v; 0] -> [0; v] fails as
+    one cluster of size 2 at 0.  eig perturbs a chain by about
+    sqrt(eps), so the dense path may split it into two clusters near
+    1e-8, on either axis."""
+    wave, h, _, _ = symmetric_wave_pair([0.0])
+    [(lam, mult, norm)] = hautus_test(wave, h).failing
+    assert (lam, mult) == (0, 2) and norm < 1e-14
+    for seed in range(5):
+        dense = hautus_test(*permuted(wave, h, seed)).failing
+        assert sum(size for _, size, _ in dense) == 2
+        assert all(abs(mu) < 1e-7 for mu, _, _ in dense)
+    # here a repeated block [0; Q_j] keeps the smallest relative singular value
+    report, heat = kalman_rank_test(wave, h), kalman_rank_test(*symmetric_wave_pair([0.0])[2:])
+    assert report.smallest_kept == report.generator_rescaled_by < heat.smallest_kept
+    assert kalman_rank_test(*permuted(wave, h, 0)).smallest_kept == pytest.approx(
+        report.smallest_kept, rel=1e-12)
 
 
 def test_cli_kalman_on_a_varying_conductivity_is_full_rank(tmp_path, capsys):
@@ -389,8 +495,11 @@ def test_gramian_reconstruction_is_one_pass_and_matches_public_functions(monkeyp
     op = build_modified_laplacian(a, grid)
     h = build_tokenizer_matrix(grid, patch)
     x0 = np.random.default_rng(0).standard_normal(64)
-    # reference: synthesize the outputs by hand, then the two public functions
-    estep = real_expm(op.toarray() * (horizon / steps))
+    # reference: synthesize the outputs by hand, then the two public functions;
+    # the symmetric generator's propagator comes from eigh, not expm
+    estep = obs._step_propagator(op, horizon, steps)[1]
+    expm_step = real_expm(op.toarray() * (horizon / steps))
+    assert np.abs(estep - expm_step).max() <= 1e-14 * np.abs(expm_step).max()
     outputs, state = [], x0
     for _ in range(steps + 1):
         outputs.append(h @ state)
@@ -398,21 +507,21 @@ def test_gramian_reconstruction_is_one_pass_and_matches_public_functions(monkeyp
     recon = linear_reconstruct_initial_state(op, h, np.array(outputs), horizon)
     cond = np.linalg.cond(observability_gramian(op, h, horizon, steps))
 
-    counts = {"expm": 0, "pass": 0}
-    real_pass = obs._simpson_pass
+    counts = {"propagator": 0, "pass": 0}
+    real_propagator, real_pass = obs._step_propagator, obs._simpson_pass
 
-    def counting_expm(mat):
-        counts["expm"] += 1
-        return real_expm(mat)
+    def counting_propagator(*args, **kwargs):
+        counts["propagator"] += 1
+        return real_propagator(*args, **kwargs)
 
     def counting_pass(*args, **kwargs):
         counts["pass"] += 1
         return real_pass(*args, **kwargs)
 
-    monkeypatch.setattr(obs, "expm", counting_expm)
+    monkeypatch.setattr(obs, "_step_propagator", counting_propagator)
     monkeypatch.setattr(obs, "_simpson_pass", counting_pass)
     report = gramian_reconstruction(grid, patch, op, x0, horizon, steps)
-    assert counts == {"expm": 1, "pass": 1}
+    assert counts == {"propagator": 1, "pass": 1}
     assert report.gramian_condition == cond
     assert report.relative_reconstruction_error == (np.linalg.norm(recon - x0)
                                                     / np.linalg.norm(x0))
