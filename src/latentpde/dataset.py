@@ -17,16 +17,16 @@ import os
 import numpy as np
 
 from .errors import DataFormatError, Key, ParameterError, check_entries
-from .lattice_ops import GridSpec, build_modified_laplacian, build_wave_generator
-from .random_fields import GrfParams, build_conductivity, sample_matern_field
-from .solvers import Trajectory, euler_frames, simulate_kse1d, simulate_kse2d
+from .lattice_ops import GRID_TABLE, GridSpec, build_modified_laplacian, build_wave_generator
+from .random_fields import GRF_TABLE, GrfParams, build_conductivity, sample_matern_field
+from .solvers import TRAJECTORY_TABLE, Trajectory, euler_frames, simulate_kse1d, simulate_kse2d
 from .tokenizer import amplitude, tokenize_trajectory
 
 FORMAT_VERSION = 1
 # the entries a reader uses; the version first, as a manifest of another one may lack the rest
 _MANIFEST_TABLE = {"format_version": Key(int, "==", FORMAT_VERSION), "kind": Key(str),
                    "trajectories": Key(int, ">=", 1), "frames": Key(int, ">=", 1),
-                   "dt": Key(float, ">", 0), "frame_shape": Key(list, ">=", 1),
+                   "dt": TRAJECTORY_TABLE["dt"], "frame_shape": Key(list, ">=", 1),
                    "config": Key(dict), "patch": Key((int, None))}
 
 
@@ -298,32 +298,32 @@ def _conductivity_field(cond: dict, n: int) -> np.ndarray:
     return cond.get("scale", 1.0) * build_conductivity(params)
 
 
-# Each key an equation reads, as a row of :class:`errors.Key`.  Other keys, such as a
-# ``patch`` kept as a note in the config file, pass.
-_POSITIVE, _COUNT, _SEED = Key(float, ">", 0), Key(int, ">=", 1), Key(int, ">=", 0)
-_GRF = {"sigma": Key(float, ">=", 0), "m": _POSITIVE, "nu": _POSITIVE}
-_STEPPED = {"grid_size": Key(int, ">=", 2), "dt": _POSITIVE, "trajectories": _COUNT,
-            "frames": _COUNT, "skip": _COUNT._replace(omit=True), "init_seed": _SEED,
+# Each key an equation reads, as a row of :class:`errors.Key`; a key naming a GrfParams,
+# GridSpec or Trajectory field takes that field's row.  Other keys, such as ``patch``, pass.
+_POSITIVE, _COUNT = Key(float, ">", 0), Key(int, ">=", 1)
+_GRF = {key: GRF_TABLE[key] for key in ("sigma", "m", "nu")}
+_STEPPED = {"grid_size": GRF_TABLE["grid_size"], "dt": _POSITIVE, "trajectories": _COUNT,
+            "frames": _COUNT, "skip": TRAJECTORY_TABLE["skip"], "init_seed": GRF_TABLE["seed"],
             "init": Key(_GRF)}
 # a lattice keeps every frame from the first; its conductivity is a constant or a GRF
-_LATTICE = {**_STEPPED, "dx": _POSITIVE._replace(omit=True), "burn_in": Key(int, "==", 0, True),
+_LATTICE = {**_STEPPED, "dx": GRID_TABLE["dx"], "burn_in": Key(int, "==", 0, True),
             "conductivity": Key({"constant": _POSITIVE._replace(omit=True),
-                                  **{key: row._replace(omit="constant")
-                                     for key, row in dict(_GRF, seed=_SEED).items()},
+                                  **{key: GRF_TABLE[key]._replace(omit="constant")
+                                     for key in ("sigma", "m", "nu", "seed")},
                                   "scale": _POSITIVE._replace(omit=True)})}
 _CONFIG_TABLES = {
     "heat": _LATTICE, "wave": _LATTICE,
-    "kse2d": {**_STEPPED, "domain_length": _POSITIVE, "burn_in": _SEED._replace(omit=True)},
+    "kse2d": {**_STEPPED, "domain_length": _POSITIVE, "burn_in": TRAJECTORY_TABLE["burn_in"]},
     # the sine initial state ignores init_seed: a second trajectory repeats the first
     "kse1d": {"sites": _COUNT, "domain_length": _POSITIVE, "dt": _POSITIVE, "steps": _COUNT,
-              "trajectories": Key(int, "==", 1), "init_seed": _SEED,
+              "trajectories": Key(int, "==", 1), "init_seed": Key(int, ">=", 0),
               "init": Key({"kind": Key(str, "==", "sine", True), "waves": Key(float)})},
 }
 
 
 def _check_config(config) -> None:
     """Raise ParameterError unless the config names an equation and meets its
-    table, nested entries included.  No other code checks a config's values."""
+    table, nested entries included; the objects it builds check their rows again."""
     check_entries(config, {"equation": Key(str, "in", sorted(_CONFIG_TABLES))}, "config",
                   ParameterError)
     check_entries(config, _CONFIG_TABLES[config["equation"]], "config", ParameterError)

@@ -1,5 +1,6 @@
 """Exception hierarchy shared across the package, and the one check of each
-JSON object the program reads: configs, manifests, model headers and clips.
+JSON object the program reads (configs, manifests, model headers and clips)
+and of each parameter object's fields (GrfParams, GridSpec, Trajectory, TrainConfig).
 
 Every error carries an ``exit_code`` so the command line driver can map
 failures onto stable process exit statuses:
@@ -74,7 +75,7 @@ _OPS = {">": lambda a, b: a > b, ">=": lambda a, b: a >= b, "==": lambda a, b: a
 
 def check_entries(entries, table: dict, where: str, error, prefix: str = "") -> None:
     """Raise ``error`` unless ``entries`` is a JSON object that meets ``table``,
-    whose other keys pass; ``where`` names the config or file."""
+    whose other keys pass; ``where`` names the config, file or class."""
     if not isinstance(entries, dict):
         raise error(f"{where}: expected a JSON object, got {type(entries).__name__}")
     for key, (kind, op, bound, omit) in table.items():

@@ -10,7 +10,8 @@ The divergence-form generator follows the standard staggered composition
 
 with forward differences ``D^+ u_k = (u_{k+1} - u_k)/dx`` and backward
 differences ``D^- u_k = (u_k - u_{k-1})/dx``.  For constant ``a = 1`` this
-reduces to the five-point Laplacian stencil.
+reduces to the five-point Laplacian stencil.  A bad field of a
+:class:`GridSpec` raises ParameterError as ``GridSpec: dx must be > 0, got 0.0``.
 """
 
 from dataclasses import dataclass
@@ -18,7 +19,9 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sp
 
-from .errors import ParameterError
+from .errors import Key, ParameterError, check_entries
+
+GRID_TABLE = {"n": Key(int, ">=", 2), "dx": Key(float, ">", 0, True)}
 
 
 @dataclass(frozen=True)
@@ -29,10 +32,7 @@ class GridSpec:
     dx: float = 1.0
 
     def __post_init__(self):
-        if self.n < 2:
-            raise ParameterError(f"grid must have n >= 2, got {self.n}")
-        if self.dx <= 0:
-            raise ParameterError(f"dx must be > 0, got {self.dx}")
+        check_entries(vars(self), GRID_TABLE, "GridSpec", ParameterError)
 
 
 def _flat_index(i, j, n):

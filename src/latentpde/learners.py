@@ -130,6 +130,11 @@ class LinearMap:
         )
 
 
+TRAIN_TABLE = {"learning_rate": Key(float, ">", 0), "steps": Key(int, ">=", 0),
+               "batch_size": Key(int, ">=", 1), "ridge": Key(float, ">=", 0),
+               "seed": Key(int, ">=", 0), "lr_decay": Key(float, ">", 0)}
+
+
 @dataclass
 class TrainConfig:
     """Adam-style SGD settings.
@@ -147,19 +152,9 @@ class TrainConfig:
     lr_decay: float = 1.0
 
     def __post_init__(self):
-        if not 0 < self.learning_rate < np.inf:
-            raise ParameterError(f"learning_rate must be finite and > 0, "
-                                 f"got {self.learning_rate}")
-        if self.steps < 0:
-            raise ParameterError(f"steps must be >= 0, got {self.steps}")
-        if self.batch_size < 1:
-            raise ParameterError(f"batch_size must be >= 1, got {self.batch_size}")
-        if not 0 < self.lr_decay <= 1:
-            raise ParameterError(f"lr_decay must be in (0, 1], got {self.lr_decay}")
-        if not 0 <= self.ridge < np.inf:
-            raise ParameterError(f"ridge must be finite and >= 0, got {self.ridge}")
-        if self.seed < 0:
-            raise ParameterError(f"seed must be >= 0, got {self.seed}")
+        check_entries(vars(self), TRAIN_TABLE, "TrainConfig", ParameterError)
+        if self.lr_decay > 1:
+            raise ParameterError(f"TrainConfig: lr_decay must be <= 1, got {self.lr_decay!r}")
 
 
 def _intake(blocks, samples: int):
@@ -208,8 +203,7 @@ def fit_blocks(blocks, samples: int, ridge: float = 0.0, bias: bool = True) -> L
     predictions and residual norm to a backward-stable tolerance, not its
     weight bytes.  The ridge penalty never touches the bias column.
     """
-    if not 0 <= ridge < np.inf:
-        raise ParameterError(f"ridge must be finite and >= 0, got {ridge}")
+    check_entries({"ridge": ridge}, {"ridge": TRAIN_TABLE["ridge"]}, "fit_blocks", ParameterError)
     blocks, k, m, output_shape = _intake(blocks, samples)
     n_feat = k * m
     design, target = _assemble(blocks, samples, k, m, math.prod(output_shape), ridge, bias)
@@ -253,8 +247,6 @@ def _assemble(blocks, samples, k, m, out_dim, ridge, bias):
         rows_i = slice(start, start + hist.shape[0])
         design[rows_i, :n_feat] = hist
         target[rows_i] = tgt
-        if not (np.isfinite(design[rows_i, :n_feat]).all() and np.isfinite(target[rows_i]).all()):
-            raise ParameterError("histories and targets must be finite")
     if bias:
         design[:samples, n_feat] = 1.0
     if ridge > 0:
@@ -266,8 +258,8 @@ def _assemble(blocks, samples, k, m, out_dim, ridge, bias):
 
 def _block_rows(blocks, samples, k, m, out_dim):
     """Yield each block's first sample index and its histories and targets
-    as (S_i, k*m) and (S_i, out_dim) rows, refusing a block of other
-    shapes and blocks that do not hold ``samples`` samples in all."""
+    as (S_i, k*m) and (S_i, out_dim) rows, refusing a block of other shapes
+    or not finite, and blocks that do not hold ``samples`` samples in all."""
     start = 0
     for hist, tgt in blocks:
         count = hist.shape[0]
@@ -276,6 +268,8 @@ def _block_rows(blocks, samples, k, m, out_dim):
             raise ParameterError(f"a block of {hist.shape} histories and {tgt.shape} targets "
                                  f"after {start} samples; expected (S, {k}, {m}) and S targets "
                                  f"of {out_dim} values, {samples} samples in all")
+        if not (np.isfinite(hist).all() and np.isfinite(tgt).all()):
+            raise ParameterError("histories and targets must be finite")
         yield start, hist.reshape(count, k * m), tgt.reshape(count, out_dim)
         start += count
     if start != samples:
@@ -446,8 +440,8 @@ def fit_sgd_blocks(blocks, samples: int, config: TrainConfig, eval_split: float 
     before the first step, and each epoch's residues come from them (see
     :class:`_SplitStats` for the rounding bound), not from the samples, so
     the evaluation split is freed before the first step.  The steps run
-    on one BLAS thread (see :func:`_one_blas_thread`).  NaN/Inf loss
-    raises DivergenceError with the offending step.
+    on one BLAS thread (see :func:`_one_blas_thread`).  A non-finite sample
+    raises ParameterError, and a NaN/Inf loss DivergenceError with its step.
     """
     if not 0 <= eval_split < 1:
         raise ParameterError(f"eval_split must be in [0, 1), got {eval_split}")

@@ -12,14 +12,19 @@ grid.  ``m`` is the inverse correlation length measured in lattice steps;
 the factor ``n/2`` converts it to the torus coordinates above.  The final
 field is rescaled so the per-pixel standard deviation equals ``sigma``
 exactly (in expectation over pixels the construction is stationary, so the
-rescaling is a single global constant).
+rescaling is a single global constant).  A bad field of a :class:`GrfParams`
+raises ParameterError in the form ``GrfParams: sigma must be >= 0, got -1.0``.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ParameterError
+from .errors import Key, ParameterError, check_entries
+from .lattice_ops import GRID_TABLE
+
+GRF_TABLE = {"grid_size": GRID_TABLE["n"], "sigma": Key(float, ">=", 0),
+             "m": Key(float, ">", 0), "nu": Key(float, ">", 0), "seed": Key(int, ">=", 0)}
 
 
 @dataclass(frozen=True)
@@ -42,16 +47,7 @@ class GrfParams:
     seed: int
 
     def __post_init__(self):
-        if self.grid_size < 2:
-            raise ParameterError(f"grid_size must be >= 2, got {self.grid_size}")
-        if self.sigma < 0:
-            raise ParameterError(f"sigma must be >= 0, got {self.sigma}")
-        if self.m <= 0:
-            raise ParameterError(f"m must be > 0, got {self.m}")
-        if self.nu <= 0:
-            raise ParameterError(f"nu must be > 0, got {self.nu}")
-        if self.seed < 0:
-            raise ParameterError(f"seed must be >= 0, got {self.seed}")
+        check_entries(vars(self), GRF_TABLE, "GrfParams", ParameterError)
 
 
 def _spectrum(grid_size: int, m: float, nu: float) -> np.ndarray:

@@ -5,6 +5,8 @@ Stage coefficients for the exponential integrators are evaluated with the
 contour-averaging trick of Kassam & Trefethen (mean of the integrand over
 points on a unit circle around each z = dt*lambda), which avoids the
 catastrophic cancellation of the direct phi-function formulas near z = 0.
+A bad field of a :class:`Trajectory` raises ParameterError in the form
+``Trajectory: dt must be > 0, got 0.0``.
 """
 
 from dataclasses import dataclass, field
@@ -13,7 +15,10 @@ import warnings
 import numpy as np
 import scipy.sparse as sp
 
-from .errors import DivergenceError, ParameterError
+from .errors import DivergenceError, Key, ParameterError, check_entries
+
+TRAJECTORY_TABLE = {"dt": Key(float, ">", 0), "skip": Key(int, ">=", 1, True),
+                    "burn_in": Key(int, ">=", 0, True)}
 
 
 @dataclass
@@ -33,11 +38,12 @@ class Trajectory:
     burn_in: int = 0
 
     def __post_init__(self):
-        self.frames = np.asarray(self.frames, dtype=float)
-        if self.frames.ndim < 2 or self.frames.shape[0] < 1:
-            raise ParameterError(f"trajectory needs at least one frame, got shape {self.frames.shape}")
-        if self.dt <= 0:
-            raise ParameterError(f"dt must be > 0, got {self.dt}")
+        check_entries(vars(self), TRAJECTORY_TABLE, "Trajectory", ParameterError)
+        frames = np.asarray(self.frames)
+        if frames.dtype.kind not in "biuf" or frames.ndim < 2 or frames.shape[0] < 1:
+            raise ParameterError("Trajectory: frames must be a stack of at least one real "
+                                 f"frame, got {frames.dtype} of shape {frames.shape}")
+        self.frames = frames.astype(float, copy=False)
 
     @property
     def n_frames(self) -> int:
@@ -76,6 +82,8 @@ def euler_frames(op, x0s: np.ndarray, dt: float, steps: int, skip: int = 1):
     not finite there, if a stored frame stops being finite.
     """
     x0s = np.asarray(x0s, dtype=float)
+    if not 0 < dt < np.inf:
+        raise ParameterError(f"dt must be finite and > 0, got {dt}")
     if steps < 1 or skip < 1:
         raise ParameterError(f"steps and skip must be >= 1, got {steps}, {skip}")
     if x0s.ndim < 2 or x0s.shape[0] < 1:
@@ -140,8 +148,8 @@ def etdrk_coefficients(linear_symbol: np.ndarray, dt: float,
     default of 32 is already converged.
     """
     lam = np.asarray(linear_symbol, dtype=float)
-    if dt <= 0:
-        raise ParameterError(f"dt must be > 0, got {dt}")
+    if not 0 < dt < np.inf:
+        raise ParameterError(f"dt must be finite and > 0, got {dt}")
     if contour_points < 4:
         raise ParameterError(f"contour_points must be >= 4, got {contour_points}")
     roots = np.exp(1j * np.pi * (np.arange(contour_points) + 0.5) / contour_points)
@@ -186,8 +194,8 @@ def simulate_kse2d(u0: np.ndarray, domain_length: float, dt: float, steps: int,
         raise ParameterError(f"expected a square field, got shape {u0.shape}")
     if steps < 1 or skip < 1 or burn_in < 0:
         raise ParameterError("steps, skip must be >= 1 and burn_in >= 0")
-    if domain_length <= 0:
-        raise ParameterError(f"domain_length must be > 0, got {domain_length}")
+    if not 0 < domain_length < np.inf:
+        raise ParameterError(f"domain_length must be finite and > 0, got {domain_length}")
     n_stored = steps // skip
     if n_stored - burn_in < 1:
         raise ParameterError(f"burn_in {burn_in} leaves no frames out of {n_stored} stored")
@@ -244,8 +252,8 @@ def simulate_kse1d(u0: np.ndarray, domain_length: float, dt: float, steps: int) 
         raise ParameterError(f"expected a line field, got shape {u0.shape}")
     if steps < 1:
         raise ParameterError(f"steps must be >= 1, got {steps}")
-    if domain_length <= 0:
-        raise ParameterError(f"domain_length must be > 0, got {domain_length}")
+    if not 0 < domain_length < np.inf:
+        raise ParameterError(f"domain_length must be finite and > 0, got {domain_length}")
     n = u0.shape[0]
     k = 2.0 * np.pi * np.fft.fftfreq(n, d=domain_length / n)
     symbol = k**2 - k**4

@@ -23,6 +23,9 @@ from latentpde import (DataFormatError, DatasetManifest, DivergenceError, Parame
                        generate_dataset, load_all, load_manifest, load_trajectory, read_csv,
                        write_csv, write_dataset)
 from latentpde import dataset as dataset_module
+from latentpde.lattice_ops import GRID_TABLE
+from latentpde.random_fields import GRF_TABLE
+from latentpde.solvers import TRAJECTORY_TABLE
 
 TINY_HEAT = {
     "equation": "heat", "grid_size": 8, "dx": 1.0, "dt": 0.4,
@@ -790,6 +793,52 @@ def test_generate_exits_0_2_or_4_for_any_value_of_any_config_key(tmp_path, capsy
                     assert len(err) == 1 and err[0].startswith("error: "), (case, err)
                     assert not out.exists(), case
     assert runs > 300
+
+
+# a valid set of fields for each parameter object
+VALID_FIELDS = {
+    latentpde.GrfParams: dict(grid_size=8, sigma=1.0, m=0.1, nu=1.0, seed=0),
+    latentpde.GridSpec: dict(n=4),
+    latentpde.TrainConfig: {},
+    latentpde.Trajectory: dict(frames=np.ones((2, 4, 4)), dt=0.1),
+}
+
+
+@pytest.mark.parametrize("cls", sorted(VALID_FIELDS, key=lambda cls: cls.__name__),
+                         ids=lambda cls: cls.__name__)
+def test_parameter_objects_refuse_a_bad_value_of_any_field_with_a_parameter_error(cls):
+    """Each field set to each value of the config fuzz above: the object is
+    built or refused with a ParameterError that names it, and a NaN or an
+    infinity is always refused."""
+    for name in (field.name for field in dataclasses.fields(cls)):
+        for value in (0, -1, NAN, float("inf"), True, None, "x"):
+            case = (cls.__name__, name, value)
+            try:
+                cls(**dict(VALID_FIELDS[cls], **{name: value}))
+            except ParameterError as err:
+                assert str(err).startswith(f"{cls.__name__}: {name} must be "), (case, err)
+            else:
+                assert value is not NAN and value != float("inf"), case
+
+
+def test_config_and_manifest_rows_are_the_parameter_objects_rows():
+    """A config or manifest key that names a field of a parameter object
+    checks it with that object's own row, so the two cannot drift apart."""
+    heat, kse2d = (dataset_module._CONFIG_TABLES[equation] for equation in ("heat", "kse2d"))
+    assert GRF_TABLE["grid_size"] is GRID_TABLE["n"]
+    for table in (heat, kse2d):
+        assert table["grid_size"] is GRID_TABLE["n"]
+        assert table["init_seed"] is GRF_TABLE["seed"]
+        assert table["skip"] is TRAJECTORY_TABLE["skip"]
+        for key in ("sigma", "m", "nu"):
+            assert table["init"].kind[key] is GRF_TABLE[key]
+    assert heat["dx"] is GRID_TABLE["dx"]
+    assert kse2d["burn_in"] is TRAJECTORY_TABLE["burn_in"]
+    assert dataset_module._MANIFEST_TABLE["dt"] is TRAJECTORY_TABLE["dt"]
+    # a conductivity's GRF rows differ from the object's only in that a constant lets
+    # them be left out
+    for key in ("sigma", "m", "nu", "seed"):
+        assert heat["conductivity"].kind[key] == GRF_TABLE[key]._replace(omit="constant")
 
 
 def _table_paths(table, prefix=()):

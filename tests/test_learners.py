@@ -133,6 +133,28 @@ def test_least_squares_rejects_non_finite_input():
             fit_least_squares(*args)
 
 
+def test_sgd_refuses_a_non_finite_sample_as_least_squares_does():
+    """A NaN or an infinity in a block is refused as the block is read, by
+    either learner, before any step could diverge on it."""
+    histories, targets, _, _ = make_linear_problem(20, 2, 3, 2, seed=17)
+    for bad, where in ((np.nan, histories), (np.inf, targets)):
+        spoilt = where.copy()
+        spoilt.flat[5] = bad
+        block = (spoilt, targets) if where is histories else (histories, spoilt)
+        for fit in (fit_blocks, lambda *args: fit_sgd_blocks(*args, TrainConfig(steps=1))):
+            with pytest.raises(ParameterError, match="^histories and targets must be finite$"):
+                fit([block], 20)
+
+
+def test_fit_blocks_checks_its_ridge_with_the_train_config_row():
+    histories, targets, _, _ = make_linear_problem(20, 2, 3, 2, seed=17)
+    for ridge in (-1.0, np.nan, np.inf, True):
+        with pytest.raises(ParameterError, match="^fit_blocks: ridge must be "):
+            fit_least_squares(histories, targets, ridge=ridge)
+        with pytest.raises(ParameterError, match="^TrainConfig: ridge must be "):
+            TrainConfig(ridge=ridge)
+
+
 @pytest.mark.parametrize("ridge", [0.0, 0.5])
 def test_fit_blocks_equals_one_block_fit_bit_for_bit(ridge):
     """Window views of several token trajectories, fitted block by block,

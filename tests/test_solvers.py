@@ -107,6 +107,24 @@ def test_trajectory_validation():
         Trajectory(np.ones((3, 4, 4)), dt=0.0)
 
 
+NAN, INF = float("nan"), float("inf")
+SOLVER_CASES = {
+    "euler-dt-negative": lambda: euler_frames(np.zeros((4, 4)), np.zeros((1, 4)), -0.1, 3),
+    "euler-dt-nan": lambda: euler_frames(np.zeros((4, 4)), np.zeros((1, 4)), NAN, 3),
+    "euler-dt-inf": lambda: euler_frames(np.zeros((4, 4)), np.zeros((1, 4)), INF, 3),
+    "etdrk-dt-nan": lambda: etdrk_coefficients(np.zeros(4), NAN),
+    "kse1d-length-nan": lambda: simulate_kse1d(np.zeros(16), NAN, 0.05, steps=3),
+    "kse1d-dt-nan": lambda: simulate_kse1d(np.zeros(16), 22.0, NAN, steps=3),
+    "kse2d-length-inf": lambda: simulate_kse2d(np.zeros((8, 8)), INF, 0.05, steps=3),
+}
+
+
+@pytest.mark.parametrize("case", sorted(SOLVER_CASES))
+def test_solvers_refuse_a_nan_infinite_or_non_positive_scalar(case):
+    with pytest.raises(ParameterError, match="must be finite and > 0"):
+        SOLVER_CASES[case]()
+
+
 def test_etdrk_coefficients_zero_symbol_limits():
     dt = 0.3
     coef = etdrk_coefficients(np.array([0.0]), dt)
