@@ -268,6 +268,8 @@ def export_frame_image(frame: np.ndarray, path: str, colormap: str = "gray") -> 
     (clipped, rounded half to even), so a zero field lands on mid-gray
     128.  The diverging map runs blue -> white -> red.
     """
+    check_entries(locals(), {"colormap": Key(str, "in", ("gray", "diverging"))},
+                  "export_frame_image", ParameterError)
     frame = np.asarray(frame, dtype=float)
     if frame.ndim != 2:
         raise ParameterError(f"image export needs a 2-d field, got shape {frame.shape}")
@@ -276,14 +278,12 @@ def export_frame_image(frame: np.ndarray, path: str, colormap: str = "gray") -> 
     if colormap == "gray":
         payload = np.rint(t * 255).astype(np.uint8)
         data = b"P5\n%d %d\n255\n" % (w, h) + payload.tobytes()
-    elif colormap == "diverging":
+    else:
         r = np.rint(np.clip(2 * t, 0, 1) * 255).astype(np.uint8)
         g = np.rint((1 - np.abs(2 * t - 1)) * 255).astype(np.uint8)
         b = np.rint(np.clip(2 - 2 * t, 0, 1) * 255).astype(np.uint8)
         payload = np.stack([r, g, b], axis=-1)
         data = b"P6\n%d %d\n255\n" % (w, h) + payload.tobytes()
-    else:
-        raise ParameterError(f"colormap must be 'gray' or 'diverging', got {colormap!r}")
     atomic_write(path, data)
 
 

@@ -1,6 +1,9 @@
 """Exception hierarchy shared across the package, and the one check of each
-JSON object the program reads (configs, manifests, model headers and clips)
-and of each parameter object's fields (GrfParams, GridSpec, Trajectory, TrainConfig).
+JSON object the program reads (configs, manifests, model headers and clips),
+of each parameter object's fields (GrfParams, GridSpec, Trajectory, TrainConfig)
+and of the scalar arguments of each library function, which passes its
+``locals()`` first thing and is named in the message, as in
+``euler_frames: steps must be an integer, got nan``.
 
 Every error carries an ``exit_code`` so the command line driver can map
 failures onto stable process exit statuses:
@@ -63,14 +66,16 @@ class DegenerateStatisticError(LatentPdeError):
 
 # A row of a table: the kind of value a key holds (int, float for a finite real, bool, str,
 # dict for any JSON object, a nested table, list for a list of integers, or (kind, None) if
-# null may stand in), its range ``value op bound`` (of each item of a list), and whether it
-# may be left out: always (True), or if the key ``omit`` is given.
+# null may stand in), its range ``value op bound`` (of each item of a list) or, for an op of
+# two brackets such as "[)", the interval between the two bounds, and whether it may be left
+# out: always (True), or if the key ``omit`` is given.
 Key = collections.namedtuple("Key", "kind op bound omit", defaults=(None, None, False))
 _KINDS = {int: (numbers.Integral, "an integer"), float: (numbers.Real, "a finite real number"),
           bool: (bool, "true or false"), str: (str, "a string"), dict: (dict, "a JSON object"),
           list: (list, "a list")}
 _OPS = {">": lambda a, b: a > b, ">=": lambda a, b: a >= b, "==": lambda a, b: a == b,
-        "in": lambda a, b: a in b}
+        "in": lambda a, b: a in b, "()": lambda a, b: b[0] < a < b[1],
+        "[)": lambda a, b: b[0] <= a < b[1], "(]": lambda a, b: b[0] < a <= b[1]}
 
 
 def check_entries(entries, table: dict, where: str, error, prefix: str = "") -> None:
@@ -99,4 +104,6 @@ def check_entries(entries, table: dict, where: str, error, prefix: str = "") -> 
         if isinstance(kind, dict):
             check_entries(value, kind, where, error, name + ".")
         elif op and not _OPS[op](value, bound):
-            raise error(f"{where}: {name} must be {op} {bound!r}, got {value!r}")
+            rule = (f"in {op[0]}{bound[0]}, {bound[1]}{op[1]}" if op[0] in "(["
+                    else f"{op} {bound!r}")
+            raise error(f"{where}: {name} must be {rule}, got {value!r}")

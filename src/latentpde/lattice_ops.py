@@ -11,7 +11,9 @@ The divergence-form generator follows the standard staggered composition
 with forward differences ``D^+ u_k = (u_{k+1} - u_k)/dx`` and backward
 differences ``D^- u_k = (u_k - u_{k-1})/dx``.  For constant ``a = 1`` this
 reduces to the five-point Laplacian stencil.  A bad field of a
-:class:`GridSpec` raises ParameterError as ``GridSpec: dx must be > 0, got 0.0``.
+:class:`GridSpec` or a bad scalar argument raises ParameterError as
+``GridSpec: dx must be > 0, got 0.0``, naming the class or the function
+called, as in ``build_difference: axis must be in ('x', 'y'), got 'z'``.
 """
 
 from dataclasses import dataclass
@@ -22,6 +24,9 @@ import scipy.sparse as sp
 from .errors import Key, ParameterError, check_entries
 
 GRID_TABLE = {"n": Key(int, ">=", 2), "dx": Key(float, ">", 0, True)}
+_DIFFERENCE_ARGS = {"axis": Key(str, "in", ("x", "y")),
+                    "direction": Key(str, "in", ("forward", "backward"))}
+_TOKENIZER_ARGS = {"patch": Key(int, ">=", 1), "wave": Key(bool)}
 
 
 @dataclass(frozen=True)
@@ -41,10 +46,7 @@ def _flat_index(i, j, n):
 
 def build_difference(grid: GridSpec, axis: str, direction: str) -> sp.csr_array:
     """One-sided periodic difference operator of shape (n^2, n^2)."""
-    if axis not in ("x", "y"):
-        raise ParameterError(f"axis must be 'x' or 'y', got {axis!r}")
-    if direction not in ("forward", "backward"):
-        raise ParameterError(f"direction must be 'forward' or 'backward', got {direction!r}")
+    check_entries(locals(), _DIFFERENCE_ARGS, "build_difference", ParameterError)
     n = grid.n
     i, j = np.meshgrid(np.arange(n), np.arange(n), indexing="ij")
     here = _flat_index(i, j, n)
@@ -102,8 +104,9 @@ def build_tokenizer_matrix(grid: GridSpec, patch: int, wave: bool = False) -> sp
     2*n^2 and only the amplitude block u is read; the velocity block is
     ignored entirely.
     """
+    check_entries(locals(), _TOKENIZER_ARGS, "build_tokenizer_matrix", ParameterError)
     n = grid.n
-    if patch < 1 or n % patch != 0:
+    if n % patch:
         raise ParameterError(f"patch {patch} must divide grid size {n}")
     blocks = n // patch
     # pixel index n*i + j laid out as (block row, row in block, block col, col in block)

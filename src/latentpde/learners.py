@@ -22,7 +22,7 @@ from scipy.linalg import lapack
 from .dataset import NORMALIZATION_TABLE, atomic_write
 from .errors import DataFormatError, DivergenceError, Key, ParameterError, check_entries
 
-_HEADER_TABLE = {"format": Key(str, "==", "linear-map"), "version": Key(int, "==", 2),
+_HEADER_TABLE = {"version": Key(int, "==", 2), "format": Key(str, "==", "linear-map"),
                  "history_len": Key(int, ">=", 1), "token_dim": Key(int, ">=", 1),
                  "out_dim": Key(int, ">=", 0), "has_bias": Key(bool),
                  "output_shape": Key(list, ">=", 0), "design_rank": Key((int, None), ">=", 0),
@@ -99,10 +99,6 @@ class LinearMap:
             header = json.loads(blob[:cut].decode())
         except (UnicodeDecodeError, json.JSONDecodeError) as exc:
             raise DataFormatError(f"{path}: bad linear-map header: {exc}") from exc
-        # a header of another version may lack the entries of this one
-        if isinstance(header, dict) and header.get("version", 2) != 2:
-            raise DataFormatError(f"{path}: linear-map version {header['version']!r}, "
-                                  "not 2; re-fit the model")
         check_entries(header, _HEADER_TABLE, path, DataFormatError)
         out_dim = header["out_dim"]
         if out_dim != np.prod(header["output_shape"]):
@@ -132,7 +128,7 @@ class LinearMap:
 
 TRAIN_TABLE = {"learning_rate": Key(float, ">", 0), "steps": Key(int, ">=", 0),
                "batch_size": Key(int, ">=", 1), "ridge": Key(float, ">=", 0),
-               "seed": Key(int, ">=", 0), "lr_decay": Key(float, ">", 0)}
+               "seed": Key(int, ">=", 0), "lr_decay": Key(float, "(]", (0, 1))}
 
 
 @dataclass
@@ -153,8 +149,6 @@ class TrainConfig:
 
     def __post_init__(self):
         check_entries(vars(self), TRAIN_TABLE, "TrainConfig", ParameterError)
-        if self.lr_decay > 1:
-            raise ParameterError(f"TrainConfig: lr_decay must be <= 1, got {self.lr_decay!r}")
 
 
 def _intake(blocks, samples: int):
@@ -203,7 +197,7 @@ def fit_blocks(blocks, samples: int, ridge: float = 0.0, bias: bool = True) -> L
     predictions and residual norm to a backward-stable tolerance, not its
     weight bytes.  The ridge penalty never touches the bias column.
     """
-    check_entries({"ridge": ridge}, {"ridge": TRAIN_TABLE["ridge"]}, "fit_blocks", ParameterError)
+    check_entries(locals(), {"ridge": TRAIN_TABLE["ridge"]}, "fit_blocks", ParameterError)
     blocks, k, m, output_shape = _intake(blocks, samples)
     n_feat = k * m
     design, target = _assemble(blocks, samples, k, m, math.prod(output_shape), ridge, bias)
@@ -443,8 +437,8 @@ def fit_sgd_blocks(blocks, samples: int, config: TrainConfig, eval_split: float 
     on one BLAS thread (see :func:`_one_blas_thread`).  A non-finite sample
     raises ParameterError, and a NaN/Inf loss DivergenceError with its step.
     """
-    if not 0 <= eval_split < 1:
-        raise ParameterError(f"eval_split must be in [0, 1), got {eval_split}")
+    check_entries(locals(), {"eval_split": Key(float, "[)", (0, 1))}, "fit_sgd_blocks",
+                  ParameterError)
     blocks, k, m, out_shape = _intake(blocks, samples)
     out_dim = math.prod(out_shape)
     rng = np.random.default_rng(config.seed)
@@ -522,8 +516,8 @@ def history_sweep(train_tokens, eval_tokens, k_values, ridge: float = 0.0):
 
     rows = []
     for k in k_values:
-        if k < 1:
-            raise ParameterError(f"history length must be >= 1, got {k}")
+        check_entries({"k": k}, {"k": _HEADER_TABLE["history_len"]}, "history_sweep",
+                      ParameterError)
         # window views of the token arrays: the design is the only copy
         pairs = [forecast_pairs(tokens, k) for tokens in train_tokens]
         fitted = fit_blocks(pairs, sum(len(h) for h, _ in pairs), ridge=ridge)

@@ -33,12 +33,16 @@ import numpy as np
 import scipy.sparse as sp
 from scipy.linalg import expm
 
-from .errors import NonObservableError, ParameterError
+from .errors import Key, NonObservableError, ParameterError, check_entries
 from .lattice_ops import (GridSpec, build_modified_laplacian, build_tokenizer_matrix,
                           build_wave_generator)
 from .learners import _one_blas_thread
 from .solvers import _gershgorin_radius
-from .tokenizer import tokenize_trajectory
+from .tokenizer import TOKEN_ARGS, tokenize_trajectory
+
+_REL_TOL = {"rel_tol": Key(float, "()", (0, 1))}
+_LIE_ARGS = {"patch": TOKEN_ARGS["patch"], "derivative_order": Key(int, ">=", 1),
+             "window": Key(int, ">=", 1), "burn_frac": Key(float, "[)", (0, 1))}
 
 
 class _KeyValueReport:
@@ -143,11 +147,10 @@ def kalman_observability_matrix(A, h) -> np.ndarray:
 
 def rank_test(matrix: np.ndarray, rel_tol: float = 1e-10) -> RankReport:
     """Numerical column rank via singular values > rel_tol * largest."""
+    check_entries(locals(), _REL_TOL, "rank_test", ParameterError)
     matrix = np.asarray(matrix, dtype=float)
     if matrix.ndim != 2 or matrix.size == 0:
         raise ParameterError(f"rank test needs a nonempty 2-d matrix, got shape {matrix.shape}")
-    if not 0 < rel_tol < 1:
-        raise ParameterError(f"rel_tol must be in (0, 1), got {rel_tol}")
     svals = np.linalg.svd(matrix, compute_uv=False)
     rank = int((svals > rel_tol * svals[0]).sum()) if svals[0] > 0 else 0
     return RankReport(matrix.shape[1], rank == matrix.shape[1], rel_tol, rank, svals)
@@ -196,8 +199,7 @@ def kalman_rank_test(A, h, rel_tol: float = 1e-10) -> KalmanReport:
     that of (L, P) and ``generator_rescaled_by``, the relative singular
     value of each repeated block [0; Q_j].
     """
-    if not 0 < rel_tol < 1:
-        raise ParameterError(f"rel_tol must be in (0, 1), got {rel_tol}")
+    check_entries(locals(), _REL_TOL, "kalman_rank_test", ParameterError)
     n = A.shape[0]
     hd = _output_map(A, h)
     pair = _wave_pair(A, hd)
@@ -353,8 +355,7 @@ def hautus_test(A, h, tol: float = 1e-8) -> HautusReport:
     A = [[0, I], [L, 0]], h = [P, 0] with L symmetric is answered from
     the spectrum of L alone (see :func:`_wave_eigenspace_outputs`).
     """
-    if not tol > 0:
-        raise ParameterError(f"tol must be > 0, got {tol}")
+    check_entries(locals(), {"tol": Key(float, ">", 0)}, "hautus_test", ParameterError)
     n = A.shape[0]
     hd = _output_map(A, h)
     pair = _wave_pair(A, hd)
@@ -378,9 +379,11 @@ def annihilation_witness(grid: GridSpec, patch: int, wave: bool = False):
     (0, w) is invariant under the wave generator and invisible to the
     amplitude tokenizer, so again the whole orbit is annihilated.
     """
+    check_entries(locals(), {"patch": Key(int, ">=", 2), "wave": Key(bool)},
+                  "annihilation_witness", ParameterError)
     n = grid.n
-    if patch < 2 or n % patch != 0:
-        raise ParameterError(f"patch {patch} must be >= 2 and divide grid size {n}")
+    if n % patch:
+        raise ParameterError(f"patch {patch} must divide grid size {n}")
     i = np.arange(n)
     w = np.cos(2.0 * np.pi * i / patch)[:, None] * np.ones((1, n))
     lam = 2.0 * (np.cos(2.0 * np.pi / patch) - 1.0) / grid.dx**2
@@ -426,22 +429,20 @@ def witness_orbit(grid: GridSpec, patch: int, wave: bool = False) -> WitnessRepo
 
 
 _GRAMIAN_DENSE_LIMIT = 256
+_PROPAGATOR_ARGS = {"horizon": Key(float, ">", 0), "quadrature_steps": Key(int, ">=", 1)}
 
 
 def _step_propagator(A, horizon: float, quadrature_steps: int):
     """``(steps, e^{A delta})``, delta = horizon/steps, with
-    ``quadrature_steps`` rounded up to even; dense, guarded to state dims
-    <= 256.  A symmetric A gives V e^{Lambda delta} V' from numpy's
-    ``eigh``, whose bits do not depend on the BLAS thread count inside a
-    verb; any other A gives scipy's ``expm``, which runs on scipy's own
-    BLAS threads."""
+    ``quadrature_steps`` >= 1 rounded up to even (the one place it is);
+    dense, guarded to state dims <= 256.  A symmetric A gives
+    V e^{Lambda delta} V' from numpy's ``eigh``, whose bits do not depend
+    on the BLAS thread count inside a verb; any other A gives scipy's
+    ``expm``, which runs on scipy's own BLAS threads."""
+    check_entries(locals(), _PROPAGATOR_ARGS, "_step_propagator", ParameterError)
     n = A.shape[0]
     if n > _GRAMIAN_DENSE_LIMIT:
         raise ParameterError(f"dense Gramian limited to state dim {_GRAMIAN_DENSE_LIMIT}, got {n}")
-    if not 0 < horizon < np.inf:
-        raise ParameterError(f"horizon must be finite and > 0, got {horizon}")
-    if quadrature_steps < 2:
-        raise ParameterError(f"quadrature_steps must be >= 2, got {quadrature_steps}")
     steps = quadrature_steps + (quadrature_steps % 2)
     dense, delta = _as_dense(A), horizon / steps
     if not _is_symmetric(dense):
@@ -488,8 +489,7 @@ def _simpson_pass(estep: np.ndarray, hd: np.ndarray, horizon: float, steps: int,
 
 def _solve_moments(gram: np.ndarray, moment: np.ndarray, cond_limit: float):
     """``(x, cond(gram))`` with gram x = moment; refuses an ill-conditioned gram."""
-    if not cond_limit > 0:
-        raise ParameterError(f"cond_limit must be > 0, got {cond_limit}")
+    check_entries(locals(), {"cond_limit": Key(float, ">", 0)}, "_solve_moments", ParameterError)
     cond = np.linalg.cond(gram)
     if not np.isfinite(cond) or cond > cond_limit:
         raise NonObservableError(
@@ -501,8 +501,8 @@ def _solve_moments(gram: np.ndarray, moment: np.ndarray, cond_limit: float):
 def observability_gramian(A, h, horizon: float, quadrature_steps: int = 256) -> np.ndarray:
     """Finite-horizon Gramian  integral_0^T  e^{A's} h' h e^{As} ds.
 
-    Composite Simpson quadrature on a uniform grid (steps rounded up to
-    even); the m x n output orbit h e^{As} advances by one multiplication
+    Composite Simpson quadrature on a uniform grid (steps >= 1 rounded up
+    to even); the m x n output orbit h e^{As} advances by one multiplication
     with expm(A * T/steps), m*n^2 multiply-adds per node.  Dense
     evaluation, guarded to state dims <= 256.
     """
@@ -558,8 +558,7 @@ def gramian_reconstruction(grid: GridSpec, patch: int, A, x0: np.ndarray, horizo
     serves both the output synthesis and the quadrature."""
     h = build_tokenizer_matrix(grid, patch, wave=A.shape[0] == 2 * grid.n**2)
     hd = _output_map(A, h)
-    # round up before the >= 2 check: one requested step means two
-    steps, estep = _step_propagator(A, horizon, quadrature_steps + quadrature_steps % 2)
+    steps, estep = _step_propagator(A, horizon, quadrature_steps)
     x0 = np.asarray(x0, dtype=float)
     outputs = np.empty((steps + 1, h.shape[0]))
     state = x0.copy()
@@ -618,17 +617,13 @@ def empirical_lie_logdet(traj, patch: int, derivative_order: int = 5,
     determinants and the singular values run on one BLAS thread, so a
     library call gives the same bits on any core count.
     """
+    check_entries(locals(), {**_LIE_ARGS, "with_singular_values": Key(bool)},
+                  "empirical_lie_logdet", ParameterError)
     frames = np.asarray(getattr(traj, "frames", traj), dtype=float)
     dt = float(getattr(traj, "dt", 1.0))
     if frames.ndim != 2:
         raise ParameterError(f"expected (T, N) line frames, got shape {frames.shape}")
     p = derivative_order
-    if p < 1:
-        raise ParameterError(f"derivative_order must be >= 1, got {p}")
-    if window < 1:
-        raise ParameterError(f"window must be >= 1, got {window}")
-    if not 0 <= burn_frac < 1:
-        raise ParameterError(f"burn_frac must be in [0, 1), got {burn_frac}")
     tokens = tokenize_trajectory(frames, patch)
     t_total, m = tokens.shape
     dim = m * p
@@ -704,8 +699,7 @@ def lie_logdet_report(traj, patch: int, derivative_order: int = 5, window: int =
     """:func:`empirical_lie_logdet` with singular values, summarized over
     the windows after the first ``burn_frac`` share.  With no finite
     log |det| among them the median is NaN."""
-    if not 0 < rel_tol < 1:
-        raise ParameterError(f"rel_tol must be in (0, 1), got {rel_tol}")
+    check_entries(locals(), {**_LIE_ARGS, **_REL_TOL}, "lie_logdet_report", ParameterError)
     series = empirical_lie_logdet(traj, patch, derivative_order=derivative_order,
                                   window=window, with_singular_values=True,
                                   burn_frac=burn_frac)

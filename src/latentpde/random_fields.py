@@ -13,7 +13,9 @@ the factor ``n/2`` converts it to the torus coordinates above.  The final
 field is rescaled so the per-pixel standard deviation equals ``sigma``
 exactly (in expectation over pixels the construction is stationary, so the
 rescaling is a single global constant).  A bad field of a :class:`GrfParams`
-raises ParameterError in the form ``GrfParams: sigma must be >= 0, got -1.0``.
+or a bad scalar argument raises ParameterError in the form
+``GrfParams: sigma must be >= 0, got -1.0``, naming the class or the
+function called.
 """
 
 from dataclasses import dataclass
@@ -25,6 +27,8 @@ from .lattice_ops import GRID_TABLE
 
 GRF_TABLE = {"grid_size": GRID_TABLE["n"], "sigma": Key(float, ">=", 0),
              "m": Key(float, ">", 0), "nu": Key(float, ">", 0), "seed": Key(int, ">=", 0)}
+_COVARIANCE_ARGS = {**{key: GRF_TABLE[key] for key in ("m", "nu", "grid_size")},
+                    "truncation": Key(int, ">=", 1)}
 
 
 @dataclass(frozen=True)
@@ -98,9 +102,8 @@ def periodic_matern_covariance(
     should use ``sigma**2 * C(d) / C(0)``.  Serves as an independent check
     on the FFT sampler (the sum never goes through an FFT).
     """
+    check_entries(locals(), _COVARIANCE_ARGS, "periodic_matern_covariance", ParameterError)
     d1, d2 = offset
-    if truncation < 1:
-        raise ParameterError(f"truncation must be >= 1, got {truncation}")
     m_phys = m * grid_size / 2.0
     total = 0.0
     for k1 in range(-truncation, truncation + 1):

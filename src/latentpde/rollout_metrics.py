@@ -12,7 +12,7 @@ import warnings
 
 import numpy as np
 
-from .errors import DegenerateStatisticError, DivergenceError, ParameterError
+from .errors import DegenerateStatisticError, DivergenceError, Key, ParameterError, check_entries
 from .learners import LinearMap
 
 
@@ -40,9 +40,9 @@ def _check_seed(g_map: LinearMap, seed_history: np.ndarray) -> np.ndarray:
 def autoregressive_rollout(g_map: LinearMap, seed_history: np.ndarray,
                            steps: int) -> RolloutResult:
     """Roll the forecaster forward; raises DivergenceError on NaN/Inf."""
+    check_entries(locals(), {"steps": Key(int, ">=", 1)}, "autoregressive_rollout",
+                  ParameterError)
     seed = _check_seed(g_map, seed_history)
-    if steps < 1:
-        raise ParameterError(f"steps must be >= 1, got {steps}")
     k = g_map.history_len
     tokens = np.empty((k + steps, g_map.token_dim))
     tokens[:k] = seed
@@ -80,6 +80,8 @@ def full_pipeline_rollout(g_map: LinearMap, super_map: LinearMap,
 
 def residue_norms(predicted: np.ndarray, truth: np.ndarray, norm: str = "l2") -> np.ndarray:
     """Per-frame error: 'l1' mean abs, 'l2' mean square, 'linf' max abs."""
+    check_entries(locals(), {"norm": Key(str, "in", ("l1", "l2", "linf"))}, "residue_norms",
+                  ParameterError)
     predicted = np.asarray(predicted, dtype=float)
     truth = np.asarray(truth, dtype=float)
     if predicted.shape != truth.shape:
@@ -87,13 +89,9 @@ def residue_norms(predicted: np.ndarray, truth: np.ndarray, norm: str = "l2") ->
     if predicted.ndim < 2:
         raise ParameterError("need at least (T, ...) arrays")
     err = (predicted - truth).reshape(predicted.shape[0], -1)
-    if norm == "l1":
-        return np.abs(err).mean(axis=1)
     if norm == "l2":
         return (err**2).mean(axis=1)
-    if norm == "linf":
-        return np.abs(err).max(axis=1)
-    raise ParameterError(f"norm must be 'l1', 'l2' or 'linf', got {norm!r}")
+    return np.abs(err).mean(axis=1) if norm == "l1" else np.abs(err).max(axis=1)
 
 
 @dataclass

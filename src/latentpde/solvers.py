@@ -5,8 +5,10 @@ Stage coefficients for the exponential integrators are evaluated with the
 contour-averaging trick of Kassam & Trefethen (mean of the integrand over
 points on a unit circle around each z = dt*lambda), which avoids the
 catastrophic cancellation of the direct phi-function formulas near z = 0.
-A bad field of a :class:`Trajectory` raises ParameterError in the form
-``Trajectory: dt must be > 0, got 0.0``.
+A bad field of a :class:`Trajectory` or a bad scalar argument raises
+ParameterError in the form ``Trajectory: dt must be > 0, got 0.0``, naming
+the class or the function called, as in ``euler_frames: steps must be an
+integer, got 2.5``.
 """
 
 from dataclasses import dataclass, field
@@ -19,6 +21,8 @@ from .errors import DivergenceError, Key, ParameterError, check_entries
 
 TRAJECTORY_TABLE = {"dt": Key(float, ">", 0), "skip": Key(int, ">=", 1, True),
                     "burn_in": Key(int, ">=", 0, True)}
+_ARGS = {**TRAJECTORY_TABLE, "steps": Key(int, ">=", 1, True),
+         "domain_length": Key(float, ">", 0, True), "contour_points": Key(int, ">=", 4, True)}
 
 
 @dataclass
@@ -81,11 +85,8 @@ def euler_frames(op, x0s: np.ndarray, dt: float, steps: int, skip: int = 1):
     naming the first bad step, and for B > 1 the first trajectory that is
     not finite there, if a stored frame stops being finite.
     """
+    check_entries(locals(), _ARGS, "euler_frames", ParameterError)
     x0s = np.asarray(x0s, dtype=float)
-    if not 0 < dt < np.inf:
-        raise ParameterError(f"dt must be finite and > 0, got {dt}")
-    if steps < 1 or skip < 1:
-        raise ParameterError(f"steps and skip must be >= 1, got {steps}, {skip}")
     if x0s.ndim < 2 or x0s.shape[0] < 1:
         raise ParameterError(f"expected a stack of initial states, got shape {x0s.shape}")
     if op.shape[0] != op.shape[1] or op.shape[1] != x0s[0].size:
@@ -147,11 +148,8 @@ def etdrk_coefficients(linear_symbol: np.ndarray, dt: float,
     perturbs the result below 1e-12 for the symbols used here, so the
     default of 32 is already converged.
     """
+    check_entries(locals(), _ARGS, "etdrk_coefficients", ParameterError)
     lam = np.asarray(linear_symbol, dtype=float)
-    if not 0 < dt < np.inf:
-        raise ParameterError(f"dt must be finite and > 0, got {dt}")
-    if contour_points < 4:
-        raise ParameterError(f"contour_points must be >= 4, got {contour_points}")
     roots = np.exp(1j * np.pi * (np.arange(contour_points) + 0.5) / contour_points)
     z = dt * lam[..., None] + roots  # circle of radius 1 around each dt*lambda
     mean = lambda w: w.mean(axis=-1).real
@@ -189,13 +187,10 @@ def simulate_kse2d(u0: np.ndarray, domain_length: float, dt: float, steps: int,
     initial state itself is not stored), and the first ``burn_in`` stored
     frames are dropped.  A zero initial state stays exactly zero.
     """
+    check_entries(locals(), _ARGS, "simulate_kse2d", ParameterError)
     u0 = np.asarray(u0, dtype=float)
     if u0.ndim != 2 or u0.shape[0] != u0.shape[1]:
         raise ParameterError(f"expected a square field, got shape {u0.shape}")
-    if steps < 1 or skip < 1 or burn_in < 0:
-        raise ParameterError("steps, skip must be >= 1 and burn_in >= 0")
-    if not 0 < domain_length < np.inf:
-        raise ParameterError(f"domain_length must be finite and > 0, got {domain_length}")
     n_stored = steps // skip
     if n_stored - burn_in < 1:
         raise ParameterError(f"burn_in {burn_in} leaves no frames out of {n_stored} stored")
@@ -247,13 +242,10 @@ def simulate_kse1d(u0: np.ndarray, domain_length: float, dt: float, steps: int) 
     frames of shape (N,).  The nonlinear term -0.5 d/dx (u^2) is dealiased
     with the 2/3 rule; the mean mode is conserved by construction.
     """
+    check_entries(locals(), _ARGS, "simulate_kse1d", ParameterError)
     u0 = np.asarray(u0, dtype=float)
     if u0.ndim != 1:
         raise ParameterError(f"expected a line field, got shape {u0.shape}")
-    if steps < 1:
-        raise ParameterError(f"steps must be >= 1, got {steps}")
-    if not 0 < domain_length < np.inf:
-        raise ParameterError(f"domain_length must be finite and > 0, got {domain_length}")
     n = u0.shape[0]
     k = 2.0 * np.pi * np.fft.fftfreq(n, d=domain_length / n)
     symbol = k**2 - k**4

@@ -10,7 +10,9 @@ For stacked wave states only the amplitude block is read.
 
 import numpy as np
 
-from .errors import ParameterError
+from .errors import Key, ParameterError, check_entries
+
+TOKEN_ARGS = {"patch": Key(int, ">=", 1, True), "k": Key(int, ">=", 1, True)}
 
 
 def amplitude(frames: np.ndarray) -> np.ndarray:
@@ -26,18 +28,20 @@ def amplitude(frames: np.ndarray) -> np.ndarray:
 
 def tokenize(state: np.ndarray, patch: int) -> np.ndarray:
     """Token frame of one (N,) line, (n, n) or (2, n, n) state."""
+    check_entries(locals(), TOKEN_ARGS, "tokenize", ParameterError)
     return tokenize_trajectory(np.asarray(state, dtype=float)[None], patch)[0]
 
 
 def tokenize_trajectory(frames: np.ndarray, patch: int) -> np.ndarray:
     """Tokenize every frame, the one array form of patch averaging:
     (T, N) lines -> (T, N/patch), (T, n, n) or (T, 2, n, n) -> (T, (n/patch)^2)."""
+    check_entries(locals(), TOKEN_ARGS, "tokenize_trajectory", ParameterError)
     frames = amplitude(frames)
     rank = frames.ndim - 1
     if rank not in (1, 2) or frames.shape[1:] != frames.shape[-1:] * rank:
         raise ParameterError(f"expected (T, N) or (T, n, n) frames, got shape {frames.shape}")
     t, n = frames.shape[0], frames.shape[-1]
-    if patch < 1 or n % patch != 0:
+    if n % patch:
         raise ParameterError(f"patch {patch} must divide grid size {n}")
     blocks = frames.reshape((t,) + (n // patch, patch) * rank)
     return blocks.mean(axis=(2, 4)[:rank]).reshape(t, -1)
@@ -49,7 +53,7 @@ def _windows(tokens: np.ndarray, k: int) -> np.ndarray:
     tokens = np.asarray(tokens, dtype=float)
     if tokens.ndim != 2:
         raise ParameterError(f"expected a (T, m) token array, got shape {tokens.shape}")
-    if k < 1 or k > tokens.shape[0]:
+    if k > tokens.shape[0]:
         raise ParameterError(f"history length {k} outside 1..{tokens.shape[0]}")
     return np.lib.stride_tricks.sliding_window_view(tokens, (k, tokens.shape[1]))[:, 0]
 
@@ -57,6 +61,7 @@ def _windows(tokens: np.ndarray, k: int) -> np.ndarray:
 def sliding_histories(tokens: np.ndarray, k: int) -> np.ndarray:
     """All windows of k consecutive token frames, as a writable copy:
     (T, m) -> (T-k+1, k, m)."""
+    check_entries(locals(), TOKEN_ARGS, "sliding_histories", ParameterError)
     return _windows(tokens, k).copy()
 
 
@@ -67,6 +72,7 @@ def forecast_pairs(tokens: np.ndarray, k: int):
     ``r+k``: shapes (T-k, k, m) and (T-k, m), both read-only views of
     ``tokens``.  T <= k raises.
     """
+    check_entries(locals(), TOKEN_ARGS, "forecast_pairs", ParameterError)
     tokens = np.asarray(tokens, dtype=float)
     if tokens.shape[0] <= k:
         raise ParameterError(f"need more than k={k} frames, got {tokens.shape[0]}")
@@ -78,6 +84,7 @@ def build_histories(frames: np.ndarray, k: int, patch: int):
     its token frames, ``(histories, targets)`` of shapes (T-k, k, m) and
     (T-k, m), where history r covers frames ``r .. r+k-1`` and its target
     is the token frame ``r+k``.  T <= k raises."""
+    check_entries(locals(), TOKEN_ARGS, "build_histories", ParameterError)
     return forecast_pairs(tokenize_trajectory(frames, patch), k)
 
 
@@ -90,6 +97,7 @@ def build_reconstruction_pairs(frames: np.ndarray, k: int, patch: int):
     and s running over k-1 .. T-1.  Both are views: the histories are
     windows of one token array, the targets frames of ``frames``.
     """
+    check_entries(locals(), TOKEN_ARGS, "build_reconstruction_pairs", ParameterError)
     frames = np.asarray(frames, dtype=float)
     if frames.shape[0] < k:
         raise ParameterError(f"need at least k={k} frames, got {frames.shape[0]}")

@@ -15,7 +15,7 @@ from latentpde import (DegenerateStatisticError, GridSpec, GrfParams, NonObserva
                        empirical_lie_logdet, gramian_reconstruction, hautus_test,
                        kalman_observability_matrix, kalman_rank_test,
                        linear_reconstruct_initial_state, observability_gramian, rank_test,
-                       simulate_kse1d, tokenize_trajectory)
+                       simulate_kse1d, simulate_linear, tokenize_trajectory)
 from latentpde.cli import main as cli_main
 
 
@@ -527,6 +527,32 @@ def test_gramian_reconstruction_is_one_pass_and_matches_public_functions(monkeyp
                                                     / np.linalg.norm(x0))
 
 
+def test_gramian_entry_points_round_quadrature_steps_alike(tmp_path, capsys):
+    """One rule, in the step propagator: a step count of at least 1 rounds
+    up to even, for the library Gramian and the CLI check alike."""
+    grid, patch, horizon = GridSpec(n=4), 2, 1.0
+    op = build_modified_laplacian(np.ones((4, 4)), grid)
+    h = build_tokenizer_matrix(grid, patch)
+    x0 = np.random.default_rng(1).standard_normal(16)
+    for steps in (1, 2, 3):
+        rounded = steps + steps % 2
+        assert (observability_gramian(op, h, horizon, steps).tobytes()
+                == observability_gramian(op, h, horizon, rounded).tobytes())
+        report = gramian_reconstruction(grid, patch, op, x0, horizon, steps, cond_limit=1e300)
+        assert report.quadrature_steps == rounded
+    out = tmp_path / "gramian.txt"
+    assert cli_main(["observability", "--check", "gramian", "--grid", "8", "--patch", "2",
+                     "--horizon", "4", "--quadrature-steps", "1", "--cond-limit", "1e300",
+                     "--out", str(out)]) == 0
+    assert "quadrature_steps = 2\n" in out.read_text()
+    for refused in (lambda: observability_gramian(op, h, horizon, 0),
+                    lambda: gramian_reconstruction(grid, patch, op, x0, horizon, 0)):
+        with pytest.raises(ParameterError,
+                           match="^_step_propagator: quadrature_steps must be >= 1, got 0$"):
+            refused()
+    capsys.readouterr()
+
+
 def make_generic_trajectory(sites=40, frames=300, seed=0):
     # a traveling wave alone spans too few directions for the stacked
     # derivative matrix to be invertible, so add broadband noise
@@ -574,6 +600,41 @@ def test_lie_logdet_rolling_mean():
     manual = series.log_abs_det[idx - 2:idx + 3].mean()
     assert series.rolling[idx] == pytest.approx(manual)
     assert np.isnan(series.rolling[0]) and np.isnan(series.rolling[-1])
+
+
+@pytest.mark.filterwarnings("ignore:forward Euler may be unstable:RuntimeWarning")
+def test_lie_logdet_is_the_window_times_the_kalman_matrix():
+    """Oracle on Euler-stepped linear line data (ROADMAP item 5(a)).
+
+    With x' = A x stepped by forward Euler, the forward differences of the
+    tokens P x_t over dt**j are P A^j x_t, so z(t) = O_p x_t with the Kalman
+    matrix O_p = [P; PA; ...; PA^(p-1)], M(t) = X(t) O_p' for the dim
+    consecutive states X(t), and
+    log|det M(t)| = log|det X(t)| + log|det O_p|.  LU rounding bounds the
+    gap by dim * eps * cond(M) <= dim * eps * cond(X) * cond(O_p).  The
+    step G = I + dt A is 0.95 times a rotated cyclic shift, so every window
+    is well conditioned, and log|det M| falls by log|det G| per window.
+    """
+    sites, patch, p, dt = 12, 2, 2, 0.5
+    rng = np.random.default_rng(0)
+    rotation, _ = np.linalg.qr(rng.standard_normal((sites, sites)))
+    step = 0.95 * rotation @ np.roll(np.eye(sites), 1, axis=0) @ rotation.T
+    A = (step - np.eye(sites)) / dt
+    traj = simulate_linear(A, rng.standard_normal(sites), dt, 40)
+    series = empirical_lie_logdet(traj, patch, derivative_order=p, window=1)
+    P = np.kron(np.eye(sites // patch), np.full((1, patch), 1.0 / patch))
+    kalman = np.vstack([P, P @ A])
+    log_o, cond_o = np.linalg.slogdet(kalman)[1], np.linalg.cond(kalman)
+    assert series.dim == sites and len(series.log_abs_det) == 28
+    eps = np.finfo(float).eps
+    for t, log_m in enumerate(series.log_abs_det):
+        window = traj.frames[t:t + sites]
+        cond_x = np.linalg.cond(window)
+        assert cond_x < 1e8
+        gap = log_m - np.linalg.slogdet(window)[1] - log_o
+        assert abs(gap) <= sites * eps * cond_x * cond_o, (t, gap)
+    np.testing.assert_allclose(np.diff(series.log_abs_det), np.linalg.slogdet(step)[1],
+                               rtol=0, atol=1e-10)
 
 
 def test_lie_logdet_validation():

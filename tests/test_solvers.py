@@ -121,7 +121,8 @@ SOLVER_CASES = {
 
 @pytest.mark.parametrize("case", sorted(SOLVER_CASES))
 def test_solvers_refuse_a_nan_infinite_or_non_positive_scalar(case):
-    with pytest.raises(ParameterError, match="must be finite and > 0"):
+    with pytest.raises(ParameterError,
+                       match=r"^\w+: (dt|domain_length) must be (a finite real number|> 0), got "):
         SOLVER_CASES[case]()
 
 
