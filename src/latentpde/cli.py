@@ -249,12 +249,7 @@ def cmd_metrics(args) -> int:
     if shape[0] > manifest.frames:
         raise DataFormatError(f"{meta_path}: a clip of {shape[0]} frames; the data have "
                               f"{manifest.frames} frames per trajectory")
-    clip = np.fromfile(args.clip_prefix + "_fields.bin", dtype="<f8")
-    if clip.size != np.prod(shape):
-        raise DataFormatError(f"clip fields hold {clip.size} values, not shape {shape}")
-    if not np.isfinite(clip).all():
-        raise DataFormatError(f"{args.clip_prefix}_fields.bin: holds a value that is not finite")
-    clip = clip.reshape(shape)
+    clip = ds.read_float64(args.clip_prefix + "_fields.bin", shape)
     rows = []
     best = np.inf
     for idx, fr in enumerate(frames):

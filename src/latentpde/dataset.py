@@ -187,25 +187,29 @@ def load_field_manifest(data_dir: str) -> DatasetManifest:
     return manifest
 
 
+def read_float64(path: str, shape) -> np.ndarray:
+    """The array of ``shape`` in a file of raw little-endian float64, as a
+    dataset blob or a rollout clip is written.  A missing file, another
+    byte count or a value that is not finite, which no program writes, is
+    a DataFormatError."""
+    shape = tuple(shape)
+    if not os.path.exists(path):
+        raise DataFormatError(f"{path}: no such file")
+    expected, actual = int(np.prod(shape)) * 8, os.path.getsize(path)
+    if actual != expected:
+        raise DataFormatError(f"{path}: {actual} bytes, not the {expected} of shape {shape}")
+    values = np.fromfile(path, dtype="<f8").reshape(shape)
+    if not np.isfinite(values).all():
+        raise DataFormatError(f"{path}: holds a value that is not finite")
+    return values
+
+
 def load_trajectory(data_dir: str, manifest: DatasetManifest, index: int) -> np.ndarray:
-    """Read one blob of a dataset, validating its size against the manifest
-    and its values: no program writes a non-finite frame."""
+    """Read one blob of a dataset, of the shape its manifest records."""
     if not 0 <= index < manifest.trajectories:
         raise ParameterError(f"trajectory index {index} outside 0..{manifest.trajectories - 1}")
-    path = os.path.join(data_dir, _blob_name(index))
-    if not os.path.exists(path):
-        raise DataFormatError(f"missing blob {path}")
-    shape = (manifest.frames,) + tuple(manifest.frame_shape)
-    expected = int(np.prod(shape)) * 8
-    actual = os.path.getsize(path)
-    if actual != expected:
-        raise DataFormatError(
-            f"{path}: {actual} bytes but manifest implies {expected} "
-            f"({manifest.frames} frames of shape {tuple(manifest.frame_shape)})")
-    frames = np.fromfile(path, dtype="<f8").reshape(shape)
-    if not np.isfinite(frames).all():
-        raise DataFormatError(f"{path}: holds a value that is not finite")
-    return frames
+    return read_float64(os.path.join(data_dir, _blob_name(index)),
+                        (manifest.frames, *manifest.frame_shape))
 
 
 def trajectories(data_dir: str, manifest: DatasetManifest, indices=None):
@@ -453,13 +457,3 @@ def write_csv(path: str, header: list, rows, comment: str = "") -> None:
         writer.writerow(row)
     atomic_write(path, buf.getvalue().encode())
 
-
-def read_csv(path: str):
-    """Inverse of :func:`write_csv`: returns (header, list of string rows)."""
-    import csv
-
-    with open(path, newline="") as fh:
-        rows = [r for r in csv.reader(fh) if r and not r[0].startswith("#")]
-    if not rows:
-        raise DataFormatError(f"{path}: empty CSV")
-    return rows[0], rows[1:]

@@ -21,6 +21,7 @@ from scipy.linalg import lapack
 
 from .dataset import NORMALIZATION_TABLE, atomic_write
 from .errors import DataFormatError, DivergenceError, Key, ParameterError, check_entries
+from .tokenizer import forecast_pairs
 
 _HEADER_TABLE = {"version": Key(int, "==", 2), "format": Key(str, "==", "linear-map"),
                  "history_len": Key(int, ">=", 1), "token_dim": Key(int, ">=", 1),
@@ -197,7 +198,8 @@ def fit_blocks(blocks, samples: int, ridge: float = 0.0, bias: bool = True) -> L
     predictions and residual norm to a backward-stable tolerance, not its
     weight bytes.  The ridge penalty never touches the bias column.
     """
-    check_entries(locals(), {"ridge": TRAIN_TABLE["ridge"]}, "fit_blocks", ParameterError)
+    check_entries(locals(), {"ridge": TRAIN_TABLE["ridge"], "bias": Key(bool)}, "fit_blocks",
+                  ParameterError)
     blocks, k, m, output_shape = _intake(blocks, samples)
     n_feat = k * m
     design, target = _assemble(blocks, samples, k, m, math.prod(output_shape), ridge, bias)
@@ -437,8 +439,8 @@ def fit_sgd_blocks(blocks, samples: int, config: TrainConfig, eval_split: float 
     on one BLAS thread (see :func:`_one_blas_thread`).  A non-finite sample
     raises ParameterError, and a NaN/Inf loss DivergenceError with its step.
     """
-    check_entries(locals(), {"eval_split": Key(float, "[)", (0, 1))}, "fit_sgd_blocks",
-                  ParameterError)
+    check_entries(locals(), {"eval_split": Key(float, "[)", (0, 1)), "bias": Key(bool)},
+                  "fit_sgd_blocks", ParameterError)
     blocks, k, m, out_shape = _intake(blocks, samples)
     out_dim = math.prod(out_shape)
     rng = np.random.default_rng(config.seed)
@@ -512,8 +514,6 @@ def history_sweep(train_tokens, eval_tokens, k_values, ridge: float = 0.0):
     Returns a list of row dicts with per-k means and standard deviations
     over the evaluation trajectories.
     """
-    from .tokenizer import forecast_pairs
-
     rows = []
     for k in k_values:
         check_entries({"k": k}, {"k": _HEADER_TABLE["history_len"]}, "history_sweep",

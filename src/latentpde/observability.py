@@ -429,7 +429,9 @@ def witness_orbit(grid: GridSpec, patch: int, wave: bool = False) -> WitnessRepo
 
 
 _GRAMIAN_DENSE_LIMIT = 256
-_PROPAGATOR_ARGS = {"horizon": Key(float, ">", 0), "quadrature_steps": Key(int, ">=", 1)}
+# the arguments of the three Gramian entry points, each of which takes some of them
+_GRAMIAN_ARGS = {"horizon": Key(float, ">", 0), "quadrature_steps": Key(int, ">=", 1, True),
+                 "cond_limit": Key(float, ">", 0, True)}
 
 
 def _step_propagator(A, horizon: float, quadrature_steps: int):
@@ -439,7 +441,6 @@ def _step_propagator(A, horizon: float, quadrature_steps: int):
     V e^{Lambda delta} V' from numpy's ``eigh``, whose bits do not depend
     on the BLAS thread count inside a verb; any other A gives scipy's
     ``expm``, which runs on scipy's own BLAS threads."""
-    check_entries(locals(), _PROPAGATOR_ARGS, "_step_propagator", ParameterError)
     n = A.shape[0]
     if n > _GRAMIAN_DENSE_LIMIT:
         raise ParameterError(f"dense Gramian limited to state dim {_GRAMIAN_DENSE_LIMIT}, got {n}")
@@ -489,7 +490,6 @@ def _simpson_pass(estep: np.ndarray, hd: np.ndarray, horizon: float, steps: int,
 
 def _solve_moments(gram: np.ndarray, moment: np.ndarray, cond_limit: float):
     """``(x, cond(gram))`` with gram x = moment; refuses an ill-conditioned gram."""
-    check_entries(locals(), {"cond_limit": Key(float, ">", 0)}, "_solve_moments", ParameterError)
     cond = np.linalg.cond(gram)
     if not np.isfinite(cond) or cond > cond_limit:
         raise NonObservableError(
@@ -506,6 +506,7 @@ def observability_gramian(A, h, horizon: float, quadrature_steps: int = 256) -> 
     with expm(A * T/steps), m*n^2 multiply-adds per node.  Dense
     evaluation, guarded to state dims <= 256.
     """
+    check_entries(locals(), _GRAMIAN_ARGS, "observability_gramian", ParameterError)
     hd = _output_map(A, h)
     steps, estep = _step_propagator(A, horizon, quadrature_steps)
     return _simpson_pass(estep, hd, horizon, steps)[0]
@@ -521,6 +522,7 @@ def linear_reconstruct_initial_state(A, h, outputs: np.ndarray, horizon: float,
     the same nodes.  Raises NonObservableError when cond(Q) exceeds
     ``cond_limit``: the moment problem is numerically singular.
     """
+    check_entries(locals(), _GRAMIAN_ARGS, "linear_reconstruct_initial_state", ParameterError)
     outputs = np.atleast_2d(np.asarray(outputs, dtype=float))
     n_nodes = outputs.shape[0]
     if n_nodes < 3 or n_nodes % 2 == 0:
@@ -556,6 +558,7 @@ def gramian_reconstruction(grid: GridSpec, patch: int, A, x0: np.ndarray, horizo
     """Recover x0 from its own patch-token outputs on the Simpson nodes,
     as :func:`linear_reconstruct_initial_state` does; one step propagator
     serves both the output synthesis and the quadrature."""
+    check_entries(locals(), _GRAMIAN_ARGS, "gramian_reconstruction", ParameterError)
     h = build_tokenizer_matrix(grid, patch, wave=A.shape[0] == 2 * grid.n**2)
     hd = _output_map(A, h)
     steps, estep = _step_propagator(A, horizon, quadrature_steps)

@@ -13,9 +13,7 @@ the factor ``n/2`` converts it to the torus coordinates above.  The final
 field is rescaled so the per-pixel standard deviation equals ``sigma``
 exactly (in expectation over pixels the construction is stationary, so the
 rescaling is a single global constant).  A bad field of a :class:`GrfParams`
-or a bad scalar argument raises ParameterError in the form
-``GrfParams: sigma must be >= 0, got -1.0``, naming the class or the
-function called.
+raises ParameterError in the form ``GrfParams: sigma must be >= 0, got -1.0``.
 """
 
 from dataclasses import dataclass
@@ -27,8 +25,6 @@ from .lattice_ops import GRID_TABLE
 
 GRF_TABLE = {"grid_size": GRID_TABLE["n"], "sigma": Key(float, ">=", 0),
              "m": Key(float, ">", 0), "nu": Key(float, ">", 0), "seed": Key(int, ">=", 0)}
-_COVARIANCE_ARGS = {**{key: GRF_TABLE[key] for key in ("m", "nu", "grid_size")},
-                    "truncation": Key(int, ">=", 1)}
 
 
 @dataclass(frozen=True)
@@ -86,30 +82,3 @@ def build_conductivity(params: GrfParams) -> np.ndarray:
     """Log-normal conductivity field exp(Z), strictly positive."""
     return np.exp(sample_matern_field(params))
 
-
-def periodic_matern_covariance(
-    offset, m: float, nu: float, truncation: int, grid_size: int
-) -> float:
-    """Covariance of the unit-normalised spectral sum at a lattice offset.
-
-    Direct cosine-series evaluation of
-
-        C(d) = sum_{k != 0, |k_i| <= truncation}
-                   S(k) * cos(2*pi*(k . d)/grid_size)
-
-    with ``S`` as in :func:`_spectrum`.  The value is the *unnormalised*
-    series; callers wanting the covariance of :func:`sample_matern_field`
-    should use ``sigma**2 * C(d) / C(0)``.  Serves as an independent check
-    on the FFT sampler (the sum never goes through an FFT).
-    """
-    check_entries(locals(), _COVARIANCE_ARGS, "periodic_matern_covariance", ParameterError)
-    d1, d2 = offset
-    m_phys = m * grid_size / 2.0
-    total = 0.0
-    for k1 in range(-truncation, truncation + 1):
-        for k2 in range(-truncation, truncation + 1):
-            if k1 == 0 and k2 == 0:
-                continue
-            s = 0.25 * (np.pi**2 * (k1**2 + k2**2) + m_phys**2) ** (-nu)
-            total += s * np.cos(2.0 * np.pi * (k1 * d1 + k2 * d2) / grid_size)
-    return total

@@ -120,6 +120,10 @@ def _pixel_series(video: np.ndarray, pixel) -> np.ndarray:
     return video[(slice(None), *index)]
 
 
+# its range within the frames of a video is checked on the video
+_DT_MAX = {"dt_max": Key(int)}
+
+
 def temporal_correlation(video: np.ndarray, pixel, dt_max: int) -> CorrelationSeries:
     """Pearson correlation of a pixel series with itself at lags 0..dt_max.
 
@@ -127,6 +131,7 @@ def temporal_correlation(video: np.ndarray, pixel, dt_max: int) -> CorrelationSe
     zero variance (the correlation is undefined there).  A lag leaves at
     least two samples in each slice, so dt_max runs up to T - 2.
     """
+    check_entries(locals(), _DT_MAX, "temporal_correlation", ParameterError)
     series = _pixel_series(video, pixel)
     if dt_max < 0 or dt_max >= len(series) - 1:
         raise ParameterError(f"dt_max {dt_max} outside 0..{len(series) - 2}")
@@ -148,6 +153,7 @@ def correlation_ensemble_stats(videos, pixel, dt_max: int) -> CorrelationSeries:
     Degenerate videos (zero variance) are skipped with a warning; at
     least two usable videos are required.
     """
+    check_entries(locals(), _DT_MAX, "correlation_ensemble_stats", ParameterError)
     curves = []
     for idx, video in enumerate(videos):
         try:

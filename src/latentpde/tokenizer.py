@@ -3,8 +3,8 @@
 A token frame is the vector of patch means of one field: of runs of
 ``patch`` sites on an (N,) line, or of ``patch`` x ``patch`` blocks on an
 (n, n) lattice, flattened in the same block order as the rows of the
-sparse tokenizer matrix, so applying :func:`tokenize` and multiplying by
-:func:`latentpde.lattice_ops.build_tokenizer_matrix` agree to rounding.
+sparse tokenizer matrix, so :func:`tokenize_trajectory` and multiplying each
+frame by :func:`latentpde.lattice_ops.build_tokenizer_matrix` agree to rounding.
 For stacked wave states only the amplitude block is read.
 """
 
@@ -24,12 +24,6 @@ def amplitude(frames: np.ndarray) -> np.ndarray:
     if frames.shape[1] != 2:
         raise ParameterError(f"stacked states must have 2 components, got {frames.shape}")
     return frames[:, 0]
-
-
-def tokenize(state: np.ndarray, patch: int) -> np.ndarray:
-    """Token frame of one (N,) line, (n, n) or (2, n, n) state."""
-    check_entries(locals(), TOKEN_ARGS, "tokenize", ParameterError)
-    return tokenize_trajectory(np.asarray(state, dtype=float)[None], patch)[0]
 
 
 def tokenize_trajectory(frames: np.ndarray, patch: int) -> np.ndarray:

@@ -1,6 +1,7 @@
 import argparse
 from collections import Counter
 import contextlib
+import csv
 import dataclasses
 import errno
 import io
@@ -20,8 +21,8 @@ import pytest
 import latentpde
 from latentpde import (DataFormatError, DatasetManifest, DivergenceError, ParameterError,
                        apply_normalization, cli, compute_normalization, export_frame_image,
-                       generate_dataset, load_all, load_manifest, load_trajectory, read_csv,
-                       write_csv, write_dataset)
+                       generate_dataset, load_all, load_manifest, load_trajectory, write_csv,
+                       write_dataset)
 from latentpde import dataset as dataset_module
 from latentpde.lattice_ops import GRID_TABLE
 from latentpde.random_fields import GRF_TABLE
@@ -48,6 +49,13 @@ TINY_KSE = {
     "steps": 300, "trajectories": 1, "init": {"kind": "sine", "waves": 2},
     "init_seed": 0, "patch": 4,
 }
+
+
+def read_csv(path):
+    """The header and string rows of a CSV the verbs write, past its '#' line."""
+    with open(path, newline="") as fh:
+        rows = [row for row in csv.reader(fh) if row and not row[0].startswith("#")]
+    return rows[0], rows[1:]
 
 
 def test_manifest_roundtrip():
@@ -391,6 +399,15 @@ def test_cli_error_exit_codes(tmp_path, capsys):
                  ["observability", "--check", "lie", "--data", str(kse), "--window", "0"],
                  ["observability", "--check", "lie", "--data", str(kse), "--rel-tol", "-1"]):
         assert cli.main([*argv, "--out", str(tmp_path / "range.out")]) == 2, argv
+    # a Gramian refusal names the library function the check calls, not a helper of it
+    capsys.readouterr()
+    for flag, value in (("--horizon", "nan"), ("--quadrature-steps", "0"),
+                        ("--cond-limit", "inf")):
+        assert cli.main(["observability", "--check", "gramian", "--grid", "4", flag, value,
+                         "--out", str(tmp_path / "range.out")]) == 2, flag
+        argument = flag[2:].replace("-", "_")
+        assert capsys.readouterr().err.startswith(
+            f"error: gramian_reconstruction: {argument} must be "), flag
     # a config file that is not JSON text -> data format error
     for junk in (b"{not json", b"\x83\x00"):
         (tmp_path / "junk.json").write_bytes(junk)
@@ -482,6 +499,12 @@ def test_cli_error_exit_codes(tmp_path, capsys):
         (tmp_path / "badclip_meta.json").write_text(json.dumps(bad_meta))
         (tmp_path / "badclip_fields.bin").write_bytes(bad_fields)
         data_format_error(subvideo)
+    # a clip without its fields file: once an [Errno 2] line
+    (tmp_path / "badclip_meta.json").write_text(json.dumps(meta))
+    (tmp_path / "badclip_fields.bin").unlink()
+    assert cli.main(subvideo) == 3
+    assert capsys.readouterr().err.splitlines() == [
+        f"error: {tmp_path / 'badclip_fields.bin'}: no such file"]
     # a clip rolled out without --super has no fields to compare
     data_format_error(["metrics", "subvideo", "--data", str(data), "--clip-prefix", plain,
                        "--out", str(tmp_path / "s.csv")])

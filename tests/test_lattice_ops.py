@@ -3,7 +3,7 @@ import pytest
 
 from latentpde import (GridSpec, ParameterError, build_difference,
                        build_modified_laplacian, build_tokenizer_matrix,
-                       build_wave_generator, tokenize)
+                       build_wave_generator, tokenize_trajectory)
 
 
 def dense_difference(n, dx, axis, direction):
@@ -108,7 +108,8 @@ def test_tokenizer_matrix_agrees_with_patch_means():
     grid = GridSpec(n=8)
     h = build_tokenizer_matrix(grid, 4)
     field = rng.standard_normal((8, 8))
-    np.testing.assert_allclose(h @ field.ravel(), tokenize(field, 4), atol=1e-14)
+    np.testing.assert_allclose(h @ field.ravel(), tokenize_trajectory(field[None], 4)[0],
+                               atol=1e-14)
     np.testing.assert_allclose(h @ np.ones(64), 1.0, atol=1e-14)  # rows are means
 
 
@@ -134,7 +135,7 @@ def test_tokenizer_wave_ignores_velocity_block():
     u = rng.standard_normal((8, 8))
     v = rng.standard_normal((8, 8))
     state = np.concatenate([u.ravel(), v.ravel()])
-    np.testing.assert_allclose(h @ state, tokenize(u, 2), atol=1e-14)
+    np.testing.assert_allclose(h @ state, tokenize_trajectory(u[None], 2)[0], atol=1e-14)
     assert h[:, 64:].count_nonzero() == 0
 
 

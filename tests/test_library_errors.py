@@ -10,15 +10,16 @@ import pytest
 import scipy.sparse as sp
 
 import latentpde.observability as obs
-from latentpde import (DataFormatError, DatasetManifest, DivergenceError, GridSpec,
-                       LinearMap, ParameterError, TrainConfig, annihilation_witness,
-                       autoregressive_rollout, build_difference, build_histories,
-                       build_reconstruction_pairs, build_tokenizer_matrix, empirical_lie_logdet,
-                       etdrk_coefficients, euler_frames, export_frame_image, fit_sgd_blocks,
-                       fit_superres, forecast_pairs, full_pipeline_rollout, hautus_test,
-                       history_sweep, kalman_rank_test, lie_logdet_report,
-                       periodic_matern_covariance, rank_test, read_csv, residue_norms,
-                       simulate_kse1d, simulate_kse2d, sliding_histories, tokenize,
+from latentpde import (DatasetManifest, DivergenceError, GridSpec, LinearMap, ParameterError,
+                       TrainConfig, annihilation_witness, autoregressive_rollout,
+                       build_difference, build_histories, build_reconstruction_pairs,
+                       build_tokenizer_matrix, correlation_ensemble_stats, empirical_lie_logdet,
+                       etdrk_coefficients, euler_frames, export_frame_image, fit_blocks,
+                       fit_least_squares, fit_sgd, fit_sgd_blocks, fit_superres, forecast_pairs,
+                       full_pipeline_rollout, gramian_reconstruction, hautus_test, history_sweep,
+                       kalman_rank_test, lie_logdet_report, linear_reconstruct_initial_state,
+                       observability_gramian, rank_test, residue_norms, simulate_kse1d,
+                       simulate_kse2d, sliding_histories, temporal_correlation,
                        tokenize_trajectory, write_dataset)
 
 NAN, INF = float("nan"), float("inf")
@@ -31,6 +32,7 @@ _FRAMES = _RNG.standard_normal((6, 4, 4))
 _TOKENS = _RNG.standard_normal((6, 2))
 _BLOCK = (_RNG.standard_normal((5, 2, 3)), _RNG.standard_normal((5, 4)))
 _FORECASTER = LinearMap(np.zeros((2, 2)), None, 1, 2, (2,))
+_TALL_BLOCK = (_RNG.standard_normal((20, 2, 3)), _RNG.standard_normal((20, 4)))
 
 
 # function name -> (call taking the argument values as keywords, its valid arguments)
@@ -51,18 +53,26 @@ CALLS = {
                     {"tol": 1e-8}),
     "annihilation_witness": (lambda **kw: annihilation_witness(GridSpec(n=8), **kw),
                              {"patch": 2, "wave": False}),
-    "_step_propagator": (lambda **kw: obs._step_propagator(-np.eye(3), **kw),
-                         {"horizon": 1.0, "quadrature_steps": 4}),
-    "_solve_moments": (lambda **kw: obs._solve_moments(np.eye(2), np.ones(2), **kw),
-                       {"cond_limit": 1e12}),
+    "observability_gramian": (lambda **kw: observability_gramian(-np.eye(3), np.ones((1, 3)),
+                                                                 **kw),
+                              {"horizon": 1.0, "quadrature_steps": 4}),
+    "linear_reconstruct_initial_state": (
+        lambda **kw: linear_reconstruct_initial_state(-np.eye(2), np.eye(2), np.ones((3, 2)),
+                                                      **kw),
+        {"horizon": 1.0, "cond_limit": 1e12}),
+    "gramian_reconstruction": (
+        lambda **kw: gramian_reconstruction(GridSpec(n=2), 1, -np.eye(4), np.ones(4), **kw),
+        {"horizon": 1.0, "quadrature_steps": 4, "cond_limit": 1e12}),
     "empirical_lie_logdet": (lambda **kw: empirical_lie_logdet(_LINE, **kw),
                              {"patch": 4, "derivative_order": 2, "window": 10,
                               "with_singular_values": False, "burn_frac": 0.0}),
     "lie_logdet_report": (lambda **kw: lie_logdet_report(_LINE, **kw),
                           {"patch": 4, "derivative_order": 2, "window": 10,
                            "burn_frac": 0.5, "rel_tol": 1e-10}),
+    "fit_blocks": (lambda **kw: fit_blocks([_TALL_BLOCK], 20, **kw),
+                   {"ridge": 0.0, "bias": True}),
     "fit_sgd_blocks": (lambda **kw: fit_sgd_blocks([_BLOCK], 5, TrainConfig(steps=1), **kw),
-                       {"eval_split": 0.1}),
+                       {"eval_split": 0.1, "bias": True}),
     "history_sweep": (lambda k: history_sweep([_TOKENS] * 2, [_TOKENS] * 2, [k]), {"k": 1}),
     "TrainConfig": (lambda **kw: TrainConfig(**kw), {"lr_decay": 1.0}),
     "autoregressive_rollout": (lambda **kw: autoregressive_rollout(_FORECASTER, np.ones((1, 2)),
@@ -70,9 +80,6 @@ CALLS = {
                                {"steps": 3}),
     "residue_norms": (lambda **kw: residue_norms(np.ones((3, 2)), np.zeros((3, 2)), **kw),
                       {"norm": "l2"}),
-    "periodic_matern_covariance": (lambda **kw: periodic_matern_covariance((1, 0), **kw),
-                                   {"m": 0.5, "nu": 1.0, "truncation": 4, "grid_size": 16}),
-    "tokenize": (lambda **kw: tokenize(_FRAMES[0], **kw), {"patch": 2}),
     "tokenize_trajectory": (lambda **kw: tokenize_trajectory(_FRAMES, **kw), {"patch": 2}),
     "sliding_histories": (lambda **kw: sliding_histories(_TOKENS, **kw), {"k": 2}),
     "forecast_pairs": (lambda **kw: forecast_pairs(_TOKENS, **kw), {"k": 2}),
@@ -116,16 +123,22 @@ def test_intervals_say_which_ends_they_hold():
     TrainConfig(lr_decay=1)
 
 
+def test_dt_max_is_an_integer_before_any_video_is_read():
+    """The type of ``dt_max`` is its row; its range within the frames is
+    checked on each video, so -1 and a lag past the frames are refused there."""
+    video = np.random.default_rng(7).standard_normal((12, 4))
+    for value in (2.5, NAN, INF, True, None, "x"):
+        with pytest.raises(ParameterError, match="^temporal_correlation: dt_max must be an "):
+            temporal_correlation(video, 0, value)
+        with pytest.raises(ParameterError,
+                           match="^correlation_ensemble_stats: dt_max must be an "):
+            correlation_ensemble_stats(iter(()), 0, value)
+
+
 def _manifest():
     return DatasetManifest(equation="heat", kind="fields", grid_size=4, trajectories=2,
                            frames=3, dt=0.1, skip=1, burn_in=0, frame_shape=[4, 4],
                            init_seeds=[0, 1], config={})
-
-
-def _empty_csv(tmp_path):
-    path = tmp_path / "empty.csv"
-    path.write_text("# a comment line only\n")
-    return read_csv(str(path))
 
 
 def _diverging_line():
@@ -153,7 +166,6 @@ RAISE_SITES = {
     "export_frame_image-colormap": (
         lambda d: export_frame_image(np.zeros((4, 4)), str(d / "f.ppm"), colormap="jet"),
         ParameterError, "^export_frame_image: colormap must be in"),
-    "read_csv-empty": (_empty_csv, DataFormatError, "empty CSV"),
     "fit_superres-1d-fields": (lambda d: fit_superres(np.zeros((5, 2, 3)), np.zeros(5)),
                                ParameterError, "spatial shape"),
     "_output_map-non-square": (lambda d: obs._output_map(np.zeros((3, 4)), np.zeros((1, 4))),
@@ -169,6 +181,29 @@ RAISE_SITES = {
                          r"at least \(T, ...\)"),
     "simulate_kse1d-divergence": (lambda d: _diverging_line(), DivergenceError, "step 1$"),
     "simulate_kse2d-divergence": (lambda d: _diverging_square(), DivergenceError, "step 1$"),
+    "fit_least_squares-2d-histories": (lambda d: fit_least_squares(np.zeros((5, 6)),
+                                                                   np.zeros((5, 4))),
+                                       ParameterError, r"must be \(S, k, m\)"),
+    "fit_sgd-no-training-samples": (
+        lambda d: fit_sgd(np.zeros((10, 2, 3)), np.zeros((10, 4)), TrainConfig(steps=1),
+                          eval_split=0.95),
+        ParameterError, "leaves no training samples"),
+    "annihilation_witness-patch-divides": (
+        lambda d: annihilation_witness(GridSpec(n=16), 3), ParameterError,
+        "patch 3 must divide grid size 16"),
+    "empirical_lie_logdet-lattice-frames": (
+        lambda d: empirical_lie_logdet(np.zeros((10, 4, 4)), 2), ParameterError,
+        r"line frames, got shape \(10, 4, 4\)"),
+    "temporal_correlation-4d": (lambda d: temporal_correlation(np.zeros((5, 2, 2, 2)), 0, 1),
+                                ParameterError, r"video must be \(T, m\) or \(T, n, n\)"),
+    "simulate_kse1d-2d": (lambda d: simulate_kse1d(np.zeros((4, 4)), 22.0, 0.05, 3),
+                          ParameterError, r"line field, got shape \(4, 4\)"),
+    "sliding_histories-1d": (lambda d: sliding_histories(np.zeros(6), 2), ParameterError,
+                             r"\(T, m\) token array"),
+    "sliding_histories-k-past-T": (lambda d: sliding_histories(_TOKENS, 7), ParameterError,
+                                   "history length 7 outside 1..6"),
+    "build_reconstruction_pairs-short": (lambda d: build_reconstruction_pairs(_FRAMES, 7, 2),
+                                         ParameterError, "need at least k=7 frames, got 6"),
 }
 
 

@@ -545,10 +545,12 @@ def test_gramian_entry_points_round_quadrature_steps_alike(tmp_path, capsys):
                      "--horizon", "4", "--quadrature-steps", "1", "--cond-limit", "1e300",
                      "--out", str(out)]) == 0
     assert "quadrature_steps = 2\n" in out.read_text()
-    for refused in (lambda: observability_gramian(op, h, horizon, 0),
-                    lambda: gramian_reconstruction(grid, patch, op, x0, horizon, 0)):
+    for name, refused in (
+            ("observability_gramian", lambda: observability_gramian(op, h, horizon, 0)),
+            ("gramian_reconstruction",
+             lambda: gramian_reconstruction(grid, patch, op, x0, horizon, 0))):
         with pytest.raises(ParameterError,
-                           match="^_step_propagator: quadrature_steps must be >= 1, got 0$"):
+                           match=f"^{name}: quadrature_steps must be >= 1, got 0$"):
             refused()
     capsys.readouterr()
 

@@ -5,12 +5,12 @@ from hypothesis import strategies as st
 
 from latentpde import (GridSpec, ParameterError, build_histories,
                        build_reconstruction_pairs, build_tokenizer_matrix,
-                       sliding_histories, tokenize, tokenize_trajectory)
+                       sliding_histories, tokenize_trajectory)
 
 
 def test_patch_means_by_hand():
     state = np.arange(16.0).reshape(4, 4)
-    tok = tokenize(state, 2)
+    tok = tokenize_trajectory(state[None], 2)[0]
     expected = np.array([
         np.mean([0, 1, 4, 5]), np.mean([2, 3, 6, 7]),
         np.mean([8, 9, 12, 13]), np.mean([10, 11, 14, 15]),
@@ -24,14 +24,16 @@ def test_matches_matrix_form():
     for n, patch in [(8, 2), (8, 4), (12, 3), (16, 16)]:
         state = rng.standard_normal((n, n))
         h = build_tokenizer_matrix(GridSpec(n=n), patch)
-        np.testing.assert_allclose(tokenize(state, patch), h @ state.ravel(), atol=1e-14)
+        np.testing.assert_allclose(tokenize_trajectory(state[None], patch)[0], h @ state.ravel(),
+                                   atol=1e-14)
 
 
 def test_wave_state_uses_amplitude_only():
     rng = np.random.default_rng(1)
     u = rng.standard_normal((8, 8))
     v = rng.standard_normal((8, 8))
-    np.testing.assert_array_equal(tokenize(np.stack([u, v]), 4), tokenize(u, 4))
+    np.testing.assert_array_equal(tokenize_trajectory(np.stack([u, v])[None], 4)[0],
+                                  tokenize_trajectory(u[None], 4)[0])
 
 
 @settings(max_examples=25, deadline=None)
@@ -40,24 +42,22 @@ def test_linearity(seed):
     rng = np.random.default_rng(seed)
     a, b = rng.standard_normal((2, 8, 8))
     c = rng.standard_normal()
-    lhs = tokenize(a + c * b, 4)
-    rhs = tokenize(a, 4) + c * tokenize(b, 4)
+    lhs = tokenize_trajectory((a + c * b)[None], 4)[0]
+    rhs = tokenize_trajectory(a[None], 4)[0] + c * tokenize_trajectory(b[None], 4)[0]
     np.testing.assert_allclose(lhs, rhs, atol=1e-12)
 
 
 def test_constant_field_preserved():
-    np.testing.assert_allclose(tokenize(np.full((12, 12), 3.5), 3), 3.5)
+    np.testing.assert_allclose(tokenize_trajectory(np.full((1, 12, 12), 3.5), 3)[0], 3.5)
 
 
 def test_validation():
     with pytest.raises(ParameterError):
-        tokenize(np.ones((8, 8)), 3)
+        tokenize_trajectory(np.ones((1, 8, 8)), 3)
     with pytest.raises(ParameterError):
-        tokenize(np.ones((8, 8)), 0)
+        tokenize_trajectory(np.ones((1, 8, 8)), 0)
     with pytest.raises(ParameterError):
-        tokenize(np.ones((8, 7)), 2)
-    with pytest.raises(ParameterError):
-        tokenize(np.ones((3, 8, 8)), 2)
+        tokenize_trajectory(np.ones((1, 8, 7)), 2)
     with pytest.raises(ParameterError):
         tokenize_trajectory(np.ones((5, 3, 8, 8)), 2)
 
@@ -67,7 +67,7 @@ def test_trajectory_tokenization_shapes():
     frames = rng.standard_normal((5, 8, 8))
     toks = tokenize_trajectory(frames, 4)
     assert toks.shape == (5, 4)
-    np.testing.assert_array_equal(toks[3], tokenize(frames[3], 4))
+    np.testing.assert_array_equal(toks[3], tokenize_trajectory(frames[3][None], 4)[0])
     wave = rng.standard_normal((5, 2, 8, 8))
     np.testing.assert_array_equal(tokenize_trajectory(wave, 4),
                                   tokenize_trajectory(wave[:, 0], 4))
@@ -105,7 +105,8 @@ def test_build_histories_alignment():
     for s in (0, 4, 6):
         np.testing.assert_array_equal(hist[s], tokens[s:s + 3])
         np.testing.assert_array_equal(tok_targets[s], tokens[s + 3])
-        np.testing.assert_array_equal(tok_targets[s], tokenize(frames[s + 3], 4))
+        np.testing.assert_array_equal(tok_targets[s],
+                                      tokenize_trajectory(frames[s + 3][None], 4)[0])
 
 
 def test_build_histories_edge_counts():
