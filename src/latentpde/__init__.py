@@ -23,8 +23,8 @@ from .rollout_metrics import (CorrelationSeries, RolloutResult, autoregressive_r
                               nearest_subvideo_distance, residue_norms,
                               temporal_correlation)
 from .dataset import (DatasetManifest, apply_normalization, compute_normalization,
-                      export_frame_image, generate_dataset, load_all, load_manifest,
-                      load_trajectory, tokenize_dataset, write_csv, write_dataset,
-                      write_generated_dataset)
+                      export_frame_image, generate_dataset, lattice_system, load_all,
+                      load_manifest, load_trajectory, tokenize_dataset, write_csv,
+                      write_dataset, write_generated_dataset)
 
 __version__ = "0.1.0"

@@ -28,11 +28,9 @@ import numpy as np
 from . import dataset as ds
 from . import observability as obs
 from .errors import DataFormatError, Key, LatentPdeError, ParameterError, check_entries
-from .lattice_ops import (GridSpec, build_modified_laplacian, build_tokenizer_matrix,
-                          build_wave_generator)
+from .lattice_ops import GridSpec, build_tokenizer_matrix
 from .learners import (LinearMap, TrainConfig, _one_blas_thread, fit_blocks, fit_sgd_blocks,
                        history_sweep)
-from .random_fields import GrfParams, sample_matern_field
 from .rollout_metrics import (autoregressive_rollout, correlation_ensemble_stats,
                               full_pipeline_rollout, nearest_subvideo_distance, residue_norms)
 from .solvers import Trajectory
@@ -265,9 +263,18 @@ def cmd_metrics(args) -> int:
     return 0
 
 
-# the certificates' conductivity without --constant: a GRF with these parameters,
-# seeded by --grf-seed and scaled by 0.2
-_CERTIFICATE_CONDUCTIVITY = {"sigma": 0.5, "m": 0.1, "nu": 1.0, "scale": 0.2}
+# the system the kalman, hautus and gramian checks certify, as a heat or wave config fragment:
+# a GRF conductivity seeded by --grf-seed unless --constant, and the init of the gramian's x(0)
+_CERTIFICATE_SYSTEM = {"conductivity": {"sigma": 0.5, "m": 0.1, "nu": 1.0, "scale": 0.2},
+                       "init": {"sigma": 1.0, "m": 0.5, "nu": 1.0}}
+
+
+def _certificate_config(args) -> dict:
+    """The config fragment of the system that the check's flags name."""
+    cond = ({"constant": args.constant} if args.constant is not None
+            else dict(_CERTIFICATE_SYSTEM["conductivity"], seed=args.grf_seed))
+    return dict(_CERTIFICATE_SYSTEM, equation=args.equation, grid_size=args.grid,
+                conductivity=cond)
 
 
 def cmd_observability(args) -> int:
@@ -295,21 +302,15 @@ def cmd_observability(args) -> int:
                           for i, t in enumerate(series.times)],
                          comment=f"local rank diagnostic, dt={series.dt}")
     else:
+        # the gramian's x(0) is the initial state of trajectory --grf-seed + 1
+        seeds = [args.grf_seed + 1] if args.check == "gramian" else ()
+        op, x0s = ds.lattice_system(_certificate_config(args), seeds)
         grid = GridSpec(n=args.grid)
-        cond = ({"constant": args.constant} if args.constant is not None
-                else dict(_CERTIFICATE_CONDUCTIVITY, seed=args.grf_seed))
-        a = ds._conductivity_field(cond, args.grid)
-        op = build_wave_generator(a, grid) if wave else build_modified_laplacian(a, grid)
-        if args.check == "gramian":
-            x0 = sample_matern_field(GrfParams(grid_size=args.grid, sigma=1.0, m=0.5,
-                                               nu=1.0, seed=args.grf_seed + 1)).ravel()
-            if wave:
-                x0 = np.concatenate([x0, np.zeros_like(x0)])
-            report = obs.gramian_reconstruction(grid, args.patch, op, x0, args.horizon,
-                                                args.quadrature_steps,
-                                                cond_limit=args.cond_limit)
+        h = build_tokenizer_matrix(grid, args.patch, wave=wave)
+        if seeds:
+            report = obs.gramian_reconstruction(grid, h, op, x0s[0].ravel(), args.horizon,
+                                                args.quadrature_steps, cond_limit=args.cond_limit)
         else:
-            h = build_tokenizer_matrix(grid, args.patch, wave=wave)
             report = (obs.kalman_rank_test(op, h, rel_tol=args.rel_tol)
                       if args.check == "kalman" else obs.hautus_test(op, h, tol=args.tol))
     text = report.to_text()

@@ -339,16 +339,17 @@ def _grf_init(config: dict, seed: int) -> np.ndarray:
                                          m=init["m"], nu=init["nu"], seed=seed))
 
 
-def _lattice_problem(config: dict, seeds: list):
-    """The operator and stacked initial states of heat or wave
-    trajectories ``seeds``: one conductivity, one operator."""
-    grid = GridSpec(n=config["grid_size"], dx=config.get("dx", 1.0))
-    cond = _conductivity_field(config["conductivity"], config["grid_size"])
-    u0s = np.stack([_grf_init(config, seed) for seed in seeds])
-    if config["equation"] == "heat":
-        return build_modified_laplacian(cond, grid), u0s
-    # released from rest
-    return build_wave_generator(cond, grid), np.stack([u0s, np.zeros_like(u0s)], axis=1)
+def lattice_system(config: dict, seeds=()):
+    """The operator of a heat or wave config, from one conductivity, and the
+    initial states of its trajectories ``seeds``, stacked (an empty stack reads
+    no ``init``); a wave is released from rest.  :func:`generate_dataset` steps these."""
+    n = config["grid_size"]
+    grid = GridSpec(n=n, dx=config.get("dx", 1.0))
+    cond = _conductivity_field(config["conductivity"], n)
+    heat = config["equation"] == "heat"
+    op = build_modified_laplacian(cond, grid) if heat else build_wave_generator(cond, grid)
+    u0s = np.reshape([_grf_init(config, seed) for seed in seeds], (len(seeds), n, n))
+    return op, u0s if heat else np.stack([u0s, np.zeros_like(u0s)], axis=1)
 
 
 def _kse_trajectory(config: dict, seed: int) -> Trajectory:
@@ -372,7 +373,7 @@ def _generate(config: dict, emit) -> DatasetManifest:
     whole.  Returns the dataset's manifest."""
     seeds = [config["init_seed"] + i for i in range(config["trajectories"])]
     if config["equation"] in ("heat", "wave"):
-        op, x0s = _lattice_problem(config, seeds)
+        op, x0s = lattice_system(config, seeds)
         skip = config.get("skip", 1)
         steps = (config["frames"] - 1) * skip + 1
         for frame in euler_frames(op, x0s, config["dt"], steps, skip=skip):

@@ -75,7 +75,8 @@ _KINDS = {int: (numbers.Integral, "an integer"), float: (numbers.Real, "a finite
           list: (list, "a list")}
 _OPS = {">": lambda a, b: a > b, ">=": lambda a, b: a >= b, "==": lambda a, b: a == b,
         "in": lambda a, b: a in b, "()": lambda a, b: b[0] < a < b[1],
-        "[)": lambda a, b: b[0] <= a < b[1], "(]": lambda a, b: b[0] < a <= b[1]}
+        "[)": lambda a, b: b[0] <= a < b[1], "(]": lambda a, b: b[0] < a <= b[1],
+        "[]": lambda a, b: b[0] <= a <= b[1]}
 
 
 def check_entries(entries, table: dict, where: str, error, prefix: str = "") -> None:

@@ -34,8 +34,8 @@ import scipy.sparse as sp
 from scipy.linalg import expm
 
 from .errors import Key, NonObservableError, ParameterError, check_entries
-from .lattice_ops import (GridSpec, build_modified_laplacian, build_tokenizer_matrix,
-                          build_wave_generator)
+from .dataset import lattice_system
+from .lattice_ops import GridSpec, build_tokenizer_matrix
 from .learners import _one_blas_thread
 from .solvers import _gershgorin_radius
 from .tokenizer import TOKEN_ARGS, tokenize_trajectory
@@ -312,7 +312,7 @@ def _wave_pair(A, hd: np.ndarray):
         return None
     blocks = sp.csr_array(A)
     lap = blocks[n:, :n]
-    identity = sp.eye_array(n, format="csr")
+    identity = sp.identity(n, format="csr")
     if (blocks[:n, :n].count_nonzero() or blocks[n:, n:].count_nonzero()
             or (blocks[:n, n:] != identity).count_nonzero() or (lap != lap.T).count_nonzero()):
         return None
@@ -409,11 +409,12 @@ class WitnessReport(_KeyValueReport):
 
 
 def witness_orbit(grid: GridSpec, patch: int, wave: bool = False) -> WitnessReport:
-    """Tokenize the annihilation witness and its orbit under the
-    unit-coefficient heat (or wave) generator."""
+    """Tokenize the annihilation witness and its orbit under the unit-coefficient
+    heat (or wave) generator of :func:`latentpde.dataset.lattice_system`."""
     state, lam = annihilation_witness(grid, patch, wave=wave)
-    a = np.ones((grid.n, grid.n))
-    op = build_wave_generator(a, grid) if wave else build_modified_laplacian(a, grid)
+    equation = "wave" if wave else "heat"
+    op, _ = lattice_system({"equation": equation, "grid_size": grid.n, "dx": grid.dx,
+                            "conductivity": {"constant": 1.0}})
     h = build_tokenizer_matrix(grid, patch, wave=wave)
     v = state.ravel()
     token_norm = float(np.abs(h @ v).max())
@@ -424,8 +425,7 @@ def witness_orbit(grid: GridSpec, patch: int, wave: bool = False) -> WitnessRepo
         orbit = orbit / np.linalg.norm(orbit)
         orbit_norm = max(orbit_norm, float(np.abs(h @ orbit).max()))
     resid = None if wave else float(np.abs((op @ v) - lam * v).max())
-    return WitnessReport("wave" if wave else "heat", grid.n, patch, lam, token_norm,
-                         orbit_norm, resid)
+    return WitnessReport(equation, grid.n, patch, lam, token_norm, orbit_norm, resid)
 
 
 _GRAMIAN_DENSE_LIMIT = 256
@@ -552,14 +552,13 @@ class GramianReport(_KeyValueReport):
     rounding_bound: float = _fmt(".6e")
 
 
-def gramian_reconstruction(grid: GridSpec, patch: int, A, x0: np.ndarray, horizon: float,
+def gramian_reconstruction(grid: GridSpec, h, A, x0: np.ndarray, horizon: float,
                            quadrature_steps: int = 256,
                            cond_limit: float = 1e12) -> GramianReport:
-    """Recover x0 from its own patch-token outputs on the Simpson nodes,
-    as :func:`linear_reconstruct_initial_state` does; one step propagator
-    serves both the output synthesis and the quadrature."""
+    """Recover x0 from its outputs through the token map ``h`` of ``grid``, whose
+    (n/patch)^2 rows give the report's patch, as :func:`linear_reconstruct_initial_state`
+    does; one step propagator serves both the output synthesis and the quadrature."""
     check_entries(locals(), _GRAMIAN_ARGS, "gramian_reconstruction", ParameterError)
-    h = build_tokenizer_matrix(grid, patch, wave=A.shape[0] == 2 * grid.n**2)
     hd = _output_map(A, h)
     steps, estep = _step_propagator(A, horizon, quadrature_steps)
     x0 = np.asarray(x0, dtype=float)
@@ -571,7 +570,7 @@ def gramian_reconstruction(grid: GridSpec, patch: int, A, x0: np.ndarray, horizo
             state = estep @ state
     recon, cond = _solve_moments(*_simpson_pass(estep, hd, horizon, steps, outputs), cond_limit)
     rel = float(np.linalg.norm(recon - x0) / np.linalg.norm(x0))
-    return GramianReport(grid.n, patch, horizon, steps, cond, rel,
+    return GramianReport(grid.n, grid.n // round(h.shape[0] ** 0.5), horizon, steps, cond, rel,
                          cond * float(np.finfo(float).eps))
 
 

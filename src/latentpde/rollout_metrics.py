@@ -133,8 +133,8 @@ def temporal_correlation(video: np.ndarray, pixel, dt_max: int) -> CorrelationSe
     """
     check_entries(locals(), _DT_MAX, "temporal_correlation", ParameterError)
     series = _pixel_series(video, pixel)
-    if dt_max < 0 or dt_max >= len(series) - 1:
-        raise ParameterError(f"dt_max {dt_max} outside 0..{len(series) - 2}")
+    check_entries(locals(), {"dt_max": Key(int, "[]", (0, len(series) - 2))},
+                  "temporal_correlation", ParameterError)
     rho = np.empty(dt_max + 1)
     for d in range(dt_max + 1):
         a = series[:len(series) - d]

@@ -41,14 +41,14 @@ def tokenize_trajectory(frames: np.ndarray, patch: int) -> np.ndarray:
     return blocks.mean(axis=(2, 4)[:rank]).reshape(t, -1)
 
 
-def _windows(tokens: np.ndarray, k: int) -> np.ndarray:
+def _windows(tokens: np.ndarray, k: int, where: str) -> np.ndarray:
     """All windows of k consecutive token frames as a read-only view of
-    ``tokens``: (T, m) -> (T-k+1, k, m), with no copy."""
+    ``tokens``: (T, m) -> (T-k+1, k, m), with no copy.  Other tokens, or a
+    k past T, are refused in the name of the function ``where``."""
     tokens = np.asarray(tokens, dtype=float)
     if tokens.ndim != 2:
-        raise ParameterError(f"expected a (T, m) token array, got shape {tokens.shape}")
-    if k > tokens.shape[0]:
-        raise ParameterError(f"history length {k} outside 1..{tokens.shape[0]}")
+        raise ParameterError(f"{where}: expected a (T, m) token array, got shape {tokens.shape}")
+    check_entries({"k": k}, {"k": Key(int, "[]", (1, tokens.shape[0]))}, where, ParameterError)
     return np.lib.stride_tricks.sliding_window_view(tokens, (k, tokens.shape[1]))[:, 0]
 
 
@@ -56,7 +56,7 @@ def sliding_histories(tokens: np.ndarray, k: int) -> np.ndarray:
     """All windows of k consecutive token frames, as a writable copy:
     (T, m) -> (T-k+1, k, m)."""
     check_entries(locals(), TOKEN_ARGS, "sliding_histories", ParameterError)
-    return _windows(tokens, k).copy()
+    return _windows(tokens, k, "sliding_histories").copy()
 
 
 def forecast_pairs(tokens: np.ndarray, k: int):
@@ -68,9 +68,7 @@ def forecast_pairs(tokens: np.ndarray, k: int):
     """
     check_entries(locals(), TOKEN_ARGS, "forecast_pairs", ParameterError)
     tokens = np.asarray(tokens, dtype=float)
-    if tokens.shape[0] <= k:
-        raise ParameterError(f"need more than k={k} frames, got {tokens.shape[0]}")
-    return _windows(tokens[:-1], k), tokens[k:]
+    return _windows(tokens[:-1], k, "forecast_pairs"), tokens[k:]
 
 
 def build_histories(frames: np.ndarray, k: int, patch: int):
@@ -79,7 +77,8 @@ def build_histories(frames: np.ndarray, k: int, patch: int):
     (T-k, m), where history r covers frames ``r .. r+k-1`` and its target
     is the token frame ``r+k``.  T <= k raises."""
     check_entries(locals(), TOKEN_ARGS, "build_histories", ParameterError)
-    return forecast_pairs(tokenize_trajectory(frames, patch), k)
+    tokens = tokenize_trajectory(frames, patch)
+    return _windows(tokens[:-1], k, "build_histories"), tokens[k:]
 
 
 def build_reconstruction_pairs(frames: np.ndarray, k: int, patch: int):
@@ -92,7 +91,5 @@ def build_reconstruction_pairs(frames: np.ndarray, k: int, patch: int):
     windows of one token array, the targets frames of ``frames``.
     """
     check_entries(locals(), TOKEN_ARGS, "build_reconstruction_pairs", ParameterError)
-    frames = np.asarray(frames, dtype=float)
-    if frames.shape[0] < k:
-        raise ParameterError(f"need at least k={k} frames, got {frames.shape[0]}")
-    return _windows(tokenize_trajectory(frames, patch), k), amplitude(frames)[k - 1:]
+    tokens = tokenize_trajectory(frames, patch)
+    return _windows(tokens, k, "build_reconstruction_pairs"), amplitude(frames)[k - 1:]

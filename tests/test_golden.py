@@ -104,6 +104,22 @@ CLI_DIGESTS = {
     "gramian": (["observability", "--check", "gramian", "--grid", "8", "--patch", "2",
                  "--horizon", "4"],
                 "bc885c4e0530c716ea43cb71e7d2349659f2e84d98f7aa695a3b140cab3b0117"),
+    "kalman-heat": (["observability", "--check", "kalman", "--grid", "8", "--patch", "2",
+                     "--constant", "1.0"],
+                    "bc366aa51bdc6330c75882120f14d75e4ee5d6dccfc002494eaa53be4c2cda85"),
+    "kalman-wave": (["observability", "--check", "kalman", "--equation", "wave", "--grid", "8",
+                     "--patch", "2", "--grf-seed", "7"],
+                    "f4769fbdedb0480dd786b74708272c9b8adefaa19776f5bc2afebde7845b0b7e"),
+    "hautus-wave": (["observability", "--check", "hautus", "--equation", "wave", "--grid", "8",
+                     "--patch", "2", "--grf-seed", "7"],
+                    "1e080dad370a528dc5b2df16d39ca95f09d946c76b2b815e14dc701d88487f3c"),
+    # no wave gramian: its expm runs on scipy's BLAS threads, so its bytes
+    # depend on the core count
+    "witness-heat": (["observability", "--check", "witness", "--grid", "8", "--patch", "2"],
+                     "c1af606d121b9bacc704a4bf40e4e2c5086fc8ab1eefc423c8c41729e1ab9b83"),
+    "witness-wave": (["observability", "--check", "witness", "--equation", "wave", "--grid", "8",
+                      "--patch", "2"],
+                     "d88c3cd88dcc780fbc4869f091f71a98113e03f43db653835b79b81c4f9c9ac0"),
     "sweep": (["sweep", "--data", "{data}", "--patch", "4", "--k-list", "1,2,4",
                "--trials", "1"],
               "5596ee018ecfee29cc4e5049f39149efb0f18760a7908f03fc239fadf18d93e8"),

@@ -5,12 +5,11 @@ import pytest
 import scipy.linalg
 
 from latentpde import (DataFormatError, DivergenceError, GridSpec, LinearMap, ParameterError,
-                       TrainConfig, build_modified_laplacian, build_tokenizer_matrix,
-                       build_wave_generator, fit_blocks, fit_least_squares, fit_sgd,
-                       fit_sgd_blocks, fit_superres, forecast_pairs, generate_dataset,
-                       history_sweep, kalman_rank_test, mse_loss_and_grad, tokenize_trajectory)
+                       TrainConfig, build_tokenizer_matrix, fit_blocks, fit_least_squares,
+                       fit_sgd, fit_sgd_blocks, fit_superres, forecast_pairs, generate_dataset,
+                       history_sweep, kalman_rank_test, lattice_system, mse_loss_and_grad,
+                       tokenize_trajectory)
 from latentpde import cli
-from latentpde import dataset as dataset_module
 from latentpde import learners as learners_module
 from latentpde import observability as observability_module
 
@@ -645,10 +644,9 @@ def test_sweep_error_falls_to_rounding_at_the_observability_index(config, cliff)
     tokens, nu the observability index of the data's own generator, so
     the least-squares sweep is exact to rounding at k = nu."""
     arrays, _ = generate_dataset(config)
-    grid, wave = GridSpec(n=8), config["equation"] == "wave"
-    a = dataset_module._conductivity_field(config["conductivity"], config["grid_size"])
-    op = build_wave_generator(a, grid) if wave else build_modified_laplacian(a, grid)
-    nu = kalman_rank_test(op, build_tokenizer_matrix(grid, 2, wave=wave)).observability_index
+    op, _ = lattice_system(config)
+    h = build_tokenizer_matrix(GridSpec(n=8), 2, wave=config["equation"] == "wave")
+    nu = kalman_rank_test(op, h).observability_index
     tokens = [tokenize_trajectory(fr, 2) for fr in arrays]
     scale = np.mean([np.abs(t).mean() for t in tokens[50:]])
     rows = history_sweep(tokens[:50], tokens[50:], [nu - 1, nu])

@@ -61,7 +61,8 @@ CALLS = {
                                                       **kw),
         {"horizon": 1.0, "cond_limit": 1e12}),
     "gramian_reconstruction": (
-        lambda **kw: gramian_reconstruction(GridSpec(n=2), 1, -np.eye(4), np.ones(4), **kw),
+        lambda **kw: gramian_reconstruction(GridSpec(n=2), np.eye(4), -np.eye(4), np.ones(4),
+                                            **kw),
         {"horizon": 1.0, "quadrature_steps": 4, "cond_limit": 1e12}),
     "empirical_lie_logdet": (lambda **kw: empirical_lie_logdet(_LINE, **kw),
                              {"patch": 4, "derivative_order": 2, "window": 10,
@@ -199,11 +200,19 @@ RAISE_SITES = {
     "simulate_kse1d-2d": (lambda d: simulate_kse1d(np.zeros((4, 4)), 22.0, 0.05, 3),
                           ParameterError, r"line field, got shape \(4, 4\)"),
     "sliding_histories-1d": (lambda d: sliding_histories(np.zeros(6), 2), ParameterError,
-                             r"\(T, m\) token array"),
+                             r"^sliding_histories: expected a \(T, m\) token array"),
     "sliding_histories-k-past-T": (lambda d: sliding_histories(_TOKENS, 7), ParameterError,
-                                   "history length 7 outside 1..6"),
-    "build_reconstruction_pairs-short": (lambda d: build_reconstruction_pairs(_FRAMES, 7, 2),
-                                         ParameterError, "need at least k=7 frames, got 6"),
+                                   r"^sliding_histories: k must be in \[1, 6\], got 7$"),
+    "forecast_pairs-short": (lambda d: forecast_pairs(_TOKENS, 6), ParameterError,
+                             r"^forecast_pairs: k must be in \[1, 5\], got 6$"),
+    "build_histories-short": (lambda d: build_histories(_FRAMES, 6, 2), ParameterError,
+                              r"^build_histories: k must be in \[1, 5\], got 6$"),
+    "build_reconstruction_pairs-short": (
+        lambda d: build_reconstruction_pairs(_FRAMES, 7, 2), ParameterError,
+        r"^build_reconstruction_pairs: k must be in \[1, 6\], got 7$"),
+    "temporal_correlation-dt-max": (
+        lambda d: temporal_correlation(np.zeros((12, 4)), 0, -1), ParameterError,
+        r"^temporal_correlation: dt_max must be in \[0, 10\], got -1$"),
 }
 
 

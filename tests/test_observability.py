@@ -1,3 +1,4 @@
+import argparse
 import dataclasses
 
 import mpmath
@@ -9,13 +10,15 @@ from hypothesis import strategies as st
 from scipy.linalg import expm as real_expm
 
 import latentpde.observability as obs
-from latentpde import (DegenerateStatisticError, GridSpec, GrfParams, NonObservableError,
-                       ParameterError, Trajectory, annihilation_witness, build_conductivity,
-                       build_modified_laplacian, build_tokenizer_matrix, build_wave_generator,
-                       empirical_lie_logdet, gramian_reconstruction, hautus_test,
-                       kalman_observability_matrix, kalman_rank_test,
+from latentpde import (DegenerateStatisticError, GridSpec, NonObservableError, ParameterError,
+                       Trajectory, annihilation_witness, build_modified_laplacian,
+                       build_tokenizer_matrix, build_wave_generator, empirical_lie_logdet,
+                       generate_dataset, gramian_reconstruction, hautus_test,
+                       kalman_observability_matrix, kalman_rank_test, lattice_system,
                        linear_reconstruct_initial_state, observability_gramian, rank_test,
                        simulate_kse1d, simulate_linear, tokenize_trajectory)
+from latentpde import cli
+from latentpde.learners import _one_blas_thread
 from latentpde.cli import main as cli_main
 
 
@@ -55,18 +58,19 @@ def test_rank_test_relative_tolerance():
     assert rank_test(mat, rel_tol=1e-16).rank == 2
 
 
+def certified_config(equation, grid, grf_seed, constant):
+    """The config fragment of the system that ``observability --check
+    kalman|hautus|gramian`` certifies at these flags."""
+    return cli._certificate_config(argparse.Namespace(equation=equation, grid=grid,
+                                                      grf_seed=grf_seed, constant=constant))
+
+
 def lattice(grid, patch, grf_seed, constant, wave=False):
-    """Heat (or wave) generator on a grid x grid lattice, with a constant
-    or the GRF conductivity the observability verb uses without
-    ``--constant``, and its patch tokenizer."""
-    spec = GridSpec(n=grid)
-    if constant is None:
-        a = 0.2 * build_conductivity(GrfParams(grid_size=grid, sigma=0.5, m=0.1, nu=1.0,
-                                               seed=grf_seed))
-    else:
-        a = np.full((grid, grid), constant)
-    op = build_wave_generator(a, spec) if wave else build_modified_laplacian(a, spec)
-    return op, build_tokenizer_matrix(spec, patch, wave=wave)
+    """The heat (or wave) generator the observability verb certifies on a
+    grid x grid lattice, with ``--constant`` or the GRF of ``--grf-seed``,
+    from the builder that generation steps, and its patch tokenizer."""
+    config = certified_config("wave" if wave else "heat", grid, grf_seed, constant)
+    return lattice_system(config)[0], build_tokenizer_matrix(GridSpec(n=grid), patch, wave=wave)
 
 
 def hidden_dimension(A, h):
@@ -450,11 +454,10 @@ def test_simpson_pass_matches_its_definition(monkeypatch):
 
 
 def test_gramian_reconstruction_error_is_within_its_rounding_bound():
-    grid = GridSpec(n=8)
-    a = 0.2 * build_conductivity(GrfParams(grid_size=8, sigma=0.5, m=0.1, nu=1.0, seed=77))
-    op = build_modified_laplacian(a, grid)
+    op, h = lattice(8, 2, 77, None)
     x0 = np.random.default_rng(78).standard_normal(64)
-    report = gramian_reconstruction(grid, 2, op, x0, 4.0, 200)
+    report = gramian_reconstruction(GridSpec(n=8), h, op, x0, 4.0, 200)
+    assert (report.grid, report.patch) == (8, 2)
     assert report.rounding_bound == report.gramian_condition * np.finfo(float).eps
     assert report.relative_reconstruction_error <= report.rounding_bound
 
@@ -490,10 +493,8 @@ def test_reconstruction_input_validation():
 
 
 def test_gramian_reconstruction_is_one_pass_and_matches_public_functions(monkeypatch):
-    grid, patch, horizon, steps = GridSpec(n=8), 2, 4.0, 200
-    a = 0.2 * build_conductivity(GrfParams(grid_size=8, sigma=0.5, m=0.1, nu=1.0, seed=77))
-    op = build_modified_laplacian(a, grid)
-    h = build_tokenizer_matrix(grid, patch)
+    grid, horizon, steps = GridSpec(n=8), 4.0, 200
+    op, h = lattice(8, 2, 77, None)
     x0 = np.random.default_rng(0).standard_normal(64)
     # reference: synthesize the outputs by hand, then the two public functions;
     # the symmetric generator's propagator comes from eigh, not expm
@@ -520,7 +521,7 @@ def test_gramian_reconstruction_is_one_pass_and_matches_public_functions(monkeyp
 
     monkeypatch.setattr(obs, "_step_propagator", counting_propagator)
     monkeypatch.setattr(obs, "_simpson_pass", counting_pass)
-    report = gramian_reconstruction(grid, patch, op, x0, horizon, steps)
+    report = gramian_reconstruction(grid, h, op, x0, horizon, steps)
     assert counts == {"propagator": 1, "pass": 1}
     assert report.gramian_condition == cond
     assert report.relative_reconstruction_error == (np.linalg.norm(recon - x0)
@@ -538,7 +539,7 @@ def test_gramian_entry_points_round_quadrature_steps_alike(tmp_path, capsys):
         rounded = steps + steps % 2
         assert (observability_gramian(op, h, horizon, steps).tobytes()
                 == observability_gramian(op, h, horizon, rounded).tobytes())
-        report = gramian_reconstruction(grid, patch, op, x0, horizon, steps, cond_limit=1e300)
+        report = gramian_reconstruction(grid, h, op, x0, horizon, steps, cond_limit=1e300)
         assert report.quadrature_steps == rounded
     out = tmp_path / "gramian.txt"
     assert cli_main(["observability", "--check", "gramian", "--grid", "8", "--patch", "2",
@@ -548,10 +549,38 @@ def test_gramian_entry_points_round_quadrature_steps_alike(tmp_path, capsys):
     for name, refused in (
             ("observability_gramian", lambda: observability_gramian(op, h, horizon, 0)),
             ("gramian_reconstruction",
-             lambda: gramian_reconstruction(grid, patch, op, x0, horizon, 0))):
+             lambda: gramian_reconstruction(grid, h, op, x0, horizon, 0))):
         with pytest.raises(ParameterError,
                            match=f"^{name}: quadrature_steps must be >= 1, got 0$"):
             refused()
+    capsys.readouterr()
+
+
+@pytest.mark.parametrize("equation", ["heat", "wave"])
+@pytest.mark.parametrize("flags", [["--constant", "0.7"], ["--grf-seed", "11"]],
+                         ids=["constant", "grf"])
+def test_each_check_certifies_the_system_of_a_generation_config(equation, flags, tmp_path,
+                                                               capsys):
+    """The kalman and hautus reports are those of the builder's system for
+    the check's config fragment, and the gramian recovers frame 0 of
+    trajectory 0 of that config's dataset, with init_seed --grf-seed + 1.
+    The library runs on one BLAS thread, as a verb does."""
+    argv = ["observability", "--equation", equation, "--grid", "8", "--patch", "2",
+            "--horizon", "4", "--cond-limit", "1e300", *flags]
+    args = cli.build_parser().parse_args([*argv, "--check", "kalman", "--out", "unused"])
+    config = cli._certificate_config(args)
+    op, _ = lattice_system(config)
+    h = build_tokenizer_matrix(GridSpec(n=8), 2, wave=equation == "wave")
+    frames, _ = generate_dataset(dict(config, init_seed=args.grf_seed + 1, trajectories=1,
+                                      frames=2, dt=0.01))
+    with _one_blas_thread():
+        expected = {"kalman": kalman_rank_test(op, h), "hautus": hautus_test(op, h),
+                    "gramian": gramian_reconstruction(GridSpec(n=8), h, op, frames[0][0].ravel(),
+                                                      4.0, 200, cond_limit=1e300)}
+    for check, report in expected.items():
+        out = tmp_path / check
+        assert cli_main([*argv, "--check", check, "--out", str(out)]) == 0
+        assert out.read_text() == report.to_text(), check
     capsys.readouterr()
 
 
