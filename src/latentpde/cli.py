@@ -456,8 +456,9 @@ def main(argv=None) -> int:
     with warnings.catch_warnings(record=True) as caught:
         try:
             args = build_parser().parse_args(argv)
-            # the verbs' small products and factorizations run on one BLAS
-            # thread; the log-det diagnostic spends the cores on its windows
+            # the verbs' products and factorizations run on one thread of
+            # each OpenBLAS; the log-det diagnostic spends the cores on its
+            # windows, a least-squares fit on the column chunks of Qᵀy
             with _one_blas_thread():
                 code = args.func(args)
         except (LatentPdeError, OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:

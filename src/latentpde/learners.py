@@ -8,6 +8,7 @@ an orthogonal factorization or Adam-style stochastic gradient descent on
 the same mean-squared objective.
 """
 
+from concurrent.futures import ThreadPoolExecutor
 import contextlib
 from dataclasses import dataclass
 import itertools
@@ -175,6 +176,13 @@ def fit_least_squares(histories: np.ndarray, targets: np.ndarray,
     return fit_blocks([(hist, tgt)], len(hist), ridge=ridge, bias=bias)
 
 
+# the width of the column chunks Qᵀ is applied to the target in, so a g
+# fit is one chunk.  On two workers of a 2-core VM, Qᵀ of a 5,292 × 1,025
+# design to 1,024 outputs took 0.38–0.48 s in chunks of 256, 0.41–0.52 s
+# in chunks of 512, 0.43–0.54 s in chunks of 128 and 0.67–0.99 s whole
+_QT_COLUMNS = 256
+
+
 def fit_blocks(blocks, samples: int, ridge: float = 0.0, bias: bool = True) -> LinearMap:
     """Exact minimiser of  mean ||X w - y||^2 + ridge ||w||^2  over samples
     that arrive in blocks.
@@ -187,16 +195,19 @@ def fit_blocks(blocks, samples: int, ridge: float = 0.0, bias: bool = True) -> L
     the only copy of the samples the fit makes, so a block may be a window
     view that is dropped once read.  The design is then factored in place
     as Q R by a blocked Householder QR, Q^T is applied to the target in
-    place, and R w = (Q^T y)[:p], p = min(rows, cols), is solved by LAPACK
+    place in column chunks of ``_QT_COLUMNS`` on a pool of one worker per
+    core, and R w = (Q^T y)[:p], p = min(rows, cols), is solved by LAPACK
     gelsy, a complete orthogonal decomposition of R alone (Chan 1982's QR
     preprocessing for tall designs).  R has the singular values of the
     design, so for a rank-deficient design with ridge = 0 the result is
     the minimum-norm solution; deficiency is recorded in
     ``design_rank`` and warned about.  ``design_rank`` is gelsy's count at
     its machine-epsilon cut on R, a rounding-level count on an
-    ill-conditioned design.  What the fit promises is its training
-    predictions and residual norm to a backward-stable tolerance, not its
-    weight bytes.  The ridge penalty never touches the bias column.
+    ill-conditioned design.  All of it runs on one BLAS thread (see
+    :func:`_one_blas_thread`), so the weight bytes are the same on any core
+    count, but what the fit promises is its training predictions and
+    residual norm to a backward-stable tolerance, not its weight bytes.
+    The ridge penalty never touches the bias column.
     """
     check_entries(locals(), {"ridge": TRAIN_TABLE["ridge"], "bias": Key(bool)}, "fit_blocks",
                   ParameterError)
@@ -205,23 +216,36 @@ def fit_blocks(blocks, samples: int, ridge: float = 0.0, bias: bool = True) -> L
     design, target = _assemble(blocks, samples, k, m, math.prod(output_shape), ridge, bias)
     rows, cols = design.shape
     p = min(rows, cols)
-    # the workspace queries keep LAPACK on its blocked code paths
-    lwork, _ = lapack.dgeqrf_lwork(rows, cols)
-    qr, tau, _, info_qr = lapack.dgeqrf(design, lwork=int(lwork), overwrite_a=1)
-    # the query reads no entry of the target; without overwrite_c it would copy it
-    _, work, _ = lapack.dormqr("L", "T", qr[:, :p], tau, target, lwork=-1, overwrite_c=1)
-    qty, _, info_q = lapack.dormqr("L", "T", qr[:, :p], tau, target, lwork=int(work[0]),
-                                   overwrite_c=1)
-    if info_qr or info_q:
-        raise RuntimeError(f"LAPACK QR of the design failed (info {info_qr}, {info_q})")
-    # each large array goes once its first p rows are copied out, so the
-    # target and R are never held at once
-    rhs = qty[:p].copy(order="F")
-    del target, qty
-    r = np.triu(qr[:p])
-    del design, qr
-    sol, _, rank, _ = scipy.linalg.lstsq(r, rhs, lapack_driver="gelsy",
-                                         overwrite_a=True, overwrite_b=True)
+    with _one_blas_thread() as cores:
+        # the workspace queries keep LAPACK on its blocked code paths
+        lwork, _ = lapack.dgeqrf_lwork(rows, cols)
+        qr, tau, _, info_qr = lapack.dgeqrf(design, lwork=int(lwork), overwrite_a=1)
+        v = qr[:, :p]
+
+        def apply_qt(chunk):
+            # a column slice of the Fortran-order target is Fortran-order,
+            # so with overwrite_c both calls work on it in place; the query
+            # reads none of its entries
+            cols_i = target[:, chunk]
+            _, work, _ = lapack.dormqr("L", "T", v, tau, cols_i, lwork=-1, overwrite_c=1)
+            return lapack.dormqr("L", "T", v, tau, cols_i, lwork=int(work[0]),
+                                 overwrite_c=1)[2]
+
+        # dormqr releases the GIL: fixed-width column chunks go to one
+        # worker per core, so the bytes depend on the width, not the cores
+        edges = [*range(0, target.shape[1], _QT_COLUMNS), target.shape[1]]
+        with ThreadPoolExecutor(min(cores, len(edges) - 1)) as pool:
+            info_q = list(pool.map(apply_qt, map(slice, edges[:-1], edges[1:])))
+        if info_qr or any(info_q):
+            raise RuntimeError(f"LAPACK QR of the design failed (info {info_qr}, {info_q})")
+        # each large array goes once its first p rows are copied out, so the
+        # target and R are never held at once
+        rhs = target[:p].copy(order="F")
+        del target
+        r = np.triu(qr[:p])
+        del design, qr, v
+        sol, _, rank, _ = scipy.linalg.lstsq(r, rhs, lapack_driver="gelsy",
+                                             overwrite_a=True, overwrite_b=True)
     if ridge == 0 and rank < cols:
         warnings.warn(f"rank-deficient design: rank {rank} < {cols} columns; "
                       "returning the minimum-norm solution", RuntimeWarning)
@@ -351,39 +375,64 @@ def _blas_thread_setter():
     return setter
 
 
+def _scipy_blas_thread_setter():
+    """A setter of scipy's OpenBLAS thread count that returns the previous
+    count, as numpy's does, or None when scipy runs another BLAS.  The
+    lookup goes through scipy's BLAS extension module, whose handle
+    resolves to the OpenBLAS copy scipy links."""
+    import ctypes
+
+    try:
+        blas = ctypes.CDLL(scipy.linalg._fblas.__file__)
+        get, put = blas.scipy_openblas_get_num_threads, blas.scipy_openblas_set_num_threads
+    except (OSError, AttributeError):
+        return None
+    get.argtypes, get.restype = [], ctypes.c_int
+    put.argtypes, put.restype = [ctypes.c_int], None
+
+    def setter(count):
+        previous = get()
+        put(count)
+        return previous
+
+    return setter
+
+
 # numpy's OpenBLAS thread count before the outermost open scope pinned it
 _unpinned_threads = None
 
 
 @contextlib.contextmanager
 def _one_blas_thread():
-    """Run the block with numpy's OpenBLAS on one thread, restore the
-    previous count on the way out, and yield the count the outermost
-    open scope found: the cores a caller may spend on independent work.
+    """Run the block with numpy's and scipy's OpenBLAS on one thread each,
+    restore the previous counts on the way out, and yield the count
+    numpy's had when the outermost open scope found it: the cores a caller
+    may spend on independent work.
 
-    The count is process-wide, not per thread: while the block runs,
-    every thread's numpy products and factorizations run on one BLAS
-    thread.  The small products and factorizations the verbs run are too
-    small to share, and the second thread of the pool spins between
-    calls.  A general product keeps its bits on any count, since
+    The counts are process-wide, not per thread: while the block runs,
+    every thread's products and factorizations, numpy's and scipy's, run
+    on one BLAS thread.  The small products and factorizations the verbs
+    run are too small to share, and the second thread of a pool spins
+    between calls.  A general product keeps its bits on any count, since
     OpenBLAS splits it over rows and columns, never over the summed
     dimension, and so do singular values; a dot product, a Gram product
-    ``x.T @ x`` and an LU may round differently.  Without the setter the
-    block runs as it is, the yield is 1, and nothing is said.
+    ``x.T @ x``, an LU, a Householder QR and ``expm`` may round
+    differently.  Pinned, they give the same bits on any core count.
+    When a setter is missing the block pins the other pool alone, the
+    yield is 1, and nothing is said.
     """
     global _unpinned_threads
-    setter = _blas_thread_setter()
-    if setter is None:
-        yield 1
-        return
-    previous = setter(1)
+    found = [_blas_thread_setter(), _scipy_blas_thread_setter()]
+    setters = [setter for setter in found if setter is not None]
+    previous = [setter(1) for setter in setters]
     outermost = _unpinned_threads is None
     if outermost:
-        _unpinned_threads = previous
+        _unpinned_threads = previous[0] if None not in found else 1
     try:
         yield _unpinned_threads
     finally:
-        setter(previous)
+        for setter, count in zip(setters, previous):
+            setter(count)
         if outermost:
             _unpinned_threads = None
 

@@ -438,9 +438,9 @@ def _step_propagator(A, horizon: float, quadrature_steps: int):
     """``(steps, e^{A delta})``, delta = horizon/steps, with
     ``quadrature_steps`` >= 1 rounded up to even (the one place it is);
     dense, guarded to state dims <= 256.  A symmetric A gives
-    V e^{Lambda delta} V' from numpy's ``eigh``, whose bits do not depend
-    on the BLAS thread count inside a verb; any other A gives scipy's
-    ``expm``, which runs on scipy's own BLAS threads."""
+    V e^{Lambda delta} V' from numpy's ``eigh``; any other A gives scipy's
+    ``expm``.  Inside a verb both run on one thread of their OpenBLAS, so
+    their bits do not depend on the core count."""
     n = A.shape[0]
     if n > _GRAMIAN_DENSE_LIMIT:
         raise ParameterError(f"dense Gramian limited to state dim {_GRAMIAN_DENSE_LIMIT}, got {n}")

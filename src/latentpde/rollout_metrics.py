@@ -124,17 +124,11 @@ def _pixel_series(video: np.ndarray, pixel) -> np.ndarray:
 _DT_MAX = {"dt_max": Key(int)}
 
 
-def temporal_correlation(video: np.ndarray, pixel, dt_max: int) -> CorrelationSeries:
-    """Pearson correlation of a pixel series with itself at lags 0..dt_max.
-
-    Raises DegenerateStatisticError when either slice of a lagged pair has
-    zero variance (the correlation is undefined there).  A lag leaves at
-    least two samples in each slice, so dt_max runs up to T - 2.
-    """
-    check_entries(locals(), _DT_MAX, "temporal_correlation", ParameterError)
-    series = _pixel_series(video, pixel)
-    check_entries(locals(), {"dt_max": Key(int, "[]", (0, len(series) - 2))},
-                  "temporal_correlation", ParameterError)
+def _lag_correlations(series, dt_max, caller):
+    """Pearson correlations of a pixel series at lags 0..dt_max, refusing
+    a ``dt_max`` outside the series under the name of ``caller``."""
+    check_entries({"dt_max": dt_max}, {"dt_max": Key(int, "[]", (0, len(series) - 2))},
+                  caller, ParameterError)
     rho = np.empty(dt_max + 1)
     for d in range(dt_max + 1):
         a = series[:len(series) - d]
@@ -144,6 +138,18 @@ def temporal_correlation(video: np.ndarray, pixel, dt_max: int) -> CorrelationSe
             raise DegenerateStatisticError(
                 f"pixel series has zero variance at lag {d}; correlation undefined")
         rho[d] = float(((a - a.mean()) * (b - b.mean())).mean() / (sa * sb))
+    return rho
+
+
+def temporal_correlation(video: np.ndarray, pixel, dt_max: int) -> CorrelationSeries:
+    """Pearson correlation of a pixel series with itself at lags 0..dt_max.
+
+    Raises DegenerateStatisticError when either slice of a lagged pair has
+    zero variance (the correlation is undefined there).  A lag leaves at
+    least two samples in each slice, so dt_max runs up to T - 2.
+    """
+    check_entries(locals(), _DT_MAX, "temporal_correlation", ParameterError)
+    rho = _lag_correlations(_pixel_series(video, pixel), dt_max, "temporal_correlation")
     return CorrelationSeries(lags=np.arange(dt_max + 1), mean=rho, std=None, count=1)
 
 
@@ -151,13 +157,15 @@ def correlation_ensemble_stats(videos, pixel, dt_max: int) -> CorrelationSeries:
     """Mean and sample std of per-video pixel autocorrelations.
 
     Degenerate videos (zero variance) are skipped with a warning; at
-    least two usable videos are required.
+    least two usable videos are required.  ``dt_max`` is checked against
+    the frames of each video as it is read.
     """
     check_entries(locals(), _DT_MAX, "correlation_ensemble_stats", ParameterError)
     curves = []
     for idx, video in enumerate(videos):
         try:
-            curves.append(temporal_correlation(video, pixel, dt_max).mean)
+            curves.append(_lag_correlations(_pixel_series(video, pixel), dt_max,
+                                            "correlation_ensemble_stats"))
         except DegenerateStatisticError:
             warnings.warn(f"skipping degenerate video {idx} (zero variance)", RuntimeWarning)
     if len(curves) < 2:

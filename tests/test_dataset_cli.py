@@ -1130,6 +1130,54 @@ def test_cli_heat_gramian_does_not_depend_on_the_core_count(tmp_path, monkeypatc
     assert outputs[0] == outputs[1]
 
 
+def test_cli_wave_gramian_refusal_does_not_depend_on_the_core_count(tmp_path, monkeypatch):
+    """At grid 10 scipy's expm of the wave generator gave a condition
+    number of 5.708e+16 on one BLAS thread and 5.925e+16 on two; inside
+    the verb's scope it runs on one thread, and the refusal is one line."""
+    outcomes = []
+    for threads in ("1", "2"):
+        monkeypatch.setenv("OPENBLAS_NUM_THREADS", threads)
+        proc = run_module(["observability", "--check", "gramian", "--equation", "wave",
+                           "--grid", "10", "--patch", "2", "--horizon", "4",
+                           "--out", str(tmp_path / "gramian.txt")])
+        outcomes.append((proc.returncode, proc.stderr))
+    assert outcomes[0][0] == 5 and "condition number" in outcomes[0][1], outcomes[0]
+    assert outcomes[0] == outcomes[1]
+    assert not (tmp_path / "gramian.txt").exists()
+
+
+def test_cli_fits_do_not_depend_on_the_core_count(tmp_path, monkeypatch):
+    """Grid 24 with patch 3 and k 4: designs of 257 columns, whose QR
+    scipy's OpenBLAS shares among threads when it has two, and whose bits
+    then depended on their number; the super target of 576 outputs is
+    three chunks of Qᵀ, which two workers split unevenly.  The models, the
+    sweep and what is rolled out from the models are the same bytes on
+    one BLAS thread and on two."""
+    config_path = tmp_path / "heat.json"
+    config_path.write_text(json.dumps(dict(TINY_HEAT, grid_size=24, trajectories=12,
+                                           frames=24, patch=3)))
+    data = str(tmp_path / "data")
+    run_cli(["generate", "--config", str(config_path), "--out", data])
+    outputs = []
+    for threads in ("1", "2"):
+        monkeypatch.setenv("OPENBLAS_NUM_THREADS", threads)
+        out = tmp_path / f"threads{threads}"
+        out.mkdir()
+        g_path, super_path = str(out / "g.bin"), str(out / "G.bin")
+        for argv in (["fit", "--role", "g", "--patch", "3", "--k", "4", "--out", g_path],
+                     ["fit", "--role", "super", "--patch", "3", "--k", "4", "--out", super_path],
+                     ["sweep", "--patch", "3", "--k-list", "1,4", "--trials", "2",
+                      "--out", str(out / "sweep.csv")],
+                     ["rollout", "--model", g_path, "--super", super_path, "--traj-index", "11",
+                      "--steps", "6", "--out-prefix", str(out / "roll")]):
+            proc = run_module([*argv, "--data", data])
+            assert proc.returncode == 0, proc.stderr
+        outputs.append({path.name: path.read_bytes() for path in sorted(out.iterdir())})
+    assert set(outputs[0]) >= {"g.bin", "G.bin", "sweep.csv", "roll_tokens.bin",
+                               "roll_fields.bin", "roll_residues.csv"}
+    assert outputs[0] == outputs[1]
+
+
 def test_metrics_correlation_checks_dt_max_against_the_frame_count(tmp_path, capsys,
                                                                   monkeypatch):
     data = tmp_path / "data"

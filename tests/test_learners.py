@@ -460,6 +460,19 @@ def _blas_threads():
     return getter()
 
 
+def _scipy_blas_threads():
+    """scipy's OpenBLAS thread count, or None when scipy runs another
+    BLAS.  scipy loads its own copy of OpenBLAS, with its own count."""
+    import ctypes
+
+    try:
+        getter = ctypes.CDLL(scipy.linalg._fblas.__file__).scipy_openblas_get_num_threads
+    except AttributeError:
+        return None
+    getter.argtypes, getter.restype = [], ctypes.c_int
+    return getter()
+
+
 @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
 def test_adam_steps_on_one_blas_thread_and_restores_the_count(monkeypatch):
     setter = learners_module._blas_thread_setter()
@@ -566,31 +579,70 @@ def test_a_library_log_det_keeps_its_bits_on_any_thread_count():
 
 def test_each_verb_runs_on_one_blas_thread_and_restores_the_count(tmp_path, monkeypatch,
                                                                   capsys):
-    setter = learners_module._blas_thread_setter()
-    if setter is None or _blas_threads() is None:
-        pytest.skip("numpy does not run scipy-openblas")
+    """Both OpenBLAS copies, numpy's and scipy's, read one thread inside a
+    verb and their own earlier counts after it, on exit 0, 2 and 3."""
+    setters = [learners_module._blas_thread_setter(),
+               learners_module._scipy_blas_thread_setter()]
+    if None in setters or _blas_threads() is None or _scipy_blas_threads() is None:
+        pytest.skip("numpy or scipy does not run scipy-openblas")
     seen = []
     witness = observability_module.witness_orbit
 
     def counted(*args, **kwargs):
-        seen.append(_blas_threads())
+        seen.append((_blas_threads(), _scipy_blas_threads()))
         return witness(*args, **kwargs)
 
     monkeypatch.setattr(observability_module, "witness_orbit", counted)
     out = str(tmp_path / "out")
-    # a count other than 1, whatever an earlier call left behind
-    outer = setter(3)
+    # counts other than 1, and other than each other, whatever an earlier
+    # call left behind
+    outer = [setter(count) for setter, count in zip(setters, (3, 2))]
     try:
         for argv, code in ((["observability", "--check", "witness", "--grid", "16",
                              "--patch", "4"], 0),
                            (["observability", "--check", "lie"], 2),
                            (["export", "--data", str(tmp_path / "missing")], 3)):
             assert cli.main([*argv, "--out", out]) == code, argv
-            assert _blas_threads() == 3, argv
+            assert (_blas_threads(), _scipy_blas_threads()) == (3, 2), argv
+    finally:
+        for setter, count in zip(setters, outer):
+            setter(count)
+    assert seen == [(1, 1)]
+    capsys.readouterr()
+
+
+def test_qt_chunks_keep_their_bits_on_any_number_of_workers(monkeypatch):
+    """Qᵀ goes to a target of 600 outputs in three column chunks, which 2
+    workers split unevenly; the pool takes one worker per BLAS thread the
+    caller had, and the fit is the same bytes on pools of 1, 2 and 3."""
+    setter = learners_module._blas_thread_setter()
+    if setter is None or learners_module._scipy_blas_thread_setter() is None:
+        pytest.skip("numpy or scipy does not run scipy-openblas")
+    histories, targets, _, _ = make_linear_problem(400, 4, 16, 600, seed=44, noise=0.1)
+    sizes = []
+
+    class Recorded(ThreadPoolExecutor):
+        def __init__(self, workers):
+            sizes.append(workers)
+            super().__init__(workers)
+
+    monkeypatch.setattr(learners_module, "ThreadPoolExecutor", Recorded)
+    fits = []
+    outer = setter(1)
+    try:
+        for workers in (1, 2, 3):
+            setter(workers)
+            fits.append(fit_least_squares(histories, targets))
     finally:
         setter(outer)
-    assert seen == [1]
-    capsys.readouterr()
+    assert sizes == [1, 2, 3]
+    for fitted in fits[1:]:
+        assert fitted.weights.tobytes() == fits[0].weights.tobytes()
+        assert fitted.bias.tobytes() == fits[0].bias.tobytes()
+    design = np.hstack([histories.reshape(400, -1), np.ones((400, 1))])
+    reference = design @ scipy.linalg.lstsq(design, targets, lapack_driver="gelsd")[0]
+    pred = fits[0].apply(histories)
+    assert np.linalg.norm(pred - reference) <= 1e-4 * np.linalg.norm(reference)
 
 
 def test_train_config_validation():

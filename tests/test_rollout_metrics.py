@@ -148,8 +148,10 @@ def test_correlation_lag_leaves_two_samples():
         rule = rf"^temporal_correlation: dt_max must be in \[0, 10\], got {dt_max}$"
         with pytest.raises(ParameterError, match=rule):
             temporal_correlation(video, pixel=0, dt_max=dt_max)
-    with pytest.raises(ParameterError):
-        correlation_ensemble_stats([video, video], pixel=0, dt_max=11)
+    for dt_max in (11, -1):
+        rule = rf"^correlation_ensemble_stats: dt_max must be in \[0, 10\], got {dt_max}$"
+        with pytest.raises(ParameterError, match=rule):
+            correlation_ensemble_stats([video, video], pixel=0, dt_max=dt_max)
 
 
 def test_correlation_degenerate_pixel():
