@@ -8,6 +8,7 @@ an orthogonal factorization or Adam-style stochastic gradient descent on
 the same mean-squared objective.
 """
 
+import collections
 from concurrent.futures import ThreadPoolExecutor
 import contextlib
 from dataclasses import dataclass
@@ -181,6 +182,15 @@ def fit_least_squares(histories: np.ndarray, targets: np.ndarray,
 # design to 1,024 outputs took 0.38–0.48 s in chunks of 256, 0.41–0.52 s
 # in chunks of 512, 0.43–0.54 s in chunks of 128 and 0.67–0.99 s whole
 _QT_COLUMNS = 256
+# the fewest samples a leaf of the QR tree holds, and it holds at least
+# twice the columns, so a leaf's QR outweighs the combine of its R; on a
+# 2-core VM two 2,646 × 1,025 leaves were factored in 0.21 s together
+# against 0.32 s in series, and their combine took 0.04 s
+_LEAF_ROWS = 1024
+# the block size of the reflectors dtpqrt combines two R factors with; at
+# 1,025 columns blocks of 16, 32, 64 and 128 took 0.032, 0.026, 0.030 and
+# 0.042 s
+_COMBINE_BLOCK = 32
 
 
 def fit_blocks(blocks, samples: int, ridge: float = 0.0, bias: bool = True) -> LinearMap:
@@ -190,62 +200,87 @@ def fit_blocks(blocks, samples: int, ridge: float = 0.0, bias: bool = True) -> L
     Each block is a pair of arrays ``(histories, targets)`` of shapes
     (S_i, k, m) and (S_i, ...), typically the samples of one trajectory.
     The first block sets k, m and the output shape, and the S_i sum to
-    ``samples``.  Each block is read once, in order, into the
-    Fortran-order design (features, bias column, ridge rows) and target,
-    the only copy of the samples the fit makes, so a block may be a window
-    view that is dropped once read.  The design is then factored in place
-    as Q R by a blocked Householder QR, Q^T is applied to the target in
-    place in column chunks of ``_QT_COLUMNS`` on a pool of one worker per
-    core, and R w = (Q^T y)[:p], p = min(rows, cols), is solved by LAPACK
-    gelsy, a complete orthogonal decomposition of R alone (Chan 1982's QR
-    preprocessing for tall designs).  R has the singular values of the
-    design, so for a rank-deficient design with ridge = 0 the result is
-    the minimum-norm solution; deficiency is recorded in
-    ``design_rank`` and warned about.  ``design_rank`` is gelsy's count at
-    its machine-epsilon cut on R, a rounding-level count on an
-    ill-conditioned design.  All of it runs on one BLAS thread (see
-    :func:`_one_blas_thread`), so the weight bytes are the same on any core
-    count, but what the fit promises is its training predictions and
-    residual norm to a backward-stable tolerance, not its weight bytes.
-    The ridge penalty never touches the bias column.
+    ``samples``.  The fit is a QR tree of one level (TSQR: Demmel,
+    Grigori, Hoemmen & Langou 2012).  Its leaves are
+    ``max(1, samples // max(_LEAF_ROWS, 2 * cols))`` contiguous sample
+    ranges of balanced size, a count that the data's shape fixes, never
+    the core count.  Each block is read once, in order, into the
+    Fortran-order design (features, bias column) and target of the leaves
+    it spans, the only copy of the samples the fit makes, so a block may
+    be a window view that is dropped once read; the last leaf also holds
+    the ridge rows.  A full leaf goes to a pool of one worker per core,
+    where its design is factored in place as Q R by a blocked Householder
+    QR and Q^T is applied to its target in place in column chunks of
+    ``_QT_COLUMNS``, while the next leaf fills.  The leaves' R and
+    (Q^T y)[:p], p = min(rows, cols), each shrunk in place from its
+    leaf's arrays, are combined in leaf order by one triangular-pentagonal
+    QR each (dtpqrt, dtpmqrt), and R w = Q^T y is solved in place by
+    LAPACK gelsy, a complete orthogonal decomposition of R alone (Chan
+    1982's QR preprocessing for tall designs).  A design of
+    fewer than ``2 * max(_LEAF_ROWS, 2 * cols)`` samples is one leaf and
+    has no combine.  R has the singular values of the design, so for a
+    rank-deficient design with ridge = 0 the result is the minimum-norm
+    solution; deficiency is recorded in ``design_rank`` and warned about.
+    ``design_rank`` is gelsy's count at its machine-epsilon cut on R, a
+    rounding-level count on an ill-conditioned design.  All of it runs on
+    one BLAS thread (see :func:`_one_blas_thread`), so the weight bytes
+    are the same on any core count, but what the fit promises is its
+    training predictions and residual norm to a backward-stable tolerance,
+    not its weight bytes.  The ridge penalty never touches the bias column.
     """
     check_entries(locals(), {"ridge": TRAIN_TABLE["ridge"], "bias": Key(bool)}, "fit_blocks",
                   ParameterError)
     blocks, k, m, output_shape = _intake(blocks, samples)
+    out_dim = math.prod(output_shape)
+    if out_dim == 0:
+        raise ParameterError(f"fit_blocks: targets of shape {output_shape} hold no outputs")
     n_feat = k * m
-    design, target = _assemble(blocks, samples, k, m, math.prod(output_shape), ridge, bias)
-    rows, cols = design.shape
-    p = min(rows, cols)
-    with _one_blas_thread() as cores:
-        # the workspace queries keep LAPACK on its blocked code paths
-        lwork, _ = lapack.dgeqrf_lwork(rows, cols)
-        qr, tau, _, info_qr = lapack.dgeqrf(design, lwork=int(lwork), overwrite_a=1)
-        v = qr[:, :p]
-
-        def apply_qt(chunk):
-            # a column slice of the Fortran-order target is Fortran-order,
-            # so with overwrite_c both calls work on it in place; the query
-            # reads none of its entries
-            cols_i = target[:, chunk]
-            _, work, _ = lapack.dormqr("L", "T", v, tau, cols_i, lwork=-1, overwrite_c=1)
-            return lapack.dormqr("L", "T", v, tau, cols_i, lwork=int(work[0]),
-                                 overwrite_c=1)[2]
-
-        # dormqr releases the GIL: fixed-width column chunks go to one
-        # worker per core, so the bytes depend on the width, not the cores
-        edges = [*range(0, target.shape[1], _QT_COLUMNS), target.shape[1]]
-        with ThreadPoolExecutor(min(cores, len(edges) - 1)) as pool:
-            info_q = list(pool.map(apply_qt, map(slice, edges[:-1], edges[1:])))
-        if info_qr or any(info_q):
-            raise RuntimeError(f"LAPACK QR of the design failed (info {info_qr}, {info_q})")
-        # each large array goes once its first p rows are copied out, so the
-        # target and R are never held at once
-        rhs = target[:p].copy(order="F")
-        del target
-        r = np.triu(qr[:p])
-        del design, qr, v
-        sol, _, rank, _ = scipy.linalg.lstsq(r, rhs, lapack_driver="gelsy",
-                                             overwrite_a=True, overwrite_b=True)
+    cols = n_feat + (1 if bias else 0)
+    leaves = max(1, samples // max(_LEAF_ROWS, 2 * cols))
+    edges = [samples * i // leaves for i in range(leaves + 1)]
+    chunks = [slice(j, j + _QT_COLUMNS) for j in range(0, out_dim, _QT_COLUMNS)]
+    with _one_blas_thread() as cores, \
+            ThreadPoolExecutor(min(cores, leaves * len(chunks))) as pool:
+        pending = collections.deque(
+            pool.submit(_factor_leaf, design, target, chunks, pool)
+            for design, target in _leaves(blocks, edges, k, m, out_dim, ridge, bias))
+        r = rhs = None
+        while pending:
+            qr, target, parts = pending.popleft().result()
+            info_q = [part.result() for part in parts]
+            if any(info_q):
+                raise RuntimeError(f"LAPACK Qᵀ of a design leaf failed (info {info_q})")
+            p = min(qr.shape)
+            rhs_i, r_i = _first_rows(target, p), _first_rows(qr, p)
+            del target, qr
+            # R is the upper triangle
+            for j in range(p):
+                r_i[j + 1:, j] = 0.0
+            if r is None:
+                r, rhs = r_i, rhs_i
+                continue
+            # both calls hold the GIL, and dtpmqrt split into column chunks
+            # rounds otherwise than one call, so the combine stays serial
+            r, v, t, info_r = lapack.dtpqrt(cols, min(_COMBINE_BLOCK, cols), r, r_i,
+                                            overwrite_a=1, overwrite_b=1)
+            rhs, _, info_m = lapack.dtpmqrt(cols, v, t, rhs, rhs_i, trans="T",
+                                            overwrite_a=1, overwrite_b=1)
+            if info_r or info_m:
+                raise RuntimeError(f"LAPACK combine of two leaves failed (info {info_r}, "
+                                   f"{info_m})")
+            del v, t, r_i, rhs_i
+        if p < cols:
+            # a wide design: gelsy writes a solution of cols rows over rhs
+            padded = np.zeros((cols, out_dim), order="F")
+            padded[:p] = rhs
+            rhs = padded
+        # scipy's lstsq would copy R and rhs; this call works on both in place
+        eps = np.finfo(float).eps
+        lwork, _ = lapack.dgelsy_lwork(p, cols, out_dim, eps)
+        _, sol, _, rank, info = lapack.dgelsy(r, rhs, np.zeros(cols, np.int32), eps, int(lwork),
+                                              overwrite_a=1, overwrite_b=1)
+        if info:
+            raise RuntimeError(f"LAPACK gelsy on R failed (info {info})")
     if ridge == 0 and rank < cols:
         warnings.warn(f"rank-deficient design: rank {rank} < {cols} columns; "
                       "returning the minimum-norm solution", RuntimeWarning)
@@ -254,26 +289,76 @@ def fit_blocks(blocks, samples: int, ridge: float = 0.0, bias: bool = True) -> L
     return LinearMap(weights, bias_vec, k, m, output_shape, design_rank=int(rank))
 
 
-def _assemble(blocks, samples, k, m, out_dim, ridge, bias):
-    """The Fortran-order design and target that LAPACK factors and
-    overwrites in place, filled block by block: the only copy of the
-    samples a fit makes."""
-    n_feat = k * m
-    cols = n_feat + (1 if bias else 0)
-    rows = samples + (n_feat if ridge > 0 else 0)
-    design = np.zeros((rows, cols), order="F")
-    target = np.zeros((rows, out_dim), order="F")
+def _first_rows(a, p):
+    """The first p rows of the Fortran-order array ``a``, which owns its
+    buffer: moved column by column to the front of that buffer, which
+    then shrinks to them, so no second array holds them."""
+    rows, cols = a.shape
+    flat = a.reshape(-1, order="F")
+    for j in range(1, cols):
+        flat[j * p:(j + 1) * p] = flat[j * rows:j * rows + p]
+    del flat
+    # no view of ``a`` is read again, though a finished pool task may
+    # still hold one until its worker drops it
+    a.resize((p, cols), refcheck=False)
+    return a
+
+
+def _leaves(blocks, edges, k, m, out_dim, ridge, bias):
+    """Yield the Fortran-order design and target of each leaf, samples
+    ``edges[i]`` to ``edges[i + 1]``, filled in place as the blocks stream
+    past, a block that straddles two leaves into both: the only copy of
+    the samples a fit makes.  Each leaf has the bias column, and the last
+    also has the ridge rows."""
+    n_feat, samples = k * m, edges[-1]
+    leaf, design = 0, None
     for start, hist, tgt in _block_rows(blocks, samples, k, m, out_dim):
-        rows_i = slice(start, start + hist.shape[0])
-        design[rows_i, :n_feat] = hist
-        target[rows_i] = tgt
-    if bias:
-        design[:samples, n_feat] = 1.0
-    if ridge > 0:
-        # ridge rows scale with the sample count so the penalty matches
-        # the mean-squared objective of the SGD trainer
-        np.fill_diagonal(design[samples:, :n_feat], np.sqrt(ridge * samples))
-    return design, target
+        at, end = start, start + hist.shape[0]
+        while at < end:
+            low, high = edges[leaf], edges[leaf + 1]
+            if design is None:
+                rows = high - low + (n_feat if ridge > 0 and high == samples else 0)
+                design = np.zeros((rows, n_feat + (1 if bias else 0)), order="F")
+                target = np.zeros((rows, out_dim), order="F")
+            stop = min(end, high)
+            design[at - low:stop - low, :n_feat] = hist[at - start:stop - start]
+            target[at - low:stop - low] = tgt[at - start:stop - start]
+            at = stop
+            if stop < high:
+                continue
+            if bias:
+                design[:high - low, n_feat] = 1.0
+            if ridge > 0 and high == samples:
+                # ridge rows scale with the sample count so the penalty
+                # matches the mean-squared objective of the SGD trainer
+                np.fill_diagonal(design[high - low:, :n_feat], np.sqrt(ridge * samples))
+            yield design, target
+            leaf, design, target = leaf + 1, None, None
+
+
+def _factor_leaf(design, target, chunks, pool):
+    """Factor one leaf's design in place as Q R, then submit Qᵀ of its
+    target, in place, to ``pool`` one column chunk a task.  Returns the
+    factored design, the target and the chunk tasks, whose results are
+    dormqr's info codes."""
+    # the workspace queries keep LAPACK on its blocked code paths
+    lwork, _ = lapack.dgeqrf_lwork(*design.shape)
+    qr, tau, _, info = lapack.dgeqrf(design, lwork=int(lwork), overwrite_a=1)
+    if info:
+        raise RuntimeError(f"LAPACK QR of a design leaf failed (info {info})")
+    v = qr[:, :min(qr.shape)]
+
+    def apply_qt(chunk):
+        # a column slice of the Fortran-order target is Fortran-order, so
+        # with overwrite_c both calls work on it in place; the query reads
+        # none of its entries
+        cols_i = target[:, chunk]
+        _, work, _ = lapack.dormqr("L", "T", v, tau, cols_i, lwork=-1, overwrite_c=1)
+        return lapack.dormqr("L", "T", v, tau, cols_i, lwork=int(work[0]), overwrite_c=1)[2]
+
+    # dormqr releases the GIL, and a chunk keeps its bits whichever worker
+    # runs it, so the bytes depend on the width, not the cores
+    return qr, target, [pool.submit(apply_qt, chunk) for chunk in chunks]
 
 
 def _block_rows(blocks, samples, k, m, out_dim):

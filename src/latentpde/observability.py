@@ -27,6 +27,7 @@ Each check returns a report whose ``to_text`` the command line prints.
 """
 
 from concurrent.futures import ThreadPoolExecutor
+import contextlib
 from dataclasses import dataclass, field, fields
 
 import numpy as np
@@ -615,9 +616,10 @@ def empirical_lie_logdet(traj, patch: int, derivative_order: int = 5,
     scaling the trajectory by c shifts every log |det| by dim * log(c).
     Singular values, when requested, skip the first ``burn_frac`` share
     of the windows; a pool of one thread per core computes them (the
-    count :func:`latentpde.learners._one_blas_thread` yields).  Both the
-    determinants and the singular values run on one BLAS thread, so a
-    library call gives the same bits on any core count.
+    count :func:`latentpde.learners._one_blas_thread` yields) while the
+    calling thread computes the determinants.  Both the determinants and
+    the singular values run on one BLAS thread, so a library call gives
+    the same bits on any core count.
     """
     check_entries(locals(), {**_LIE_ARGS, "with_singular_values": Key(bool)},
                   "empirical_lie_logdet", ParameterError)
@@ -641,8 +643,8 @@ def empirical_lie_logdet(traj, patch: int, derivative_order: int = 5,
     nt = windows.shape[0]
     min_sv = max_sv = None
     # on one BLAS thread an LU keeps its bits on any core count
-    with _one_blas_thread() as cores:
-        sign, logabs = np.linalg.slogdet(windows)
+    with _one_blas_thread() as cores, contextlib.ExitStack() as stack:
+        parts = []
         if with_singular_values:
             first = int(burn_frac * nt)
             min_sv, max_sv = np.full(nt, np.nan), np.full(nt, np.nan)
@@ -656,8 +658,12 @@ def empirical_lie_logdet(traj, patch: int, derivative_order: int = 5,
             # keep their bits for any split
             workers = min(cores, nt - first)
             edges = [first + (nt - first) * i // workers for i in range(workers + 1)]
-            with ThreadPoolExecutor(workers) as pool:
-                list(pool.map(extremes, map(slice, edges[:-1], edges[1:])))
+            pool = stack.enter_context(ThreadPoolExecutor(workers))
+            parts = [pool.submit(extremes, chunk) for chunk in map(slice, edges[:-1], edges[1:])]
+        # slogdet holds the GIL, so it runs here, while the chunks run
+        sign, logabs = np.linalg.slogdet(windows)
+        for part in parts:
+            part.result()
     rolling = np.full(nt, np.nan)
     if nt >= window:
         kernel = np.ones(window) / window

@@ -1146,30 +1146,39 @@ def test_cli_wave_gramian_refusal_does_not_depend_on_the_core_count(tmp_path, mo
     assert not (tmp_path / "gramian.txt").exists()
 
 
-def test_cli_fits_do_not_depend_on_the_core_count(tmp_path, monkeypatch):
+@pytest.mark.parametrize("grid, trajectories, frames, patch, k", [
+    (24, 12, 24, 3, 4),
+    (8, 41, 64, 2, 2),
+], ids=["chunks", "tree"])
+def test_cli_fits_do_not_depend_on_the_core_count(tmp_path, monkeypatch, grid, trajectories,
+                                                  frames, patch, k):
     """Grid 24 with patch 3 and k 4: designs of 257 columns, whose QR
     scipy's OpenBLAS shares among threads when it has two, and whose bits
     then depended on their number; the super target of 576 outputs is
-    three chunks of Qᵀ, which two workers split unevenly.  The models, the
-    sweep and what is rolled out from the models are the same bytes on
-    one BLAS thread and on two."""
+    three chunks of Qᵀ, which two workers split unevenly.  Grid 8 with
+    patch 2 and k 2: every fit holds more than 2 × 1,024 samples, so it is
+    a QR tree of two leaves whose edge falls inside a trajectory.  The
+    models, the sweep and what is rolled out from the models are the same
+    bytes on one BLAS thread and on two."""
     config_path = tmp_path / "heat.json"
-    config_path.write_text(json.dumps(dict(TINY_HEAT, grid_size=24, trajectories=12,
-                                           frames=24, patch=3)))
+    config_path.write_text(json.dumps(dict(TINY_HEAT, grid_size=grid, trajectories=trajectories,
+                                           frames=frames, patch=patch)))
     data = str(tmp_path / "data")
     run_cli(["generate", "--config", str(config_path), "--out", data])
+    size = ["--patch", str(patch), "--k", str(k)]
     outputs = []
     for threads in ("1", "2"):
         monkeypatch.setenv("OPENBLAS_NUM_THREADS", threads)
         out = tmp_path / f"threads{threads}"
         out.mkdir()
         g_path, super_path = str(out / "g.bin"), str(out / "G.bin")
-        for argv in (["fit", "--role", "g", "--patch", "3", "--k", "4", "--out", g_path],
-                     ["fit", "--role", "super", "--patch", "3", "--k", "4", "--out", super_path],
-                     ["sweep", "--patch", "3", "--k-list", "1,4", "--trials", "2",
+        for argv in (["fit", "--role", "g", *size, "--out", g_path],
+                     ["fit", "--role", "super", *size, "--out", super_path],
+                     ["sweep", "--patch", str(patch), "--k-list", f"1,{k}", "--trials", "2",
                       "--out", str(out / "sweep.csv")],
-                     ["rollout", "--model", g_path, "--super", super_path, "--traj-index", "11",
-                      "--steps", "6", "--out-prefix", str(out / "roll")]):
+                     ["rollout", "--model", g_path, "--super", super_path,
+                      "--traj-index", str(trajectories - 1), "--steps", "6",
+                      "--out-prefix", str(out / "roll")]):
             proc = run_module([*argv, "--data", data])
             assert proc.returncode == 0, proc.stderr
         outputs.append({path.name: path.read_bytes() for path in sorted(out.iterdir())})

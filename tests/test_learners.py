@@ -181,6 +181,9 @@ def test_fit_blocks_refuses_blocks_that_break_their_count_or_shape():
             fit_blocks([block, (np.zeros(hist), np.zeros(tgt))], 10)
     with pytest.raises(ParameterError, match="no samples"):
         fit_blocks([], 0)
+    # a target of no outputs is refused before any pool is sized to it
+    with pytest.raises(ParameterError, match="^fit_blocks: targets of shape \\(0,\\) hold no "):
+        fit_least_squares(block[0], np.zeros((5, 0)))
 
 
 @pytest.mark.parametrize("eval_split", [0.0, 0.3])
@@ -612,37 +615,59 @@ def test_each_verb_runs_on_one_blas_thread_and_restores_the_count(tmp_path, monk
 
 
 def test_qt_chunks_keep_their_bits_on_any_number_of_workers(monkeypatch):
-    """Qᵀ goes to a target of 600 outputs in three column chunks, which 2
-    workers split unevenly; the pool takes one worker per BLAS thread the
-    caller had, and the fit is the same bytes on pools of 1, 2 and 3."""
+    """2,600 samples of 65 columns are a QR tree of two leaves of 1,300,
+    and blocks of 700, 900 and 1,000 samples put the second block across
+    the edge between them; the ridge rows go in the second leaf.  Qᵀ goes
+    to each leaf's target of 600 outputs in three column chunks, six
+    tasks that 2 workers split unevenly; the pool takes one worker per
+    BLAS thread the caller had, and the fit is the same bytes on pools of
+    1, 2 and 3, and as one block."""
     setter = learners_module._blas_thread_setter()
     if setter is None or learners_module._scipy_blas_thread_setter() is None:
         pytest.skip("numpy or scipy does not run scipy-openblas")
-    histories, targets, _, _ = make_linear_problem(400, 4, 16, 600, seed=44, noise=0.1)
-    sizes = []
+    histories, targets, _, _ = make_linear_problem(2600, 4, 16, 600, seed=44, noise=0.1)
+    edges = [0, 700, 1600, 2600]
+    blocks = [(histories[a:b], targets[a:b]) for a, b in zip(edges[:-1], edges[1:])]
+    sizes, leaves = [], []
 
     class Recorded(ThreadPoolExecutor):
         def __init__(self, workers):
             sizes.append(workers)
             super().__init__(workers)
 
+    factor_leaf = learners_module._factor_leaf
+
+    def recorded_leaf(design, *args):
+        leaves.append(design.shape)
+        return factor_leaf(design, *args)
+
     monkeypatch.setattr(learners_module, "ThreadPoolExecutor", Recorded)
-    fits = []
-    outer = setter(1)
-    try:
-        for workers in (1, 2, 3):
-            setter(workers)
-            fits.append(fit_least_squares(histories, targets))
-    finally:
-        setter(outer)
-    assert sizes == [1, 2, 3]
-    for fitted in fits[1:]:
-        assert fitted.weights.tobytes() == fits[0].weights.tobytes()
-        assert fitted.bias.tobytes() == fits[0].bias.tobytes()
-    design = np.hstack([histories.reshape(400, -1), np.ones((400, 1))])
-    reference = design @ scipy.linalg.lstsq(design, targets, lapack_driver="gelsd")[0]
-    pred = fits[0].apply(histories)
-    assert np.linalg.norm(pred - reference) <= 1e-4 * np.linalg.norm(reference)
+    monkeypatch.setattr(learners_module, "_factor_leaf", recorded_leaf)
+    design = np.hstack([histories.reshape(2600, -1), np.ones((2600, 1))])
+    for ridge in (0.0, 0.5):
+        fits = [fit_least_squares(histories, targets, ridge=ridge)]
+        sizes.clear()
+        leaves.clear()
+        outer = setter(1)
+        try:
+            for workers in (1, 2, 3):
+                setter(workers)
+                fits.append(fit_blocks(iter(blocks), 2600, ridge=ridge))
+        finally:
+            setter(outer)
+        assert sizes == [1, 2, 3]
+        assert leaves == [(1300, 65), (1300 + 64 * (ridge > 0), 65)] * 3
+        for fitted in fits[1:]:
+            assert fitted.weights.tobytes() == fits[0].weights.tobytes()
+            assert fitted.bias.tobytes() == fits[0].bias.tobytes()
+        # the ridge rows of the minimised objective, on the weights alone
+        penalty = np.hstack([np.sqrt(ridge * 2600) * np.eye(64), np.zeros((64, 1))])
+        solution = scipy.linalg.lstsq(np.vstack([design, penalty]),
+                                      np.vstack([targets, np.zeros((64, 600))]),
+                                      lapack_driver="gelsd")[0]
+        reference = design @ solution
+        pred = fits[0].apply(histories)
+        assert np.linalg.norm(pred - reference) <= 1e-4 * np.linalg.norm(reference)
 
 
 def test_train_config_validation():

@@ -26,6 +26,9 @@ from test_dataset_cli import TINY_HEAT, TINY_WAVE
 STREAM_HEAT = dict(TINY_HEAT, grid_size=16, trajectories=40, frames=40)
 # 12 wave trajectories of 60 two-block frames on 16 x 16: 2.9 MB
 STREAM_WAVE = dict(TINY_WAVE, grid_size=16, trajectories=12, frames=60)
+# 41 trajectories of 64 frames on 16 x 16, whose super fit at patch 4 and
+# k 2 holds 37 x 63 samples: a QR tree of two leaves of 33 columns
+TREE_HEAT = dict(STREAM_HEAT, trajectories=41, frames=64)
 PEAK_SHARE = 0.6
 DESIGN_SHARE = 1.5
 
@@ -44,6 +47,15 @@ def workspace(tmp_path_factory):
                  ["rollout", "--data", str(data), "--model", str(root / "g.lpm"), "--super",
                   str(root / "s.lpm"), "--steps", "5", "--out-prefix", str(root / "clip")]):
         assert cli.main(argv) == 0, argv
+    return root
+
+
+@pytest.fixture(scope="module")
+def tree_workspace(tmp_path_factory):
+    root = tmp_path_factory.mktemp("tree")
+    config = root / "cfg.json"
+    config.write_text(json.dumps(TREE_HEAT))
+    assert cli.main(["generate", "--config", str(config), "--out", str(root / "data")]) == 0
     return root
 
 
@@ -78,18 +90,21 @@ def test_verb_peak_is_a_share_of_the_dataset(name, workspace, capsys):
     assert peak < PEAK_SHARE * dataset_bytes, f"peak {peak / dataset_bytes:.2f}x the dataset"
 
 
-# the flags of each call, its role and the largest k it fits
+# the flags of each call, its role, the largest k it fits and the
+# fixture of its dataset
 DESIGNS = {
-    "fit-super-k2": (["fit", "--role", "super", "--k", "2"], "super", 2),
-    "fit-super-k8": (["fit", "--role", "super", "--k", "8"], "super", 8),
-    "fit-g-k8": (["fit", "--role", "g", "--k", "8"], "g", 8),
-    "sweep": (["sweep", "--k-list", "2,8"], "g", 8),
+    "fit-super-k2": (["fit", "--role", "super", "--k", "2"], "super", 2, "workspace"),
+    "fit-super-k8": (["fit", "--role", "super", "--k", "8"], "super", 8, "workspace"),
+    "fit-g-k8": (["fit", "--role", "g", "--k", "8"], "g", 8, "workspace"),
+    "sweep": (["sweep", "--k-list", "2,8"], "g", 8, "workspace"),
+    "fit-super-k2-tree": (["fit", "--role", "super", "--k", "2"], "super", 2, "tree_workspace"),
 }
 
 
 @pytest.mark.parametrize("name", sorted(DESIGNS))
-def test_least_squares_peak_is_a_share_of_its_design(name, workspace, capsys):
-    flags, role, k = DESIGNS[name]
+def test_least_squares_peak_is_a_share_of_its_design(name, request, capsys):
+    flags, role, k, fixture = DESIGNS[name]
+    workspace = request.getfixturevalue(fixture)
     data = workspace / "data"
     manifest = load_manifest(str(data))
     tokens = math.prod(n // 4 for n in manifest.frame_shape)
