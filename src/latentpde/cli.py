@@ -90,9 +90,10 @@ def cmd_fit(args) -> int:
                              f"trajectories of {manifest.frames} frames (role {args.role})")
     stats = ds.compute_normalization(ds.trajectories(args.data, manifest, train))
 
+    # the samples read only the amplitude of a stacked wave state
     def blocks():
         for fr in ds.trajectories(args.data, manifest, train):
-            fr = ds.apply_normalization(fr, stats)
+            fr = ds.apply_normalization(amplitude(fr), stats)
             if super_role:
                 yield build_reconstruction_pairs(fr, args.k, args.patch)
             else:
@@ -127,7 +128,7 @@ def cmd_sweep(args) -> int:
     stats = ds.compute_normalization(ds.trajectories(args.data, manifest, train))
 
     def tokens(indices):
-        return [tokenize_trajectory(ds.apply_normalization(fr, stats), args.patch)
+        return [tokenize_trajectory(ds.apply_normalization(amplitude(fr), stats), args.patch)
                 for fr in ds.trajectories(args.data, manifest, indices)]
 
     rows = history_sweep(tokens(train), tokens(evals), args.k_list, ridge=args.ridge)
@@ -168,7 +169,7 @@ def cmd_rollout(args) -> int:
     fr = ds.load_trajectory(args.data, manifest, args.traj_index)
     g_map = _load_model(args.model, manifest, fields=False)
     stats, patch = g_map.normalization, g_map.patch
-    traj = ds.apply_normalization(fr, stats)
+    traj = ds.apply_normalization(amplitude(fr), stats)
     tokens = tokenize_trajectory(traj, patch)
     k = g_map.history_len
     if args.start < 0 or args.start + k + args.steps > tokens.shape[0]:
@@ -194,7 +195,7 @@ def cmd_rollout(args) -> int:
     if result.fields is not None:
         ds.atomic_write(prefix + "_fields.bin", result.fields.astype("<f8").tobytes())
         meta["fields_shape"] = list(result.fields.shape)
-        pairs["field"] = (result.fields, amplitude(traj)[generated])
+        pairs["field"] = (result.fields, traj[generated])
     columns = {f"{space}_{norm}": residue_norms(pred, truth, norm)
                for space, (pred, truth) in pairs.items() for norm in ("l1", "l2", "linf")}
     header = ["frame", *columns]

@@ -8,10 +8,11 @@ an orthogonal factorization or Adam-style stochastic gradient descent on
 the same mean-squared objective.
 """
 
-import collections
 from concurrent.futures import ThreadPoolExecutor
 import contextlib
+import ctypes
 from dataclasses import dataclass
+import functools
 import itertools
 import json
 import math
@@ -19,7 +20,7 @@ import warnings
 
 import numpy as np
 import scipy.linalg
-from scipy.linalg import lapack
+from scipy.linalg import cython_lapack, lapack
 
 from .dataset import NORMALIZATION_TABLE, atomic_write
 from .errors import DataFormatError, DivergenceError, Key, ParameterError, check_entries
@@ -27,7 +28,7 @@ from .tokenizer import forecast_pairs
 
 _HEADER_TABLE = {"version": Key(int, "==", 2), "format": Key(str, "==", "linear-map"),
                  "history_len": Key(int, ">=", 1), "token_dim": Key(int, ">=", 1),
-                 "out_dim": Key(int, ">=", 0), "has_bias": Key(bool),
+                 "out_dim": Key(int, ">=", 1), "has_bias": Key(bool),
                  "output_shape": Key(list, ">=", 0), "design_rank": Key((int, None), ">=", 0),
                  "patch": Key((int, None), ">=", 1),
                  "normalization": Key((NORMALIZATION_TABLE, None))}
@@ -154,10 +155,11 @@ class TrainConfig:
         check_entries(vars(self), TRAIN_TABLE, "TrainConfig", ParameterError)
 
 
-def _intake(blocks, samples: int):
+def _intake(blocks, samples: int, where: str):
     """The prologue of :func:`fit_blocks` and :func:`fit_sgd_blocks`: the
     blocks as one iterator, with the k, m and output shape that the first
-    block sets.  :func:`_block_rows` then checks every block as it is read."""
+    block sets, refusing a target of no outputs in the name of ``where``.
+    :func:`_block_rows` then checks every block as it is read."""
     blocks = iter(blocks)
     first = next(blocks, None)
     if first is None or samples < 1:
@@ -166,6 +168,8 @@ def _intake(blocks, samples: int):
     if hist.ndim != 3:
         raise ParameterError(f"histories must be (S, k, m), got shape {hist.shape}")
     out_shape = tgt.shape[1:] if tgt.ndim > 1 else (1,)
+    if math.prod(out_shape) == 0:
+        raise ParameterError(f"{where}: targets of shape {out_shape} hold no outputs")
     return itertools.chain([first], blocks), *hist.shape[1:], out_shape
 
 
@@ -183,9 +187,12 @@ def fit_least_squares(histories: np.ndarray, targets: np.ndarray,
 # in chunks of 512, 0.43–0.54 s in chunks of 128 and 0.67–0.99 s whole
 _QT_COLUMNS = 256
 # the fewest samples a leaf of the QR tree holds, and it holds at least
-# twice the columns, so a leaf's QR outweighs the combine of its R; on a
-# 2-core VM two 2,646 × 1,025 leaves were factored in 0.21 s together
-# against 0.32 s in series, and their combine took 0.04 s
+# the columns, so a tree of two or more leaves folds square Rs.  A fit
+# holds about three leaves' worth of rows, so the leaf height sets its
+# memory: on a 2-core VM, a heat-session benchmark repeat (fits of 5,184
+# and 5,292 samples of 1,025 columns) peaked at 118.6–119.4 MB RSS with
+# leaves of cols rows, 127.2–128.0 MB with 1.25·cols and 140.1–141.3 MB
+# with 1.5·cols
 _LEAF_ROWS = 1024
 # the block size of the reflectors dtpqrt combines two R factors with; at
 # 1,025 columns blocks of 16, 32, 64 and 128 took 0.032, 0.026, 0.030 and
@@ -201,26 +208,31 @@ def fit_blocks(blocks, samples: int, ridge: float = 0.0, bias: bool = True) -> L
     (S_i, k, m) and (S_i, ...), typically the samples of one trajectory.
     The first block sets k, m and the output shape, and the S_i sum to
     ``samples``.  The fit is a QR tree of one level (TSQR: Demmel,
-    Grigori, Hoemmen & Langou 2012).  Its leaves are
-    ``max(1, samples // max(_LEAF_ROWS, 2 * cols))`` contiguous sample
-    ranges of balanced size, a count that the data's shape fixes, never
-    the core count.  Each block is read once, in order, into the
-    Fortran-order design (features, bias column) and target of the leaves
-    it spans, the only copy of the samples the fit makes, so a block may
-    be a window view that is dropped once read; the last leaf also holds
-    the ridge rows.  A full leaf goes to a pool of one worker per core,
-    where its design is factored in place as Q R by a blocked Householder
-    QR and Q^T is applied to its target in place in column chunks of
-    ``_QT_COLUMNS``, while the next leaf fills.  The leaves' R and
-    (Q^T y)[:p], p = min(rows, cols), each shrunk in place from its
-    leaf's arrays, are combined in leaf order by one triangular-pentagonal
-    QR each (dtpqrt, dtpmqrt), and R w = Q^T y is solved in place by
-    LAPACK gelsy, a complete orthogonal decomposition of R alone (Chan
-    1982's QR preprocessing for tall designs).  A design of
-    fewer than ``2 * max(_LEAF_ROWS, 2 * cols)`` samples is one leaf and
-    has no combine.  R has the singular values of the design, so for a
-    rank-deficient design with ridge = 0 the result is the minimum-norm
-    solution; deficiency is recorded in ``design_rank`` and warned about.
+    Grigori, Hoemmen & Langou 2012) that streams.  Its leaves are
+    ``max(1, samples // max(_LEAF_ROWS, cols))`` contiguous sample ranges
+    of balanced size, a count that the data's shape fixes, never the core
+    count, so every leaf of a tree of two or more has a square R.  Each
+    block is read once, in order, into the Fortran-order design (features,
+    bias column) and target of the leaves it spans, the only copy of the
+    samples the fit makes, so a block may be a window view that is
+    dropped once read; the last leaf also holds the ridge rows.  A full
+    leaf goes to a pool of one worker per core, where its design is
+    factored in place as Q R by a blocked Householder QR and Q^T is
+    applied to its target in place in column chunks of ``_QT_COLUMNS``.
+    One chain thread then shrinks the leaf in place to its R and
+    (Q^T y)[:p], p = min(rows, cols), folds them into the running R and
+    Q^T y by one triangular-pentagonal QR (dtpqrt, dtpmqrt, called with
+    the GIL released), in leaf order, and frees the leaf.  The next leaf
+    fills once the one before the leaf in the pool is folded, so a fit
+    holds one filling leaf, one leaf being factored and the running R and
+    Q^T y, about 3·max(_LEAF_ROWS, cols)·(cols + outputs) doubles, however
+    many samples it has.  R w = Q^T y is then solved in place by LAPACK
+    gelsy, a complete orthogonal decomposition of R alone (Chan 1982's QR
+    preprocessing for tall designs).  A design of fewer than
+    ``2 * max(_LEAF_ROWS, cols)`` samples is one leaf and has no combine.
+    R has the singular values of the design, so for a rank-deficient
+    design with ridge = 0 the result is the minimum-norm solution;
+    deficiency is recorded in ``design_rank`` and warned about.
     ``design_rank`` is gelsy's count at its machine-epsilon cut on R, a
     rounding-level count on an ill-conditioned design.  All of it runs on
     one BLAS thread (see :func:`_one_blas_thread`), so the weight bytes
@@ -230,45 +242,26 @@ def fit_blocks(blocks, samples: int, ridge: float = 0.0, bias: bool = True) -> L
     """
     check_entries(locals(), {"ridge": TRAIN_TABLE["ridge"], "bias": Key(bool)}, "fit_blocks",
                   ParameterError)
-    blocks, k, m, output_shape = _intake(blocks, samples)
+    blocks, k, m, output_shape = _intake(blocks, samples, "fit_blocks")
     out_dim = math.prod(output_shape)
-    if out_dim == 0:
-        raise ParameterError(f"fit_blocks: targets of shape {output_shape} hold no outputs")
     n_feat = k * m
     cols = n_feat + (1 if bias else 0)
-    leaves = max(1, samples // max(_LEAF_ROWS, 2 * cols))
+    leaves = max(1, samples // max(_LEAF_ROWS, cols))
     edges = [samples * i // leaves for i in range(leaves + 1)]
     chunks = [slice(j, j + _QT_COLUMNS) for j in range(0, out_dim, _QT_COLUMNS)]
     with _one_blas_thread() as cores, \
-            ThreadPoolExecutor(min(cores, leaves * len(chunks))) as pool:
-        pending = collections.deque(
-            pool.submit(_factor_leaf, design, target, chunks, pool)
-            for design, target in _leaves(blocks, edges, k, m, out_dim, ridge, bias))
-        r = rhs = None
-        while pending:
-            qr, target, parts = pending.popleft().result()
-            info_q = [part.result() for part in parts]
-            if any(info_q):
-                raise RuntimeError(f"LAPACK Qᵀ of a design leaf failed (info {info_q})")
-            p = min(qr.shape)
-            rhs_i, r_i = _first_rows(target, p), _first_rows(qr, p)
-            del target, qr
-            # R is the upper triangle
-            for j in range(p):
-                r_i[j + 1:, j] = 0.0
-            if r is None:
-                r, rhs = r_i, rhs_i
-                continue
-            # both calls hold the GIL, and dtpmqrt split into column chunks
-            # rounds otherwise than one call, so the combine stays serial
-            r, v, t, info_r = lapack.dtpqrt(cols, min(_COMBINE_BLOCK, cols), r, r_i,
-                                            overwrite_a=1, overwrite_b=1)
-            rhs, _, info_m = lapack.dtpmqrt(cols, v, t, rhs, rhs_i, trans="T",
-                                            overwrite_a=1, overwrite_b=1)
-            if info_r or info_m:
-                raise RuntimeError(f"LAPACK combine of two leaves failed (info {info_r}, "
-                                   f"{info_m})")
-            del v, t, r_i, rhs_i
+            ThreadPoolExecutor(min(cores, leaves * len(chunks))) as pool, \
+            ThreadPoolExecutor(1, thread_name_prefix="combine") as chain:
+        folded = None
+        for design, target in _leaves(blocks, edges, k, m, out_dim, ridge, bias):
+            parts = pool.submit(_factor_leaf, design, target, chunks, pool)
+            # the leaf before this one is folded and freed before the next fills
+            if folded is not None:
+                folded.result()
+            folded = chain.submit(_fold_leaf, folded, design, target, parts)
+            del design, target
+        r, rhs = folded.result()
+        p = r.shape[0]
         if p < cols:
             # a wide design: gelsy writes a solution of cols rows over rhs
             padded = np.zeros((cols, out_dim), order="F")
@@ -309,7 +302,8 @@ def _leaves(blocks, edges, k, m, out_dim, ridge, bias):
     ``edges[i]`` to ``edges[i + 1]``, filled in place as the blocks stream
     past, a block that straddles two leaves into both: the only copy of
     the samples a fit makes.  Each leaf has the bias column, and the last
-    also has the ridge rows."""
+    also has the ridge rows.  No reference to a leaf is kept once the
+    next is asked for."""
     n_feat, samples = k * m, edges[-1]
     leaf, design = 0, None
     for start, hist, tgt in _block_rows(blocks, samples, k, m, out_dim):
@@ -339,8 +333,7 @@ def _leaves(blocks, edges, k, m, out_dim, ridge, bias):
 def _factor_leaf(design, target, chunks, pool):
     """Factor one leaf's design in place as Q R, then submit Qᵀ of its
     target, in place, to ``pool`` one column chunk a task.  Returns the
-    factored design, the target and the chunk tasks, whose results are
-    dormqr's info codes."""
+    chunk tasks, whose results are dormqr's info codes."""
     # the workspace queries keep LAPACK on its blocked code paths
     lwork, _ = lapack.dgeqrf_lwork(*design.shape)
     qr, tau, _, info = lapack.dgeqrf(design, lwork=int(lwork), overwrite_a=1)
@@ -358,7 +351,70 @@ def _factor_leaf(design, target, chunks, pool):
 
     # dormqr releases the GIL, and a chunk keeps its bits whichever worker
     # runs it, so the bytes depend on the width, not the cores
-    return qr, target, [pool.submit(apply_qt, chunk) for chunk in chunks]
+    return [pool.submit(apply_qt, chunk) for chunk in chunks]
+
+
+def _fold_leaf(folded, design, target, parts):
+    """The chain's step: once the pool has factored ``design`` in place
+    and applied Qᵀ to ``target`` (the task ``parts``), shrink both to the
+    leaf's R and (Qᵀy)[:p] and fold them into the running (R, Qᵀy) that
+    the step ``folded`` returned, or start it (``folded`` None)."""
+    info_q = [part.result() for part in parts.result()]
+    if any(info_q):
+        raise RuntimeError(f"LAPACK Qᵀ of a design leaf failed (info {info_q})")
+    p = min(design.shape)
+    rhs_i, r_i = _first_rows(target, p), _first_rows(design, p)
+    # R is the upper triangle
+    for j in range(p):
+        r_i[j + 1:, j] = 0.0
+    if folded is None:
+        return r_i, rhs_i
+    r, rhs = folded.result()
+    cols, out_dim = r.shape[1], rhs.shape[1]
+    # every leaf of a tree of two or more has at least cols rows, so both
+    # R are square; LAPACK reads all four arrays through bare pointers
+    if r_i.shape != r.shape or rhs_i.shape != rhs.shape:
+        raise RuntimeError(f"a leaf's R {r_i.shape} and Qᵀy {rhs_i.shape} do not match the "
+                           f"running {r.shape} and {rhs.shape}")
+    nb = min(_COMBINE_BLOCK, cols)
+    t, work = np.empty((nb, cols), order="F"), np.empty(nb * max(cols, out_dim))
+    info_r = _lapack("dtpqrt", cols, cols, cols, nb, r, cols, r_i, cols, t, nb, work)
+    info_m = _lapack("dtpmqrt", "L", "T", cols, out_dim, cols, cols, nb, r_i, cols, t, nb,
+                     rhs, cols, rhs_i, cols, work)
+    if info_r or info_m:
+        raise RuntimeError(f"LAPACK combine of two leaves failed (info {info_r}, {info_m})")
+    # the leaf's arrays now hold reflectors and a spent rhs; they are freed
+    # as its task is dropped
+    return r, rhs
+
+
+@functools.cache
+def _lapack_routine(name):
+    """scipy's LAPACK routine ``name`` as a ctypes function, from the
+    pointer that ``scipy.linalg.cython_lapack`` exports in a capsule.
+    ctypes releases the GIL for the call, where scipy's f2py wrappers of
+    dtpqrt and dtpmqrt hold it; the routine, and so its bits, is the one
+    those wrappers call.  Every argument is a pointer."""
+    capsule = cython_lapack.__pyx_capi__[name]
+    get_name = ctypes.PYFUNCTYPE(ctypes.c_char_p, ctypes.py_object)(
+        ("PyCapsule_GetName", ctypes.pythonapi))
+    get_pointer = ctypes.PYFUNCTYPE(ctypes.c_void_p, ctypes.py_object, ctypes.c_char_p)(
+        ("PyCapsule_GetPointer", ctypes.pythonapi))
+    signature = get_name(capsule)
+    return ctypes.CFUNCTYPE(None, *[ctypes.c_void_p] * (signature.count(b",") + 1))(
+        get_pointer(capsule, signature))
+
+
+def _lapack(name, *args):
+    """Call the LAPACK routine ``name`` on ``args`` in the Fortran order,
+    each by reference: an int as an integer, a str as a character, an
+    array as its buffer.  Returns the routine's INFO."""
+    info = ctypes.c_int()
+    refs = [a.ctypes.data if isinstance(a, np.ndarray)
+            else ctypes.c_char_p(a.encode()) if isinstance(a, str)
+            else ctypes.byref(ctypes.c_int(a)) for a in args]
+    _lapack_routine(name)(*refs, ctypes.byref(info))
+    return info.value
 
 
 def _block_rows(blocks, samples, k, m, out_dim):
@@ -449,8 +505,6 @@ def _blas_thread_setter():
     numpy runs another BLAS or an OpenBLAS without it.  The lookup goes
     through numpy's own extension module, whose handle resolves to the
     OpenBLAS numpy links; scipy loads a second copy with its own pool."""
-    import ctypes
-
     try:
         from numpy._core import _multiarray_umath
         setter = ctypes.CDLL(_multiarray_umath.__file__).openblas_set_num_threads_local
@@ -465,8 +519,6 @@ def _scipy_blas_thread_setter():
     count, as numpy's does, or None when scipy runs another BLAS.  The
     lookup goes through scipy's BLAS extension module, whose handle
     resolves to the OpenBLAS copy scipy links."""
-    import ctypes
-
     try:
         blas = ctypes.CDLL(scipy.linalg._fblas.__file__)
         get, put = blas.scipy_openblas_get_num_threads, blas.scipy_openblas_set_num_threads
@@ -575,7 +627,7 @@ def fit_sgd_blocks(blocks, samples: int, config: TrainConfig, eval_split: float 
     """
     check_entries(locals(), {"eval_split": Key(float, "[)", (0, 1)), "bias": Key(bool)},
                   "fit_sgd_blocks", ParameterError)
-    blocks, k, m, out_shape = _intake(blocks, samples)
+    blocks, k, m, out_shape = _intake(blocks, samples, "fit_sgd_blocks")
     out_dim = math.prod(out_shape)
     rng = np.random.default_rng(config.seed)
     perm = rng.permutation(samples)

@@ -85,9 +85,9 @@ def residue_norms(predicted: np.ndarray, truth: np.ndarray, norm: str = "l2") ->
     predicted = np.asarray(predicted, dtype=float)
     truth = np.asarray(truth, dtype=float)
     if predicted.shape != truth.shape:
-        raise ParameterError(f"shape mismatch {predicted.shape} vs {truth.shape}")
+        raise ParameterError(f"residue_norms: shape mismatch {predicted.shape} vs {truth.shape}")
     if predicted.ndim < 2:
-        raise ParameterError("need at least (T, ...) arrays")
+        raise ParameterError("residue_norms: need at least (T, ...) arrays")
     err = (predicted - truth).reshape(predicted.shape[0], -1)
     if norm == "l2":
         return (err**2).mean(axis=1)
@@ -109,14 +109,18 @@ class CorrelationSeries:
     count: int
 
 
-def _pixel_series(video: np.ndarray, pixel) -> np.ndarray:
+def _pixel_series(video: np.ndarray, pixel, caller) -> np.ndarray:
+    """The series of one pixel of a video, refusing another video or a
+    pixel outside its frame under the name of ``caller``."""
     video = np.asarray(video, dtype=float)
     if video.ndim not in (2, 3):
-        raise ParameterError(f"video must be (T, m) or (T, n, n), got shape {video.shape}")
+        raise ParameterError(f"{caller}: video must be (T, m) or (T, n, n), got shape "
+                             f"{video.shape}")
     index = tuple(int(k) for k in np.atleast_1d(pixel))
     inside = all(0 <= k < n for k, n in zip(index, video.shape[1:]))
     if len(index) != video.ndim - 1 or not inside:
-        raise ParameterError(f"pixel {pixel} outside the frame of shape {video.shape[1:]}")
+        raise ParameterError(f"{caller}: pixel {pixel} outside the frame of shape "
+                             f"{video.shape[1:]}")
     return video[(slice(None), *index)]
 
 
@@ -124,9 +128,11 @@ def _pixel_series(video: np.ndarray, pixel) -> np.ndarray:
 _DT_MAX = {"dt_max": Key(int)}
 
 
-def _lag_correlations(series, dt_max, caller):
-    """Pearson correlations of a pixel series at lags 0..dt_max, refusing
-    a ``dt_max`` outside the series under the name of ``caller``."""
+def _lag_correlations(video, pixel, dt_max, caller):
+    """Pearson correlations of the series of one pixel of a video at lags
+    0..dt_max, refusing a video, pixel or ``dt_max`` that the series
+    cannot take under the name of ``caller``."""
+    series = _pixel_series(video, pixel, caller)
     check_entries({"dt_max": dt_max}, {"dt_max": Key(int, "[]", (0, len(series) - 2))},
                   caller, ParameterError)
     rho = np.empty(dt_max + 1)
@@ -149,7 +155,7 @@ def temporal_correlation(video: np.ndarray, pixel, dt_max: int) -> CorrelationSe
     least two samples in each slice, so dt_max runs up to T - 2.
     """
     check_entries(locals(), _DT_MAX, "temporal_correlation", ParameterError)
-    rho = _lag_correlations(_pixel_series(video, pixel), dt_max, "temporal_correlation")
+    rho = _lag_correlations(video, pixel, dt_max, "temporal_correlation")
     return CorrelationSeries(lags=np.arange(dt_max + 1), mean=rho, std=None, count=1)
 
 
@@ -164,8 +170,7 @@ def correlation_ensemble_stats(videos, pixel, dt_max: int) -> CorrelationSeries:
     curves = []
     for idx, video in enumerate(videos):
         try:
-            curves.append(_lag_correlations(_pixel_series(video, pixel), dt_max,
-                                            "correlation_ensemble_stats"))
+            curves.append(_lag_correlations(video, pixel, dt_max, "correlation_ensemble_stats"))
         except DegenerateStatisticError:
             warnings.warn(f"skipping degenerate video {idx} (zero variance)", RuntimeWarning)
     if len(curves) < 2:
@@ -186,10 +191,12 @@ def nearest_subvideo_distance(clip: np.ndarray, reference: np.ndarray) -> float:
     clip = np.asarray(clip, dtype=float)
     reference = np.asarray(reference, dtype=float)
     if clip.ndim < 2 or reference.ndim < 2 or clip.shape[1:] != reference.shape[1:]:
-        raise ParameterError(f"frame shapes differ: {clip.shape[1:]} vs {reference.shape[1:]}")
+        raise ParameterError(f"nearest_subvideo_distance: frame shapes differ: {clip.shape[1:]} "
+                             f"vs {reference.shape[1:]}")
     c, t = clip.shape[0], reference.shape[0]
     if t < c:
-        raise ParameterError(f"reference has {t} frames, clip needs at least {c}")
+        raise ParameterError(f"nearest_subvideo_distance: reference has {t} frames, clip needs "
+                             f"at least {c}")
     flat_clip = clip.reshape(-1)
     best = np.inf
     for s in range(t - c + 1):

@@ -22,7 +22,8 @@ def amplitude(frames: np.ndarray) -> np.ndarray:
     if frames.ndim != 4:
         return frames
     if frames.shape[1] != 2:
-        raise ParameterError(f"stacked states must have 2 components, got {frames.shape}")
+        raise ParameterError(f"amplitude: stacked states must have 2 components, got "
+                             f"{frames.shape}")
     return frames[:, 0]
 
 
@@ -33,10 +34,11 @@ def tokenize_trajectory(frames: np.ndarray, patch: int) -> np.ndarray:
     frames = amplitude(frames)
     rank = frames.ndim - 1
     if rank not in (1, 2) or frames.shape[1:] != frames.shape[-1:] * rank:
-        raise ParameterError(f"expected (T, N) or (T, n, n) frames, got shape {frames.shape}")
+        raise ParameterError(f"tokenize_trajectory: expected (T, N) or (T, n, n) frames, got "
+                             f"shape {frames.shape}")
     t, n = frames.shape[0], frames.shape[-1]
     if n % patch:
-        raise ParameterError(f"patch {patch} must divide grid size {n}")
+        raise ParameterError(f"tokenize_trajectory: patch {patch} must divide grid size {n}")
     blocks = frames.reshape((t,) + (n // patch, patch) * rank)
     return blocks.mean(axis=(2, 4)[:rank]).reshape(t, -1)
 

@@ -1149,7 +1149,8 @@ def test_cli_wave_gramian_refusal_does_not_depend_on_the_core_count(tmp_path, mo
 @pytest.mark.parametrize("grid, trajectories, frames, patch, k", [
     (24, 12, 24, 3, 4),
     (8, 41, 64, 2, 2),
-], ids=["chunks", "tree"])
+    (8, 80, 64, 2, 2),
+], ids=["chunks", "tree", "tree4"])
 def test_cli_fits_do_not_depend_on_the_core_count(tmp_path, monkeypatch, grid, trajectories,
                                                   frames, patch, k):
     """Grid 24 with patch 3 and k 4: designs of 257 columns, whose QR
@@ -1157,7 +1158,9 @@ def test_cli_fits_do_not_depend_on_the_core_count(tmp_path, monkeypatch, grid, t
     then depended on their number; the super target of 576 outputs is
     three chunks of Qᵀ, which two workers split unevenly.  Grid 8 with
     patch 2 and k 2: every fit holds more than 2 × 1,024 samples, so it is
-    a QR tree of two leaves whose edge falls inside a trajectory.  The
+    a QR tree of two leaves whose edge falls inside a trajectory; with 80
+    trajectories every fit holds more than 4 × 1,024 samples, a tree of
+    four leaves that the chain folds one by one as they stream.  The
     models, the sweep and what is rolled out from the models are the same
     bytes on one BLAS thread and on two."""
     config_path = tmp_path / "heat.json"

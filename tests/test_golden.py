@@ -140,6 +140,12 @@ CLI_DIGESTS = {
                     "0b9ed2b76f79675f496af0754eed85db59d6a62fd5009473983a16237c2541f0"),
     "subvideo": (["metrics", "subvideo", "--data", "{data}", "--clip-prefix", "{clip}"],
                  "db2e23a09ae2fc78964c13c0109ca5a10721ef8b47af813d45e6d5ff5f4ed636"),
+    # on wave data, whose fits and rollout read the amplitude block alone:
+    # the rollout's fields, metadata, residues and tokens, in name order
+    "rollout-wave": (["rollout", "--data", "{data}", "--model", "{g}", "--super", "{super}",
+                      "--traj-index", "1", "--steps", "6"],
+                     "eb6a164811922496e1f80b6b30ee8d9d6b866905738a6c1bfd5a9914dc5c0bd0",
+                     TINY_WAVE),
 }
 
 
@@ -150,27 +156,37 @@ CURVE_DIGESTS = {
 
 
 def _output_digest(out):
-    """sha256 of a written file, or of a written dataset's blobs in order
-    (its manifest carries a timestamp and an absolute path)."""
-    paths = sorted(out.glob("traj_*.bin")) if out.is_dir() else [out]
+    """sha256 of a written file, of a written dataset's blobs in order
+    (its manifest carries a timestamp and an absolute path), or of the
+    files a rollout wrote under the prefix ``out`` in name order."""
+    paths = (sorted(out.glob("traj_*.bin")) if out.is_dir() else [out] if out.exists()
+             else sorted(out.parent.glob(out.name + "_*")))
     return hashlib.sha256(b"".join(p.read_bytes() for p in paths)).hexdigest()
 
 
 @pytest.mark.parametrize("name", sorted(CLI_DIGESTS))
 @pytest.mark.filterwarnings("ignore:rank-deficient design:RuntimeWarning")
 def test_cli_output_bytes(name, tmp_path, capsys):
-    argv, expected = CLI_DIGESTS[name]
+    """Each row runs on the TINY_HEAT dataset unless it names another
+    config.  ``{g}`` and ``{super}`` are the maps ``fit`` makes at patch 4
+    and k 2, and ``{clip}`` a 6-step rollout of both."""
+    argv, expected, *config = CLI_DIGESTS[name]
     data, clip = tmp_path / "data", tmp_path / "clip"
-    write_dataset(*generate_dataset(TINY_HEAT), str(data))
-    if "{clip}" in argv:
+    write_dataset(*generate_dataset(*config or [TINY_HEAT]), str(data))
+    models = {"g": str(tmp_path / "g.lpm"), "super": str(tmp_path / "s.lpm")}
+    if "{clip}" in argv or "{g}" in argv:
         fit = ["fit", "--data", str(data), "--patch", "4", "--k", "2"]
-        assert cli.main([*fit, "--role", "g", "--out", str(tmp_path / "g.lpm")]) == 0
-        assert cli.main([*fit, "--role", "super", "--out", str(tmp_path / "s.lpm")]) == 0
-        assert cli.main(["rollout", "--data", str(data), "--model", str(tmp_path / "g.lpm"),
-                         "--super", str(tmp_path / "s.lpm"), "--traj-index", "2",
+        assert cli.main([*fit, "--role", "g", "--out", models["g"]]) == 0
+        assert cli.main([*fit, "--role", "super", "--out", models["super"]]) == 0
+    if "{clip}" in argv:
+        assert cli.main(["rollout", "--data", str(data), "--model", models["g"],
+                         "--super", models["super"], "--traj-index", "2",
                          "--steps", "6", "--out-prefix", str(clip)]) == 0
     out = tmp_path / "out"
-    assert cli.main([a.format(data=data, clip=clip) for a in argv] + ["--out", str(out)]) == 0
+    # a rollout writes its files under a prefix
+    dest = "--out-prefix" if argv[0] == "rollout" else "--out"
+    assert cli.main([a.format(data=data, clip=clip, **models) for a in argv]
+                    + [dest, str(out)]) == 0
     capsys.readouterr()
     assert _output_digest(out) == expected
     curve = out.with_name(out.name + ".curve.csv")

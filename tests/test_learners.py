@@ -186,6 +186,31 @@ def test_fit_blocks_refuses_blocks_that_break_their_count_or_shape():
         fit_least_squares(block[0], np.zeros((5, 0)))
 
 
+def test_the_capsule_combine_is_the_bytes_of_scipys_wrappers():
+    """The fold of two square R factors and their Qᵀy through the
+    function pointers of ``scipy.linalg.cython_lapack``, the GIL released,
+    gives the bytes of scipy's ``dtpqrt`` and ``dtpmqrt`` wrappers, for a
+    right-hand side of one column and of 1,024."""
+    rng = np.random.default_rng(45)
+    cols, nb = 97, learners_module._COMBINE_BLOCK
+    for out_dim in (1, 1024):
+        r, r_i = (np.asfortranarray(np.triu(rng.standard_normal((cols, cols))))
+                  for _ in range(2))
+        rhs, rhs_i = (np.asfortranarray(rng.standard_normal((cols, out_dim))) for _ in range(2))
+        want_r, v, t, info_r = scipy.linalg.lapack.dtpqrt(cols, nb, r.copy(order="F"),
+                                                          r_i.copy(order="F"))
+        want_rhs, _, info_m = scipy.linalg.lapack.dtpmqrt(cols, v, t, rhs.copy(order="F"),
+                                                          rhs_i.copy(order="F"), trans="T")
+        assert info_r == info_m == 0
+        t_out, work = np.empty((nb, cols), order="F"), np.empty(nb * max(cols, out_dim))
+        assert learners_module._lapack("dtpqrt", cols, cols, cols, nb, r, cols, r_i, cols,
+                                       t_out, nb, work) == 0
+        assert learners_module._lapack("dtpmqrt", "L", "T", cols, out_dim, cols, cols, nb, r_i,
+                                       cols, t_out, nb, rhs, cols, rhs_i, cols, work) == 0
+        assert r.tobytes() == want_r.tobytes() and r_i.tobytes() == v.tobytes()
+        assert rhs.tobytes() == want_rhs.tobytes()
+
+
 @pytest.mark.parametrize("eval_split", [0.0, 0.3])
 def test_fit_sgd_blocks_equals_one_block_fit_bit_for_bit(eval_split):
     """Adam on window views of several token trajectories, read block by
@@ -215,6 +240,10 @@ def test_fit_sgd_blocks_refuses_blocks_that_break_their_count_or_shape():
         fit_sgd_blocks([block, (np.zeros((5, 2, 2)), np.zeros((5, 4)))], 10, config)
     with pytest.raises(ParameterError, match="no samples"):
         fit_sgd_blocks([], 0, config)
+    # a target of no outputs is refused as least squares refuses it
+    with pytest.raises(ParameterError,
+                       match="^fit_sgd_blocks: targets of shape \\(0,\\) hold no "):
+        fit_sgd(block[0], np.zeros((5, 0)), config)
 
 
 @pytest.fixture(scope="module")
@@ -340,6 +369,10 @@ def test_load_rejects_corrupt_files(tmp_path):
     (tmp_path / "garbage.lpm").write_bytes(b"not a model" + raw)
     with pytest.raises(DataFormatError):
         LinearMap.load(tmp_path / "garbage.lpm")
+    # a map of no outputs, which no fit makes: its header and payload agree
+    LinearMap(np.zeros((0, 6)), np.zeros(0), 2, 3, (0,)).save(tmp_path / "empty.lpm")
+    with pytest.raises(DataFormatError, match="out_dim"):
+        LinearMap.load(tmp_path / "empty.lpm")
 
 
 def test_loss_gradient_matches_finite_differences():
@@ -621,7 +654,8 @@ def test_qt_chunks_keep_their_bits_on_any_number_of_workers(monkeypatch):
     to each leaf's target of 600 outputs in three column chunks, six
     tasks that 2 workers split unevenly; the pool takes one worker per
     BLAS thread the caller had, and the fit is the same bytes on pools of
-    1, 2 and 3, and as one block."""
+    1, 2 and 3, and as one block.  Only that pool is recorded: the leaves
+    are folded on a chain of one named thread whatever the cores."""
     setter = learners_module._blas_thread_setter()
     if setter is None or learners_module._scipy_blas_thread_setter() is None:
         pytest.skip("numpy or scipy does not run scipy-openblas")
@@ -631,9 +665,10 @@ def test_qt_chunks_keep_their_bits_on_any_number_of_workers(monkeypatch):
     sizes, leaves = [], []
 
     class Recorded(ThreadPoolExecutor):
-        def __init__(self, workers):
-            sizes.append(workers)
-            super().__init__(workers)
+        def __init__(self, workers, thread_name_prefix=""):
+            if not thread_name_prefix:
+                sizes.append(workers)
+            super().__init__(workers, thread_name_prefix)
 
     factor_leaf = learners_module._factor_leaf
 

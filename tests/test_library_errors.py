@@ -11,16 +11,16 @@ import scipy.sparse as sp
 
 import latentpde.observability as obs
 from latentpde import (DatasetManifest, DivergenceError, GridSpec, LinearMap, ParameterError,
-                       TrainConfig, annihilation_witness, autoregressive_rollout,
+                       TrainConfig, amplitude, annihilation_witness, autoregressive_rollout,
                        build_difference, build_histories, build_reconstruction_pairs,
                        build_tokenizer_matrix, correlation_ensemble_stats, empirical_lie_logdet,
                        etdrk_coefficients, euler_frames, export_frame_image, fit_blocks,
                        fit_least_squares, fit_sgd, fit_sgd_blocks, fit_superres, forecast_pairs,
                        full_pipeline_rollout, gramian_reconstruction, hautus_test, history_sweep,
                        kalman_rank_test, lie_logdet_report, linear_reconstruct_initial_state,
-                       observability_gramian, rank_test, residue_norms, simulate_kse1d,
-                       simulate_kse2d, sliding_histories, temporal_correlation,
-                       tokenize_trajectory, write_dataset)
+                       nearest_subvideo_distance, observability_gramian, rank_test,
+                       residue_norms, simulate_kse1d, simulate_kse2d, sliding_histories,
+                       temporal_correlation, tokenize_trajectory, write_dataset)
 
 NAN, INF = float("nan"), float("inf")
 BAD_VALUES = (0, -1, 2.5, NAN, INF, True, None, "x")
@@ -179,7 +179,23 @@ RAISE_SITES = {
                                                                (2, 2)), np.ones((1, 2)), 3),
         ParameterError, "token dimension"),
     "residue_norms-1d": (lambda d: residue_norms(np.zeros(3), np.zeros(3)), ParameterError,
-                         r"at least \(T, ...\)"),
+                         r"^residue_norms: need at least \(T, ...\)"),
+    "residue_norms-shapes": (lambda d: residue_norms(np.zeros((3, 2)), np.zeros((3, 4))),
+                             ParameterError, r"^residue_norms: shape mismatch \(3, 2\) vs"),
+    "amplitude-components": (lambda d: amplitude(np.zeros((3, 3, 4, 4))), ParameterError,
+                             "^amplitude: stacked states must have 2 components"),
+    "tokenize_trajectory-3d-line": (
+        lambda d: tokenize_trajectory(np.zeros((3, 4, 6)), 2), ParameterError,
+        r"^tokenize_trajectory: expected \(T, N\) or \(T, n, n\) frames"),
+    "tokenize_trajectory-patch-divides": (
+        lambda d: tokenize_trajectory(np.zeros((3, 6, 6)), 4), ParameterError,
+        "^tokenize_trajectory: patch 4 must divide grid size 6$"),
+    "nearest_subvideo_distance-frames": (
+        lambda d: nearest_subvideo_distance(np.zeros((2, 4)), np.zeros((5, 3))), ParameterError,
+        r"^nearest_subvideo_distance: frame shapes differ: \(4,\) vs \(3,\)$"),
+    "nearest_subvideo_distance-short": (
+        lambda d: nearest_subvideo_distance(np.zeros((6, 4)), np.zeros((5, 4))), ParameterError,
+        "^nearest_subvideo_distance: reference has 5 frames, clip needs at least 6$"),
     "simulate_kse1d-divergence": (lambda d: _diverging_line(), DivergenceError, "step 1$"),
     "simulate_kse2d-divergence": (lambda d: _diverging_square(), DivergenceError, "step 1$"),
     "fit_least_squares-2d-histories": (lambda d: fit_least_squares(np.zeros((5, 6)),
@@ -196,7 +212,11 @@ RAISE_SITES = {
         lambda d: empirical_lie_logdet(np.zeros((10, 4, 4)), 2), ParameterError,
         r"line frames, got shape \(10, 4, 4\)"),
     "temporal_correlation-4d": (lambda d: temporal_correlation(np.zeros((5, 2, 2, 2)), 0, 1),
-                                ParameterError, r"video must be \(T, m\) or \(T, n, n\)"),
+                                ParameterError,
+                                r"^temporal_correlation: video must be \(T, m\) or \(T, n, n\)"),
+    "correlation_ensemble_stats-pixel": (
+        lambda d: correlation_ensemble_stats([np.ones((5, 4))] * 2, 4, 1), ParameterError,
+        r"^correlation_ensemble_stats: pixel 4 outside the frame of shape \(4,\)$"),
     "simulate_kse1d-2d": (lambda d: simulate_kse1d(np.zeros((4, 4)), 22.0, 0.05, 3),
                           ParameterError, r"line field, got shape \(4, 4\)"),
     "sliding_histories-1d": (lambda d: sliding_histories(np.zeros(6), 2), ParameterError,
