@@ -459,7 +459,7 @@ def main(argv=None) -> int:
             args = build_parser().parse_args(argv)
             # the verbs' products and factorizations run on one thread of
             # each OpenBLAS; the log-det diagnostic spends the cores on its
-            # windows, a least-squares fit on the leaves of its QR tree
+            # windows
             with _one_blas_thread():
                 code = args.func(args)
         except (LatentPdeError, OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:

@@ -71,9 +71,11 @@ def build_modified_laplacian(a: np.ndarray, grid: GridSpec) -> sp.csr_array:
     """
     a = np.asarray(a, dtype=float)
     if a.shape != (grid.n, grid.n):
-        raise ParameterError(f"coefficient field shape {a.shape} != {(grid.n, grid.n)}")
+        raise ParameterError(f"build_modified_laplacian: coefficient field shape {a.shape} "
+                             f"!= {(grid.n, grid.n)}")
     if not np.all((a > 0) & (a < np.inf)):
-        raise ParameterError("coefficient field must be finite and strictly positive")
+        raise ParameterError("build_modified_laplacian: coefficient field must be finite and "
+                             "strictly positive")
     diag = sp.dia_array((a.ravel()[None, :], [0]), shape=(grid.n**2, grid.n**2))
     out = None
     for axis in ("x", "y"):
@@ -107,7 +109,7 @@ def build_tokenizer_matrix(grid: GridSpec, patch: int, wave: bool = False) -> sp
     check_entries(locals(), _TOKENIZER_ARGS, "build_tokenizer_matrix", ParameterError)
     n = grid.n
     if n % patch:
-        raise ParameterError(f"patch {patch} must divide grid size {n}")
+        raise ParameterError(f"build_tokenizer_matrix: patch {patch} must divide grid size {n}")
     blocks = n // patch
     # pixel index n*i + j laid out as (block row, row in block, block col, col in block)
     pixels = np.arange(n * n).reshape(blocks, patch, blocks, patch)

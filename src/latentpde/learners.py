@@ -8,11 +8,9 @@ an orthogonal factorization or Adam-style stochastic gradient descent on
 the same mean-squared objective.
 """
 
-from concurrent.futures import ThreadPoolExecutor
 import contextlib
 import ctypes
 from dataclasses import dataclass
-import functools
 import itertools
 import json
 import math
@@ -20,7 +18,7 @@ import warnings
 
 import numpy as np
 import scipy.linalg
-from scipy.linalg import cython_lapack, lapack
+from scipy.linalg import lapack
 
 from .dataset import NORMALIZATION_TABLE, atomic_write
 from .errors import DataFormatError, DivergenceError, Key, ParameterError, check_entries
@@ -158,15 +156,16 @@ class TrainConfig:
 def _intake(blocks, samples: int, where: str):
     """The prologue of :func:`fit_blocks` and :func:`fit_sgd_blocks`: the
     blocks as one iterator, with the k, m and output shape that the first
-    block sets, refusing a target of no outputs in the name of ``where``.
-    :func:`_block_rows` then checks every block as it is read."""
+    block sets, refusing no samples, histories not (S, k, m) and a target
+    of no outputs in the name of ``where``.  :func:`_block_rows` then
+    checks every block as it is read."""
     blocks = iter(blocks)
     first = next(blocks, None)
     if first is None or samples < 1:
-        raise ParameterError("histories hold no samples")
+        raise ParameterError(f"{where}: histories hold no samples")
     hist, tgt = first
     if hist.ndim != 3:
-        raise ParameterError(f"histories must be (S, k, m), got shape {hist.shape}")
+        raise ParameterError(f"{where}: histories must be (S, k, m), got shape {hist.shape}")
     out_shape = tgt.shape[1:] if tgt.ndim > 1 else (1,)
     if math.prod(out_shape) == 0:
         raise ParameterError(f"{where}: targets of shape {out_shape} hold no outputs")
@@ -181,22 +180,15 @@ def fit_least_squares(histories: np.ndarray, targets: np.ndarray,
     return fit_blocks([(hist, tgt)], len(hist), ridge=ridge, bias=bias)
 
 
-# the width of the column chunks Qᵀ is applied to the target in, so a g
-# fit is one chunk.  On two workers of a 2-core VM, Qᵀ of a 5,292 × 1,025
-# design to 1,024 outputs took 0.38–0.48 s in chunks of 256, 0.41–0.52 s
-# in chunks of 512, 0.43–0.54 s in chunks of 128 and 0.67–0.99 s whole
-_QT_COLUMNS = 256
-# the fewest samples a leaf of the QR tree holds, and it holds at least
-# the columns, so a tree of two or more leaves folds square Rs.  A fit
-# holds about three leaves' worth of rows, so the leaf height sets its
-# memory: on a 2-core VM, a heat-session benchmark repeat (fits of 5,184
-# and 5,292 samples of 1,025 columns) peaked at 118.6–119.4 MB RSS with
-# leaves of cols rows, 127.2–128.0 MB with 1.25·cols and 140.1–141.3 MB
-# with 1.5·cols
+# the fewest samples a leaf holds, and it holds at least the columns, so
+# the cols × cols R of a tree of two or more leaves is at most half its
+# design.  A fit holds one leaf plus R and Qᵀy, so the leaf height sets
+# its memory
 _LEAF_ROWS = 1024
-# the block size of the reflectors dtpqrt combines two R factors with; at
-# 1,025 columns blocks of 16, 32, 64 and 128 took 0.032, 0.026, 0.030 and
-# 0.042 s
+# the block size of the reflectors dtpqrt folds a leaf into R with; on
+# one thread of a 2-core VM, blocks of 32, 48, 64 and 96 folded a
+# 1,058 × 1,025 leaf with 1,024 outputs in 0.150, 0.145, 0.140 and
+# 0.139 s, and with 64 outputs in 0.060, 0.056, 0.060 and 0.063 s
 _COMBINE_BLOCK = 32
 
 
@@ -207,38 +199,29 @@ def fit_blocks(blocks, samples: int, ridge: float = 0.0, bias: bool = True) -> L
     Each block is a pair of arrays ``(histories, targets)`` of shapes
     (S_i, k, m) and (S_i, ...), typically the samples of one trajectory.
     The first block sets k, m and the output shape, and the S_i sum to
-    ``samples``.  The fit is a QR tree of one level (TSQR: Demmel,
-    Grigori, Hoemmen & Langou 2012) that streams.  Its leaves are
-    ``max(1, samples // max(_LEAF_ROWS, cols))`` contiguous sample ranges
-    of balanced size, a count that the data's shape fixes, never the core
-    count, so every leaf of a tree of two or more has a square R.  Each
-    block is read once, in order, into the Fortran-order design (features,
-    bias column) and target of the leaves it spans, the only copy of the
-    samples the fit makes, so a block may be a window view that is
-    dropped once read; the last leaf also holds the ridge rows.  A full
-    leaf goes to a pool of one worker per core, where its design is
-    factored in place as Q R by a blocked Householder QR and Q^T is
-    applied to its target in place in column chunks of ``_QT_COLUMNS``.
-    One chain thread then shrinks the leaf in place to its R and
-    (Q^T y)[:p], p = min(rows, cols), folds them into the running R and
-    Q^T y by one triangular-pentagonal QR (dtpqrt, dtpmqrt, called with
-    the GIL released), in leaf order, and frees the leaf.  The next leaf
-    fills once the one before the leaf in the pool is folded, so a fit
-    holds one filling leaf, one leaf being factored and the running R and
-    Q^T y, about 3·max(_LEAF_ROWS, cols)·(cols + outputs) doubles, however
-    many samples it has.  R w = Q^T y is then solved in place by LAPACK
-    gelsy, a complete orthogonal decomposition of R alone (Chan 1982's QR
-    preprocessing for tall designs).  A design of fewer than
-    ``2 * max(_LEAF_ROWS, cols)`` samples is one leaf and has no combine.
-    R has the singular values of the design, so for a rank-deficient
-    design with ridge = 0 the result is the minimum-norm solution;
-    deficiency is recorded in ``design_rank`` and warned about.
-    ``design_rank`` is gelsy's count at its machine-epsilon cut on R, a
-    rounding-level count on an ill-conditioned design.  All of it runs on
-    one BLAS thread (see :func:`_one_blas_thread`), so the weight bytes
-    are the same on any core count, but what the fit promises is its
-    training predictions and residual norm to a backward-stable tolerance,
-    not its weight bytes.  The ridge penalty never touches the bias column.
+    ``samples``.  The samples split into ``max(1, samples // max(_LEAF_ROWS,
+    cols))`` leaves: contiguous sample ranges of balanced size, a count
+    that the data's shape fixes, never the core count.  Each block is read
+    once, in order, into the Fortran-order design (features, bias column)
+    and target of the leaves it spans, the only copy of the samples the
+    fit makes, so a block may be a window view that is dropped once read;
+    the last leaf also holds the ridge rows.  With two or more leaves, R
+    and Q^T y start at zero and each leaf, once full, is folded into them
+    in place by one triangular-pentagonal QR (dtpqrt, then dtpmqrt on its
+    target, both with l = 0: QR updating by rows, Golub & Van Loan §6.5)
+    and dropped, so a fit holds one leaf plus R and Q^T y, however many
+    samples it has.  LAPACK gelsy, a complete orthogonal decomposition
+    (Chan 1982's QR preprocessing for tall designs), then solves R w =
+    Q^T y in place, or a lone leaf's design and target as they are.  R has
+    the singular values of the design, so for a rank-deficient design
+    with ridge = 0 the result is the minimum-norm solution; deficiency is
+    recorded in ``design_rank`` and warned about.  ``design_rank`` is
+    gelsy's count at its machine-epsilon cut, a rounding-level count on an
+    ill-conditioned design.  The fit runs on the calling thread and one
+    BLAS thread (see :func:`_one_blas_thread`), so the weight bytes are
+    the same on any core count, but what the fit promises is its training
+    predictions and residual norm to a backward-stable tolerance, not its
+    weight bytes.  The ridge penalty never touches the bias column.
     """
     check_entries(locals(), {"ridge": TRAIN_TABLE["ridge"], "bias": Key(bool)}, "fit_blocks",
                   ParameterError)
@@ -248,53 +231,42 @@ def fit_blocks(blocks, samples: int, ridge: float = 0.0, bias: bool = True) -> L
     cols = n_feat + (1 if bias else 0)
     leaves = max(1, samples // max(_LEAF_ROWS, cols))
     edges = [samples * i // leaves for i in range(leaves + 1)]
-    chunks = [slice(j, j + _QT_COLUMNS) for j in range(0, out_dim, _QT_COLUMNS)]
-    with _one_blas_thread() as cores, \
-            ThreadPoolExecutor(min(cores, leaves * len(chunks))) as pool, \
-            ThreadPoolExecutor(1, thread_name_prefix="combine") as chain:
-        folded = None
-        for design, target in _leaves(blocks, edges, k, m, out_dim, ridge, bias):
-            parts = pool.submit(_factor_leaf, design, target, chunks, pool)
-            # the leaf before this one is folded and freed before the next fills
-            if folded is not None:
-                folded.result()
-            folded = chain.submit(_fold_leaf, folded, design, target, parts)
-            del design, target
-        r, rhs = folded.result()
+    filled = _leaves(blocks, edges, k, m, out_dim, ridge, bias)
+    with _one_blas_thread():
+        if leaves == 1:
+            # unpacking reads the stream to its end, and so its count check
+            (r, rhs), = filled
+        else:
+            r, rhs = np.zeros((cols, cols), order="F"), np.zeros((cols, out_dim), order="F")
+            nb = min(_COMBINE_BLOCK, cols)
+            for design, target in filled:
+                r, v, t, info_r = lapack.dtpqrt(0, nb, r, design, overwrite_a=1, overwrite_b=1)
+                rhs, _, info_m = lapack.dtpmqrt(0, v, t, rhs, target, trans="T",
+                                                overwrite_a=1, overwrite_b=1)
+                if info_r or info_m:
+                    raise RuntimeError(f"LAPACK fold of a leaf into R failed "
+                                       f"(info {info_r}, {info_m})")
+                # the leaf is freed before the next one fills
+                del design, target, v
         p = r.shape[0]
         if p < cols:
             # a wide design: gelsy writes a solution of cols rows over rhs
             padded = np.zeros((cols, out_dim), order="F")
             padded[:p] = rhs
             rhs = padded
-        # scipy's lstsq would copy R and rhs; this call works on both in place
+        # scipy's lstsq would copy the design and rhs; this call works on both in place
         eps = np.finfo(float).eps
         lwork, _ = lapack.dgelsy_lwork(p, cols, out_dim, eps)
         _, sol, _, rank, info = lapack.dgelsy(r, rhs, np.zeros(cols, np.int32), eps, int(lwork),
                                               overwrite_a=1, overwrite_b=1)
         if info:
-            raise RuntimeError(f"LAPACK gelsy on R failed (info {info})")
+            raise RuntimeError(f"LAPACK gelsy failed (info {info})")
     if ridge == 0 and rank < cols:
         warnings.warn(f"rank-deficient design: rank {rank} < {cols} columns; "
                       "returning the minimum-norm solution", RuntimeWarning)
     weights = sol[:n_feat].T.copy()
     bias_vec = sol[n_feat].copy() if bias else None
     return LinearMap(weights, bias_vec, k, m, output_shape, design_rank=int(rank))
-
-
-def _first_rows(a, p):
-    """The first p rows of the Fortran-order array ``a``, which owns its
-    buffer: moved column by column to the front of that buffer, which
-    then shrinks to them, so no second array holds them."""
-    rows, cols = a.shape
-    flat = a.reshape(-1, order="F")
-    for j in range(1, cols):
-        flat[j * p:(j + 1) * p] = flat[j * rows:j * rows + p]
-    del flat
-    # no view of ``a`` is read again, though a finished pool task may
-    # still hold one until its worker drops it
-    a.resize((p, cols), refcheck=False)
-    return a
 
 
 def _leaves(blocks, edges, k, m, out_dim, ridge, bias):
@@ -306,7 +278,7 @@ def _leaves(blocks, edges, k, m, out_dim, ridge, bias):
     next is asked for."""
     n_feat, samples = k * m, edges[-1]
     leaf, design = 0, None
-    for start, hist, tgt in _block_rows(blocks, samples, k, m, out_dim):
+    for start, hist, tgt in _block_rows(blocks, samples, k, m, out_dim, "fit_blocks"):
         at, end = start, start + hist.shape[0]
         while at < end:
             low, high = edges[leaf], edges[leaf + 1]
@@ -330,111 +302,25 @@ def _leaves(blocks, edges, k, m, out_dim, ridge, bias):
             leaf, design, target = leaf + 1, None, None
 
 
-def _factor_leaf(design, target, chunks, pool):
-    """Factor one leaf's design in place as Q R, then submit Qᵀ of its
-    target, in place, to ``pool`` one column chunk a task.  Returns the
-    chunk tasks, whose results are dormqr's info codes."""
-    # the workspace queries keep LAPACK on its blocked code paths
-    lwork, _ = lapack.dgeqrf_lwork(*design.shape)
-    qr, tau, _, info = lapack.dgeqrf(design, lwork=int(lwork), overwrite_a=1)
-    if info:
-        raise RuntimeError(f"LAPACK QR of a design leaf failed (info {info})")
-    v = qr[:, :min(qr.shape)]
-
-    def apply_qt(chunk):
-        # a column slice of the Fortran-order target is Fortran-order, so
-        # with overwrite_c both calls work on it in place; the query reads
-        # none of its entries
-        cols_i = target[:, chunk]
-        _, work, _ = lapack.dormqr("L", "T", v, tau, cols_i, lwork=-1, overwrite_c=1)
-        return lapack.dormqr("L", "T", v, tau, cols_i, lwork=int(work[0]), overwrite_c=1)[2]
-
-    # dormqr releases the GIL, and a chunk keeps its bits whichever worker
-    # runs it, so the bytes depend on the width, not the cores
-    return [pool.submit(apply_qt, chunk) for chunk in chunks]
-
-
-def _fold_leaf(folded, design, target, parts):
-    """The chain's step: once the pool has factored ``design`` in place
-    and applied Qᵀ to ``target`` (the task ``parts``), shrink both to the
-    leaf's R and (Qᵀy)[:p] and fold them into the running (R, Qᵀy) that
-    the step ``folded`` returned, or start it (``folded`` None)."""
-    info_q = [part.result() for part in parts.result()]
-    if any(info_q):
-        raise RuntimeError(f"LAPACK Qᵀ of a design leaf failed (info {info_q})")
-    p = min(design.shape)
-    rhs_i, r_i = _first_rows(target, p), _first_rows(design, p)
-    # R is the upper triangle
-    for j in range(p):
-        r_i[j + 1:, j] = 0.0
-    if folded is None:
-        return r_i, rhs_i
-    r, rhs = folded.result()
-    cols, out_dim = r.shape[1], rhs.shape[1]
-    # every leaf of a tree of two or more has at least cols rows, so both
-    # R are square; LAPACK reads all four arrays through bare pointers
-    if r_i.shape != r.shape or rhs_i.shape != rhs.shape:
-        raise RuntimeError(f"a leaf's R {r_i.shape} and Qᵀy {rhs_i.shape} do not match the "
-                           f"running {r.shape} and {rhs.shape}")
-    nb = min(_COMBINE_BLOCK, cols)
-    t, work = np.empty((nb, cols), order="F"), np.empty(nb * max(cols, out_dim))
-    info_r = _lapack("dtpqrt", cols, cols, cols, nb, r, cols, r_i, cols, t, nb, work)
-    info_m = _lapack("dtpmqrt", "L", "T", cols, out_dim, cols, cols, nb, r_i, cols, t, nb,
-                     rhs, cols, rhs_i, cols, work)
-    if info_r or info_m:
-        raise RuntimeError(f"LAPACK combine of two leaves failed (info {info_r}, {info_m})")
-    # the leaf's arrays now hold reflectors and a spent rhs; they are freed
-    # as its task is dropped
-    return r, rhs
-
-
-@functools.cache
-def _lapack_routine(name):
-    """scipy's LAPACK routine ``name`` as a ctypes function, from the
-    pointer that ``scipy.linalg.cython_lapack`` exports in a capsule.
-    ctypes releases the GIL for the call, where scipy's f2py wrappers of
-    dtpqrt and dtpmqrt hold it; the routine, and so its bits, is the one
-    those wrappers call.  Every argument is a pointer."""
-    capsule = cython_lapack.__pyx_capi__[name]
-    get_name = ctypes.PYFUNCTYPE(ctypes.c_char_p, ctypes.py_object)(
-        ("PyCapsule_GetName", ctypes.pythonapi))
-    get_pointer = ctypes.PYFUNCTYPE(ctypes.c_void_p, ctypes.py_object, ctypes.c_char_p)(
-        ("PyCapsule_GetPointer", ctypes.pythonapi))
-    signature = get_name(capsule)
-    return ctypes.CFUNCTYPE(None, *[ctypes.c_void_p] * (signature.count(b",") + 1))(
-        get_pointer(capsule, signature))
-
-
-def _lapack(name, *args):
-    """Call the LAPACK routine ``name`` on ``args`` in the Fortran order,
-    each by reference: an int as an integer, a str as a character, an
-    array as its buffer.  Returns the routine's INFO."""
-    info = ctypes.c_int()
-    refs = [a.ctypes.data if isinstance(a, np.ndarray)
-            else ctypes.c_char_p(a.encode()) if isinstance(a, str)
-            else ctypes.byref(ctypes.c_int(a)) for a in args]
-    _lapack_routine(name)(*refs, ctypes.byref(info))
-    return info.value
-
-
-def _block_rows(blocks, samples, k, m, out_dim):
+def _block_rows(blocks, samples, k, m, out_dim, where: str):
     """Yield each block's first sample index and its histories and targets
-    as (S_i, k*m) and (S_i, out_dim) rows, refusing a block of other shapes
-    or not finite, and blocks that do not hold ``samples`` samples in all."""
+    as (S_i, k*m) and (S_i, out_dim) rows, refusing in the name of
+    ``where`` a block of other shapes or not finite, and blocks that do not
+    hold ``samples`` samples in all."""
     start = 0
     for hist, tgt in blocks:
         count = hist.shape[0]
         if (hist.shape[1:] != (k, m) or tgt.shape[0] != count or tgt.size != count * out_dim
                 or start + count > samples):
-            raise ParameterError(f"a block of {hist.shape} histories and {tgt.shape} targets "
-                                 f"after {start} samples; expected (S, {k}, {m}) and S targets "
-                                 f"of {out_dim} values, {samples} samples in all")
+            raise ParameterError(f"{where}: a block of {hist.shape} histories and {tgt.shape} "
+                                 f"targets after {start} samples; expected (S, {k}, {m}) and S "
+                                 f"targets of {out_dim} values, {samples} samples in all")
         if not (np.isfinite(hist).all() and np.isfinite(tgt).all()):
-            raise ParameterError("histories and targets must be finite")
+            raise ParameterError(f"{where}: histories and targets must be finite")
         yield start, hist.reshape(count, k * m), tgt.reshape(count, out_dim)
         start += count
     if start != samples:
-        raise ParameterError(f"the blocks hold {start} samples, not {samples}")
+        raise ParameterError(f"{where}: the blocks hold {start} samples, not {samples}")
 
 
 def fit_superres(histories: np.ndarray, fields: np.ndarray,
@@ -442,7 +328,8 @@ def fit_superres(histories: np.ndarray, fields: np.ndarray,
     """Least-squares map from token histories to full-resolution fields."""
     fields = np.asarray(fields, dtype=float)
     if fields.ndim < 2:
-        raise ParameterError(f"field targets must keep their spatial shape, got {fields.shape}")
+        raise ParameterError(f"fit_superres: field targets must keep their spatial shape, "
+                             f"got {fields.shape}")
     return fit_least_squares(histories, fields, ridge=ridge, bias=bias)
 
 
@@ -633,14 +520,14 @@ def fit_sgd_blocks(blocks, samples: int, config: TrainConfig, eval_split: float 
     perm = rng.permutation(samples)
     n_eval = int(round(eval_split * samples))
     if n_eval == samples:
-        raise ParameterError("eval_split leaves no training samples")
+        raise ParameterError("fit_sgd_blocks: eval_split leaves no training samples")
     # sample perm[p] is row p of the evaluation split for p < n_eval, and
     # row p - n_eval of the training split after that
     row_of = np.empty(samples, dtype=np.intp)
     row_of[perm] = np.arange(samples)
     xe, ye = np.empty((n_eval, k * m)), np.empty((n_eval, out_dim))
     xt, yt = np.empty((samples - n_eval, k * m)), np.empty((samples - n_eval, out_dim))
-    for start, hist, tgt in _block_rows(blocks, samples, k, m, out_dim):
+    for start, hist, tgt in _block_rows(blocks, samples, k, m, out_dim, "fit_sgd_blocks"):
         rows_i = row_of[start:start + hist.shape[0]]
         to_eval, to_train = rows_i < n_eval, rows_i >= n_eval
         xe[rows_i[to_eval]] = hist[to_eval]

@@ -384,7 +384,7 @@ def annihilation_witness(grid: GridSpec, patch: int, wave: bool = False):
                   "annihilation_witness", ParameterError)
     n = grid.n
     if n % patch:
-        raise ParameterError(f"patch {patch} must divide grid size {n}")
+        raise ParameterError(f"annihilation_witness: patch {patch} must divide grid size {n}")
     i = np.arange(n)
     w = np.cos(2.0 * np.pi * i / patch)[:, None] * np.ones((1, n))
     lam = 2.0 * (np.cos(2.0 * np.pi / patch) - 1.0) / grid.dx**2

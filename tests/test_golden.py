@@ -122,15 +122,15 @@ CLI_DIGESTS = {
                      "d88c3cd88dcc780fbc4869f091f71a98113e03f43db653835b79b81c4f9c9ac0"),
     "sweep": (["sweep", "--data", "{data}", "--patch", "4", "--k-list", "1,2,4",
                "--trials", "1"],
-              "5596ee018ecfee29cc4e5049f39149efb0f18760a7908f03fc239fadf18d93e8"),
+              "49991fb06375e353edeef33e95d680f9cffe1498ae5778c4533cf3530166851f"),
     "export": (["export", "--data", "{data}", "--traj-index", "1", "--frame", "5"],
                "52c804c2a6579e0b126bdfd561dd61482247a0d7d25693d099b09de907dd3f10"),
     "tokenize": (["tokenize", "--data", "{data}", "--patch", "4"],
                  "5308592114fa0f35a8aae1410f31712b2d6bf8836904434e2534a6d383963b1b"),
     "fit-g": (["fit", "--data", "{data}", "--role", "g", "--patch", "4", "--k", "2"],
-              "d588855d1b56182ae5edf815c28bfbee9bc3a627ad3f7dca4f66826d3bc5dc37"),
+              "9323bfdb409cb6110537497dbbfabaf2c2ebeefa60187a718a7c38b8c54455aa"),
     "fit-super": (["fit", "--data", "{data}", "--role", "super", "--patch", "4", "--k", "2"],
-                  "a3e3d7d9a6c6e79d89b2ea5bd0cc3c40cf7672dd1edb3f3182345e1371276b4c"),
+                  "97023c08fc4673cc8ba402919b8be1d4a034aa4e6bfaa8e6e36655c6a79af1c0"),
     "fit-sgd": (["fit", "--data", "{data}", "--role", "g", "--patch", "4", "--k", "2",
                  "--learner", "sgd", "--lr", "1e-2", "--steps", "40", "--batch", "8",
                  "--sgd-seed", "5"],
@@ -139,12 +139,12 @@ CLI_DIGESTS = {
                      "--dt-max", "5"],
                     "0b9ed2b76f79675f496af0754eed85db59d6a62fd5009473983a16237c2541f0"),
     "subvideo": (["metrics", "subvideo", "--data", "{data}", "--clip-prefix", "{clip}"],
-                 "db2e23a09ae2fc78964c13c0109ca5a10721ef8b47af813d45e6d5ff5f4ed636"),
+                 "30cda7a558bb1b053b7cb2f4975bd44ba3f4dd91497fd2692f944f848427ba81"),
     # on wave data, whose fits and rollout read the amplitude block alone:
     # the rollout's fields, metadata, residues and tokens, in name order
     "rollout-wave": (["rollout", "--data", "{data}", "--model", "{g}", "--super", "{super}",
                       "--traj-index", "1", "--steps", "6"],
-                     "eb6a164811922496e1f80b6b30ee8d9d6b866905738a6c1bfd5a9914dc5c0bd0",
+                     "280ac18ec066d21b5e0f5d60770462198d89b314f9105811cd268bee075daba2",
                      TINY_WAVE),
 }
 

@@ -1,4 +1,5 @@
 from concurrent.futures import ThreadPoolExecutor
+import threading
 
 import numpy as np
 import pytest
@@ -140,8 +141,11 @@ def test_sgd_refuses_a_non_finite_sample_as_least_squares_does():
         spoilt = where.copy()
         spoilt.flat[5] = bad
         block = (spoilt, targets) if where is histories else (histories, spoilt)
-        for fit in (fit_blocks, lambda *args: fit_sgd_blocks(*args, TrainConfig(steps=1))):
-            with pytest.raises(ParameterError, match="^histories and targets must be finite$"):
+        for name, fit in (("fit_blocks", fit_blocks),
+                          ("fit_sgd_blocks",
+                           lambda *args: fit_sgd_blocks(*args, TrainConfig(steps=1)))):
+            with pytest.raises(ParameterError,
+                               match=f"^{name}: histories and targets must be finite$"):
                 fit([block], 20)
 
 
@@ -172,43 +176,31 @@ def test_fit_blocks_refuses_blocks_that_break_their_count_or_shape():
     rng = np.random.default_rng(19)
     block = (rng.standard_normal((5, 2, 3)), rng.standard_normal((5, 4)))
     for samples in (4, 6):
-        with pytest.raises(ParameterError, match="samples"):
+        with pytest.raises(ParameterError, match="^fit_blocks: .*samples"):
             fit_blocks([block], samples)
+    # a block past a full lone leaf is still read, and refused
+    with pytest.raises(ParameterError, match="^fit_blocks: a block of .* after 5 samples"):
+        fit_blocks([block, block], 5)
     # later blocks must match the first one's history shape and output size
     for hist, tgt in (((5, 3, 3), (5, 4)), ((5, 2, 2), (5, 4)), ((5, 2, 3), (5, 5)),
                       ((5, 2, 3), (4, 4))):
-        with pytest.raises(ParameterError, match="block"):
+        with pytest.raises(ParameterError, match="^fit_blocks: a block of "):
             fit_blocks([block, (np.zeros(hist), np.zeros(tgt))], 10)
-    with pytest.raises(ParameterError, match="no samples"):
+    with pytest.raises(ParameterError, match="^fit_blocks: histories hold no samples$"):
         fit_blocks([], 0)
-    # a target of no outputs is refused before any pool is sized to it
+    # a target of no outputs is refused before any array is sized to it
     with pytest.raises(ParameterError, match="^fit_blocks: targets of shape \\(0,\\) hold no "):
         fit_least_squares(block[0], np.zeros((5, 0)))
-
-
-def test_the_capsule_combine_is_the_bytes_of_scipys_wrappers():
-    """The fold of two square R factors and their Qᵀy through the
-    function pointers of ``scipy.linalg.cython_lapack``, the GIL released,
-    gives the bytes of scipy's ``dtpqrt`` and ``dtpmqrt`` wrappers, for a
-    right-hand side of one column and of 1,024."""
-    rng = np.random.default_rng(45)
-    cols, nb = 97, learners_module._COMBINE_BLOCK
-    for out_dim in (1, 1024):
-        r, r_i = (np.asfortranarray(np.triu(rng.standard_normal((cols, cols))))
-                  for _ in range(2))
-        rhs, rhs_i = (np.asfortranarray(rng.standard_normal((cols, out_dim))) for _ in range(2))
-        want_r, v, t, info_r = scipy.linalg.lapack.dtpqrt(cols, nb, r.copy(order="F"),
-                                                          r_i.copy(order="F"))
-        want_rhs, _, info_m = scipy.linalg.lapack.dtpmqrt(cols, v, t, rhs.copy(order="F"),
-                                                          rhs_i.copy(order="F"), trans="T")
-        assert info_r == info_m == 0
-        t_out, work = np.empty((nb, cols), order="F"), np.empty(nb * max(cols, out_dim))
-        assert learners_module._lapack("dtpqrt", cols, cols, cols, nb, r, cols, r_i, cols,
-                                       t_out, nb, work) == 0
-        assert learners_module._lapack("dtpmqrt", "L", "T", cols, out_dim, cols, cols, nb, r_i,
-                                       cols, t_out, nb, rhs, cols, rhs_i, cols, work) == 0
-        assert r.tobytes() == want_r.tobytes() and r_i.tobytes() == v.tobytes()
-        assert rhs.tobytes() == want_rhs.tobytes()
+    # 2,100 samples are a tree of two leaves: blocks one sample short leave
+    # the last leaf unfilled and reach the count check at the end of the
+    # stream, and blocks one sample over are refused at the block that
+    # passes the count
+    tall = [(rng.standard_normal((700, 2, 3)), rng.standard_normal((700, 4)))] * 3
+    with pytest.raises(ParameterError, match="^fit_blocks: the blocks hold 2100 samples, not "
+                                             "2101$"):
+        fit_blocks(iter(tall), 2101)
+    with pytest.raises(ParameterError, match="^fit_blocks: a block of .* after 1400 samples"):
+        fit_blocks(iter(tall), 2099)
 
 
 @pytest.mark.parametrize("eval_split", [0.0, 0.3])
@@ -234,11 +226,11 @@ def test_fit_sgd_blocks_refuses_blocks_that_break_their_count_or_shape():
     block = (rng.standard_normal((5, 2, 3)), rng.standard_normal((5, 4)))
     config = TrainConfig(steps=1)
     for samples in (4, 6):
-        with pytest.raises(ParameterError, match="samples"):
+        with pytest.raises(ParameterError, match="^fit_sgd_blocks: .*samples"):
             fit_sgd_blocks([block], samples, config)
-    with pytest.raises(ParameterError, match="block"):
+    with pytest.raises(ParameterError, match="^fit_sgd_blocks: a block of "):
         fit_sgd_blocks([block, (np.zeros((5, 2, 2)), np.zeros((5, 4)))], 10, config)
-    with pytest.raises(ParameterError, match="no samples"):
+    with pytest.raises(ParameterError, match="^fit_sgd_blocks: histories hold no samples$"):
         fit_sgd_blocks([], 0, config)
     # a target of no outputs is refused as least squares refuses it
     with pytest.raises(ParameterError,
@@ -647,61 +639,44 @@ def test_each_verb_runs_on_one_blas_thread_and_restores_the_count(tmp_path, monk
     capsys.readouterr()
 
 
-def test_qt_chunks_keep_their_bits_on_any_number_of_workers(monkeypatch):
+def test_a_two_leaf_fit_is_the_bytes_of_one_block_and_starts_no_thread(monkeypatch):
     """2,600 samples of 65 columns are a QR tree of two leaves of 1,300,
     and blocks of 700, 900 and 1,000 samples put the second block across
-    the edge between them; the ridge rows go in the second leaf.  Qᵀ goes
-    to each leaf's target of 600 outputs in three column chunks, six
-    tasks that 2 workers split unevenly; the pool takes one worker per
-    BLAS thread the caller had, and the fit is the same bytes on pools of
-    1, 2 and 3, and as one block.  Only that pool is recorded: the leaves
-    are folded on a chain of one named thread whatever the cores."""
-    setter = learners_module._blas_thread_setter()
-    if setter is None or learners_module._scipy_blas_thread_setter() is None:
-        pytest.skip("numpy or scipy does not run scipy-openblas")
+    the edge between them; the ridge rows go in the second leaf.  Both
+    leaves are folded into R on the calling thread, and the fit is the
+    same bytes as one block, with the predictions of the ridge least
+    squares objective."""
     histories, targets, _, _ = make_linear_problem(2600, 4, 16, 600, seed=44, noise=0.1)
     edges = [0, 700, 1600, 2600]
     blocks = [(histories[a:b], targets[a:b]) for a, b in zip(edges[:-1], edges[1:])]
-    sizes, leaves = [], []
+    shapes = []
+    leaves = learners_module._leaves
 
-    class Recorded(ThreadPoolExecutor):
-        def __init__(self, workers, thread_name_prefix=""):
-            if not thread_name_prefix:
-                sizes.append(workers)
-            super().__init__(workers, thread_name_prefix)
+    def recorded_leaves(*args):
+        for design, target in leaves(*args):
+            shapes.append(design.shape)
+            yield design, target
 
-    factor_leaf = learners_module._factor_leaf
+    def refused(thread):
+        raise AssertionError(f"a least-squares fit started the thread {thread.name}")
 
-    def recorded_leaf(design, *args):
-        leaves.append(design.shape)
-        return factor_leaf(design, *args)
-
-    monkeypatch.setattr(learners_module, "ThreadPoolExecutor", Recorded)
-    monkeypatch.setattr(learners_module, "_factor_leaf", recorded_leaf)
+    monkeypatch.setattr(learners_module, "_leaves", recorded_leaves)
+    monkeypatch.setattr(threading.Thread, "start", refused)
     design = np.hstack([histories.reshape(2600, -1), np.ones((2600, 1))])
     for ridge in (0.0, 0.5):
-        fits = [fit_least_squares(histories, targets, ridge=ridge)]
-        sizes.clear()
-        leaves.clear()
-        outer = setter(1)
-        try:
-            for workers in (1, 2, 3):
-                setter(workers)
-                fits.append(fit_blocks(iter(blocks), 2600, ridge=ridge))
-        finally:
-            setter(outer)
-        assert sizes == [1, 2, 3]
-        assert leaves == [(1300, 65), (1300 + 64 * (ridge > 0), 65)] * 3
-        for fitted in fits[1:]:
-            assert fitted.weights.tobytes() == fits[0].weights.tobytes()
-            assert fitted.bias.tobytes() == fits[0].bias.tobytes()
+        shapes.clear()
+        whole = fit_least_squares(histories, targets, ridge=ridge)
+        streamed = fit_blocks(iter(blocks), 2600, ridge=ridge)
+        assert shapes == [(1300, 65), (1300 + 64 * (ridge > 0), 65)] * 2
+        assert streamed.weights.tobytes() == whole.weights.tobytes()
+        assert streamed.bias.tobytes() == whole.bias.tobytes()
         # the ridge rows of the minimised objective, on the weights alone
         penalty = np.hstack([np.sqrt(ridge * 2600) * np.eye(64), np.zeros((64, 1))])
         solution = scipy.linalg.lstsq(np.vstack([design, penalty]),
                                       np.vstack([targets, np.zeros((64, 600))]),
                                       lapack_driver="gelsd")[0]
         reference = design @ solution
-        pred = fits[0].apply(histories)
+        pred = streamed.apply(histories)
         assert np.linalg.norm(pred - reference) <= 1e-4 * np.linalg.norm(reference)
 
 

@@ -12,7 +12,8 @@ import scipy.sparse as sp
 import latentpde.observability as obs
 from latentpde import (DatasetManifest, DivergenceError, GridSpec, LinearMap, ParameterError,
                        TrainConfig, amplitude, annihilation_witness, autoregressive_rollout,
-                       build_difference, build_histories, build_reconstruction_pairs,
+                       build_difference, build_histories, build_modified_laplacian,
+                       build_reconstruction_pairs,
                        build_tokenizer_matrix, correlation_ensemble_stats, empirical_lie_logdet,
                        etdrk_coefficients, euler_frames, export_frame_image, fit_blocks,
                        fit_least_squares, fit_sgd, fit_sgd_blocks, fit_superres, forecast_pairs,
@@ -168,7 +169,9 @@ RAISE_SITES = {
         lambda d: export_frame_image(np.zeros((4, 4)), str(d / "f.ppm"), colormap="jet"),
         ParameterError, "^export_frame_image: colormap must be in"),
     "fit_superres-1d-fields": (lambda d: fit_superres(np.zeros((5, 2, 3)), np.zeros(5)),
-                               ParameterError, "spatial shape"),
+                               ParameterError,
+                               r"^fit_superres: field targets must keep their spatial shape, "
+                               r"got \(5,\)$"),
     "_output_map-non-square": (lambda d: obs._output_map(np.zeros((3, 4)), np.zeros((1, 4))),
                                ParameterError, "must be square"),
     "rank_test-1d": (lambda d: rank_test(np.ones(3)), ParameterError, "2-d matrix"),
@@ -200,14 +203,32 @@ RAISE_SITES = {
     "simulate_kse2d-divergence": (lambda d: _diverging_square(), DivergenceError, "step 1$"),
     "fit_least_squares-2d-histories": (lambda d: fit_least_squares(np.zeros((5, 6)),
                                                                    np.zeros((5, 4))),
-                                       ParameterError, r"must be \(S, k, m\)"),
+                                       ParameterError,
+                                       r"^fit_blocks: histories must be \(S, k, m\), got shape "
+                                       r"\(5, 6\)$"),
+    "fit_sgd-2d-histories": (lambda d: fit_sgd(np.zeros((5, 6)), np.zeros((5, 4)),
+                                               TrainConfig(steps=1)),
+                             ParameterError, r"^fit_sgd_blocks: histories must be \(S, k, m\)"),
     "fit_sgd-no-training-samples": (
         lambda d: fit_sgd(np.zeros((10, 2, 3)), np.zeros((10, 4)), TrainConfig(steps=1),
                           eval_split=0.95),
-        ParameterError, "leaves no training samples"),
+        ParameterError, "^fit_sgd_blocks: eval_split leaves no training samples$"),
     "annihilation_witness-patch-divides": (
         lambda d: annihilation_witness(GridSpec(n=16), 3), ParameterError,
-        "patch 3 must divide grid size 16"),
+        "^annihilation_witness: patch 3 must divide grid size 16$"),
+    "build_tokenizer_matrix-patch-divides": (
+        lambda d: build_tokenizer_matrix(GridSpec(n=8), 3), ParameterError,
+        "^build_tokenizer_matrix: patch 3 must divide grid size 8$"),
+    "build_modified_laplacian-shape": (
+        lambda d: build_modified_laplacian(np.ones((3, 3)), GridSpec(n=4)), ParameterError,
+        r"^build_modified_laplacian: coefficient field shape \(3, 3\) != \(4, 4\)$"),
+    "build_modified_laplacian-negative": (
+        lambda d: build_modified_laplacian(-np.ones((4, 4)), GridSpec(n=4)), ParameterError,
+        "^build_modified_laplacian: coefficient field must be finite and strictly positive$"),
+    "build_modified_laplacian-infinite": (
+        lambda d: build_modified_laplacian(np.full((4, 4), INF), GridSpec(n=4)),
+        ParameterError,
+        "^build_modified_laplacian: coefficient field must be finite and strictly positive$"),
     "empirical_lie_logdet-lattice-frames": (
         lambda d: empirical_lie_logdet(np.zeros((10, 4, 4)), 2), ParameterError,
         r"line frames, got shape \(10, 4, 4\)"),

@@ -127,9 +127,9 @@ def test_least_squares_peak_is_a_share_of_its_design(name, request, capsys):
 def test_a_fit_holds_a_few_leaves_however_many_samples():
     """``fit_blocks`` on 4,096 samples of 65 columns and on four times as
     many: QR trees of 4 and of 16 leaves of 1,024 rows.  A leaf fills
-    only once the one before the leaf in the pool is folded into R and
-    freed, so the traced peak at 16 leaves is within 1.2× of the peak at
-    4; a fit that held every leaf until the stream ended would read 4×.
+    only once the one before it is folded into R and freed, so the
+    traced peak at 16 leaves is within 1.2× of the peak at 4; a fit that
+    held every leaf until the stream ended would read 4×.
     The blocks are views made before the trace starts."""
     rng = np.random.default_rng(46)
     samples = 4096
