@@ -241,8 +241,10 @@ def fit_blocks(blocks, samples: int, ridge: float = 0.0, bias: bool = True) -> L
             nb = min(_COMBINE_BLOCK, cols)
             for design, target in filled:
                 r, v, t, info_r = lapack.dtpqrt(0, nb, r, design, overwrite_a=1, overwrite_b=1)
-                rhs, _, info_m = lapack.dtpmqrt(0, v, t, rhs, target, trans="T",
-                                                overwrite_a=1, overwrite_b=1)
+                # dtpmqrt hands back the target it overwrote: bound to the
+                # loop's own name, it goes with the design below
+                rhs, target, info_m = lapack.dtpmqrt(0, v, t, rhs, target, trans="T",
+                                                     overwrite_a=1, overwrite_b=1)
                 if info_r or info_m:
                     raise RuntimeError(f"LAPACK fold of a leaf into R failed "
                                        f"(info {info_r}, {info_m})")
@@ -279,6 +281,8 @@ def _leaves(blocks, edges, k, m, out_dim, ridge, bias):
     n_feat, samples = k * m, edges[-1]
     leaf, design = 0, None
     for start, hist, tgt in _block_rows(blocks, samples, k, m, out_dim, "fit_blocks"):
+        _refuse_nonfinite("fit_blocks", hist, tgt)
+        hist = hist.reshape(hist.shape[0], n_feat)
         at, end = start, start + hist.shape[0]
         while at < end:
             low, high = edges[leaf], edges[leaf + 1]
@@ -303,10 +307,11 @@ def _leaves(blocks, edges, k, m, out_dim, ridge, bias):
 
 
 def _block_rows(blocks, samples, k, m, out_dim, where: str):
-    """Yield each block's first sample index and its histories and targets
-    as (S_i, k*m) and (S_i, out_dim) rows, refusing in the name of
-    ``where`` a block of other shapes or not finite, and blocks that do not
-    hold ``samples`` samples in all."""
+    """Yield each block's first sample index, its (S_i, k, m) histories and
+    its targets as (S_i, out_dim) rows, refusing in the name of ``where``
+    a block of other shapes, and blocks that do not hold ``samples``
+    samples in all.  Each caller checks that what it stores of a block is
+    finite (:func:`_refuse_nonfinite`)."""
     start = 0
     for hist, tgt in blocks:
         count = hist.shape[0]
@@ -315,12 +320,17 @@ def _block_rows(blocks, samples, k, m, out_dim, where: str):
             raise ParameterError(f"{where}: a block of {hist.shape} histories and {tgt.shape} "
                                  f"targets after {start} samples; expected (S, {k}, {m}) and S "
                                  f"targets of {out_dim} values, {samples} samples in all")
-        if not (np.isfinite(hist).all() and np.isfinite(tgt).all()):
-            raise ParameterError(f"{where}: histories and targets must be finite")
-        yield start, hist.reshape(count, k * m), tgt.reshape(count, out_dim)
+        yield start, hist, tgt.reshape(count, out_dim)
         start += count
     if start != samples:
         raise ParameterError(f"{where}: the blocks hold {start} samples, not {samples}")
+
+
+def _refuse_nonfinite(where: str, *arrays):
+    """Refuse, in the name of ``where``, sample arrays that hold a NaN or
+    an infinity."""
+    if not all(np.isfinite(a).all() for a in arrays):
+        raise ParameterError(f"{where}: histories and targets must be finite")
 
 
 def fit_superres(histories: np.ndarray, fields: np.ndarray,
@@ -350,6 +360,11 @@ def mse_loss_and_grad(weights, bias, x, y, ridge: float = 0.0):
     return loss, gw, gb
 
 
+# the split rows _SplitStats gathers and sums at a time: a split of at
+# most this many rows has the statistics of one product over all of it
+_STATS_ROWS = 256
+
+
 class _SplitStats:
     """The loss of :func:`mse_loss_and_grad` on one data split, from
     statistics formed once: G = XᵀX, C = XᵀY, ‖Y‖², the column sums s_x
@@ -358,22 +373,35 @@ class _SplitStats:
         n · mse = tr(W G Wᵀ) − 2 tr(W C) + ‖Y‖² + 2 bᵀ(W s_x − s_y) + n ‖b‖²,
 
     which costs (k·m)²·outputs multiply-adds and forms no residual.  The
-    terms cancel as the fit improves, and each carries the rounding of
-    its sums, so the result differs from a direct residual evaluation by
-    about c·eps·(tr(W G Wᵀ) + ‖Y‖² + n ‖b‖²)/n, c = 2(k·m + √n): a
-    sum over n rows whose rounding errors add in quadrature (the worst
-    case replaces √n by n).  A total that rounds below zero is reported
+    rows of X are ``windows[starts]``, gathered ``_STATS_ROWS`` at a time
+    in split order with the matching rows of ``targets``, and each
+    statistic sums its chunks' shares in that order, so only one chunk of
+    X is ever formed.  The terms cancel as the fit improves, and each
+    carries the rounding of its sums, so the result differs from a direct
+    residual evaluation by about c·eps·(tr(W G Wᵀ) + ‖Y‖² + n ‖b‖²)/n,
+    c = 2(k·m + √n): a sum over n rows whose rounding errors add in
+    quadrature (the worst case replaces √n by n), whether it is summed in
+    one product or in chunks.  A total that rounds below zero is reported
     as 0.
     """
 
-    def __init__(self, x, y):
-        self.gram = x.T @ x
-        self.cross = x.T @ y
-        # a C-contiguous split, so the flat view copies nothing
-        flat = y.reshape(-1)
-        self.yy = float(flat @ flat)
-        self.sx, self.sy = x.sum(axis=0), y.sum(axis=0)
-        self.rows = x.shape[0]
+    def __init__(self, windows, starts, targets):
+        sums = None
+        for low in range(0, len(starts), _STATS_ROWS):
+            x = windows[starts[low:low + _STATS_ROWS]]
+            y = targets[low:low + _STATS_ROWS]
+            # a C-contiguous chunk, so the flat view copies nothing
+            flat = y.reshape(-1)
+            # ‖Y‖² as a 0-d array, so that += adds to it in place
+            parts = [x.T @ x, x.T @ y, np.array(flat @ flat), x.sum(axis=0), y.sum(axis=0)]
+            if sums is None:
+                sums = parts
+            else:
+                for total, part in zip(sums, parts):
+                    total += part
+        self.gram, self.cross, yy, self.sx, self.sy = sums
+        self.yy = float(yy)
+        self.rows = len(starts)
 
     def loss(self, weights, bias, ridge: float) -> float:
         total = (float(((weights @ self.gram) * weights).sum())
@@ -503,14 +531,24 @@ def fit_sgd_blocks(blocks, samples: int, config: TrainConfig, eval_split: float 
     over the training split).  The evaluation split is carved off by a
     seeded permutation of the ``samples`` indices, drawn before any block
     is read; ``eval_split=0`` trains on everything and the eval curve
-    stays empty.  Each block's rows are written straight to their permuted
-    places in the histories and targets of their split, the only copy of
-    the samples the fit makes.  Each split's statistics are formed once,
+    stays empty.  The fit holds each token frame once: its histories are
+    windows of one (F, m) frame array, each sample a start row in it.  A
+    block whose histories are consecutive windows of one frame array (the
+    views :func:`~latentpde.tokenizer.forecast_pairs`,
+    :func:`~latentpde.tokenizer.build_histories` and
+    :func:`~latentpde.tokenizer.build_reconstruction_pairs` return, told
+    apart by their strides) adds its S + k - 1 frames, any other block k
+    frames per history.  Each block's targets are written straight to
+    their permuted rows of their split.  Each batch, and each chunk of a
+    split's statistics, is gathered from the frame array as
+    C-contiguous (rows, k·m) histories, with the values a copy of the
+    histories would have.  Each split's statistics are formed once,
     before the first step, and each epoch's residues come from them (see
     :class:`_SplitStats` for the rounding bound), not from the samples, so
-    the evaluation split is freed before the first step.  The steps run
-    on one BLAS thread (see :func:`_one_blas_thread`).  A non-finite sample
-    raises ParameterError, and a NaN/Inf loss DivergenceError with its step.
+    the evaluation targets are freed before the first step.  The steps
+    run on one BLAS thread (see :func:`_one_blas_thread`).  A non-finite
+    sample raises ParameterError, and a NaN/Inf loss DivergenceError with
+    its step.
     """
     check_entries(locals(), {"eval_split": Key(float, "[)", (0, 1)), "bias": Key(bool)},
                   "fit_sgd_blocks", ParameterError)
@@ -525,28 +563,48 @@ def fit_sgd_blocks(blocks, samples: int, config: TrainConfig, eval_split: float 
     # row p - n_eval of the training split after that
     row_of = np.empty(samples, dtype=np.intp)
     row_of[perm] = np.arange(samples)
-    xe, ye = np.empty((n_eval, k * m)), np.empty((n_eval, out_dim))
-    xt, yt = np.empty((samples - n_eval, k * m)), np.empty((samples - n_eval, out_dim))
+    ye, yt = np.empty((n_eval, out_dim)), np.empty((samples - n_eval, out_dim))
+    # the first frame of each sample's history, in sample order
+    first = np.empty(samples, dtype=np.intp)
+    parts, stored = [], 0
     for start, hist, tgt in _block_rows(blocks, samples, k, m, out_dim, "fit_sgd_blocks"):
-        rows_i = row_of[start:start + hist.shape[0]]
-        to_eval, to_train = rows_i < n_eval, rows_i >= n_eval
-        xe[rows_i[to_eval]] = hist[to_eval]
+        count = hist.shape[0]
+        if count and hist.strides[0] == hist.strides[1]:
+            # history r + 1 starts one frame after history r: the block
+            # reads count + k - 1 frames, each in k histories
+            part = np.array(np.lib.stride_tricks.as_strided(
+                hist, (count + k - 1, m), hist.strides[1:], writeable=False), order="C")
+            first[start:start + count] = stored + np.arange(count)
+        else:
+            part = np.array(hist, order="C").reshape(count * k, m)
+            first[start:start + count] = stored + k * np.arange(count)
+        _refuse_nonfinite("fit_sgd_blocks", part, tgt)
+        parts.append(part)
+        stored += len(part)
+        rows_i = row_of[start:start + count]
+        to_eval = rows_i < n_eval
         ye[rows_i[to_eval]] = tgt[to_eval]
-        xt[rows_i[to_train] - n_eval] = hist[to_train]
-        yt[rows_i[to_train] - n_eval] = tgt[to_train]
-    splits = {"train": _SplitStats(xt, yt)}
+        yt[rows_i[~to_eval] - n_eval] = tgt[~to_eval]
+    frames = parts[0] if len(parts) == 1 else np.concatenate(parts)
+    del parts
+    # row s is the flat history of k frames from frame s on, as a view
+    windows = np.lib.stride_tricks.as_strided(frames, (stored - k + 1, k * m),
+                                              (frames.strides[0], frames.itemsize),
+                                              writeable=False)
+    starts = first[perm[n_eval:]]
+    splits = {"train": _SplitStats(windows, starts, yt)}
     if n_eval:
-        splits["eval"] = _SplitStats(xe, ye)
+        splits["eval"] = _SplitStats(windows, first[perm[:n_eval]], ye)
     # the evaluation split enters the fit only through its statistics
-    del xe, ye
+    del ye, first
     weights = np.zeros((out_dim, k * m))
     bias_vec = np.zeros(out_dim) if bias else None
     params = [weights] + ([bias_vec] if bias else [])
     # per parameter: the Adam moments m and v, then two scratch arrays
     buffers = [[np.zeros_like(p) for _ in range(4)] for p in params]
-    batch = min(config.batch_size, xt.shape[0])
-    steps_per_epoch = max(1, -(-xt.shape[0] // batch))
-    order = rng.permutation(xt.shape[0])
+    batch = min(config.batch_size, len(yt))
+    steps_per_epoch = max(1, -(-len(yt) // batch))
+    order = rng.permutation(len(yt))
     cursor = 0
     curves = {"train": [], "eval": []}
 
@@ -557,12 +615,13 @@ def fit_sgd_blocks(blocks, samples: int, config: TrainConfig, eval_split: float 
     lr = config.learning_rate
     with _one_blas_thread():
         for step in range(1, config.steps + 1):
-            if cursor + batch > xt.shape[0]:
-                order = rng.permutation(xt.shape[0])
+            if cursor + batch > len(yt):
+                order = rng.permutation(len(yt))
                 cursor = 0
             sel = order[cursor:cursor + batch]
             cursor += batch
-            loss, gw, gb = mse_loss_and_grad(weights, bias_vec, xt[sel], yt[sel], config.ridge)
+            loss, gw, gb = mse_loss_and_grad(weights, bias_vec, windows[starts[sel]], yt[sel],
+                                             config.ridge)
             if not np.isfinite(loss):
                 raise DivergenceError(f"training loss diverged at step {step}", step=step)
             for param, grad, buf in zip(params, (gw, gb), buffers):

@@ -1150,19 +1150,18 @@ def test_cli_wave_gramian_refusal_does_not_depend_on_the_core_count(tmp_path, mo
     (24, 12, 24, 3, 4),
     (8, 41, 64, 2, 2),
     (8, 80, 64, 2, 2),
-], ids=["chunks", "tree", "tree4"])
+], ids=["one-leaf", "tree", "tree4"])
 def test_cli_fits_do_not_depend_on_the_core_count(tmp_path, monkeypatch, grid, trajectories,
                                                   frames, patch, k):
-    """Grid 24 with patch 3 and k 4: designs of 257 columns, whose QR
-    scipy's OpenBLAS shares among threads when it has two, and whose bits
-    then depended on their number; the super target has 576 outputs.
-    Grid 8 with patch 2 and k 2: every fit holds more than 2 × 1,024
-    samples, so it is a QR tree of two leaves whose edge falls inside a
-    trajectory; with 80 trajectories every fit holds more than 4 × 1,024
-    samples, a tree of four leaves folded into R one by one as they
-    stream.  The
-    models, the sweep and what is rolled out from the models are the same
-    bytes on one BLAS thread and on two."""
+    """Grid 24 with patch 3 and k 4: designs of 257 columns in one leaf,
+    whose factorization scipy's OpenBLAS shares among threads when it has
+    two, and whose bits then depended on their number; the super target
+    has 576 outputs.  Grid 8 with patch 2 and k 2: every fit holds more
+    than 2 × 1,024 samples, so it is a QR tree of two leaves whose edge
+    falls inside a trajectory; with 80 trajectories every fit holds more
+    than 4 × 1,024 samples, a tree of four leaves folded into R one by one
+    as they stream.  The models, the sweep and what is rolled out from the
+    models are the same bytes on one BLAS thread and on two."""
     config_path = tmp_path / "heat.json"
     config_path.write_text(json.dumps(dict(TINY_HEAT, grid_size=grid, trajectories=trajectories,
                                            frames=frames, patch=patch)))

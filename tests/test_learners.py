@@ -221,6 +221,45 @@ def test_fit_sgd_blocks_equals_one_block_fit_bit_for_bit(eval_split):
     assert len(curves["eval"]) == (len(curves["train"]) if eval_split else 0)
 
 
+@pytest.mark.parametrize("eval_split", [0.0, 0.1])
+def test_adam_on_window_views_above_the_statistics_chunk(eval_split):
+    """Window views of six token trajectories give the weight, bias and
+    curve bytes of the same histories copied into one (S, k, m) array, and
+    of a mix of views and copies: the fit stores a view's frames once and
+    a copy's k frames per history, and gathers the same rows from either.
+    The 762 samples leave a training split of three or more chunks of
+    split statistics, whose last curve point lies within the cancellation
+    bound of a direct residual evaluation.  A NaN in a token array is
+    refused through its views."""
+    rng = np.random.default_rng(48)
+    k, samples = 3, 6 * 127
+    true_w = rng.standard_normal((4, k * 4))
+    trajectories = [rng.standard_normal((130, 4)) for _ in range(6)]
+    pairs = [(hist, hist.reshape(len(hist), -1) @ true_w.T + 0.1 * tokens[k:])
+             for tokens in trajectories for hist in [forecast_pairs(tokens, k)[0]]]
+    mixed = [(hist.copy() if i % 2 else hist, tgt) for i, (hist, tgt) in enumerate(pairs)]
+    histories, targets = (np.concatenate(part) for part in zip(*pairs))
+    config = TrainConfig(learning_rate=0.02, steps=300, batch_size=32, seed=9)
+    copied, copied_curves = fit_sgd(histories, targets, config, eval_split=eval_split)
+    for blocks in (pairs, mixed):
+        fitted, curves = fit_sgd_blocks(iter(blocks), samples, config, eval_split=eval_split)
+        for a, b in ((copied.weights, fitted.weights), (copied.bias, fitted.bias),
+                     *((copied_curves[key], curves[key]) for key in ("train", "eval"))):
+            assert a.tobytes() == b.tobytes()
+    n_eval = int(round(eval_split * samples))
+    assert samples - n_eval > 2 * learners_module._STATS_ROWS
+    train = np.random.default_rng(9).permutation(samples)[n_eval:]
+    x, y = histories.reshape(samples, -1)[train], targets[train]
+    direct = mse_loss_and_grad(fitted.weights, fitted.bias, x, y)[0]
+    assert abs(curves["train"][-1] - direct) <= _cancellation_bound(x, y, fitted.weights,
+                                                                     fitted.bias)
+    trajectories[2][40, 1] = np.nan
+    with pytest.raises(ParameterError, match="^fit_sgd_blocks: histories and targets must be "
+                                             "finite$"):
+        fit_sgd_blocks([(forecast_pairs(tokens, k)[0], np.zeros((127, 4)))
+                        for tokens in trajectories], samples, config)
+
+
 def test_fit_sgd_blocks_refuses_blocks_that_break_their_count_or_shape():
     rng = np.random.default_rng(19)
     block = (rng.standard_normal((5, 2, 3)), rng.standard_normal((5, 4)))
@@ -465,7 +504,7 @@ def test_split_loss_of_an_exactly_realisable_target(bias, ridge):
         b = true_b if bias else None
         y = x @ true_w.T + (true_b if bias else 0.0)
         penalty = ridge * float((true_w**2).sum())
-        loss = learners_module._SplitStats(x, y).loss(true_w, b, ridge)
+        loss = learners_module._SplitStats(x, np.arange(500), y).loss(true_w, b, ridge)
         direct = mse_loss_and_grad(true_w, b, x, y, ridge)[0]
         bound = _cancellation_bound(x, y, true_w, b)
         assert loss >= penalty
