@@ -20,8 +20,9 @@ The Kalman and Hautus checks answer a wave pair A = [[0, I], [L, 0]],
 h = [P, 0] from the symmetric heat pair (L, P): ranks and the
 observability index double, each eigenvalue mu of L gives +-sqrt(mu)
 with |P v| scaled by 1/sqrt(1 + |mu|), and the heat cluster at 0 is a
-Jordan chain tested on its eigenvectors [v; 0].  The Gramian's step
-propagator comes from ``eigh`` for a symmetric generator, else ``expm``.
+Jordan chain tested on its eigenvectors [v; 0].  The Gramian of a
+symmetric generator is summed in the eigenbasis of its ``eigh``; any
+other generator is stepped along its output orbit by ``expm``.
 
 Each check returns a report whose ``to_text`` the command line prints.
 """
@@ -436,57 +437,97 @@ _GRAMIAN_ARGS = {"horizon": Key(float, ">", 0), "quadrature_steps": Key(int, ">=
 
 
 def _step_propagator(A, horizon: float, quadrature_steps: int):
-    """``(steps, e^{A delta})``, delta = horizon/steps, with
+    """``(steps, propagator)`` for the nodes s_i = i * horizon/steps, with
     ``quadrature_steps`` >= 1 rounded up to even (the one place it is);
-    dense, guarded to state dims <= 256.  A symmetric A gives
-    V e^{Lambda delta} V' from numpy's ``eigh``; any other A gives scipy's
-    ``expm``.  Inside a verb both run on one thread of their OpenBLAS, so
-    their bits do not depend on the core count."""
+    dense, guarded to state dims <= 256.  A symmetric A gives its
+    eigenpairs ``(lambda, V)`` from numpy's ``eigh``, in whose basis
+    e^{As} = V e^{Lambda s} V' is diagonal; any other A gives the step
+    e^{A delta}, delta = horizon/steps, from scipy's ``expm``.  Inside a
+    verb both run on one thread of their OpenBLAS, so their bits do not
+    depend on the core count."""
     n = A.shape[0]
     if n > _GRAMIAN_DENSE_LIMIT:
         raise ParameterError(f"dense Gramian limited to state dim {_GRAMIAN_DENSE_LIMIT}, got {n}")
     steps = quadrature_steps + (quadrature_steps % 2)
-    dense, delta = _as_dense(A), horizon / steps
+    dense = _as_dense(A)
     if not _is_symmetric(dense):
-        return steps, expm(dense * delta)
-    vals, vecs = np.linalg.eigh(dense)
-    return steps, (vecs * np.exp(vals * delta)) @ vecs.T
+        return steps, expm(dense * (horizon / steps))
+    return steps, np.linalg.eigh(dense)
 
 
-def _simpson_pass(estep: np.ndarray, hd: np.ndarray, horizon: float, steps: int,
+def _node_exponentials(vals: np.ndarray, horizon: float, steps: int) -> np.ndarray:
+    """E[i, a] = e^{lambda_a s_i} on the nodes s_i = i * horizon/steps."""
+    exponents = np.outer(np.arange(steps + 1) * (horizon / steps), vals)
+    return np.exp(exponents, out=exponents)
+
+
+def _simpson_pass(propagator, hd: np.ndarray, horizon: float, steps: int,
                   outputs: np.ndarray | None = None):
     """Composite Simpson quadrature on the nodes s_i = i * horizon/steps.
 
-    Both integrands read e^{As} only through the m x n output orbit
-    h e^{A s_i}, which advances by one multiplication with ``estep`` per
-    node: m*n^2 multiply-adds, and as many for the node's Gramian term.
     Returns ``(gram, moment)``: the symmetrized Gramian
     integral e^{A's} h' h e^{As} ds and, when output samples y(s_i) are
     given, the moment vector  integral e^{A's} h' y(s) ds  (else None).
+    ``propagator`` is what :func:`_step_propagator` returns.
+
+    For eigenpairs A = V Lambda V', with P = hV, C = P'P, E[i, a] =
+    e^{lambda_a s_i} and W the diagonal of Simpson weights, the sums are
+    V (C o E'WE) V' and V sum_i w_i (E_i o P'y_i), o the entrywise
+    product: n^2 (steps + 1) multiply-adds for E'WE, mn (steps + 1) for
+    the moment and 2n^3 + 2mn^2 for C and the two rotations, with no
+    n x n product per node.  For a step matrix e^{A delta}, both
+    integrands read e^{As} only through the m x n output orbit
+    h e^{A s_i}, which advances by one multiplication with the step per
+    node: m*n^2 multiply-adds, and as many for the node's Gramian term,
+    2mn^2 (steps + 1) in all.
     """
-    n = estep.shape[0]
     weights = np.full(steps + 1, 2.0)
     weights[1::2] = 4.0
     weights[0] = weights[-1] = 1.0
-    gram = np.zeros((n, n))
-    term = np.empty((n, n))
-    moment = None if outputs is None else np.zeros(n)
-    orbit = hd
-    for i in range(steps + 1):
-        # w_i scales the m x n orbit, not the n x n term: exact, as the
-        # weights are powers of two
-        weighted = weights[i] * orbit
-        np.matmul(weighted.T, orbit, out=term)
-        gram += term
-        if moment is not None:
-            moment += weighted.T @ outputs[i]
-        if i < steps:
-            orbit = orbit @ estep
+    moment = None
+    if isinstance(propagator, tuple):
+        vals, vecs = propagator
+        factors = _node_exponentials(vals, horizon, steps)
+        p = hd @ vecs
+        # the (steps + 1) x n arrays go before the n x n products begin,
+        # so the pass holds no more than the orbit pass does
+        if outputs is not None:
+            projected = outputs @ p
+            projected *= factors
+            moment = vecs @ (weights @ projected)
+            del projected
+        # w_i scales row i of E: exact, as the weights are powers of two
+        buffer = (weights[:, None] * factors).T @ factors
+        del factors
+        # C o E'WE, then V (.) V', in place through the one spare n x n buffer
+        gram = p.T @ p
+        gram *= buffer
+        np.matmul(vecs, gram, out=buffer)
+        np.matmul(buffer, vecs.T, out=gram)
+    else:
+        n = propagator.shape[0]
+        gram = np.zeros((n, n))
+        buffer = np.empty((n, n))
+        if outputs is not None:
+            moment = np.zeros(n)
+        orbit = hd
+        for i in range(steps + 1):
+            # w_i scales the m x n orbit, not the n x n term: exact, as the
+            # weights are powers of two
+            weighted = weights[i] * orbit
+            np.matmul(weighted.T, orbit, out=buffer)
+            gram += buffer
+            if moment is not None:
+                moment += weighted.T @ outputs[i]
+            if i < steps:
+                orbit = orbit @ propagator
     delta = horizon / steps
     gram *= delta / 3.0
     if moment is not None:
         moment *= delta / 3.0
-    return (gram + gram.T) / 2.0, moment
+    np.add(gram, gram.T, out=buffer)
+    buffer /= 2.0
+    return buffer, moment
 
 
 def _solve_moments(gram: np.ndarray, moment: np.ndarray, cond_limit: float):
@@ -503,14 +544,16 @@ def observability_gramian(A, h, horizon: float, quadrature_steps: int = 256) -> 
     """Finite-horizon Gramian  integral_0^T  e^{A's} h' h e^{As} ds.
 
     Composite Simpson quadrature on a uniform grid (steps >= 1 rounded up
-    to even); the m x n output orbit h e^{As} advances by one multiplication
-    with expm(A * T/steps), m*n^2 multiply-adds per node.  Dense
-    evaluation, guarded to state dims <= 256.
+    to even).  A symmetric A is summed in its eigenbasis, where e^{As} is
+    diagonal: about n^2 (steps + 1) + 2n^3 multiply-adds in all.  Any other
+    A advances the m x n output orbit h e^{As} by one multiplication with
+    expm(A * T/steps), 2mn^2 multiply-adds per node (see
+    :func:`_simpson_pass`).  Dense evaluation, guarded to state dims <= 256.
     """
     check_entries(locals(), _GRAMIAN_ARGS, "observability_gramian", ParameterError)
     hd = _output_map(A, h)
-    steps, estep = _step_propagator(A, horizon, quadrature_steps)
-    return _simpson_pass(estep, hd, horizon, steps)[0]
+    steps, propagator = _step_propagator(A, horizon, quadrature_steps)
+    return _simpson_pass(propagator, hd, horizon, steps)[0]
 
 
 def linear_reconstruct_initial_state(A, h, outputs: np.ndarray, horizon: float,
@@ -520,8 +563,10 @@ def linear_reconstruct_initial_state(A, h, outputs: np.ndarray, horizon: float,
     ``outputs`` holds the output vectors at uniform quadrature nodes
     0 = s_0 < ... < s_steps = horizon (odd count, so Simpson applies).
     Solves  Q x = integral e^{A's} h' y(s) ds  with the Gramian Q built on
-    the same nodes.  Raises NonObservableError when cond(Q) exceeds
-    ``cond_limit``: the moment problem is numerically singular.
+    the same nodes, in A's eigenbasis when A is symmetric, else along the
+    output orbit (see :func:`_simpson_pass`).  Raises NonObservableError
+    when cond(Q) exceeds ``cond_limit``: the moment problem is numerically
+    singular.
     """
     check_entries(locals(), _GRAMIAN_ARGS, "linear_reconstruct_initial_state", ParameterError)
     outputs = np.atleast_2d(np.asarray(outputs, dtype=float))
@@ -531,8 +576,8 @@ def linear_reconstruct_initial_state(A, h, outputs: np.ndarray, horizon: float,
     hd = _output_map(A, h)
     if outputs.shape[1] != hd.shape[0]:
         raise ParameterError(f"output rows have {outputs.shape[1]} entries, map has {hd.shape[0]}")
-    steps, estep = _step_propagator(A, horizon, n_nodes - 1)
-    return _solve_moments(*_simpson_pass(estep, hd, horizon, steps, outputs), cond_limit)[0]
+    steps, propagator = _step_propagator(A, horizon, n_nodes - 1)
+    return _solve_moments(*_simpson_pass(propagator, hd, horizon, steps, outputs), cond_limit)[0]
 
 
 @dataclass
@@ -558,18 +603,24 @@ def gramian_reconstruction(grid: GridSpec, h, A, x0: np.ndarray, horizon: float,
                            cond_limit: float = 1e12) -> GramianReport:
     """Recover x0 from its outputs through the token map ``h`` of ``grid``, whose
     (n/patch)^2 rows give the report's patch, as :func:`linear_reconstruct_initial_state`
-    does; one step propagator serves both the output synthesis and the quadrature."""
+    does; one propagator serves both the output synthesis and the quadrature."""
     check_entries(locals(), _GRAMIAN_ARGS, "gramian_reconstruction", ParameterError)
     hd = _output_map(A, h)
-    steps, estep = _step_propagator(A, horizon, quadrature_steps)
+    steps, propagator = _step_propagator(A, horizon, quadrature_steps)
     x0 = np.asarray(x0, dtype=float)
-    outputs = np.empty((steps + 1, h.shape[0]))
-    state = x0.copy()
-    for i in range(steps + 1):
-        outputs[i] = h @ state
-        if i < steps:
-            state = estep @ state
-    recon, cond = _solve_moments(*_simpson_pass(estep, hd, horizon, steps, outputs), cond_limit)
+    if isinstance(propagator, tuple):
+        # y(s_i) = hV (E_i o V'x0), from the eigenpairs the pass sums in
+        vals, vecs = propagator
+        outputs = (_node_exponentials(vals, horizon, steps) * (vecs.T @ x0)) @ (hd @ vecs).T
+    else:
+        outputs = np.empty((steps + 1, h.shape[0]))
+        state = x0.copy()
+        for i in range(steps + 1):
+            outputs[i] = h @ state
+            if i < steps:
+                state = propagator @ state
+    recon, cond = _solve_moments(*_simpson_pass(propagator, hd, horizon, steps, outputs),
+                                 cond_limit)
     rel = float(np.linalg.norm(recon - x0) / np.linalg.norm(x0))
     return GramianReport(grid.n, grid.n // round(h.shape[0] ** 0.5), horizon, steps, cond, rel,
                          cond * float(np.finfo(float).eps))

@@ -109,9 +109,14 @@ class CorrelationSeries:
     count: int
 
 
-def _pixel_series(video: np.ndarray, pixel, caller) -> np.ndarray:
-    """The series of one pixel of a video, refusing another video or a
-    pixel outside its frame under the name of ``caller``."""
+# its range within the frames of a video is checked on the video
+_DT_MAX = {"dt_max": Key(int)}
+
+
+def _pixel_series(video: np.ndarray, pixel, dt_max, caller) -> np.ndarray:
+    """A copy of the series of one pixel of a video, refusing another
+    video, a pixel outside its frame or a ``dt_max`` that the series
+    cannot take under the name of ``caller``.  The copy lets the video go."""
     video = np.asarray(video, dtype=float)
     if video.ndim not in (2, 3):
         raise ParameterError(f"{caller}: video must be (T, m) or (T, n, n), got shape "
@@ -121,30 +126,38 @@ def _pixel_series(video: np.ndarray, pixel, caller) -> np.ndarray:
     if len(index) != video.ndim - 1 or not inside:
         raise ParameterError(f"{caller}: pixel {pixel} outside the frame of shape "
                              f"{video.shape[1:]}")
-    return video[(slice(None), *index)]
-
-
-# its range within the frames of a video is checked on the video
-_DT_MAX = {"dt_max": Key(int)}
-
-
-def _lag_correlations(video, pixel, dt_max, caller):
-    """Pearson correlations of the series of one pixel of a video at lags
-    0..dt_max, refusing a video, pixel or ``dt_max`` that the series
-    cannot take under the name of ``caller``."""
-    series = _pixel_series(video, pixel, caller)
-    check_entries({"dt_max": dt_max}, {"dt_max": Key(int, "[]", (0, len(series) - 2))},
+    check_entries({"dt_max": dt_max}, {"dt_max": Key(int, "[]", (0, len(video) - 2))},
                   caller, ParameterError)
-    rho = np.empty(dt_max + 1)
-    for d in range(dt_max + 1):
-        a = series[:len(series) - d]
-        b = series[d:]
-        sa, sb = a.std(), b.std()
-        if sa == 0 or sb == 0:
-            raise DegenerateStatisticError(
-                f"pixel series has zero variance at lag {d}; correlation undefined")
-        rho[d] = float(((a - a.mean()) * (b - b.mean())).mean() / (sa * sb))
-    return rho
+    return video[(slice(None), *index)].copy()
+
+
+def _lag_correlations(series: list, dt_max: int):
+    """``(rho, zero_lag)``: Pearson correlations of each series with itself
+    at lags 0..dt_max, one row per series, and the first lag at which a
+    series has a slice of zero variance (-1 where it has none; its row is
+    then undefined).
+
+    Series of one length are stacked into one C-ordered array, and each
+    lag takes its means, standard deviations and covariance along the
+    rows: the reductions a single series would make, in the same
+    summation order, so each row has the bits of a one-series call.
+    """
+    rho = np.empty((len(series), dt_max + 1))
+    zero_lag = np.full(len(series), -1)
+    for length in sorted({len(s) for s in series}):
+        rows = np.array([i for i, s in enumerate(series) if len(s) == length])
+        stack = np.array([series[i] for i in rows])
+        for d in range(dt_max + 1):
+            a = stack[:, :length - d]
+            b = stack[:, d:]
+            sa, sb = a.std(axis=1), b.std(axis=1)
+            zero = (sa == 0) | (sb == 0)
+            zero_lag[rows[zero & (zero_lag[rows] < 0)]] = d
+            cov = ((a - a.mean(axis=1, keepdims=True))
+                   * (b - b.mean(axis=1, keepdims=True))).mean(axis=1)
+            with np.errstate(divide="ignore", invalid="ignore"):
+                rho[rows, d] = cov / (sa * sb)
+    return rho, zero_lag
 
 
 def temporal_correlation(video: np.ndarray, pixel, dt_max: int) -> CorrelationSeries:
@@ -155,8 +168,12 @@ def temporal_correlation(video: np.ndarray, pixel, dt_max: int) -> CorrelationSe
     least two samples in each slice, so dt_max runs up to T - 2.
     """
     check_entries(locals(), _DT_MAX, "temporal_correlation", ParameterError)
-    rho = _lag_correlations(video, pixel, dt_max, "temporal_correlation")
-    return CorrelationSeries(lags=np.arange(dt_max + 1), mean=rho, std=None, count=1)
+    series = _pixel_series(video, pixel, dt_max, "temporal_correlation")
+    rho, zero_lag = _lag_correlations([series], dt_max)
+    if zero_lag[0] >= 0:
+        raise DegenerateStatisticError(
+            f"pixel series has zero variance at lag {zero_lag[0]}; correlation undefined")
+    return CorrelationSeries(lags=np.arange(dt_max + 1), mean=rho[0], std=None, count=1)
 
 
 def correlation_ensemble_stats(videos, pixel, dt_max: int) -> CorrelationSeries:
@@ -164,24 +181,24 @@ def correlation_ensemble_stats(videos, pixel, dt_max: int) -> CorrelationSeries:
 
     Degenerate videos (zero variance) are skipped with a warning; at
     least two usable videos are required.  ``dt_max`` is checked against
-    the frames of each video as it is read.
+    the frames of each video as it is read; only the pixel's series of
+    each video is kept.
     """
     check_entries(locals(), _DT_MAX, "correlation_ensemble_stats", ParameterError)
-    curves = []
-    for idx, video in enumerate(videos):
-        try:
-            curves.append(_lag_correlations(video, pixel, dt_max, "correlation_ensemble_stats"))
-        except DegenerateStatisticError:
-            warnings.warn(f"skipping degenerate video {idx} (zero variance)", RuntimeWarning)
-    if len(curves) < 2:
+    series = [_pixel_series(video, pixel, dt_max, "correlation_ensemble_stats")
+              for video in videos]
+    rho, zero_lag = _lag_correlations(series, dt_max)
+    for idx in np.flatnonzero(zero_lag >= 0):
+        warnings.warn(f"skipping degenerate video {idx} (zero variance)", RuntimeWarning)
+    stack = rho[zero_lag < 0]
+    if len(stack) < 2:
         raise DegenerateStatisticError(
-            f"need at least 2 non-degenerate videos, got {len(curves)}")
-    stack = np.vstack(curves)
+            f"need at least 2 non-degenerate videos, got {len(stack)}")
     return CorrelationSeries(
         lags=np.arange(dt_max + 1),
         mean=stack.mean(axis=0),
         std=stack.std(axis=0, ddof=1),
-        count=len(curves),
+        count=len(stack),
     )
 
 

@@ -103,7 +103,7 @@ CLI_DIGESTS = {
                "b53c7a4cd53276e39dec553ee48ab81c017600a46fde6272957981bae5e1719d"),
     "gramian": (["observability", "--check", "gramian", "--grid", "8", "--patch", "2",
                  "--horizon", "4"],
-                "bc885c4e0530c716ea43cb71e7d2349659f2e84d98f7aa695a3b140cab3b0117"),
+                "0c00e6d53a26ec8a474d177aff83cb96419cd06f23b467965fcca1707feafbf8"),
     "kalman-heat": (["observability", "--check", "kalman", "--grid", "8", "--patch", "2",
                      "--constant", "1.0"],
                     "bc366aa51bdc6330c75882120f14d75e4ee5d6dccfc002494eaa53be4c2cda85"),

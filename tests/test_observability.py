@@ -421,12 +421,29 @@ def test_gramian_quadrature_convergence():
     assert np.abs(finest - finest.T).max() == 0.0
 
 
-def test_simpson_pass_matches_its_definition(monkeypatch):
+def repeated_eigenvalue_generator(rng, n):
+    """A symmetric n x n generator whose eigenvalue -1.5 is threefold."""
+    q, _ = np.linalg.qr(rng.standard_normal((n, n)))
+    a = (q * np.r_[np.full(3, -1.5), np.linspace(-4.0, 0.5, n - 3)]) @ q.T
+    return (a + a.T) / 2.0
+
+
+@pytest.mark.parametrize("case", ["non-normal", "heat", "repeated-eigenvalue"])
+def test_simpson_pass_matches_its_definition(monkeypatch, case):
     """The Gramian and the moment against Simpson weights times expm(A s_i)
-    at every node, for a non-normal A and an output map of two rows."""
+    at every node, for an output map of two rows and a non-normal A (the
+    orbit pass), the symmetric heat generator of an 8 x 8 GRF lattice and
+    a symmetric A with a threefold nonzero eigenvalue (the eigenbasis sum)."""
     rng = np.random.default_rng(5)
     n, m, horizon, steps = 7, 2, 1.5, 40
-    A = 0.4 * rng.standard_normal((n, n)) + np.diag(np.full(n - 1, 2.0), k=1)
+    if case == "heat":
+        A = lattice(8, 2, 77, None)[0]
+    elif case == "repeated-eigenvalue":
+        A = repeated_eigenvalue_generator(rng, n)
+    else:
+        A = 0.4 * rng.standard_normal((n, n)) + np.diag(np.full(n - 1, 2.0), k=1)
+    n = A.shape[0]
+    assert isinstance(obs._step_propagator(A, horizon, steps)[1], tuple) == (case != "non-normal")
     h = rng.standard_normal((m, n))
     outputs = rng.standard_normal((steps + 1, m))
     weights = np.full(steps + 1, 2.0)
@@ -434,17 +451,18 @@ def test_simpson_pass_matches_its_definition(monkeypatch):
     weights[0] = weights[-1] = 1.0
     weights *= horizon / steps / 3.0
     gram_ref, moment_ref = np.zeros((n, n)), np.zeros(n)
+    dense = A.toarray() if sp.issparse(A) else A
     for i, w in enumerate(weights):
-        hm = h @ real_expm(A * (i * horizon / steps))
+        hm = h @ real_expm(dense * (i * horizon / steps))
         gram_ref += w * (hm.T @ hm)
         moment_ref += w * (hm.T @ outputs[i])
 
     solved = {}
-    real_solve = obs._solve_moments
 
     def recording_solve(gram, moment, cond_limit):
+        # the heat Gramian of a two-row map is far too ill-conditioned to solve
         solved["moment"] = moment
-        return real_solve(gram, moment, cond_limit)
+        return np.zeros_like(moment), 1.0
 
     monkeypatch.setattr(obs, "_solve_moments", recording_solve)
     linear_reconstruct_initial_state(A, h, outputs, horizon)
@@ -497,15 +515,15 @@ def test_gramian_reconstruction_is_one_pass_and_matches_public_functions(monkeyp
     op, h = lattice(8, 2, 77, None)
     x0 = np.random.default_rng(0).standard_normal(64)
     # reference: synthesize the outputs by hand, then the two public functions;
-    # the symmetric generator's propagator comes from eigh, not expm
-    estep = obs._step_propagator(op, horizon, steps)[1]
+    # the symmetric generator's propagator is its eigh pair, not expm
+    vals, vecs = obs._step_propagator(op, horizon, steps)[1]
+    estep = (vecs * np.exp(vals * (horizon / steps))) @ vecs.T
     expm_step = real_expm(op.toarray() * (horizon / steps))
     assert np.abs(estep - expm_step).max() <= 1e-14 * np.abs(expm_step).max()
-    outputs, state = [], x0
-    for _ in range(steps + 1):
-        outputs.append(h @ state)
-        state = estep @ state
-    recon = linear_reconstruct_initial_state(op, h, np.array(outputs), horizon)
+    # y(s_i) = h V e^{Lambda s_i} V' x0
+    nodes = np.arange(steps + 1) * (horizon / steps)
+    outputs = (np.exp(np.outer(nodes, vals)) * (vecs.T @ x0)) @ (h.toarray() @ vecs).T
+    recon = linear_reconstruct_initial_state(op, h, outputs, horizon)
     cond = np.linalg.cond(observability_gramian(op, h, horizon, steps))
 
     counts = {"propagator": 0, "pass": 0}

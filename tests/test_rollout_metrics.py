@@ -177,6 +177,49 @@ def test_ensemble_stats_skip_degenerate_members():
         correlation_ensemble_stats([flat, flat], pixel=0, dt_max=3)
 
 
+def one_series_correlations(series, dt_max):
+    """Pearson correlations of one series at lags 0..dt_max, one lag and
+    one series at a time, or the first lag with a zero-variance slice."""
+    rho = np.empty(dt_max + 1)
+    for d in range(dt_max + 1):
+        a, b = series[:len(series) - d], series[d:]
+        sa, sb = a.std(), b.std()
+        if sa == 0 or sb == 0:
+            return d
+        rho[d] = ((a - a.mean()) * (b - b.mean())).mean() / (sa * sb)
+    return rho
+
+
+def test_ensemble_correlations_have_the_bits_of_one_series_at_a_time():
+    """Videos of three lengths, one flat from its start and one flat only
+    over its last frames: the ensemble's rows and the single-video curves
+    have the bits of one series at a time, degenerate videos are skipped
+    with a warning each in video order, and the first zero-variance lag is
+    the one named."""
+    rng = np.random.default_rng(9)
+    videos = [rng.standard_normal((length, 3, 3)).cumsum(axis=0)
+              for length in (40, 17, 40, 33, 17, 40, 33)]
+    videos[2][:, 1, 2] = 0.5
+    videos[4][9:, 1, 2] = -2.0
+    dt_max = 12
+    curves = [one_series_correlations(v[:, 1, 2], dt_max) for v in videos]
+    assert (curves[2], curves[4]) == (0, 9)
+    usable = np.array([c for c in curves if not isinstance(c, int)])
+    with pytest.warns(RuntimeWarning) as caught:
+        stats = correlation_ensemble_stats(iter(videos), (1, 2), dt_max)
+    assert [str(w.message) for w in caught] == [
+        f"skipping degenerate video {idx} (zero variance)" for idx in (2, 4)]
+    assert stats.count == 5
+    assert stats.mean.tobytes() == usable.mean(axis=0).tobytes()
+    assert stats.std.tobytes() == usable.std(axis=0, ddof=1).tobytes()
+    for video, curve in zip(videos, curves):
+        if isinstance(curve, int):
+            with pytest.raises(DegenerateStatisticError, match=f"at lag {curve};"):
+                temporal_correlation(video, (1, 2), dt_max)
+        else:
+            assert temporal_correlation(video, (1, 2), dt_max).mean.tobytes() == curve.tobytes()
+
+
 def brute_subvideo(clip, reference):
     length = clip.shape[0]
     best = np.inf
