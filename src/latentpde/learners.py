@@ -493,24 +493,25 @@ def _one_blas_thread():
 _BETA1, _BETA2, _EPS = 0.9, 0.999, 1e-8
 
 
-def _adam_update(param, grad, m, v, s1, s2, step_size, step: int):
+def _adam_update(param, grad, m, v, scratch, step_size, step: int):
     """One in-place Adam update of ``param`` and its moments ``m``, ``v``.
 
-    ``s1`` and ``s2`` are scratch arrays shaped like ``param``.  The
+    ``scratch`` is shaped like ``param``, and ``grad`` is overwritten as
+    the second scratch array once the moments have read it.  The
     operations and their order are those of the out-of-place form
     ``param - step_size * mhat / (sqrt(vhat) + eps)``, so the bits agree.
     """
     m *= _BETA1
-    m += np.multiply(1 - _BETA1, grad, out=s1)
+    m += np.multiply(1 - _BETA1, grad, out=scratch)
     v *= _BETA2
-    v += np.multiply(1 - _BETA2, np.square(grad, out=s1), out=s1)
-    np.divide(m, 1 - _BETA1**step, out=s1)
-    np.divide(v, 1 - _BETA2**step, out=s2)
-    np.sqrt(s2, out=s2)
-    s2 += _EPS
-    s1 *= step_size
-    s1 /= s2
-    param -= s1
+    v += np.multiply(1 - _BETA2, np.square(grad, out=grad), out=grad)
+    np.divide(m, 1 - _BETA1**step, out=grad)
+    np.divide(v, 1 - _BETA2**step, out=scratch)
+    np.sqrt(scratch, out=scratch)
+    scratch += _EPS
+    grad *= step_size
+    grad /= scratch
+    param -= grad
 
 
 def fit_sgd(histories: np.ndarray, targets: np.ndarray, config: TrainConfig,
@@ -600,8 +601,8 @@ def fit_sgd_blocks(blocks, samples: int, config: TrainConfig, eval_split: float 
     weights = np.zeros((out_dim, k * m))
     bias_vec = np.zeros(out_dim) if bias else None
     params = [weights] + ([bias_vec] if bias else [])
-    # per parameter: the Adam moments m and v, then two scratch arrays
-    buffers = [[np.zeros_like(p) for _ in range(4)] for p in params]
+    # per parameter: the Adam moments m and v, then one scratch array
+    buffers = [[np.zeros_like(p) for _ in range(3)] for p in params]
     batch = min(config.batch_size, len(yt))
     steps_per_epoch = max(1, -(-len(yt) // batch))
     order = rng.permutation(len(yt))

@@ -20,9 +20,9 @@ The Kalman and Hautus checks answer a wave pair A = [[0, I], [L, 0]],
 h = [P, 0] from the symmetric heat pair (L, P): ranks and the
 observability index double, each eigenvalue mu of L gives +-sqrt(mu)
 with |P v| scaled by 1/sqrt(1 + |mu|), and the heat cluster at 0 is a
-Jordan chain tested on its eigenvectors [v; 0].  The Gramian of a
-symmetric generator is summed in the eigenbasis of its ``eigh``; any
-other generator is stepped along its output orbit by ``expm``.
+Jordan chain tested on its eigenvectors [v; 0].  Each Gramian entry
+point makes one call of :func:`_simpson_sums`, which sums a symmetric
+generator in its ``eigh`` eigenbasis and steps any other by ``expm``.
 
 Each check returns a report whose ``to_text`` the command line prints.
 """
@@ -252,9 +252,9 @@ def kalman_rank_test(A, h, rel_tol: float = 1e-10) -> KalmanReport:
                         1.0 / radius)
 
 
-def _is_symmetric(A: np.ndarray) -> bool:
-    """Dense A equals its transpose to 1e-12 of its largest entry."""
-    return np.allclose(A, A.T, rtol=0, atol=1e-12 * max(1.0, np.abs(A).max()))
+def _is_symmetric(A) -> bool:
+    """A, dense or sparse, equals its transpose to 1e-12 of its largest entry."""
+    return abs(A - A.T).max() <= 1e-12 * max(1.0, abs(A).max())
 
 
 def _eigenspace_outputs(A, hd: np.ndarray) -> list:
@@ -266,15 +266,19 @@ def _eigenspace_outputs(A, hd: np.ndarray) -> list:
     in that order, that no cluster holds yet.  It is gathered from the
     whole spectrum, not from a run of neighbours in the order: the real
     parts of a complex cluster carry rounding, which interleaves its
-    members with those of other clusters.  The last entry is the singular values of ``hd`` on
-    an orthonormal basis of the cluster's eigenspace, padded with zeros
-    where the eigenspace is wider than the output.  For a symmetric A that
-    basis is the cluster's eigenvectors.  Otherwise the computed
-    eigenvectors of a Jordan chain span the whole chain, so the basis is
-    cut to the directions v of their span with
-    |(A - mean) v| <= 1e-4 * max|eig|: on an eigenvector that residual is
-    at most the cluster width, on the next vector of a chain it is the
-    chain's coupling.
+    members with those of other clusters.  For a nonsymmetric A the
+    cluster also takes the eigenvalues within 1e-4 * max|eig| whose unit
+    eigenvectors are parallel to the first's, |v0' v| >= 1 - 1e-10: eig
+    spreads the eigenvalue of a Jordan chain by about sqrt(eps * |A|),
+    but its computed eigenvectors stay parallel to rounding.  The last
+    entry is the singular values of ``hd`` on an orthonormal basis of the
+    cluster's eigenspace, padded with zeros where the eigenspace is wider
+    than the output.  For a symmetric A that basis is the cluster's
+    eigenvectors.  Otherwise the computed eigenvectors of a Jordan chain
+    span the whole chain, so the basis is cut to the directions v of their
+    span with |(A - mean) v| <= 1e-4 * max|eig|: on an eigenvector that
+    residual is at most the cluster width, on the next vector of a chain
+    it is the chain's coupling.
     """
     symmetric = _is_symmetric(A)
     if symmetric:
@@ -286,12 +290,17 @@ def _eigenspace_outputs(A, hd: np.ndarray) -> list:
     cluster_tol = 1e-8 * scale
     order = np.lexsort((vals.imag, vals.real))
     vals, vecs = vals[order], vecs[:, order]
+    units = vecs.conj().T  # eig and eigh give unit eigenvectors
     rows = []
     free = np.ones(len(vals), dtype=bool)
     for start in range(len(vals)):
         if not free[start]:
             continue
-        members = np.flatnonzero(free & (np.abs(vals - vals[start]) <= cluster_tol))
+        gap = np.abs(vals - vals[start])
+        joined = gap <= cluster_tol
+        if not symmetric:
+            joined |= (gap <= 1e-4 * scale) & (np.abs(units @ vecs[:, start]) >= 1 - 1e-10)
+        members = np.flatnonzero(free & joined)
         free[members] = False
         mean = complex(vals[members].mean())
         q, _ = np.linalg.qr(vecs[:, members])
@@ -436,66 +445,58 @@ _GRAMIAN_ARGS = {"horizon": Key(float, ">", 0), "quadrature_steps": Key(int, ">=
                  "cond_limit": Key(float, ">", 0, True)}
 
 
-def _step_propagator(A, horizon: float, quadrature_steps: int):
-    """``(steps, propagator)`` for the nodes s_i = i * horizon/steps, with
-    ``quadrature_steps`` >= 1 rounded up to even (the one place it is);
-    dense, guarded to state dims <= 256.  A symmetric A gives its
-    eigenpairs ``(lambda, V)`` from numpy's ``eigh``, in whose basis
-    e^{As} = V e^{Lambda s} V' is diagonal; any other A gives the step
-    e^{A delta}, delta = horizon/steps, from scipy's ``expm``.  Inside a
-    verb both run on one thread of their OpenBLAS, so their bits do not
-    depend on the core count."""
+def _simpson_sums(A, h, horizon: float, quadrature_steps: int,
+                  outputs: np.ndarray | None = None, x0: np.ndarray | None = None):
+    """``(steps, gram, moment)``: composite Simpson sums on the nodes
+    s_i = i * delta, delta = horizon/steps, with ``quadrature_steps`` >= 1
+    rounded up to even (the one place it is).
+
+    ``gram`` is the symmetrized Gramian  integral e^{A's} h' h e^{As} ds.
+    With output samples y(s_i), given as ``outputs`` or synthesized as
+    y(s) = h e^{As} x0 from ``x0``, ``moment`` is
+    integral e^{A's} h' y(s) ds, else None.  Dense, guarded to state
+    dims <= 256; the one place that picks the propagator.
+
+    A symmetric A, tested as it arrives, is summed in the eigenbasis of
+    numpy's ``eigh``, A = V Lambda V', where e^{As} = V e^{Lambda s} V' is
+    diagonal.  With P = hV, C = P'P, E[i, a] = e^{lambda_a s_i} and W the
+    diagonal of Simpson weights, the sums are V (C o E'WE) V' and
+    V sum_i w_i (E_i o P'y_i), o the entrywise product, and x0 gives
+    y(s_i) = P (E_i o V'x0): n^2 (steps + 1) multiply-adds for E'WE,
+    mn (steps + 1) for the moment and 2n^3 + 2mn^2 for C and the two
+    rotations, with no n x n product per node.  Any other A is stepped by
+    e^{A delta} from scipy's ``expm``: both integrands read e^{As} only
+    through the m x n output orbit h e^{A s_i}, which advances by one
+    multiplication with the step per node, m*n^2 multiply-adds, and as
+    many for the node's Gramian term, 2mn^2 (steps + 1) in all; x0 is
+    stepped by the same matrix.  Inside a verb ``eigh`` and ``expm`` run
+    on one thread of their OpenBLAS, so their bits do not depend on the
+    core count.
+    """
     n = A.shape[0]
+    hd = _output_map(A, h)
+    if outputs is not None and outputs.shape[1] != hd.shape[0]:
+        raise ParameterError(f"output rows have {outputs.shape[1]} entries, map has {hd.shape[0]}")
     if n > _GRAMIAN_DENSE_LIMIT:
         raise ParameterError(f"dense Gramian limited to state dim {_GRAMIAN_DENSE_LIMIT}, got {n}")
     steps = quadrature_steps + (quadrature_steps % 2)
-    dense = _as_dense(A)
-    if not _is_symmetric(dense):
-        return steps, expm(dense * (horizon / steps))
-    return steps, np.linalg.eigh(dense)
-
-
-def _node_exponentials(vals: np.ndarray, horizon: float, steps: int) -> np.ndarray:
-    """E[i, a] = e^{lambda_a s_i} on the nodes s_i = i * horizon/steps."""
-    exponents = np.outer(np.arange(steps + 1) * (horizon / steps), vals)
-    return np.exp(exponents, out=exponents)
-
-
-def _simpson_pass(propagator, hd: np.ndarray, horizon: float, steps: int,
-                  outputs: np.ndarray | None = None):
-    """Composite Simpson quadrature on the nodes s_i = i * horizon/steps.
-
-    Returns ``(gram, moment)``: the symmetrized Gramian
-    integral e^{A's} h' h e^{As} ds and, when output samples y(s_i) are
-    given, the moment vector  integral e^{A's} h' y(s) ds  (else None).
-    ``propagator`` is what :func:`_step_propagator` returns.
-
-    For eigenpairs A = V Lambda V', with P = hV, C = P'P, E[i, a] =
-    e^{lambda_a s_i} and W the diagonal of Simpson weights, the sums are
-    V (C o E'WE) V' and V sum_i w_i (E_i o P'y_i), o the entrywise
-    product: n^2 (steps + 1) multiply-adds for E'WE, mn (steps + 1) for
-    the moment and 2n^3 + 2mn^2 for C and the two rotations, with no
-    n x n product per node.  For a step matrix e^{A delta}, both
-    integrands read e^{As} only through the m x n output orbit
-    h e^{A s_i}, which advances by one multiplication with the step per
-    node: m*n^2 multiply-adds, and as many for the node's Gramian term,
-    2mn^2 (steps + 1) in all.
-    """
+    delta = horizon / steps
     weights = np.full(steps + 1, 2.0)
     weights[1::2] = 4.0
     weights[0] = weights[-1] = 1.0
     moment = None
-    if isinstance(propagator, tuple):
-        vals, vecs = propagator
-        factors = _node_exponentials(vals, horizon, steps)
+    # the dense copy of A is a temporary, freed before the sums begin
+    if _is_symmetric(A):
+        vals, vecs = np.linalg.eigh(_as_dense(A))
+        factors = np.outer(np.arange(steps + 1) * delta, vals)
+        np.exp(factors, out=factors)
         p = hd @ vecs
+        if x0 is not None:
+            outputs = (factors * (vecs.T @ x0)) @ p.T
         # the (steps + 1) x n arrays go before the n x n products begin,
         # so the pass holds no more than the orbit pass does
         if outputs is not None:
-            projected = outputs @ p
-            projected *= factors
-            moment = vecs @ (weights @ projected)
-            del projected
+            moment = vecs @ (weights @ ((outputs @ p) * factors))
         # w_i scales row i of E: exact, as the weights are powers of two
         buffer = (weights[:, None] * factors).T @ factors
         del factors
@@ -505,12 +506,10 @@ def _simpson_pass(propagator, hd: np.ndarray, horizon: float, steps: int,
         np.matmul(vecs, gram, out=buffer)
         np.matmul(buffer, vecs.T, out=gram)
     else:
-        n = propagator.shape[0]
-        gram = np.zeros((n, n))
-        buffer = np.empty((n, n))
-        if outputs is not None:
-            moment = np.zeros(n)
-        orbit = hd
+        step = expm(_as_dense(A) * delta)
+        gram, buffer = np.zeros((n, n)), np.empty((n, n))
+        moment = None if outputs is None and x0 is None else np.zeros(n)
+        orbit, state = hd, x0
         for i in range(steps + 1):
             # w_i scales the m x n orbit, not the n x n term: exact, as the
             # weights are powers of two
@@ -518,16 +517,18 @@ def _simpson_pass(propagator, hd: np.ndarray, horizon: float, steps: int,
             np.matmul(weighted.T, orbit, out=buffer)
             gram += buffer
             if moment is not None:
-                moment += weighted.T @ outputs[i]
+                # y(s_i) = h e^{A s_i} x0 is stepped along with the orbit
+                moment += weighted.T @ (outputs[i] if x0 is None else h @ state)
             if i < steps:
-                orbit = orbit @ propagator
-    delta = horizon / steps
+                orbit = orbit @ step
+                if x0 is not None:
+                    state = step @ state
     gram *= delta / 3.0
     if moment is not None:
         moment *= delta / 3.0
     np.add(gram, gram.T, out=buffer)
     buffer /= 2.0
-    return buffer, moment
+    return steps, buffer, moment
 
 
 def _solve_moments(gram: np.ndarray, moment: np.ndarray, cond_limit: float):
@@ -548,12 +549,10 @@ def observability_gramian(A, h, horizon: float, quadrature_steps: int = 256) -> 
     diagonal: about n^2 (steps + 1) + 2n^3 multiply-adds in all.  Any other
     A advances the m x n output orbit h e^{As} by one multiplication with
     expm(A * T/steps), 2mn^2 multiply-adds per node (see
-    :func:`_simpson_pass`).  Dense evaluation, guarded to state dims <= 256.
+    :func:`_simpson_sums`).  Dense evaluation, guarded to state dims <= 256.
     """
     check_entries(locals(), _GRAMIAN_ARGS, "observability_gramian", ParameterError)
-    hd = _output_map(A, h)
-    steps, propagator = _step_propagator(A, horizon, quadrature_steps)
-    return _simpson_pass(propagator, hd, horizon, steps)[0]
+    return _simpson_sums(A, h, horizon, quadrature_steps)[1]
 
 
 def linear_reconstruct_initial_state(A, h, outputs: np.ndarray, horizon: float,
@@ -564,7 +563,7 @@ def linear_reconstruct_initial_state(A, h, outputs: np.ndarray, horizon: float,
     0 = s_0 < ... < s_steps = horizon (odd count, so Simpson applies).
     Solves  Q x = integral e^{A's} h' y(s) ds  with the Gramian Q built on
     the same nodes, in A's eigenbasis when A is symmetric, else along the
-    output orbit (see :func:`_simpson_pass`).  Raises NonObservableError
+    output orbit (see :func:`_simpson_sums`).  Raises NonObservableError
     when cond(Q) exceeds ``cond_limit``: the moment problem is numerically
     singular.
     """
@@ -573,11 +572,8 @@ def linear_reconstruct_initial_state(A, h, outputs: np.ndarray, horizon: float,
     n_nodes = outputs.shape[0]
     if n_nodes < 3 or n_nodes % 2 == 0:
         raise ParameterError(f"need an odd number >= 3 of output samples, got {n_nodes}")
-    hd = _output_map(A, h)
-    if outputs.shape[1] != hd.shape[0]:
-        raise ParameterError(f"output rows have {outputs.shape[1]} entries, map has {hd.shape[0]}")
-    steps, propagator = _step_propagator(A, horizon, n_nodes - 1)
-    return _solve_moments(*_simpson_pass(propagator, hd, horizon, steps, outputs), cond_limit)[0]
+    _, gram, moment = _simpson_sums(A, h, horizon, n_nodes - 1, outputs)
+    return _solve_moments(gram, moment, cond_limit)[0]
 
 
 @dataclass
@@ -603,24 +599,12 @@ def gramian_reconstruction(grid: GridSpec, h, A, x0: np.ndarray, horizon: float,
                            cond_limit: float = 1e12) -> GramianReport:
     """Recover x0 from its outputs through the token map ``h`` of ``grid``, whose
     (n/patch)^2 rows give the report's patch, as :func:`linear_reconstruct_initial_state`
-    does; one propagator serves both the output synthesis and the quadrature."""
+    does; one call of :func:`_simpson_sums` synthesizes the outputs and sums
+    the quadrature on one propagator."""
     check_entries(locals(), _GRAMIAN_ARGS, "gramian_reconstruction", ParameterError)
-    hd = _output_map(A, h)
-    steps, propagator = _step_propagator(A, horizon, quadrature_steps)
     x0 = np.asarray(x0, dtype=float)
-    if isinstance(propagator, tuple):
-        # y(s_i) = hV (E_i o V'x0), from the eigenpairs the pass sums in
-        vals, vecs = propagator
-        outputs = (_node_exponentials(vals, horizon, steps) * (vecs.T @ x0)) @ (hd @ vecs).T
-    else:
-        outputs = np.empty((steps + 1, h.shape[0]))
-        state = x0.copy()
-        for i in range(steps + 1):
-            outputs[i] = h @ state
-            if i < steps:
-                state = propagator @ state
-    recon, cond = _solve_moments(*_simpson_pass(propagator, hd, horizon, steps, outputs),
-                                 cond_limit)
+    steps, gram, moment = _simpson_sums(A, h, horizon, quadrature_steps, x0=x0)
+    recon, cond = _solve_moments(gram, moment, cond_limit)
     rel = float(np.linalg.norm(recon - x0) / np.linalg.norm(x0))
     return GramianReport(grid.n, grid.n // round(h.shape[0] ** 0.5), horizon, steps, cond, rel,
                          cond * float(np.finfo(float).eps))

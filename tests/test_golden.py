@@ -113,8 +113,12 @@ CLI_DIGESTS = {
     "hautus-wave": (["observability", "--check", "hautus", "--equation", "wave", "--grid", "8",
                      "--patch", "2", "--grf-seed", "7"],
                     "1e080dad370a528dc5b2df16d39ca95f09d946c76b2b815e14dc701d88487f3c"),
-    # no wave gramian: at these sizes its condition number passes 1e16 and
-    # the check refuses with exit code 5, writing no report
+    # the wave generator is not symmetric, so its Gramian steps the output
+    # orbit by expm; at patch 2 its condition number passes 1e16 and the
+    # check refuses with exit code 5, writing no report, so it reads patch 1
+    "gramian-wave": (["observability", "--check", "gramian", "--equation", "wave", "--grid", "8",
+                      "--patch", "1", "--horizon", "4"],
+                     "0423c1b32c98c97f73b4b8c32a2b1d11226d13ced58e451dccdb45ff9552884d"),
     "witness-heat": (["observability", "--check", "witness", "--grid", "8", "--patch", "2"],
                      "c1af606d121b9bacc704a4bf40e4e2c5086fc8ab1eefc423c8c41729e1ab9b83"),
     "witness-wave": (["observability", "--check", "witness", "--equation", "wave", "--grid", "8",

@@ -175,8 +175,9 @@ RAISE_SITES = {
     "_output_map-non-square": (lambda d: obs._output_map(np.zeros((3, 4)), np.zeros((1, 4))),
                                ParameterError, "must be square"),
     "rank_test-1d": (lambda d: rank_test(np.ones(3)), ParameterError, "2-d matrix"),
-    "_step_propagator-dense-limit": (lambda d: obs._step_propagator(sp.eye(257), 1.0, 2),
-                                     ParameterError, "limited to state dim 256, got 257"),
+    "_simpson_sums-dense-limit": (
+        lambda d: obs._simpson_sums(sp.eye(257), np.ones((1, 257)), 1.0, 2),
+        ParameterError, "limited to state dim 256, got 257"),
     "full_pipeline_rollout-token-dim": (
         lambda d: full_pipeline_rollout(_FORECASTER, LinearMap(np.zeros((4, 3)), None, 1, 3,
                                                                (2, 2)), np.ones((1, 2)), 3),

@@ -188,19 +188,18 @@ def test_generate_peak_is_a_share_of_what_it_writes(config, tmp_path, capsys):
 
 def test_adam_peak_is_a_share_of_its_samples(workspace, capsys):
     """``fit --learner sgd`` at k = 8, the history length of the benchmark's
-    Adam fit, and at k = 2 with token and with field targets.  The fit
-    holds each token frame once and gathers its batches and statistics
+    Adam fit, and at k = 2, each with token and with field targets.  The
+    fit holds each token frame once and gathers its batches and statistics
     from them, and the loss curve comes from per-split statistics, so no
     epoch forms a residual; what the fit holds beyond its frames and
-    targets is two (k·m)² Gram matrices, the Adam moments, the batch and
-    one trajectory with its normalized copy.  ``--role super --k 8`` is
-    left out: it reads 1.48–1.50×, at the bound, because its field
-    targets are stored per sample and its Adam state is six arrays the
-    size of its 256 × 128 weights."""
+    targets is two (k·m)² Gram matrices, the Adam moments with one scratch
+    array per parameter, the batch and one trajectory with its normalized
+    copy.  ``--role super --k 8`` is the closest to the bound, as its field
+    targets are stored per sample and its weights are 256 × 128."""
     data = workspace / "data"
     manifest = load_manifest(str(data))
     tokens = math.prod(n // 4 for n in manifest.frame_shape)
-    for role, k in (("g", 8), ("g", 2), ("super", 2)):
+    for role, k in (("g", 8), ("super", 8), ("g", 2), ("super", 2)):
         super_role = role == "super"
         rows = round(0.9 * manifest.trajectories) * (manifest.frames - k + super_role)
         outputs = math.prod(manifest.frame_shape) if super_role else tokens

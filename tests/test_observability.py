@@ -264,15 +264,14 @@ def test_wave_certificates_of_a_symmetric_pair_with_a_hidden_mode():
 def test_a_hidden_jordan_chain_is_one_failing_cluster():
     """P blind to the kernel vector v: the chain [v; 0] -> [0; v] fails as
     one cluster of size 2 at 0.  eig perturbs a chain by about
-    sqrt(eps), so the dense path may split it into two clusters near
-    1e-8, on either axis."""
+    sqrt(eps) into two eigenvalues near 1e-8, on either axis, whose
+    eigenvectors stay parallel, so the dense path joins them again."""
     wave, h, _, _ = symmetric_wave_pair([0.0])
     [(lam, mult, norm)] = hautus_test(wave, h).failing
     assert (lam, mult) == (0, 2) and norm < 1e-14
     for seed in range(5):
-        dense = hautus_test(*permuted(wave, h, seed)).failing
-        assert sum(size for _, size, _ in dense) == 2
-        assert all(abs(mu) < 1e-7 for mu, _, _ in dense)
+        [(mu, size, _)] = hautus_test(*permuted(wave, h, seed)).failing
+        assert size == 2 and abs(mu) < 1e-14
     # here a repeated block [0; Q_j] keeps the smallest relative singular value
     report, heat = kalman_rank_test(wave, h), kalman_rank_test(*symmetric_wave_pair([0.0])[2:])
     assert report.smallest_kept == report.generator_rescaled_by < heat.smallest_kept
@@ -421,6 +420,24 @@ def test_gramian_quadrature_convergence():
     assert np.abs(finest - finest.T).max() == 0.0
 
 
+def counting(calls, name, real):
+    """``real``, counting its calls in ``calls[name]``."""
+    calls[name] = 0
+
+    def wrapper(*args, **kwargs):
+        calls[name] += 1
+        return real(*args, **kwargs)
+    return wrapper
+
+
+def counting_factorizations(monkeypatch) -> dict:
+    """Counts of the ``expm`` and ``eigh`` calls the Simpson sums make."""
+    calls = {}
+    monkeypatch.setattr(obs, "expm", counting(calls, "expm", obs.expm))
+    monkeypatch.setattr(np.linalg, "eigh", counting(calls, "eigh", np.linalg.eigh))
+    return calls
+
+
 def repeated_eigenvalue_generator(rng, n):
     """A symmetric n x n generator whose eigenvalue -1.5 is threefold."""
     q, _ = np.linalg.qr(rng.standard_normal((n, n)))
@@ -429,11 +446,13 @@ def repeated_eigenvalue_generator(rng, n):
 
 
 @pytest.mark.parametrize("case", ["non-normal", "heat", "repeated-eigenvalue"])
-def test_simpson_pass_matches_its_definition(monkeypatch, case):
+def test_simpson_sums_match_their_definition(monkeypatch, case):
     """The Gramian and the moment against Simpson weights times expm(A s_i)
     at every node, for an output map of two rows and a non-normal A (the
     orbit pass), the symmetric heat generator of an 8 x 8 GRF lattice and
-    a symmetric A with a threefold nonzero eigenvalue (the eigenbasis sum)."""
+    a symmetric A with a threefold nonzero eigenvalue (the eigenbasis sum).
+    Each entry point runs one ``expm`` for the non-normal A and one
+    ``eigh`` for a symmetric one."""
     rng = np.random.default_rng(5)
     n, m, horizon, steps = 7, 2, 1.5, 40
     if case == "heat":
@@ -443,7 +462,6 @@ def test_simpson_pass_matches_its_definition(monkeypatch, case):
     else:
         A = 0.4 * rng.standard_normal((n, n)) + np.diag(np.full(n - 1, 2.0), k=1)
     n = A.shape[0]
-    assert isinstance(obs._step_propagator(A, horizon, steps)[1], tuple) == (case != "non-normal")
     h = rng.standard_normal((m, n))
     outputs = rng.standard_normal((steps + 1, m))
     weights = np.full(steps + 1, 2.0)
@@ -465,8 +483,10 @@ def test_simpson_pass_matches_its_definition(monkeypatch, case):
         return np.zeros_like(moment), 1.0
 
     monkeypatch.setattr(obs, "_solve_moments", recording_solve)
+    calls = counting_factorizations(monkeypatch)
     linear_reconstruct_initial_state(A, h, outputs, horizon)
     gram = observability_gramian(A, h, horizon, steps)
+    assert calls == ({"expm": 2, "eigh": 0} if case == "non-normal" else {"expm": 0, "eigh": 2})
     for got, ref in ((gram, gram_ref), (solved["moment"], moment_ref)):
         assert np.linalg.norm(got - ref) <= 1e-12 * np.linalg.norm(ref)
 
@@ -510,44 +530,45 @@ def test_reconstruction_input_validation():
         linear_reconstruct_initial_state(A, h, np.ones((5, 3)), 1.0)  # wrong width
 
 
-def test_gramian_reconstruction_is_one_pass_and_matches_public_functions(monkeypatch):
+@pytest.mark.parametrize("wave", [False, True], ids=["heat", "wave"])
+def test_gramian_reconstruction_is_one_pass_and_matches_public_functions(monkeypatch, wave):
+    """One call of the Simpson sums, with one ``eigh`` for the symmetric
+    heat generator or one ``expm`` for the non-normal wave one, gives the
+    report that synthesized outputs and the two public functions give."""
     grid, horizon, steps = GridSpec(n=8), 4.0, 200
-    op, h = lattice(8, 2, 77, None)
-    x0 = np.random.default_rng(0).standard_normal(64)
-    # reference: synthesize the outputs by hand, then the two public functions;
-    # the symmetric generator's propagator is its eigh pair, not expm
-    vals, vecs = obs._step_propagator(op, horizon, steps)[1]
-    estep = (vecs * np.exp(vals * (horizon / steps))) @ vecs.T
-    expm_step = real_expm(op.toarray() * (horizon / steps))
-    assert np.abs(estep - expm_step).max() <= 1e-14 * np.abs(expm_step).max()
-    # y(s_i) = h V e^{Lambda s_i} V' x0
-    nodes = np.arange(steps + 1) * (horizon / steps)
-    outputs = (np.exp(np.outer(nodes, vals)) * (vecs.T @ x0)) @ (h.toarray() @ vecs).T
+    op, h = lattice(8, 1 if wave else 2, 77, None, wave=wave)
+    x0 = np.random.default_rng(0).standard_normal(op.shape[0])
+    # reference: synthesize the outputs by hand, then the two public functions
+    if wave:
+        # y(s_i) = h e^{A delta} ... e^{A delta} x0, stepped as the orbit branch steps
+        step = real_expm(op.toarray() * (horizon / steps))
+        outputs, state = np.empty((steps + 1, h.shape[0])), x0.copy()
+        for i in range(steps + 1):
+            outputs[i] = h @ state
+            state = step @ state
+    else:
+        # the symmetric generator's propagator is its eigh pair, not expm
+        vals, vecs = np.linalg.eigh(op.toarray())
+        estep = (vecs * np.exp(vals * (horizon / steps))) @ vecs.T
+        expm_step = real_expm(op.toarray() * (horizon / steps))
+        assert np.abs(estep - expm_step).max() <= 1e-14 * np.abs(expm_step).max()
+        # y(s_i) = h V e^{Lambda s_i} V' x0
+        nodes = np.arange(steps + 1) * (horizon / steps)
+        outputs = (np.exp(np.outer(nodes, vals)) * (vecs.T @ x0)) @ (h.toarray() @ vecs).T
     recon = linear_reconstruct_initial_state(op, h, outputs, horizon)
     cond = np.linalg.cond(observability_gramian(op, h, horizon, steps))
 
-    counts = {"propagator": 0, "pass": 0}
-    real_propagator, real_pass = obs._step_propagator, obs._simpson_pass
-
-    def counting_propagator(*args, **kwargs):
-        counts["propagator"] += 1
-        return real_propagator(*args, **kwargs)
-
-    def counting_pass(*args, **kwargs):
-        counts["pass"] += 1
-        return real_pass(*args, **kwargs)
-
-    monkeypatch.setattr(obs, "_step_propagator", counting_propagator)
-    monkeypatch.setattr(obs, "_simpson_pass", counting_pass)
+    calls = counting_factorizations(monkeypatch)
+    monkeypatch.setattr(obs, "_simpson_sums", counting(calls, "sums", obs._simpson_sums))
     report = gramian_reconstruction(grid, h, op, x0, horizon, steps)
-    assert counts == {"propagator": 1, "pass": 1}
+    assert calls == {"sums": 1, "expm": int(wave), "eigh": int(not wave)}
     assert report.gramian_condition == cond
     assert report.relative_reconstruction_error == (np.linalg.norm(recon - x0)
                                                     / np.linalg.norm(x0))
 
 
 def test_gramian_entry_points_round_quadrature_steps_alike(tmp_path, capsys):
-    """One rule, in the step propagator: a step count of at least 1 rounds
+    """One rule, in the Simpson sums: a step count of at least 1 rounds
     up to even, for the library Gramian and the CLI check alike."""
     grid, patch, horizon = GridSpec(n=4), 2, 1.0
     op = build_modified_laplacian(np.ones((4, 4)), grid)
