@@ -17,6 +17,7 @@ import math
 import warnings
 
 import numpy as np
+from numpy._core import _multiarray_umath
 import scipy.linalg
 from scipy.linalg import lapack
 
@@ -153,6 +154,64 @@ class TrainConfig:
         check_entries(vars(self), TRAIN_TABLE, "TrainConfig", ParameterError)
 
 
+def _blas_thread_setter(module):
+    """The ``openblas_set_num_threads_local`` of the OpenBLAS that the
+    extension ``module`` links, or None when it links another BLAS or an
+    OpenBLAS without it.  The lookup goes through the module's own handle,
+    which resolves to that copy: numpy's (``numpy._core._multiarray_umath``)
+    and scipy's (``scipy.linalg._fblas``) are two copies with a pool and a
+    process-wide count each.  The setter returns the previous count."""
+    try:
+        setter = ctypes.CDLL(module.__file__).openblas_set_num_threads_local
+    except (OSError, AttributeError):
+        return None
+    setter.argtypes, setter.restype = [ctypes.c_int], ctypes.c_int
+    return setter
+
+
+# numpy's OpenBLAS thread count before the outermost open scope pinned it
+_unpinned_threads = None
+
+
+@contextlib.contextmanager
+def _one_blas_thread():
+    """Run the block, or the decorated call, with numpy's and scipy's
+    OpenBLAS on one thread each, each set by its
+    :func:`_blas_thread_setter`, restore the previous counts on the way
+    out, and yield the count numpy's had when the outermost open scope
+    found it: the cores a caller may spend on independent work.
+    :func:`fit_blocks`, :func:`fit_sgd_blocks` and
+    :func:`~latentpde.observability.empirical_lie_logdet` pin themselves
+    for the whole call, and every CLI verb is pinned.
+
+    The counts are process-wide, not per thread: while the block runs,
+    every thread's products and factorizations, numpy's and scipy's, run
+    on one BLAS thread.  The small products and factorizations the verbs
+    run are too small to share, and the second thread of a pool spins
+    between calls.  A general product keeps its bits on any count, since
+    OpenBLAS splits it over rows and columns, never over the summed
+    dimension, and so do singular values; a dot product, a Gram product
+    ``x.T @ x``, an LU, a Householder QR and ``expm`` may round
+    differently.  Pinned, they give the same bits on any core count.
+    When a setter is missing the block pins the other pool alone, the
+    yield is 1, and nothing is said.
+    """
+    global _unpinned_threads
+    found = [_blas_thread_setter(module) for module in (_multiarray_umath, scipy.linalg._fblas)]
+    setters = [setter for setter in found if setter is not None]
+    previous = [setter(1) for setter in setters]
+    outermost = _unpinned_threads is None
+    if outermost:
+        _unpinned_threads = previous[0] if None not in found else 1
+    try:
+        yield _unpinned_threads
+    finally:
+        for setter, count in zip(setters, previous):
+            setter(count)
+        if outermost:
+            _unpinned_threads = None
+
+
 def _intake(blocks, samples: int, where: str):
     """The prologue of :func:`fit_blocks` and :func:`fit_sgd_blocks`: the
     blocks as one iterator, with the k, m and output shape that the first
@@ -192,6 +251,7 @@ _LEAF_ROWS = 1024
 _COMBINE_BLOCK = 32
 
 
+@_one_blas_thread()
 def fit_blocks(blocks, samples: int, ridge: float = 0.0, bias: bool = True) -> LinearMap:
     """Exact minimiser of  mean ||X w - y||^2 + ridge ||w||^2  over samples
     that arrive in blocks.
@@ -217,8 +277,8 @@ def fit_blocks(blocks, samples: int, ridge: float = 0.0, bias: bool = True) -> L
     with ridge = 0 the result is the minimum-norm solution; deficiency is
     recorded in ``design_rank`` and warned about.  ``design_rank`` is
     gelsy's count at its machine-epsilon cut, a rounding-level count on an
-    ill-conditioned design.  The fit runs on the calling thread and one
-    BLAS thread (see :func:`_one_blas_thread`), so the weight bytes are
+    ill-conditioned design.  The whole call runs on the calling thread and
+    one BLAS thread (see :func:`_one_blas_thread`), so the weight bytes are
     the same on any core count, but what the fit promises is its training
     predictions and residual norm to a backward-stable tolerance, not its
     weight bytes.  The ridge penalty never touches the bias column.
@@ -232,37 +292,30 @@ def fit_blocks(blocks, samples: int, ridge: float = 0.0, bias: bool = True) -> L
     leaves = max(1, samples // max(_LEAF_ROWS, cols))
     edges = [samples * i // leaves for i in range(leaves + 1)]
     filled = _leaves(blocks, edges, k, m, out_dim, ridge, bias)
-    with _one_blas_thread():
-        if leaves == 1:
-            # unpacking reads the stream to its end, and so its count check
-            (r, rhs), = filled
-        else:
-            r, rhs = np.zeros((cols, cols), order="F"), np.zeros((cols, out_dim), order="F")
-            nb = min(_COMBINE_BLOCK, cols)
-            for design, target in filled:
-                r, v, t, info_r = lapack.dtpqrt(0, nb, r, design, overwrite_a=1, overwrite_b=1)
-                # dtpmqrt hands back the target it overwrote: bound to the
-                # loop's own name, it goes with the design below
-                rhs, target, info_m = lapack.dtpmqrt(0, v, t, rhs, target, trans="T",
-                                                     overwrite_a=1, overwrite_b=1)
-                if info_r or info_m:
-                    raise RuntimeError(f"LAPACK fold of a leaf into R failed "
-                                       f"(info {info_r}, {info_m})")
-                # the leaf is freed before the next one fills
-                del design, target, v
-        p = r.shape[0]
-        if p < cols:
-            # a wide design: gelsy writes a solution of cols rows over rhs
-            padded = np.zeros((cols, out_dim), order="F")
-            padded[:p] = rhs
-            rhs = padded
-        # scipy's lstsq would copy the design and rhs; this call works on both in place
-        eps = np.finfo(float).eps
-        lwork, _ = lapack.dgelsy_lwork(p, cols, out_dim, eps)
-        _, sol, _, rank, info = lapack.dgelsy(r, rhs, np.zeros(cols, np.int32), eps, int(lwork),
-                                              overwrite_a=1, overwrite_b=1)
-        if info:
-            raise RuntimeError(f"LAPACK gelsy failed (info {info})")
+    if leaves == 1:
+        # unpacking reads the stream to its end, and so its count check
+        (r, rhs), = filled
+    else:
+        r, rhs = np.zeros((cols, cols), order="F"), np.zeros((cols, out_dim), order="F")
+        nb = min(_COMBINE_BLOCK, cols)
+        for design, target in filled:
+            r, v, t, info_r = lapack.dtpqrt(0, nb, r, design, overwrite_a=1, overwrite_b=1)
+            # dtpmqrt hands back the target it overwrote: bound to the
+            # loop's own name, it goes with the design below
+            rhs, target, info_m = lapack.dtpmqrt(0, v, t, rhs, target, trans="T",
+                                                 overwrite_a=1, overwrite_b=1)
+            if info_r or info_m:
+                raise RuntimeError(f"LAPACK fold of a leaf into R failed "
+                                   f"(info {info_r}, {info_m})")
+            # the leaf is freed before the next one fills
+            del design, target, v
+    # scipy's lstsq would copy the design and rhs; this call works on both in place
+    eps = np.finfo(float).eps
+    lwork, _ = lapack.dgelsy_lwork(r.shape[0], cols, out_dim, eps)
+    _, sol, _, rank, info = lapack.dgelsy(r, rhs, np.zeros(cols, np.int32), eps, int(lwork),
+                                          overwrite_a=1, overwrite_b=1)
+    if info:
+        raise RuntimeError(f"LAPACK gelsy failed (info {info})")
     if ridge == 0 and rank < cols:
         warnings.warn(f"rank-deficient design: rank {rank} < {cols} columns; "
                       "returning the minimum-norm solution", RuntimeWarning)
@@ -279,6 +332,7 @@ def _leaves(blocks, edges, k, m, out_dim, ridge, bias):
     also has the ridge rows.  No reference to a leaf is kept once the
     next is asked for."""
     n_feat, samples = k * m, edges[-1]
+    cols = n_feat + (1 if bias else 0)
     leaf, design = 0, None
     for start, hist, tgt in _block_rows(blocks, samples, k, m, out_dim, "fit_blocks"):
         _refuse_nonfinite("fit_blocks", hist, tgt)
@@ -288,8 +342,9 @@ def _leaves(blocks, edges, k, m, out_dim, ridge, bias):
             low, high = edges[leaf], edges[leaf + 1]
             if design is None:
                 rows = high - low + (n_feat if ridge > 0 and high == samples else 0)
-                design = np.zeros((rows, n_feat + (1 if bias else 0)), order="F")
-                target = np.zeros((rows, out_dim), order="F")
+                design = np.zeros((rows, cols), order="F")
+                # gelsy writes a solution of cols rows over a wide lone leaf's target
+                target = np.zeros((max(rows, cols), out_dim), order="F")
             stop = min(end, high)
             design[at - low:stop - low, :n_feat] = hist[at - start:stop - start]
             target[at - low:stop - low] = tgt[at - start:stop - start]
@@ -415,80 +470,6 @@ class _SplitStats:
         return loss
 
 
-def _blas_thread_setter():
-    """numpy's OpenBLAS ``openblas_set_num_threads_local``, or None when
-    numpy runs another BLAS or an OpenBLAS without it.  The lookup goes
-    through numpy's own extension module, whose handle resolves to the
-    OpenBLAS numpy links; scipy loads a second copy with its own pool."""
-    try:
-        from numpy._core import _multiarray_umath
-        setter = ctypes.CDLL(_multiarray_umath.__file__).openblas_set_num_threads_local
-    except (ImportError, OSError, AttributeError):
-        return None
-    setter.argtypes, setter.restype = [ctypes.c_int], ctypes.c_int
-    return setter
-
-
-def _scipy_blas_thread_setter():
-    """A setter of scipy's OpenBLAS thread count that returns the previous
-    count, as numpy's does, or None when scipy runs another BLAS.  The
-    lookup goes through scipy's BLAS extension module, whose handle
-    resolves to the OpenBLAS copy scipy links."""
-    try:
-        blas = ctypes.CDLL(scipy.linalg._fblas.__file__)
-        get, put = blas.scipy_openblas_get_num_threads, blas.scipy_openblas_set_num_threads
-    except (OSError, AttributeError):
-        return None
-    get.argtypes, get.restype = [], ctypes.c_int
-    put.argtypes, put.restype = [ctypes.c_int], None
-
-    def setter(count):
-        previous = get()
-        put(count)
-        return previous
-
-    return setter
-
-
-# numpy's OpenBLAS thread count before the outermost open scope pinned it
-_unpinned_threads = None
-
-
-@contextlib.contextmanager
-def _one_blas_thread():
-    """Run the block with numpy's and scipy's OpenBLAS on one thread each,
-    restore the previous counts on the way out, and yield the count
-    numpy's had when the outermost open scope found it: the cores a caller
-    may spend on independent work.
-
-    The counts are process-wide, not per thread: while the block runs,
-    every thread's products and factorizations, numpy's and scipy's, run
-    on one BLAS thread.  The small products and factorizations the verbs
-    run are too small to share, and the second thread of a pool spins
-    between calls.  A general product keeps its bits on any count, since
-    OpenBLAS splits it over rows and columns, never over the summed
-    dimension, and so do singular values; a dot product, a Gram product
-    ``x.T @ x``, an LU, a Householder QR and ``expm`` may round
-    differently.  Pinned, they give the same bits on any core count.
-    When a setter is missing the block pins the other pool alone, the
-    yield is 1, and nothing is said.
-    """
-    global _unpinned_threads
-    found = [_blas_thread_setter(), _scipy_blas_thread_setter()]
-    setters = [setter for setter in found if setter is not None]
-    previous = [setter(1) for setter in setters]
-    outermost = _unpinned_threads is None
-    if outermost:
-        _unpinned_threads = previous[0] if None not in found else 1
-    try:
-        yield _unpinned_threads
-    finally:
-        for setter, count in zip(setters, previous):
-            setter(count)
-        if outermost:
-            _unpinned_threads = None
-
-
 # Adam's moment decay rates and denominator guard
 _BETA1, _BETA2, _EPS = 0.9, 0.999, 1e-8
 
@@ -522,6 +503,7 @@ def fit_sgd(histories: np.ndarray, targets: np.ndarray, config: TrainConfig,
     return fit_sgd_blocks([(hist, tgt)], len(hist), config, eval_split=eval_split, bias=bias)
 
 
+@_one_blas_thread()
 def fit_sgd_blocks(blocks, samples: int, config: TrainConfig, eval_split: float = 0.1,
                    bias: bool = True):
     """Adam on the mean-squared objective, from a zero initial map, over
@@ -546,10 +528,11 @@ def fit_sgd_blocks(blocks, samples: int, config: TrainConfig, eval_split: float 
     histories would have.  Each split's statistics are formed once,
     before the first step, and each epoch's residues come from them (see
     :class:`_SplitStats` for the rounding bound), not from the samples, so
-    the evaluation targets are freed before the first step.  The steps
-    run on one BLAS thread (see :func:`_one_blas_thread`).  A non-finite
-    sample raises ParameterError, and a NaN/Inf loss DivergenceError with
-    its step.
+    the evaluation targets are freed before the first step.  The whole
+    call, the statistics as well as the steps, runs on one BLAS thread
+    (see :func:`_one_blas_thread`), so a library call gives the same bits
+    on any core count.  A non-finite sample raises ParameterError, and a
+    NaN/Inf loss DivergenceError with its step.
     """
     check_entries(locals(), {"eval_split": Key(float, "[)", (0, 1)), "bias": Key(bool)},
                   "fit_sgd_blocks", ParameterError)
@@ -614,22 +597,21 @@ def fit_sgd_blocks(blocks, samples: int, config: TrainConfig, eval_split: float 
             curves[key].append(stats.loss(weights, bias_vec, config.ridge))
 
     lr = config.learning_rate
-    with _one_blas_thread():
-        for step in range(1, config.steps + 1):
-            if cursor + batch > len(yt):
-                order = rng.permutation(len(yt))
-                cursor = 0
-            sel = order[cursor:cursor + batch]
-            cursor += batch
-            loss, gw, gb = mse_loss_and_grad(weights, bias_vec, windows[starts[sel]], yt[sel],
-                                             config.ridge)
-            if not np.isfinite(loss):
-                raise DivergenceError(f"training loss diverged at step {step}", step=step)
-            for param, grad, buf in zip(params, (gw, gb), buffers):
-                _adam_update(param, grad, *buf, lr, step)
-            lr *= config.lr_decay
-            if step % steps_per_epoch == 0 or step == config.steps:
-                record()
+    for step in range(1, config.steps + 1):
+        if cursor + batch > len(yt):
+            order = rng.permutation(len(yt))
+            cursor = 0
+        sel = order[cursor:cursor + batch]
+        cursor += batch
+        loss, gw, gb = mse_loss_and_grad(weights, bias_vec, windows[starts[sel]], yt[sel],
+                                         config.ridge)
+        if not np.isfinite(loss):
+            raise DivergenceError(f"training loss diverged at step {step}", step=step)
+        for param, grad, buf in zip(params, (gw, gb), buffers):
+            _adam_update(param, grad, *buf, lr, step)
+        lr *= config.lr_decay
+        if step % steps_per_epoch == 0 or step == config.steps:
+            record()
     if config.steps == 0:
         record()
     linear_map = LinearMap(weights, bias_vec, k, m, out_shape)

@@ -1189,6 +1189,45 @@ def test_cli_fits_do_not_depend_on_the_core_count(tmp_path, monkeypatch, grid, t
     assert outputs[0] == outputs[1]
 
 
+def test_cli_wave_adam_and_certificates_do_not_depend_on_the_core_count(tmp_path, monkeypatch):
+    """The wave-adam verbs and the certify workload's wave certificates.
+    Grid 16 with patch 2 and k 8: Adam's 512 columns and 64 outputs, whose
+    split statistics OpenBLAS shares among threads; the Kalman and Hautus
+    checks read the 512-dimensional wave generator.  The Adam model, its
+    loss curve, the rollout through it, the nearest-subvideo distances of
+    that rollout and both reports are the same bytes on one BLAS thread
+    and on two."""
+    config_path = tmp_path / "wave.json"
+    config_path.write_text(json.dumps(dict(TINY_WAVE, grid_size=16, trajectories=4, frames=120,
+                                           patch=2)))
+    data = str(tmp_path / "data")
+    run_cli(["generate", "--config", str(config_path), "--out", data])
+    outputs = []
+    for threads in ("1", "2"):
+        monkeypatch.setenv("OPENBLAS_NUM_THREADS", threads)
+        out = tmp_path / f"threads{threads}"
+        out.mkdir()
+        model, super_path, roll = str(out / "g.bin"), str(out / "G.bin"), str(out / "roll")
+        for argv in (["fit", "--data", data, "--role", "g", "--patch", "2", "--k", "8",
+                      "--learner", "sgd", "--lr", "1e-3", "--steps", "60", "--batch", "64",
+                      "--sgd-seed", "3", "--out", model],
+                     ["fit", "--data", data, "--role", "super", "--patch", "2", "--k", "8",
+                      "--out", super_path],
+                     ["rollout", "--data", data, "--model", model, "--super", super_path,
+                      "--traj-index", "3", "--steps", "6", "--out-prefix", roll],
+                     ["metrics", "subvideo", "--data", data, "--clip-prefix", roll,
+                      "--out", str(out / "subvideo.csv")],
+                     *(["observability", "--check", check, "--equation", "wave", "--grid", "16",
+                        "--patch", "4", "--grf-seed", "7", "--out", str(out / f"{check}.txt")]
+                       for check in ("kalman", "hautus"))):
+            proc = run_module(argv)
+            assert proc.returncode == 0, proc.stderr
+        outputs.append({path.name: path.read_bytes() for path in sorted(out.iterdir())})
+    assert set(outputs[0]) >= {"g.bin", "g.bin.curve.csv", "roll_tokens.bin", "subvideo.csv",
+                               "kalman.txt", "hautus.txt"}
+    assert outputs[0] == outputs[1]
+
+
 def test_metrics_correlation_checks_dt_max_against_the_frame_count(tmp_path, capsys,
                                                                   monkeypatch):
     data = tmp_path / "data"

@@ -1,7 +1,9 @@
 from concurrent.futures import ThreadPoolExecutor
+import ctypes
 import threading
 
 import numpy as np
+from numpy._core import _multiarray_umath
 import pytest
 import scipy.linalg
 
@@ -512,37 +514,60 @@ def test_split_loss_of_an_exactly_realisable_target(bias, ridge):
         assert abs(loss - direct) <= bound
 
 
-def _blas_threads():
-    """numpy's OpenBLAS thread count, or None when numpy runs another
-    BLAS.  The count is process-wide: a setter called on any thread
-    changes it for all of them."""
-    import ctypes
-    from numpy._core import _multiarray_umath
+# the extension modules that link numpy's and scipy's copies of OpenBLAS,
+# each copy with its own process-wide thread count
+NUMPY_BLAS, SCIPY_BLAS = _multiarray_umath, scipy.linalg._fblas
+# each copy's thread count getter, under the name its wheel exports
+_GETTERS = {NUMPY_BLAS: "scipy_openblas_get_num_threads64_",
+            SCIPY_BLAS: "scipy_openblas_get_num_threads"}
 
+
+def _thread_getter(module):
+    """The thread count getter of the OpenBLAS copy ``module`` links, or
+    None when it links another BLAS."""
     try:
-        getter = ctypes.CDLL(_multiarray_umath.__file__).scipy_openblas_get_num_threads64_
+        getter = getattr(ctypes.CDLL(module.__file__), _GETTERS[module])
     except AttributeError:
         return None
     getter.argtypes, getter.restype = [], ctypes.c_int
-    return getter()
+    return getter
 
 
-def _scipy_blas_threads():
-    """scipy's OpenBLAS thread count, or None when scipy runs another
-    BLAS.  scipy loads its own copy of OpenBLAS, with its own count."""
-    import ctypes
+def _blas_threads(module=NUMPY_BLAS):
+    """The thread count of the OpenBLAS copy ``module`` links, numpy's by
+    default, or None when it links another BLAS.  The count is
+    process-wide: a setter called on any thread changes it for all of
+    them."""
+    getter = _thread_getter(module)
+    return None if getter is None else getter()
 
+
+@pytest.mark.parametrize("module", [NUMPY_BLAS, SCIPY_BLAS], ids=["numpy", "scipy"])
+def test_a_copy_that_reads_its_thread_count_can_be_pinned(module):
+    """Where a copy's getter resolves, the copy is scipy-openblas, and its
+    setter must resolve too: the pin tests skip when a setter is missing,
+    so a wheel that renamed the symbol would otherwise stop pinning
+    without a failing test.  The setter sets that copy's count alone and
+    returns the count it replaced."""
+    getter = _thread_getter(module)
+    if getter is None:
+        pytest.skip("this copy is not scipy-openblas")
+    setter = learners_module._blas_thread_setter(module)
+    assert setter is not None
+    other = _thread_getter(SCIPY_BLAS if module is NUMPY_BLAS else NUMPY_BLAS)
+    untouched = None if other is None else other()
+    outer = setter(3)
     try:
-        getter = ctypes.CDLL(scipy.linalg._fblas.__file__).scipy_openblas_get_num_threads
-    except AttributeError:
-        return None
-    getter.argtypes, getter.restype = [], ctypes.c_int
-    return getter()
+        assert getter() == 3
+        assert setter(2) == 3 and getter() == 2
+        assert other is None or other() == untouched
+    finally:
+        setter(outer)
 
 
 @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
 def test_adam_steps_on_one_blas_thread_and_restores_the_count(monkeypatch):
-    setter = learners_module._blas_thread_setter()
+    setter = learners_module._blas_thread_setter(NUMPY_BLAS)
     if setter is None or _blas_threads() is None:
         pytest.skip("numpy does not run scipy-openblas")
     seen = []
@@ -575,18 +600,46 @@ def test_adam_without_the_thread_setter_gives_the_same_bytes(monkeypatch):
     histories, targets, _, _ = make_linear_problem(600, 8, 64, 64, seed=32, noise=0.1)
     config = TrainConfig(learning_rate=1e-3, steps=40, batch_size=64, seed=6, ridge=1e-3)
     scoped, scoped_curves = fit_sgd(histories, targets, config)
-    monkeypatch.setattr(learners_module, "_blas_thread_setter", lambda: None)
+    monkeypatch.setattr(learners_module, "_blas_thread_setter", lambda module: None)
     plain, plain_curves = fit_sgd(histories, targets, config)
     for a, b in ((scoped.weights, plain.weights), (scoped.bias, plain.bias),
                  *((scoped_curves[key], plain_curves[key]) for key in ("train", "eval"))):
         assert a.tobytes() == b.tobytes()
 
 
+def test_a_library_adam_fit_keeps_its_bits_on_any_thread_count():
+    """Window blocks of 6,424 samples in all, 512 columns (k 8, m 64) and
+    64 outputs, batches of 64: the split statistics' Gram products and
+    ‖Y‖² dot products are long enough for OpenBLAS to share among
+    threads.  A library call gives the same weight, bias and curve bytes
+    whatever count the caller left numpy's OpenBLAS at, and leaves that
+    count."""
+    setter = learners_module._blas_thread_setter(NUMPY_BLAS)
+    if setter is None or _blas_threads() is None:
+        pytest.skip("numpy does not run scipy-openblas")
+    rng = np.random.default_rng(45)
+    trajectories = [rng.standard_normal((811, 64)) for _ in range(8)]
+    config = TrainConfig(learning_rate=1e-3, steps=60, batch_size=64, seed=7)
+    outputs = []
+    outer = setter(1)
+    try:
+        for threads in (1, 2):
+            setter(threads)
+            pairs = [forecast_pairs(tokens, 8) for tokens in trajectories]
+            fitted, curves = fit_sgd_blocks(pairs, 6424, config)
+            assert _blas_threads() == threads
+            outputs.append([fitted.weights.tobytes(), fitted.bias.tobytes(),
+                            curves["train"].tobytes(), curves["eval"].tobytes()])
+    finally:
+        setter(outer)
+    assert outputs[0] == outputs[1]
+
+
 def test_window_svds_keep_their_bits_on_any_number_of_workers(monkeypatch):
     """The pool takes one worker per BLAS thread the caller had.  Of the
     26 windows the last 13 are examined, a count that neither 2 nor 3
     workers split evenly; each split gives the bytes of one serial SVD."""
-    setter = learners_module._blas_thread_setter()
+    setter = learners_module._blas_thread_setter(NUMPY_BLAS)
     if setter is None:
         pytest.skip("numpy does not run scipy-openblas")
     frames = np.random.default_rng(41).standard_normal((65, 40))
@@ -616,7 +669,7 @@ def test_window_svds_keep_their_bits_on_any_number_of_workers(monkeypatch):
     finally:
         setter(outer)
     # without the setter the pool has one worker
-    monkeypatch.setattr(learners_module, "_blas_thread_setter", lambda: None)
+    monkeypatch.setattr(learners_module, "_blas_thread_setter", lambda module: None)
     extremes()
     assert sizes == [1, 2, 3, 1]
 
@@ -625,7 +678,7 @@ def test_a_library_log_det_keeps_its_bits_on_any_thread_count():
     """Windows of dimension 150, whose LU OpenBLAS shares among threads: a
     library call gives the same determinants and singular values whatever
     count the caller left numpy's OpenBLAS at, and leaves that count."""
-    setter = learners_module._blas_thread_setter()
+    setter = learners_module._blas_thread_setter(NUMPY_BLAS)
     if setter is None or _blas_threads() is None:
         pytest.skip("numpy does not run scipy-openblas")
     frames = np.random.default_rng(43).standard_normal((170, 150))
@@ -648,15 +701,15 @@ def test_each_verb_runs_on_one_blas_thread_and_restores_the_count(tmp_path, monk
                                                                   capsys):
     """Both OpenBLAS copies, numpy's and scipy's, read one thread inside a
     verb and their own earlier counts after it, on exit 0, 2 and 3."""
-    setters = [learners_module._blas_thread_setter(),
-               learners_module._scipy_blas_thread_setter()]
-    if None in setters or _blas_threads() is None or _scipy_blas_threads() is None:
+    setters = [learners_module._blas_thread_setter(NUMPY_BLAS),
+               learners_module._blas_thread_setter(SCIPY_BLAS)]
+    if None in setters or _blas_threads() is None or _blas_threads(SCIPY_BLAS) is None:
         pytest.skip("numpy or scipy does not run scipy-openblas")
     seen = []
     witness = observability_module.witness_orbit
 
     def counted(*args, **kwargs):
-        seen.append((_blas_threads(), _scipy_blas_threads()))
+        seen.append((_blas_threads(), _blas_threads(SCIPY_BLAS)))
         return witness(*args, **kwargs)
 
     monkeypatch.setattr(observability_module, "witness_orbit", counted)
@@ -670,7 +723,7 @@ def test_each_verb_runs_on_one_blas_thread_and_restores_the_count(tmp_path, monk
                            (["observability", "--check", "lie"], 2),
                            (["export", "--data", str(tmp_path / "missing")], 3)):
             assert cli.main([*argv, "--out", out]) == code, argv
-            assert (_blas_threads(), _scipy_blas_threads()) == (3, 2), argv
+            assert (_blas_threads(), _blas_threads(SCIPY_BLAS)) == (3, 2), argv
     finally:
         for setter, count in zip(setters, outer):
             setter(count)
