@@ -162,15 +162,16 @@ def kalman_rank_test(A, h, rel_tol: float = 1e-10) -> KalmanReport:
     """Kalman rank by an orthogonal staircase (block Arnoldi on A'),
     checked against the eigenvectors of the span it finds.
 
-    The generator is first divided by its Gershgorin bound (at least 1),
-    which leaves the Krylov span unchanged.  The first block is an
-    orthonormal basis of the row space of h; each next block is A' times
-    the last one, orthogonalized against the basis so far by classical
-    Gram-Schmidt run twice, then reduced by an SVD to the directions above
-    ``rel_tol``.  Singular values are measured relative to sigma_max(h) in
-    the first block and to the rescaled generator's row-sum bound after
-    it.  The loop stops at the first block that keeps nothing or when the
-    basis spans the state space.  Unlike the stacked powers of
+    The generator is first divided by its Gershgorin bound, which leaves
+    the Krylov span unchanged; with every tolerance relative, scaling A
+    changes no verdict.  The first block is an orthonormal basis of the
+    row space of h; each next block is A' times the last one,
+    orthogonalized against the basis so far by classical Gram-Schmidt run
+    twice, then reduced by an SVD to the directions above ``rel_tol``.
+    Singular values are measured relative to sigma_max(h) in the first
+    block and to the rescaled generator's row-sum bound after it.  The
+    loop stops at the first block that keeps nothing or when the basis
+    spans the state space.  Unlike the stacked powers of
     :func:`kalman_observability_matrix`, whose monomial basis loses
     directions to rounding, every step is orthogonal (Paige 1981, IEEE
     TAC 26(1); Van Dooren 1981, the staircase form, same issue).
@@ -195,11 +196,12 @@ def kalman_rank_test(A, h, rel_tol: float = 1e-10) -> KalmanReport:
     answered from the staircase of (L, P): h A^{2j} = [P L^j, 0] and
     h A^{2j+1} = [0, P L^j], so each block of (L, P) is kept twice in a
     row.  The rank, ``hidden_in_span`` and ``observability_index`` double
-    and each block rank repeats.  ``largest_rejected`` and
-    ``generator_rescaled_by`` are those of (L, P); A has L's Gershgorin
-    bound or 1, whichever is larger.  ``smallest_kept`` is the smaller of
-    that of (L, P) and ``generator_rescaled_by``, the relative singular
-    value of each repeated block [0; Q_j].
+    and each block rank repeats.  ``largest_rejected`` is that of (L, P).
+    ``generator_rescaled_by`` is one over A's Gershgorin bound, which is
+    L's or 1, whichever is larger, as the identity block has row sums 1.
+    ``smallest_kept`` is the smaller of that of (L, P) and
+    ``generator_rescaled_by``, the relative singular value of each
+    repeated block [0; Q_j].
     """
     check_entries(locals(), _REL_TOL, "kalman_rank_test", ParameterError)
     n = A.shape[0]
@@ -207,15 +209,17 @@ def kalman_rank_test(A, h, rel_tol: float = 1e-10) -> KalmanReport:
     pair = _wave_pair(A, hd)
     if pair is not None:
         heat = kalman_rank_test(*pair, rel_tol=rel_tol)
+        # A's Gershgorin bound is the larger of L's and 1, from the identity block
+        rescaled = min(1.0, heat.generator_rescaled_by)
         return KalmanReport(n, heat.observable, rel_tol, 2 * heat.rank,
                             2 * heat.observability_index,
                             [r for r in heat.block_ranks for _ in range(2)],
                             2 * heat.hidden_in_span,
                             # a NaN smallest_kept (nothing kept) stays NaN
-                            min(heat.smallest_kept, heat.generator_rescaled_by),
-                            heat.largest_rejected, heat.generator_rescaled_by)
+                            min(heat.smallest_kept, rescaled),
+                            heat.largest_rejected, rescaled)
     bound = _gershgorin_radius(A)
-    radius = max(1.0, bound)
+    radius = bound or 1.0  # only A = 0 has bound 0
     at = (sp.csr_matrix(A.T) if sp.issparse(A) else np.asarray(A, dtype=float).T) / radius
     basis = np.empty((n, n), order="F")
     rank, block_ranks, kept_min, rejected_max = 0, [], np.inf, 0.0
@@ -254,7 +258,7 @@ def kalman_rank_test(A, h, rel_tol: float = 1e-10) -> KalmanReport:
 
 def _is_symmetric(A) -> bool:
     """A, dense or sparse, equals its transpose to 1e-12 of its largest entry."""
-    return abs(A - A.T).max() <= 1e-12 * max(1.0, abs(A).max())
+    return abs(A - A.T).max() <= 1e-12 * abs(A).max()
 
 
 def _eigenspace_outputs(A, hd: np.ndarray) -> list:
@@ -262,23 +266,35 @@ def _eigenspace_outputs(A, hd: np.ndarray) -> list:
     cluster of eigenvalues of the dense matrix A, ordered by real part,
     then imaginary part.
 
-    Each cluster is the eigenvalues within 1e-8 * max|eig| of the first,
-    in that order, that no cluster holds yet.  It is gathered from the
-    whole spectrum, not from a run of neighbours in the order: the real
-    parts of a complex cluster carry rounding, which interleaves its
-    members with those of other clusters.  For a nonsymmetric A the
-    cluster also takes the eigenvalues within 1e-4 * max|eig| whose unit
-    eigenvectors are parallel to the first's, |v0' v| >= 1 - 1e-10: eig
-    spreads the eigenvalue of a Jordan chain by about sqrt(eps * |A|),
-    but its computed eigenvectors stay parallel to rounding.  The last
-    entry is the singular values of ``hd`` on an orthonormal basis of the
-    cluster's eigenspace, padded with zeros where the eigenspace is wider
-    than the output.  For a symmetric A that basis is the cluster's
-    eigenvectors.  Otherwise the computed eigenvectors of a Jordan chain
-    span the whole chain, so the basis is cut to the directions v of their
-    span with |(A - mean) v| <= 1e-4 * max|eig|: on an eigenvector that
-    residual is at most the cluster width, on the next vector of a chain
-    it is the chain's coupling.
+    Every width is relative to |A|, the larger of max|eig| and the
+    largest entry of A in absolute value, so it scales with A.  For a
+    symmetric A no entry exceeds max|eig|, so |A| = max|eig|; the
+    eigenvalues of a nonnormal A can be far below its entries (those of a
+    Jordan chain are 0), while eig's errors scale with the entries.
+
+    Each cluster is the eigenvalues within 1e-8 * |A| of the first, in
+    that order, that no cluster holds yet.  It is gathered from the whole
+    spectrum, not from a run of neighbours in the order: the real parts
+    of a complex cluster carry rounding, which interleaves its members
+    with those of other clusters.  For a nonsymmetric A the cluster also
+    takes the eigenvalues within 1e-4 * |A| whose unit eigenvectors are
+    parallel to the first's, |v0' v| >= 1 - 1e-10: eig spreads the
+    eigenvalue of a Jordan chain by about sqrt(eps) * |A|, but its
+    computed eigenvectors stay parallel to rounding.
+
+    The last entry is the singular values of ``hd`` on an orthonormal
+    basis of the cluster's eigenspace, padded with zeros where the
+    eigenspace is wider than the output.  For a symmetric A that basis is
+    the cluster's eigenvectors.  Otherwise the computed eigenvectors of a
+    Jordan chain span the whole chain, so the basis is cut to the
+    directions v of their span with |(A - mean) v| <= 1e-4 * |A|: on an
+    eigenvector that residual is at most the cluster width, on the next
+    vector of a chain it is the chain's coupling.  The clusters of one
+    size are factored together: one stacked QR of their eigenvectors, one
+    stacked SVD of the shifted generators that are cut, and one stacked
+    SVD of hd on the bases that are not.  numpy's linalg gufuncs run the
+    same LAPACK call on each matrix of a stack, so every row has the bits
+    of a cluster factored alone.
     """
     symmetric = _is_symmetric(A)
     if symmetric:
@@ -286,12 +302,12 @@ def _eigenspace_outputs(A, hd: np.ndarray) -> list:
         vals = vals.astype(complex)
     else:
         vals, vecs = np.linalg.eig(A)
-    scale = max(1.0, float(np.abs(vals).max()))
+    scale = max(float(np.abs(vals).max()), float(np.abs(A).max()))
     cluster_tol = 1e-8 * scale
     order = np.lexsort((vals.imag, vals.real))
     vals, vecs = vals[order], vecs[:, order]
     units = vecs.conj().T  # eig and eigh give unit eigenvectors
-    rows = []
+    clusters = []
     free = np.ones(len(vals), dtype=bool)
     for start in range(len(vals)):
         if not free[start]:
@@ -302,15 +318,29 @@ def _eigenspace_outputs(A, hd: np.ndarray) -> list:
             joined |= (gap <= 1e-4 * scale) & (np.abs(units @ vecs[:, start]) >= 1 - 1e-10)
         members = np.flatnonzero(free & joined)
         free[members] = False
-        mean = complex(vals[members].mean())
-        q, _ = np.linalg.qr(vecs[:, members])
-        if not symmetric and members.size > 1:
-            shifted = q.conj().T @ (A @ q) - mean * np.eye(members.size)
-            _, sv, wh = np.linalg.svd(shifted)
-            dim = max(1, int((sv <= 1e-4 * scale).sum()))
-            q = q @ wh[-dim:].conj().T
-        norms = np.linalg.svd(hd @ q, compute_uv=False)
-        rows.append((mean, members.size, np.pad(norms, (0, q.shape[1] - norms.size))))
+        clusters.append(members)
+    by_size = {}
+    for i, members in enumerate(clusters):
+        by_size.setdefault(members.size, []).append(i)
+    rows = [None] * len(clusters)
+    for size, which in by_size.items():
+        members = np.stack([clusters[i] for i in which])
+        means = vals[members].mean(axis=1)
+        # (K, n, size): the eigenvectors of each cluster of this size
+        q, _ = np.linalg.qr(vecs[:, members].transpose(1, 0, 2))
+        if symmetric or size == 1:
+            norms = np.linalg.svd(hd @ q, compute_uv=False)
+            norms = np.pad(norms, ((0, 0), (0, size - norms.shape[1])))
+        else:
+            shifted = q.conj().transpose(0, 2, 1) @ (A @ q) - means[:, None, None] * np.eye(size)
+            _, svals, wh = np.linalg.svd(shifted)
+            norms = []
+            for basis, sv, w in zip(q, svals, wh):
+                dim = max(1, int((sv <= 1e-4 * scale).sum()))
+                cut = np.linalg.svd(hd @ (basis @ w[-dim:].conj().T), compute_uv=False)
+                norms.append(np.pad(cut, (0, dim - cut.size)))
+        for i, mean, row in zip(which, means, norms):
+            rows[i] = (complex(mean), size, row)
     return rows
 
 
@@ -343,7 +373,7 @@ def _wave_eigenspace_outputs(lap, p: np.ndarray) -> list:
     with the heat norms as they are.
     """
     heat = _eigenspace_outputs(lap.toarray(), p)
-    cluster_tol = 1e-8 * max(1.0, max(abs(mu) for mu, _, _ in heat))
+    cluster_tol = 1e-8 * max(abs(mu) for mu, _, _ in heat)
     rows = []
     for mu, mult, norms in heat:
         if abs(mu) <= cluster_tol:

@@ -279,6 +279,143 @@ def test_a_hidden_jordan_chain_is_one_failing_cluster():
         report.smallest_kept, rel=1e-12)
 
 
+def looped_eigenspace_outputs(A, hd):
+    """The rows of ``obs._eigenspace_outputs`` one cluster at a time: a QR,
+    an SVD and a mean per cluster, the Jordan cut by the shifted SVD of
+    each nonsymmetric cluster of two or more."""
+    symmetric = obs._is_symmetric(A)
+    if symmetric:
+        vals, vecs = np.linalg.eigh(A)
+        vals = vals.astype(complex)
+    else:
+        vals, vecs = np.linalg.eig(A)
+    scale = max(float(np.abs(vals).max()), float(np.abs(A).max()))
+    order = np.lexsort((vals.imag, vals.real))
+    vals, vecs = vals[order], vecs[:, order]
+    units = vecs.conj().T
+    rows = []
+    free = np.ones(len(vals), dtype=bool)
+    for start in range(len(vals)):
+        if not free[start]:
+            continue
+        gap = np.abs(vals - vals[start])
+        joined = gap <= 1e-8 * scale
+        if not symmetric:
+            joined |= (gap <= 1e-4 * scale) & (np.abs(units @ vecs[:, start]) >= 1 - 1e-10)
+        members = np.flatnonzero(free & joined)
+        free[members] = False
+        mean = complex(vals[members].mean())
+        q, _ = np.linalg.qr(vecs[:, members])
+        if not symmetric and members.size > 1:
+            shifted = q.conj().T @ (A @ q) - mean * np.eye(members.size)
+            _, sv, wh = np.linalg.svd(shifted)
+            dim = max(1, int((sv <= 1e-4 * scale).sum()))
+            q = q @ wh[-dim:].conj().T
+        norms = np.linalg.svd(hd @ q, compute_uv=False)
+        rows.append((mean, members.size, np.pad(norms, (0, q.shape[1] - norms.size))))
+    return rows
+
+
+def eigenspace_cases():
+    """(name, A, hd) pairs, dense, for the stacked eigenspace pass."""
+    grf, h16 = lattice(16, 4, 77, None)
+    yield "grf-heat-16", grf.toarray(), h16.toarray()
+    constant, _ = lattice(16, 4, None, 1.0)
+    yield "constant-heat-16", constant.toarray(), h16.toarray()
+    # one output row: the clusters of 4, 8 and 30 are wider than the output
+    yield "constant-heat-one-row", constant.toarray(), h16.toarray()[:1]
+    rng = np.random.default_rng(12)
+    yield "random-nonsymmetric", rng.standard_normal((9, 9)), rng.standard_normal((2, 9))
+    wave, h, _, _ = symmetric_wave_pair([0.0])
+    for seed in range(5):
+        yield f"hidden-jordan-chain-{seed}", *permuted(wave, h, seed)
+
+
+EIGENSPACE_CASES = list(eigenspace_cases())
+
+
+@pytest.mark.parametrize("case", EIGENSPACE_CASES, ids=lambda case: case[0])
+def test_stacked_eigenspace_rows_are_the_looped_rows(case):
+    """The rows keep the bits of the loop that factors one cluster at a time."""
+    name, A, hd = case
+    rows, reference = obs._eigenspace_outputs(A, hd), looped_eigenspace_outputs(A, hd)
+    assert len(rows) == len(reference)
+    for (mean, size, norms), (ref_mean, ref_size, ref_norms) in zip(rows, reference):
+        assert (mean, size) == (ref_mean, ref_size) and type(mean) is complex
+        assert norms.dtype == ref_norms.dtype and norms.tobytes() == ref_norms.tobytes()
+    sizes = {size for _, size, _ in rows}
+    if name.startswith("constant"):
+        assert {4, 8, 30} <= sizes
+    if name.startswith("hidden"):
+        assert sum(size > 1 for _, size, _ in rows) == 1
+    if name == "random-nonsymmetric":
+        assert sizes == {1} and any(mean.imag for mean, _, _ in rows)
+
+
+@pytest.mark.parametrize("case", EIGENSPACE_CASES, ids=lambda case: case[0])
+def test_eigenspace_rows_factor_each_cluster_size_once(monkeypatch, case):
+    """Each cluster size is one stacked QR and one stacked SVD, plus one
+    SVD of hd per nonsymmetric cluster of two or more, cut to its
+    eigenvectors by the stacked SVD of its size."""
+    _, A, hd = case
+    calls = {}
+    monkeypatch.setattr(np.linalg, "qr", counting(calls, "qr", np.linalg.qr))
+    monkeypatch.setattr(np.linalg, "svd", counting(calls, "svd", np.linalg.svd))
+    rows = obs._eigenspace_outputs(A, hd)
+    sizes = {size for _, size, _ in rows}
+    cut = 0 if obs._is_symmetric(A) else sum(size > 1 for _, size, _ in rows)
+    assert calls["qr"] <= len(sizes) and calls["svd"] <= len(sizes) + cut
+
+
+def random_nonsymmetric_pair():
+    """A 6 x 6 nonsymmetric generator and one output row; the pair is observable."""
+    rng = np.random.default_rng(3)
+    return rng.standard_normal((6, 6)), rng.standard_normal((1, 6))
+
+
+def rotated_jordan_chain():
+    """The chain x1' = x2, x2' = 0 in a rotated basis, observed blind to its
+    eigenvector.  eig gives it two eigenvalues near +-2e-9, far below its
+    entries, with parallel eigenvectors."""
+    q, _ = np.linalg.qr(np.random.default_rng(0).standard_normal((2, 2)))
+    return q @ np.array([[0.0, 1.0], [0.0, 0.0]]) @ q.T, np.array([[-q[1, 0], q[0, 0]]])
+
+
+SCALE_CASES = {
+    "constant-heat": lambda: lattice(16, 4, None, 1.0),
+    "grf-heat": lambda: lattice(8, 4, 3, None),
+    "constant-wave": lambda: lattice(8, 4, None, 1.0, wave=True),
+    "random-nonsymmetric": random_nonsymmetric_pair,
+    "rotated-jordan-chain": rotated_jordan_chain,
+}
+
+
+@pytest.mark.parametrize("name", list(SCALE_CASES))
+def test_certificates_do_not_depend_on_the_generator_scale(name):
+    """cA has the eigenvectors of A and c times its eigenvalues, so the
+    Hautus and Kalman verdicts at c equal those at 1, and each failing
+    cluster at c is one at 1 of the same size with its eigenvalue times c.
+    Every tolerance is relative to its matrix; the rotated chain is one
+    failing cluster of two at every scale.  The wave pair is answered
+    from its Laplacian at c = 1 and densely at every other c, where the
+    rounding in the real parts of its imaginary eigenvalues orders the
+    clusters."""
+    A, h = SCALE_CASES[name]()
+    base_h, base_k = hautus_test(A, h), kalman_rank_test(A, h)
+    assert base_h.observable == base_k.observable == (name in ("grf-heat", "random-nonsymmetric"))
+    dense = obs._as_dense(A)
+    width = 1e-8 * max(np.abs(np.linalg.eigvals(dense)).max(), np.abs(dense).max())
+    for c in (1e-13, 1e-9, 1.0, 1e200):
+        # the symmetry test also picks the Gramian's propagator
+        assert obs._is_symmetric(c * A) == obs._is_symmetric(A), c
+        hautus, kalman = hautus_test(c * A, h), kalman_rank_test(c * A, h)
+        assert hautus.observable == kalman.observable == base_h.observable, c
+        unscaled = [(lam / c, mult, norm) for lam, mult, norm in hautus.failing]
+        assert same_failing(unscaled, base_h.failing, width), c
+        for key in ("rank", "block_ranks", "hidden_in_span", "observability_index"):
+            assert getattr(kalman, key) == getattr(base_k, key), (c, key)
+
+
 def test_cli_kalman_on_a_varying_conductivity_is_full_rank(tmp_path, capsys):
     out = tmp_path / "kalman.txt"
     assert cli_main(["observability", "--check", "kalman", "--grid", "16", "--patch", "4",
