@@ -241,8 +241,8 @@ def fit_least_squares(histories: np.ndarray, targets: np.ndarray,
 
 # the fewest samples a leaf holds, and it holds at least the columns, so
 # the cols × cols R of a tree of two or more leaves is at most half its
-# design.  A fit holds one leaf plus R and Qᵀy, so the leaf height sets
-# its memory
+# design.  A fit holds one leaf's buffers, sized for its largest leaf,
+# plus R and Qᵀy, so the leaf height sets its memory
 _LEAF_ROWS = 1024
 # the block size of the reflectors dtpqrt folds a leaf into R with; on
 # one thread of a 2-core VM, blocks of 32, 48, 64 and 96 folded a
@@ -268,8 +268,9 @@ def fit_blocks(blocks, samples: int, ridge: float = 0.0, bias: bool = True) -> L
     the last leaf also holds the ridge rows.  With two or more leaves, R
     and Q^T y start at zero and each leaf, once full, is folded into them
     in place by one triangular-pentagonal QR (dtpqrt, then dtpmqrt on its
-    target, both with l = 0: QR updating by rows, Golub & Van Loan §6.5)
-    and dropped, so a fit holds one leaf plus R and Q^T y, however many
+    target, both with l = 0: QR updating by rows, Golub & Van Loan §6.5).
+    Every leaf is filled into the same pair of buffers, sized for the
+    largest leaf, so a fit holds one leaf plus R and Q^T y, however many
     samples it has.  LAPACK gelsy, a complete orthogonal decomposition
     (Chan 1982's QR preprocessing for tall designs), then solves R w =
     Q^T y in place, or a lone leaf's design and target as they are.  R has
@@ -307,8 +308,9 @@ def fit_blocks(blocks, samples: int, ridge: float = 0.0, bias: bool = True) -> L
             if info_r or info_m:
                 raise RuntimeError(f"LAPACK fold of a leaf into R failed "
                                    f"(info {info_r}, {info_m})")
-            # the leaf is freed before the next one fills
-            del design, target, v
+        # the spent stream has let go of the leaf buffers; these views of
+        # the last leaf would hold them through gelsy and the weight copy
+        del design, target, v
     # scipy's lstsq would copy the design and rhs; this call works on both in place
     eps = np.finfo(float).eps
     lwork, _ = lapack.dgelsy_lwork(r.shape[0], cols, out_dim, eps)
@@ -329,10 +331,19 @@ def _leaves(blocks, edges, k, m, out_dim, ridge, bias):
     ``edges[i]`` to ``edges[i + 1]``, filled in place as the blocks stream
     past, a block that straddles two leaves into both: the only copy of
     the samples a fit makes.  Each leaf has the bias column, and the last
-    also has the ridge rows.  No reference to a leaf is kept once the
-    next is asked for."""
+    also has the ridge rows.  Every leaf is a view of one pair of buffers,
+    a design and a target allocated once and sized for the largest leaf,
+    so a caller must be done with a leaf before it asks for the next,
+    which overwrites it.  Of what the samples do not fill, only the rows
+    that must be zero are zeroed again: the ridge rows, before their
+    diagonal is set, and the target's rows below the samples."""
     n_feat, samples = k * m, edges[-1]
     cols = n_feat + (1 if bias else 0)
+    heights = [high - low for low, high in zip(edges[:-1], edges[1:])]
+    heights[-1] += n_feat if ridge > 0 else 0
+    design_buffer = np.empty(max(heights) * cols)
+    # gelsy writes a solution of cols rows over a wide lone leaf's target
+    target_buffer = np.empty(max(*heights, cols) * out_dim)
     leaf, design = 0, None
     for start, hist, tgt in _block_rows(blocks, samples, k, m, out_dim, "fit_blocks"):
         _refuse_nonfinite("fit_blocks", hist, tgt)
@@ -341,10 +352,10 @@ def _leaves(blocks, edges, k, m, out_dim, ridge, bias):
         while at < end:
             low, high = edges[leaf], edges[leaf + 1]
             if design is None:
-                rows = high - low + (n_feat if ridge > 0 and high == samples else 0)
-                design = np.zeros((rows, cols), order="F")
-                # gelsy writes a solution of cols rows over a wide lone leaf's target
-                target = np.zeros((max(rows, cols), out_dim), order="F")
+                rows = heights[leaf]
+                design = design_buffer[:rows * cols].reshape((rows, cols), order="F")
+                height = max(rows, cols)
+                target = target_buffer[:height * out_dim].reshape((height, out_dim), order="F")
             stop = min(end, high)
             design[at - low:stop - low, :n_feat] = hist[at - start:stop - start]
             target[at - low:stop - low] = tgt[at - start:stop - start]
@@ -353,10 +364,12 @@ def _leaves(blocks, edges, k, m, out_dim, ridge, bias):
                 continue
             if bias:
                 design[:high - low, n_feat] = 1.0
-            if ridge > 0 and high == samples:
+            if rows > high - low:
                 # ridge rows scale with the sample count so the penalty
                 # matches the mean-squared objective of the SGD trainer
+                design[high - low:] = 0.0
                 np.fill_diagonal(design[high - low:, :n_feat], np.sqrt(ridge * samples))
+            target[high - low:] = 0.0
             yield design, target
             leaf, design, target = leaf + 1, None, None
 

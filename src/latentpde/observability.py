@@ -30,6 +30,7 @@ Each check returns a report whose ``to_text`` the command line prints.
 from concurrent.futures import ThreadPoolExecutor
 import contextlib
 from dataclasses import dataclass, field, fields
+import queue
 
 import numpy as np
 import scipy.sparse as sp
@@ -43,6 +44,9 @@ from .solvers import _gershgorin_radius
 from .tokenizer import TOKEN_ARGS, tokenize_trajectory
 
 _REL_TOL = {"rel_tol": Key(float, "()", (0, 1))}
+# windows per chunk of the log-det diagnostic's singular values: a fixed
+# size, so which thread is free first sets the split, never a cost ratio
+_SVD_CHUNK = 8
 _LIE_ARGS = {"patch": TOKEN_ARGS["patch"], "derivative_order": Key(int, ">=", 1),
              "window": Key(int, ">=", 1), "burn_frac": Key(float, "[)", (0, 1))}
 
@@ -680,11 +684,13 @@ def empirical_lie_logdet(traj, patch: int, derivative_order: int = 5,
     Derivatives use forward-difference tables divided by dt**order, so
     scaling the trajectory by c shifts every log |det| by dim * log(c).
     Singular values, when requested, skip the first ``burn_frac`` share
-    of the windows; a pool of one thread per core computes them (the
-    count :func:`latentpde.learners._one_blas_thread` yields) while the
-    calling thread computes the determinants.  Both the determinants and
-    the singular values run on one BLAS thread, so a library call gives
-    the same bits on any core count.
+    of the windows, which go in chunks of ``_SVD_CHUNK`` to a pool of one
+    thread per core but one (the count
+    :func:`latentpde.learners._one_blas_thread` yields), and none on one
+    core.  The calling thread computes the determinants, then takes
+    chunks from the same queue until none is left.  Both the
+    determinants and the singular values run on one BLAS thread, so a
+    library call gives the same bits on any core count.
     """
     check_entries(locals(), {**_LIE_ARGS, "with_singular_values": Key(bool)},
                   "empirical_lie_logdet", ParameterError)
@@ -707,26 +713,36 @@ def empirical_lie_logdet(traj, patch: int, derivative_order: int = 5,
     windows = np.lib.stride_tricks.sliding_window_view(z, dim, axis=0)
     nt = windows.shape[0]
     min_sv = max_sv = None
+    # post-burn windows in chunks of _SVD_CHUNK, taken by whichever thread is free
+    chunks = queue.SimpleQueue()
+    if with_singular_values:
+        first = int(burn_frac * nt)
+        min_sv, max_sv = np.full(nt, np.nan), np.full(nt, np.nan)
+        for low in range(first, nt, _SVD_CHUNK):
+            chunks.put(slice(low, min(low + _SVD_CHUNK, nt)))
+
+    def extremes():
+        # svd releases the GIL; each chunk's values keep their bits
+        # whichever thread takes it, and it writes only its own slices
+        while True:
+            try:
+                chunk = chunks.get_nowait()
+            except queue.Empty:
+                return
+            svals = np.linalg.svd(windows[chunk], compute_uv=False)
+            min_sv[chunk], max_sv[chunk] = svals[:, -1], svals[:, 0]
+
     # on one BLAS thread an LU keeps its bits on any core count
     with _one_blas_thread() as cores, contextlib.ExitStack() as stack:
+        workers = min(cores - 1, chunks.qsize())
         parts = []
-        if with_singular_values:
-            first = int(burn_frac * nt)
-            min_sv, max_sv = np.full(nt, np.nan), np.full(nt, np.nan)
-
-            def extremes(chunk):
-                svals = np.linalg.svd(windows[chunk], compute_uv=False)
-                min_sv[chunk], max_sv[chunk] = svals[:, -1], svals[:, 0]
-
-            # svd releases the GIL: contiguous chunks of windows go to one
-            # worker per core, and each writes its own slices; the values
-            # keep their bits for any split
-            workers = min(cores, nt - first)
-            edges = [first + (nt - first) * i // workers for i in range(workers + 1)]
+        if workers:
             pool = stack.enter_context(ThreadPoolExecutor(workers))
-            parts = [pool.submit(extremes, chunk) for chunk in map(slice, edges[:-1], edges[1:])]
-        # slogdet holds the GIL, so it runs here, while the chunks run
+            parts = [pool.submit(extremes) for _ in range(workers)]
+        # slogdet holds the GIL, so it runs here while the pool takes
+        # chunks; then the calling thread takes what is left
         sign, logabs = np.linalg.slogdet(windows)
+        extremes()
         for part in parts:
             part.result()
     rolling = np.full(nt, np.nan)

@@ -636,9 +636,10 @@ def test_a_library_adam_fit_keeps_its_bits_on_any_thread_count():
 
 
 def test_window_svds_keep_their_bits_on_any_number_of_workers(monkeypatch):
-    """The pool takes one worker per BLAS thread the caller had.  Of the
-    26 windows the last 13 are examined, a count that neither 2 nor 3
-    workers split evenly; each split gives the bytes of one serial SVD."""
+    """The pool takes one worker fewer than the BLAS threads the caller
+    had, and none on one thread; the calling thread is the last worker.
+    Of the 26 windows the last 13 are examined, two chunks of unequal
+    size; each split gives the bytes of one serial SVD."""
     setter = learners_module._blas_thread_setter(NUMPY_BLAS)
     if setter is None:
         pytest.skip("numpy does not run scipy-openblas")
@@ -668,10 +669,10 @@ def test_window_svds_keep_their_bits_on_any_number_of_workers(monkeypatch):
             extremes()
     finally:
         setter(outer)
-    # without the setter the pool has one worker
+    # without the setter the calling thread works alone
     monkeypatch.setattr(learners_module, "_blas_thread_setter", lambda module: None)
     extremes()
-    assert sizes == [1, 2, 3, 1]
+    assert sizes == [1, 2]
 
 
 def test_a_library_log_det_keeps_its_bits_on_any_thread_count():
@@ -770,6 +771,51 @@ def test_a_two_leaf_fit_is_the_bytes_of_one_block_and_starts_no_thread(monkeypat
         reference = design @ solution
         pred = streamed.apply(histories)
         assert np.linalg.norm(pred - reference) <= 1e-4 * np.linalg.norm(reference)
+
+
+@pytest.mark.parametrize("ridge, bias", [(0.5, True), (0.0, False)])
+def test_no_leaf_reads_the_one_before_it(monkeypatch, ridge, bias):
+    """3,100 samples of 32 features are a QR tree of three leaves, 1,033,
+    1,033 and 1,034 rows, from blocks of 100 that straddle their edges.
+    Every leaf is filled into the same pair of buffers, so dtpqrt and
+    dtpmqrt receive the same design and target memory for every leaf,
+    even while the test holds each leaf it has seen, which would keep a
+    freed leaf's memory from going to the next.
+    Buffers that start full of NaN give the bytes of a fit on fresh
+    ones: each leaf writes or zeroes every entry it hands on, the ridge
+    rows and the bias column of the last leaf included."""
+    histories, targets, _, _ = make_linear_problem(3100, 2, 16, 24, seed=48, noise=0.1)
+    blocks = [(histories[i:i + 100], targets[i:i + 100]) for i in range(0, 3100, 100)]
+    plain = fit_blocks(iter(blocks), 3100, ridge=ridge, bias=bias)
+    lapack = learners_module.lapack
+    tpqrt, tpmqrt, empty = lapack.dtpqrt, lapack.dtpmqrt, np.empty
+    designs, targets_seen = [], []
+
+    def recorded_tpqrt(l, nb, a, b, **kwargs):
+        designs.append(b)
+        return tpqrt(l, nb, a, b, **kwargs)
+
+    def recorded_tpmqrt(l, v, t, a, b, **kwargs):
+        targets_seen.append(b)
+        return tpmqrt(l, v, t, a, b, **kwargs)
+
+    def poisoned(*args, **kwargs):
+        out = empty(*args, **kwargs)
+        if out.dtype.kind == "f":
+            out.fill(np.nan)
+        return out
+
+    monkeypatch.setattr(lapack, "dtpqrt", recorded_tpqrt)
+    monkeypatch.setattr(lapack, "dtpmqrt", recorded_tpmqrt)
+    monkeypatch.setattr(np, "empty", poisoned)
+    fitted = fit_blocks(iter(blocks), 3100, ridge=ridge, bias=bias)
+    assert len(designs) == len(targets_seen) == 3
+    assert len({design.ctypes.data for design in designs}) == 1
+    assert len({target.ctypes.data for target in targets_seen}) == 1
+    assert fitted.weights.tobytes() == plain.weights.tobytes()
+    assert (fitted.bias is None) == (not bias)
+    if bias:
+        assert fitted.bias.tobytes() == plain.bias.tobytes()
 
 
 def test_train_config_validation():

@@ -9,10 +9,11 @@ streamed it.  The peak of a least-squares call, taken against the bytes
 of the Fortran-order design and target that LAPACK factors, shows
 whether the call built its samples once, in that design, or also held
 other copies of them (a ratio of 2 or more); in a QR tree of several
-leaves, the peak against one leaf plus R and Qᵀy shows whether each leaf
-was freed once folded.  The peak of an Adam fit is taken against the
-bytes of its histories and targets in the same way; it holds each token
-frame once rather than each history, so at k = 8 it stays below them.
+leaves, the peak against one leaf plus R and Qᵀy shows whether the fit
+held only the one pair of leaf buffers that every leaf is filled into.
+The peak of an Adam fit is taken against the bytes of its histories and
+targets in the same way; it holds each token frame once rather than
+each history, so at k = 8 it stays below them.
 """
 
 import json
@@ -130,9 +131,9 @@ def test_least_squares_peak_is_a_share_of_its_design(name, request, capsys):
 def test_a_fit_holds_a_few_leaves_however_many_samples():
     """``fit_blocks`` on 4,096 samples of 65 columns and on four times as
     many: QR trees of 4 and of 16 leaves of 1,024 rows.  A leaf fills
-    only once the one before it is folded into R and freed, so the
-    traced peak at 16 leaves is within 1.2× of the peak at 4; a fit that
-    held every leaf until the stream ended would read 4×.
+    the buffers of the one before it once that one is folded into R, so
+    the traced peak at 16 leaves is within 1.2× of the peak at 4; a fit
+    that held every leaf until the stream ended would read 4×.
     The blocks are views made before the trace starts."""
     rng = np.random.default_rng(46)
     samples = 4096
@@ -152,28 +153,46 @@ def test_a_fit_holds_a_few_leaves_however_many_samples():
         f"peak {peaks[1] / peaks[0]:.2f}x at four times the samples"
 
 
-def test_a_folded_leaf_is_freed_before_the_next_fills():
-    """``fit_blocks`` on 3,072 samples of 17 columns with 512 outputs: a
-    QR tree of three leaves of 1,024 rows whose targets outweigh their
-    designs thirty times over.  Each leaf, its design and its target, is
-    freed once it is folded into R and Qᵀy, so the traced peak is within
-    1.1× of one leaf plus R and Qᵀy; a fit that kept a folded target
-    while the next leaf filled would read about 2×.  The blocks are views
-    made before the trace starts."""
-    rng = np.random.default_rng(47)
-    samples, k, m, outputs = 3 * 1024, 2, 8, 512
+def _leaf_share(samples, k, m, outputs, seed):
+    """The traced peak of ``fit_blocks`` on random samples, in blocks of 64
+    made before the trace starts, as a share of one 1,024-row leaf plus
+    R and Qᵀy."""
+    rng = np.random.default_rng(seed)
     histories = rng.standard_normal((samples, k, m))
     targets = rng.standard_normal((samples, outputs))
     blocks = [(histories[i:i + 64], targets[i:i + 64]) for i in range(0, samples, 64)]
     cols = k * m + 1
-    held = 8 * (1024 + cols) * (cols + outputs)
     tracemalloc.start()
     try:
         fit_blocks(iter(blocks), samples)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak < 1.1 * held, f"peak {peak / held:.2f}x one leaf plus R and Qᵀy"
+    return peak / (8 * (1024 + cols) * (cols + outputs))
+
+
+def test_a_folded_leaf_is_freed_before_the_next_fills():
+    """``fit_blocks`` on 3,072 samples of 17 columns with 512 outputs: a
+    QR tree of three leaves of 1,024 rows whose targets outweigh their
+    designs thirty times over.  Each leaf, its design and its target, is
+    filled into the buffers of the one before it, once that one is
+    folded into R and Qᵀy, so the traced peak is within 1.1× of one leaf
+    plus R and Qᵀy; a fit that kept a folded target while the next leaf
+    filled would read about 2×."""
+    share = _leaf_share(3 * 1024, 2, 8, 512, seed=47)
+    assert share < 1.1, f"peak {share:.2f}x one leaf plus R and Qᵀy"
+
+
+def test_a_fit_lets_go_of_its_leaves_before_it_solves():
+    """``fit_blocks`` on 2,048 samples of 512 columns (511 features and the
+    bias) with 512 outputs: a QR tree of two leaves of 1,024 rows, each
+    filled into the same pair of leaf buffers.  The buffers are freed
+    once the last leaf is folded, so gelsy and the copy of the weights
+    run beside R and Qᵀy alone, and the traced peak is within 1.1× of
+    one leaf plus R and Qᵀy; a fit that held the buffers to its end
+    would read about 1.17×, its weights being the size of Qᵀy."""
+    share = _leaf_share(2 * 1024, 1, 511, 512, seed=49)
+    assert share < 1.1, f"peak {share:.2f}x one leaf plus R and Qᵀy"
 
 
 @pytest.mark.parametrize("config", [STREAM_HEAT, STREAM_WAVE], ids=["heat", "wave"])
